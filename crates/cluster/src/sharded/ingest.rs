@@ -60,14 +60,13 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use lifestream_core::exec::{ExecOptions, OutputCollector};
+use lifestream_core::exec::OutputCollector;
 use lifestream_core::live::{LiveSession, SessionSnapshot};
-use lifestream_core::query::CompiledQuery;
-use lifestream_core::source::SignalData;
 use lifestream_core::time::{StreamShape, Tick};
-use lifestream_store::query::run_patient_on;
+use lifestream_store::query::{empty_executor, run_cohort_on};
 use lifestream_store::{
     CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, SharedStore, StoreConfig,
+    SCAN_PASS_PATIENTS,
 };
 
 use crate::history::HistoryQueryApi;
@@ -568,11 +567,15 @@ impl LiveIngest {
     /// byte-identical to that run clipped to `[t0, t1)`, and only reads
     /// the segment files whose tick ranges overlap the query.
     ///
-    /// Cohort queries naming several patients fan out across up to
-    /// [`workers`](Self::workers) threads when the pipeline is given as
-    /// a factory (each lane compiles its own executor); a
-    /// [`PipelineSpec::Compiled`] plan is not cloneable and runs the
-    /// cohort sequentially on one executor.
+    /// A cohort is served by [`run_cohort_on`] in passes of at most
+    /// [`SCAN_PASS_PATIENTS`]: the caller's thread reads the store once
+    /// per pass (each overlapping file opened once, whatever the cohort's
+    /// size, the store's lock held for the listing only), then the pass's
+    /// patients replay on up to [`workers`](Self::workers) lanes when the
+    /// pipeline is given as a factory (one compile and one executor per
+    /// lane; a single lane runs on the caller's thread). A
+    /// [`PipelineSpec::Compiled`] plan is not cloneable and replays the
+    /// cohort on its one executor.
     ///
     /// A patient that has already `finish`ed (or lives on another
     /// machine) is served from segments alone.
@@ -589,91 +592,60 @@ impl LiveIngest {
         if patients.is_empty() {
             return Err(HistoryError::NoPatients);
         }
-        HistoryQuery::validate_against(&store, range.0, range.1)?;
-        // Snapshot every live suffix up front: each session pauses only
-        // for the Arc-clone-sized export, then its ingest continues
-        // while the executors below run.
+        HistoryQuery::validate_range(range.0, range.1)?;
+        // Snapshot every live suffix up front, before the store is read
+        // (a span retired in between then shows in both, never in
+        // neither): each session pauses only for the Arc-clone-sized
+        // export, then its ingest continues while the executors below run.
         let overlays: Vec<Option<LiveOverlay>> =
             patients.iter().map(|&p| self.live_overlay(p)).collect();
-        let factory = match spec {
-            PipelineSpec::Live => PipelineFactory::clone(&self.factory),
-            PipelineSpec::Registered(0) => PipelineFactory::clone(&self.factory),
-            PipelineSpec::Registered(id) => self
-                .registry
-                .lock()
-                .expect("pipeline registry lock")
-                .get(&id)
-                .cloned()
-                .ok_or_else(|| {
-                    HistoryError::Pipeline(format!("no pipeline registered under id {id}"))
-                })?,
-            PipelineSpec::Factory(f) => f,
-            PipelineSpec::Compiled(compiled) => {
-                // A pre-compiled plan cannot be re-compiled per lane:
-                // run the cohort sequentially on its one executor.
-                return self
-                    .run_cohort_sequential(&store, compiled, range, &patients, warmup, &overlays);
-            }
+        // One executor per lane, each from its own compile; at most a
+        // scan pass's patients replay at once.
+        let lane_count = patients
+            .len()
+            .min(self.workers())
+            .clamp(1, SCAN_PASS_PATIENTS);
+        let compile_lanes = |factory: PipelineFactory| {
+            (0..lane_count)
+                .map(|_| {
+                    catch_user(|| factory()).map_err(|f| HistoryError::Pipeline(f.into_message()))
+                })
+                .collect::<Result<Vec<_>, _>>()
         };
-        let lanes = patients.len().min(self.workers()).max(1);
-        let round_ticks = self.round_ticks;
-        let mut outputs: Vec<Option<OutputCollector>> = vec![None; patients.len()];
-        let mut first_err: Option<HistoryError> = None;
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(lanes);
-            for lane in 0..lanes {
-                let factory = PipelineFactory::clone(&factory);
-                let patients = &patients;
-                let overlays = &overlays;
-                let store = &store;
-                handles.push(s.spawn(move || {
-                    let compiled = catch_user(|| factory())
-                        .map_err(|f| HistoryError::Pipeline(f.into_message()))?;
-                    let shapes = compiled.source_shapes();
-                    let mut exec = Self::empty_executor(compiled, &shapes, round_ticks)?;
-                    let mut done = Vec::new();
-                    for i in (lane..patients.len()).step_by(lanes) {
-                        let out = run_patient_on(
-                            &mut exec,
-                            store,
-                            patients[i],
-                            &shapes,
-                            range,
-                            warmup,
-                            overlays[i].as_ref(),
-                        )?;
-                        done.push((i, out));
-                    }
-                    Ok::<_, HistoryError>(done)
-                }));
+        let compiled = match spec {
+            PipelineSpec::Live | PipelineSpec::Registered(0) => {
+                compile_lanes(PipelineFactory::clone(&self.factory))?
             }
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(done)) => {
-                        for (i, out) in done {
-                            outputs[i] = Some(out);
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(payload) => {
-                        first_err.get_or_insert(HistoryError::Execution(super::panic_msg(
-                            payload.as_ref(),
-                        )));
-                    }
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let outputs = patients
+            PipelineSpec::Registered(id) => compile_lanes(
+                self.registry
+                    .lock()
+                    .expect("pipeline registry lock")
+                    .get(&id)
+                    .cloned()
+                    .ok_or_else(|| {
+                        HistoryError::Pipeline(format!("no pipeline registered under id {id}"))
+                    })?,
+            )?,
+            PipelineSpec::Factory(f) => compile_lanes(f)?,
+            // A pre-compiled plan cannot be re-compiled per lane: the
+            // cohort runs on its one executor.
+            PipelineSpec::Compiled(compiled) => vec![compiled],
+        };
+        let shapes = compiled[0].source_shapes();
+        let mut lanes = compiled
             .into_iter()
-            .zip(outputs)
-            .map(|(p, out)| (p, out.expect("every cohort lane reported")))
-            .collect();
-        Ok(CohortReport::new(range, outputs))
+            .map(|c| empty_executor(c, self.round_ticks))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (outputs, scan) = run_cohort_on(
+            &mut lanes,
+            &store,
+            &patients,
+            &shapes,
+            range,
+            warmup,
+            &overlays.iter().map(Option::as_ref).collect::<Vec<_>>(),
+        )?;
+        Ok(CohortReport::new(range, patients.into_iter().zip(outputs).collect()).with_scan(scan))
     }
 
     /// Single-patient, full-range convenience over [`history`](Self::history).
@@ -734,51 +706,6 @@ impl LiveIngest {
             Ok(Ok((snapshot, shapes))) => Some(LiveOverlay { snapshot, shapes }),
             _ => None,
         }
-    }
-
-    /// Builds a reusable executor over empty, correctly-shaped sources;
-    /// [`run_patient_on`] recycles it with each patient's stitched data.
-    fn empty_executor(
-        compiled: CompiledQuery,
-        shapes: &[StreamShape],
-        round_ticks: Tick,
-    ) -> Result<lifestream_core::exec::Executor, HistoryError> {
-        let empty: Vec<SignalData> = shapes
-            .iter()
-            .map(|&s| SignalData::dense(s, Vec::new()))
-            .collect();
-        compiled
-            .executor_with(empty, ExecOptions::default().with_round_ticks(round_ticks))
-            .map_err(|e| HistoryError::Pipeline(e.to_string()))
-    }
-
-    /// Cohort loop for a [`PipelineSpec::Compiled`] plan: one executor,
-    /// patients in order.
-    fn run_cohort_sequential(
-        &self,
-        store: &SharedStore,
-        compiled: CompiledQuery,
-        range: (Tick, Tick),
-        patients: &[PatientId],
-        warmup: Tick,
-        overlays: &[Option<LiveOverlay>],
-    ) -> Result<CohortReport, HistoryError> {
-        let shapes = compiled.source_shapes();
-        let mut exec = Self::empty_executor(compiled, &shapes, self.round_ticks)?;
-        let mut outputs = Vec::with_capacity(patients.len());
-        for (i, &p) in patients.iter().enumerate() {
-            let out = run_patient_on(
-                &mut exec,
-                store,
-                p,
-                &shapes,
-                range,
-                warmup,
-                overlays[i].as_ref(),
-            )?;
-            outputs.push((p, out));
-        }
-        Ok(CohortReport::new(range, outputs))
     }
 
     /// Closes every session and joins the shard threads. Equivalent to

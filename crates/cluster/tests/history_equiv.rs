@@ -125,15 +125,18 @@ fn retrospective_query_matches_cold_run_while_ingest_continues() {
     }
     ingest.poll();
     let store = ingest.store().expect("store attached").clone();
-    assert!(
-        store.stats().spilled_samples > 0,
-        "nothing crossed the compaction horizon — the query would not \
-         exercise the durable tier"
-    );
 
     // Mid-stream retrospective query: data below the horizon comes from
     // segments, the rest from the live suffix.
     let retro = ingest.history_one(p).unwrap();
+    // `poll` is asynchronous; the query's snapshot is what waits for the
+    // shard to have applied (and so retired and spilled) everything
+    // pushed before it.
+    assert!(
+        store.stats().spilled_samples > 0,
+        "nothing crossed the compaction horizon — the query did not \
+         exercise the durable tier"
+    );
     assert_same("mid-stream query", &cold_reference(p, mid), &retro);
     assert!(!retro.is_empty(), "empty comparison proves nothing");
 

@@ -63,14 +63,40 @@
 //! to [`HistoryQuery::pipeline`], and execution reconstructs inputs,
 //! replays, and clips — there is no second retrospective dialect.
 //!
-//! Range-bounded runs are where the segment tier earns its layout:
+//! # The read path: one scan per query
 //!
-//! * **File-name range index.** Every flushed segment advertises its tick
-//!   coverage in its name (`seg-<writer>-<seq>-<min>-<max>.lss`). A
-//!   range-bounded query skips non-overlapping files *without opening
-//!   them* ([`StoreStats::segments_skipped`] counts the wins), and clips
-//!   partially-overlapping ones after the read. Files written before the
-//!   index existed simply fall back to being read.
+//! Every retrospective read — a one-patient full history, a narrow
+//! range, an eight-patient cohort — is one [`SharedStore::scan`] per
+//! pass of at most [`SCAN_PASS_PATIENTS`] patients:
+//!
+//! * **One listing, one pruning pass.** The directory is listed once.
+//!   Every flushed segment advertises its tick coverage in its name
+//!   (`seg-<writer>-<seq>-<min>-<max>.lss`), so the same pass over the
+//!   names answers which files overlap the query's window and what the
+//!   earliest retained tick is (the retention floor the range is
+//!   validated against). Files written before the index existed simply
+//!   count as overlapping.
+//! * **Each overlapping file opened once, for all the pass's patients.**
+//!   [`StoreStats::segments_skipped`] counts files a pass left unopened,
+//!   [`StoreStats::segments_opened`] / [`StoreStats::bytes_read`] what it
+//!   read — per pass, not per patient: a cohort of eight over a window
+//!   of fifty files opens fifty files, not four hundred.
+//!   [`CohortReport::scan_stats`] carries the same three numbers for one
+//!   query.
+//! * **Everything opened is checksummed; only what is wanted is
+//!   materialised.** Every record of an opened file is CRC-checked and
+//!   structurally validated, so a corrupt record fails the query whether
+//!   or not the query wanted it. Sample and range vectors are allocated
+//!   only for records of a wanted patient whose coverage overlaps the
+//!   window ([`segment`] documents the decoder).
+//! * **The lock covers the listing, not the reads.** A [`SharedStore`]
+//!   is locked while the directory is listed and the matching unflushed
+//!   spans are copied out of the write buffer — and released before the
+//!   first file is opened. A scan of tens of milliseconds therefore
+//!   stalls no shard's retire sink and no other scan. The price is that
+//!   a listed file can be gone by the time it is opened (a compaction
+//!   replaced it, retention expired it): the scan then restarts once
+//!   from a fresh listing, and a second disappearance is an error.
 //! * **Lineage-exact margins.** Operators look back (and, for forward
 //!   windows, ahead) of the requested range; execution widens the read
 //!   window by each source's
@@ -111,6 +137,7 @@ pub mod segment;
 
 pub use query::{
     CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, QueryFactory,
+    SCAN_PASS_PATIENTS,
 };
 pub use reader::{DenseHistory, HistoryReader};
 pub use segment::{SegmentRecord, SEGMENT_MAGIC, SEGMENT_VERSION};
@@ -172,15 +199,120 @@ pub struct StoreStats {
     pub segments_written: u64,
     /// Segment files deleted by retention pruning.
     pub segments_pruned: u64,
-    /// Segment files a range-bounded read skipped without opening, thanks
-    /// to the file-name range index.
+    /// Segment files scans skipped without opening, thanks to the
+    /// file-name range index — once per [`SegmentStore::scan`] pass,
+    /// however many patients the pass served.
     pub segments_skipped: u64,
+    /// Segment files scans opened, read and checksummed (same unit).
+    pub segments_opened: u64,
+    /// Bytes of segment file those opens read.
+    pub bytes_read: u64,
     /// Segment files merged away by [`SegmentStore::compact`].
     pub segments_compacted: u64,
     /// Flushes performed (each writes at most one segment).
     pub flushes: u64,
     /// I/O failures (flush or prune); the failing spans stay buffered.
     pub io_errors: u64,
+}
+
+/// What one or more [`SegmentStore::scan`] passes cost. A cohort query
+/// sums its passes into [`CohortReport::scan_stats`]; the store sums every
+/// pass into the [`StoreStats`] fields of the same names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Segment files opened, read and checksummed.
+    pub segments_opened: u64,
+    /// Segment files skipped unopened by the file-name range index.
+    pub segments_skipped: u64,
+    /// Bytes of segment file read.
+    pub bytes_read: u64,
+}
+
+impl std::ops::AddAssign for ScanStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.segments_opened += rhs.segments_opened;
+        self.segments_skipped += rhs.segments_skipped;
+        self.bytes_read += rhs.bytes_read;
+    }
+}
+
+/// The result of one [`SegmentStore::scan`] pass.
+#[derive(Debug, Default)]
+pub struct Scan {
+    /// One entry per patient asked for, in that order: its spans
+    /// overlapping the window, oldest file first, unflushed spans last.
+    pub records: Vec<Vec<SegmentRecord>>,
+    /// The earliest tick any retained span covers — the whole store's,
+    /// not the window's: the retention floor a range is validated against.
+    pub earliest: Option<Tick>,
+    /// What the pass cost.
+    pub stats: ScanStats,
+}
+
+/// The half of a scan that needs the store: the directory listing pruned
+/// by the name index, and the matching unflushed spans. Everything after
+/// — opening, reading, checksumming, decoding — is [`ScanPlan::read`] and
+/// touches only the file system, so a [`SharedStore`] runs it unlocked.
+struct ScanPlan {
+    patients: Vec<u64>,
+    window: (Tick, Tick),
+    /// Overlapping (or unindexed) files, oldest first.
+    open: Vec<PathBuf>,
+    /// Holds the plan's findings — skipped files, the earliest tick the
+    /// names and the write buffer show, the unflushed spans per patient —
+    /// and is completed by the read.
+    scan: Scan,
+}
+
+fn see(earliest: &mut Option<Tick>, start: Tick) {
+    *earliest = Some(earliest.map_or(start, |e| e.min(start)));
+}
+
+/// Where `patient` stands in a pass's patient list (a cohort may name a
+/// patient twice; each mention gets the spans).
+fn slots_of(patients: &[u64], patient: u64) -> impl Iterator<Item = usize> + '_ {
+    (0..patients.len()).filter(move |&i| patients[i] == patient)
+}
+
+impl ScanPlan {
+    fn read(self) -> io::Result<Scan> {
+        let Self {
+            patients,
+            window: (t0, t1),
+            open,
+            mut scan,
+        } = self;
+        let pending = std::mem::replace(&mut scan.records, vec![Vec::new(); patients.len()]);
+        let mut buf = Vec::new();
+        for path in &open {
+            segment::scan_segment_file(path, &mut buf, |view| {
+                see(&mut scan.earliest, view.start_tick());
+                if view.overlaps(t0, t1) {
+                    for slot in slots_of(&patients, view.patient) {
+                        scan.records[slot].push(view.to_record());
+                    }
+                }
+            })?;
+            scan.stats.segments_opened += 1;
+            scan.stats.bytes_read += buf.len() as u64;
+        }
+        for (spans, unflushed) in scan.records.iter_mut().zip(pending) {
+            spans.extend(unflushed);
+        }
+        Ok(scan)
+    }
+}
+
+/// Runs a scan from a plan source, once more from a fresh plan when a
+/// listed file is gone by the time it is opened: a concurrent compaction
+/// or retention pass (this store's or another writer's in the directory)
+/// replaced or expired it, and the new listing names whatever holds its
+/// spans now. A second disappearance is the caller's error.
+fn scan_relisting(plan: impl Fn() -> io::Result<ScanPlan>) -> io::Result<Scan> {
+    match plan()?.read() {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => plan()?.read(),
+        done => done,
+    }
 }
 
 /// The durable tier: a bounded write buffer over append-only segments.
@@ -362,78 +494,106 @@ impl SegmentStore {
         }
     }
 
+    /// The directory's segment files in name order. Names are sorted as
+    /// byte strings before they are joined into paths: ordering whole
+    /// paths compares them component by component, which cost more than
+    /// the rest of a narrow query's listing together.
     fn segment_paths(&self) -> io::Result<Vec<PathBuf>> {
-        let mut paths: Vec<PathBuf> = fs::read_dir(&self.cfg.dir)?
+        let mut names: Vec<_> = fs::read_dir(&self.cfg.dir)?
             .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "lss"))
+            .map(|e| e.file_name())
+            .filter(|n| {
+                std::path::Path::new(n)
+                    .extension()
+                    .is_some_and(|x| x == "lss")
+            })
             .collect();
-        paths.sort();
-        Ok(paths)
+        names.sort_unstable();
+        Ok(names.iter().map(|n| self.cfg.dir.join(n)).collect())
     }
 
-    /// Every durable + pending span for `patient`, oldest file first.
-    /// Pending (unflushed) spans are included, so a query never misses
-    /// recently retired data.
+    /// The one read of the segment tier: every durable + pending span of
+    /// each of `patients` whose coverage overlaps `[t0, t1)`, from one
+    /// directory listing and one pass over the files. The file-name range
+    /// index skips non-overlapping files *without opening them*; every
+    /// other file is opened once, every record in it checksummed, and its
+    /// spans demultiplexed to the patients that want them — only those are
+    /// materialised. Pass `(Tick::MIN, Tick::MAX)` for an unpruned read.
+    ///
+    /// Callers bound `patients` ([`SCAN_PASS_PATIENTS`]): a pass
+    /// holds all of its patients' spans at once.
     ///
     /// # Errors
-    /// Propagates read failures; a corrupt segment fails the whole query
-    /// rather than silently dropping history.
-    pub fn records_for(&self, patient: u64) -> io::Result<Vec<SegmentRecord>> {
-        let mut out = Vec::new();
+    /// Propagates read failures; a corrupt record in an opened file —
+    /// wanted or not — fails the whole scan rather than silently dropping
+    /// history. A listed file that disappears (concurrent compaction or
+    /// retention) restarts the scan once from a new listing.
+    pub fn scan(&mut self, patients: &[u64], t0: Tick, t1: Tick) -> io::Result<Scan> {
+        let scan = scan_relisting(|| self.plan_scan(patients, t0, t1))?;
+        self.count_scan(scan.stats);
+        Ok(scan)
+    }
+
+    fn plan_scan(&self, patients: &[u64], t0: Tick, t1: Tick) -> io::Result<ScanPlan> {
+        let mut plan = ScanPlan {
+            patients: patients.to_vec(),
+            window: (t0, t1),
+            open: Vec::new(),
+            scan: Scan {
+                records: vec![Vec::new(); patients.len()],
+                ..Scan::default()
+            },
+        };
         for path in self.segment_paths()? {
-            out.extend(
-                segment::read_segment(&path)?
-                    .into_iter()
-                    .filter(|r| r.patient == patient),
-            );
+            // A pre-index name says nothing: the file must be opened to
+            // learn what it covers, never wrongly skipped.
+            if let Some((lo, hi)) = parse_segment_range(&path) {
+                see(&mut plan.scan.earliest, lo);
+                if hi <= t0 || lo >= t1 {
+                    plan.scan.stats.segments_skipped += 1;
+                    continue;
+                }
+            }
+            plan.open.push(path);
         }
-        out.extend(
-            self.pending
-                .iter()
-                .filter(|r| r.patient == patient)
-                .cloned(),
-        );
-        Ok(out)
+        for r in &self.pending {
+            see(&mut plan.scan.earliest, r.start_tick());
+            if r.overlaps(t0, t1) {
+                for slot in slots_of(patients, r.patient) {
+                    plan.scan.records[slot].push(r.clone());
+                }
+            }
+        }
+        Ok(plan)
+    }
+
+    fn count_scan(&mut self, scan: ScanStats) {
+        self.stats.segments_opened += scan.segments_opened;
+        self.stats.segments_skipped += scan.segments_skipped;
+        self.stats.bytes_read += scan.bytes_read;
+    }
+
+    /// Every durable + pending span for `patient`: a one-patient,
+    /// full-range [`scan`](Self::scan).
+    ///
+    /// # Errors
+    /// As [`scan`](Self::scan).
+    pub fn records_for(&mut self, patient: u64) -> io::Result<Vec<SegmentRecord>> {
+        self.records_for_range(patient, Tick::MIN, Tick::MAX)
     }
 
     /// Every durable + pending span for `patient` whose coverage overlaps
-    /// `[t0, t1)`, oldest file first. The file-name range index lets
-    /// non-overlapping segment files be skipped *without being opened*
-    /// ([`StoreStats::segments_skipped`] counts them); records inside an
-    /// overlapping file are still filtered span-by-span. Pass
-    /// `(Tick::MIN, Tick::MAX)` for an unpruned full read.
+    /// `[t0, t1)`: a one-patient [`scan`](Self::scan).
     ///
     /// # Errors
-    /// Propagates read failures; a corrupt overlapping segment fails the
-    /// whole query rather than silently dropping history.
+    /// As [`scan`](Self::scan).
     pub fn records_for_range(
         &mut self,
         patient: u64,
         t0: Tick,
         t1: Tick,
     ) -> io::Result<Vec<SegmentRecord>> {
-        let mut out = Vec::new();
-        for path in self.segment_paths()? {
-            if let Some((lo, hi)) = parse_segment_range(&path) {
-                if hi <= t0 || lo >= t1 {
-                    self.stats.segments_skipped += 1;
-                    continue;
-                }
-            }
-            out.extend(
-                segment::read_segment(&path)?
-                    .into_iter()
-                    .filter(|r| r.patient == patient && r.overlaps(t0, t1)),
-            );
-        }
-        out.extend(
-            self.pending
-                .iter()
-                .filter(|r| r.patient == patient && r.overlaps(t0, t1))
-                .cloned(),
-        );
-        Ok(out)
+        Ok(self.scan(&[patient], t0, t1)?.records.remove(0))
     }
 
     /// The earliest tick any retained span (durable or pending) covers,
@@ -444,20 +604,19 @@ impl SegmentStore {
     /// Propagates read failures on pre-index files (indexed names answer
     /// from the name alone).
     pub fn earliest_tick(&self) -> io::Result<Option<Tick>> {
-        let mut earliest: Option<Tick> = None;
-        let mut fold = |t: Tick| earliest = Some(earliest.map_or(t, |e| e.min(t)));
+        let mut earliest = None;
         for path in self.segment_paths()? {
             match parse_segment_range(&path) {
-                Some((lo, _)) => fold(lo),
+                Some((lo, _)) => see(&mut earliest, lo),
                 None => {
                     for r in segment::read_segment(&path)? {
-                        fold(r.start_tick());
+                        see(&mut earliest, r.start_tick());
                     }
                 }
             }
         }
         for r in &self.pending {
-            fold(r.start_tick());
+            see(&mut earliest, r.start_tick());
         }
         Ok(earliest)
     }
@@ -500,19 +659,6 @@ impl SegmentStore {
             }
         }
         Ok(paths.len())
-    }
-
-    /// Every durable + pending span, for whole-store inspection.
-    ///
-    /// # Errors
-    /// Propagates read failures.
-    pub fn all_records(&self) -> io::Result<Vec<SegmentRecord>> {
-        let mut out = Vec::new();
-        for path in self.segment_paths()? {
-            out.extend(segment::read_segment(&path)?);
-        }
-        out.extend(self.pending.iter().cloned());
-        Ok(out)
     }
 
     /// Activity counters so far.
@@ -571,27 +717,39 @@ impl SharedStore {
         self.with(SegmentStore::flush)
     }
 
+    /// One scan pass for `patients` over `[t0, t1)`. See
+    /// [`SegmentStore::scan`]. The store is locked for the directory
+    /// listing and the write-buffer snapshot only; files are opened, read,
+    /// checksummed and decoded with the lock released, so a long scan
+    /// stalls neither the shards' retire sinks nor other scans.
+    ///
+    /// # Errors
+    /// As [`SegmentStore::scan`].
+    pub fn scan(&self, patients: &[u64], t0: Tick, t1: Tick) -> io::Result<Scan> {
+        let scan = scan_relisting(|| self.with(|s| s.plan_scan(patients, t0, t1)))?;
+        self.with(|s| s.count_scan(scan.stats));
+        Ok(scan)
+    }
+
     /// Every durable + pending span for `patient`.
     ///
     /// # Errors
-    /// Propagates read failures.
+    /// As [`scan`](Self::scan).
     pub fn records_for(&self, patient: u64) -> io::Result<Vec<SegmentRecord>> {
-        self.with(|s| s.records_for(patient))
+        self.records_for_range(patient, Tick::MIN, Tick::MAX)
     }
 
-    /// Every durable + pending span for `patient` overlapping `[t0, t1)`,
-    /// pruning by the file-name range index. See
-    /// [`SegmentStore::records_for_range`].
+    /// Every durable + pending span for `patient` overlapping `[t0, t1)`.
     ///
     /// # Errors
-    /// Propagates read failures.
+    /// As [`scan`](Self::scan).
     pub fn records_for_range(
         &self,
         patient: u64,
         t0: Tick,
         t1: Tick,
     ) -> io::Result<Vec<SegmentRecord>> {
-        self.with(|s| s.records_for_range(patient, t0, t1))
+        Ok(self.scan(&[patient], t0, t1)?.records.remove(0))
     }
 
     /// The earliest retained tick. See [`SegmentStore::earliest_tick`].
@@ -646,7 +804,7 @@ mod tests {
         assert_eq!(store.stats().segments_written, 2);
         drop(store);
         // A fresh store (new writer nonce) sees the durable spans.
-        let store = SegmentStore::open(StoreConfig::new(&dir)).unwrap();
+        let mut store = SegmentStore::open(StoreConfig::new(&dir)).unwrap();
         let got = store.records_for(1).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].values, vec![1.0, 2.0]);

@@ -42,7 +42,8 @@ use lifestream_core::source::SignalData;
 use lifestream_core::time::{StreamShape, Tick};
 
 use crate::reader::HistoryReader;
-use crate::SharedStore;
+use crate::segment::SegmentRecord;
+use crate::{ScanStats, SharedStore};
 
 /// Builds a compiled pipeline on demand — the form a parallel cohort
 /// fan-out needs (each worker builds its own executor). Identical to the
@@ -290,29 +291,11 @@ impl HistoryQuery {
         Ok(())
     }
 
-    /// Validates the range against a store's retention floor.
-    ///
-    /// # Errors
-    /// [`HistoryError::InvalidRange`] for an inverted range,
-    /// [`HistoryError::BelowRetention`] when the range ends at or below
-    /// the earliest retained tick, [`HistoryError::Store`] on I/O.
-    pub fn validate_against(store: &SharedStore, t0: Tick, t1: Tick) -> Result<(), HistoryError> {
-        Self::validate_range(t0, t1)?;
-        if t1 != Tick::MAX {
-            if let Some(earliest) = store.earliest_tick()? {
-                if t1 <= earliest {
-                    return Err(HistoryError::BelowRetention { t1, earliest });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes the query directly against a store, sequentially per
-    /// patient, overlaying whatever live tail `live` supplies for each.
-    /// This is the reference engine: ingest front ends fan the same
-    /// per-patient work ([`run_patient_on`]) across their worker pools
-    /// and must match this output byte for byte.
+    /// Executes the query directly against a store, overlaying whatever
+    /// live tail `live` supplies for each patient, on one executor and the
+    /// calling thread. This is the reference engine: ingest front ends
+    /// hand the same [`run_cohort_on`] one executor per worker lane and
+    /// must match this output byte for byte.
     ///
     /// Only [`PipelineSpec::Compiled`] and [`PipelineSpec::Factory`] can
     /// be resolved here; `Live`/`Registered` belong to a front end.
@@ -329,7 +312,7 @@ impl HistoryQuery {
         if patients.is_empty() {
             return Err(HistoryError::NoPatients);
         }
-        Self::validate_against(store, range.0, range.1)?;
+        Self::validate_range(range.0, range.1)?;
         let compiled = match spec {
             PipelineSpec::Compiled(q) => q,
             PipelineSpec::Factory(f) => f().map_err(|e| HistoryError::Pipeline(e.to_string()))?,
@@ -342,46 +325,51 @@ impl HistoryQuery {
             }
         };
         let shapes = compiled.source_shapes();
-        let empty: Vec<SignalData> = shapes
-            .iter()
-            .map(|&s| SignalData::dense(s, Vec::new()))
-            .collect();
-        let mut exec = compiled
-            .executor_with(empty, ExecOptions::default().with_round_ticks(round_ticks))
-            .map_err(|e| HistoryError::Pipeline(e.to_string()))?;
-        let mut outputs = Vec::with_capacity(patients.len());
-        for &p in &patients {
-            let overlay = live(p);
-            let out = run_patient_on(
-                &mut exec,
-                store,
-                p,
-                &shapes,
-                range,
-                warmup,
-                overlay.as_ref(),
-            )?;
-            outputs.push((p, out));
-        }
-        Ok(CohortReport::new(range, outputs))
+        let mut exec = empty_executor(compiled, round_ticks)?;
+        let overlays: Vec<Option<LiveOverlay>> = patients.iter().map(|&p| live(p)).collect();
+        let (outputs, scan) = run_cohort_on(
+            std::slice::from_mut(&mut exec),
+            store,
+            &patients,
+            &shapes,
+            range,
+            warmup,
+            &overlays.iter().map(Option::as_ref).collect::<Vec<_>>(),
+        )?;
+        Ok(CohortReport::new(range, patients.into_iter().zip(outputs).collect()).with_scan(scan))
     }
 }
 
-/// Replays one patient's history on a prepared executor (built from the
-/// query's pipeline with empty sources, or recycled from the previous
-/// patient). This is the per-patient unit of work ingest front ends fan
-/// out across workers; [`HistoryQuery::run_with`] is the sequential
-/// composition of it.
-///
-/// The read window is `[t0 - back - warmup, t1 + fwd)` where `back`/`fwd`
-/// are the executor's lineage margins; segment files outside it are
-/// skipped by the range index, inputs are clipped to it (so round
-/// activity inside the window matches the full run exactly), and the
-/// collected output is clipped to `[t0, t1)`.
+/// Most patients one [`SharedStore::scan`] pass serves. A pass holds every
+/// one of its patients' stitched inputs until they are replayed, so this
+/// — not the cohort's size — bounds a full-range cohort's memory; larger
+/// cohorts take several passes, each opening the overlapping files again.
+pub const SCAN_PASS_PATIENTS: usize = 8;
+
+/// Builds a reusable executor over empty, correctly-shaped sources;
+/// [`run_cohort_on`] recycles it with each patient's stitched data.
 ///
 /// # Errors
-/// [`HistoryError::UnknownPatient`] when there is neither stored history
-/// nor a live overlay; `Store`/`Execution` for read and replay failures.
+/// [`HistoryError::Pipeline`] when the plan cannot be instantiated.
+pub fn empty_executor(
+    compiled: CompiledQuery,
+    round_ticks: Tick,
+) -> Result<Executor, HistoryError> {
+    let empty: Vec<SignalData> = compiled
+        .source_shapes()
+        .iter()
+        .map(|&s| SignalData::dense(s, Vec::new()))
+        .collect();
+    compiled
+        .executor_with(empty, ExecOptions::default().with_round_ticks(round_ticks))
+        .map_err(|e| HistoryError::Pipeline(e.to_string()))
+}
+
+/// Replays one patient's history on a prepared executor: a one-patient
+/// [`run_cohort_on`].
+///
+/// # Errors
+/// As [`run_cohort_on`].
 pub fn run_patient_on(
     exec: &mut Executor,
     store: &SharedStore,
@@ -391,11 +379,49 @@ pub fn run_patient_on(
     warmup: Tick,
     live: Option<&LiveOverlay>,
 ) -> Result<OutputCollector, HistoryError> {
+    let lanes = std::slice::from_mut(exec);
+    let (mut outputs, _) = run_cohort_on(lanes, store, &[patient], shapes, range, warmup, &[live])?;
+    Ok(outputs.remove(0))
+}
+
+/// Replays a cohort's history: the one loop every retrospective run goes
+/// through. `lanes` are one or more prepared executors of the query's
+/// pipeline (built with empty sources, or recycled from a previous call),
+/// `overlays` the patients' live tails in cohort order; outputs come back
+/// in that order too, with what the store scans cost.
+///
+/// The read window is `[t0 - back - warmup, t1 + fwd)` where `back`/`fwd`
+/// are the executor's lineage margins. The cohort is served in passes of
+/// at most [`SCAN_PASS_PATIENTS`]: one [`SharedStore::scan`] on the
+/// calling thread reads the window for the whole pass — segment files
+/// outside it skipped by the range index, the others opened once — then
+/// the pass's patients are replayed, spread over the lanes (a single lane
+/// runs on the calling thread; more spawn one scoped thread each). Inputs
+/// are clipped to the window (so round activity inside it matches the
+/// full run exactly) and each collected output to `[t0, t1)`.
+///
+/// # Errors
+/// [`HistoryError::BelowRetention`] when the range ends at or below the
+/// earliest tick the scan's listing shows retained,
+/// [`HistoryError::UnknownPatient`] when a patient has neither stored
+/// history nor a live overlay; `Store`/`Execution` for read and replay
+/// failures. The first failure aborts the cohort.
+pub fn run_cohort_on(
+    lanes: &mut [Executor],
+    store: &SharedStore,
+    patients: &[u64],
+    shapes: &[StreamShape],
+    range: (Tick, Tick),
+    warmup: Tick,
+    overlays: &[Option<&LiveOverlay>],
+) -> Result<(Vec<OutputCollector>, ScanStats), HistoryError> {
+    assert_eq!(patients.len(), overlays.len(), "one overlay slot a patient");
     let (t0, t1) = range;
-    let full = (t0, t1) == (Tick::MIN, Tick::MAX);
-    let (q_lo, q_hi) = if full {
-        (Tick::MIN, Tick::MAX)
+    let full = range == (Tick::MIN, Tick::MAX);
+    let window = if full {
+        range
     } else {
+        let exec = &lanes[0];
         let back = exec.history_margins().into_iter().max().unwrap_or(0).max(0);
         let fwd = exec.future_margins().into_iter().max().unwrap_or(0).max(0);
         (
@@ -403,35 +429,112 @@ pub fn run_patient_on(
             t1.saturating_add(fwd),
         )
     };
-    let records = store
-        .records_for_range(patient, q_lo, q_hi)
-        .map_err(|e| HistoryError::Store(e.to_string()))?;
-    // A pipeline with a different source layout than the live one runs
-    // over the durable tiers only — its shapes cannot absorb the live
-    // suffix.
-    let overlay = live.filter(|o| o.shapes.len() == shapes.len());
-    if records.is_empty() && overlay.is_none() {
-        return Err(HistoryError::UnknownPatient(patient));
-    }
-    let reader = HistoryReader::from_records(records);
-    let mut datasets = reader
-        .stitch(patient, shapes, overlay.map(|o| &o.snapshot))
-        .map_err(HistoryError::Execution)?;
-    if !full {
-        // Clip every source to the same margin-widened window: presence
-        // inside it is then identical to the full-history run's, so
-        // round-skipping decisions (which clear kernel state) agree too.
-        datasets = datasets
-            .into_iter()
-            .map(|d| d.clipped(q_lo, q_hi))
+    let mut outputs = Vec::with_capacity(patients.len());
+    let mut stats = ScanStats::default();
+    for (pass, live) in patients
+        .chunks(SCAN_PASS_PATIENTS)
+        .zip(overlays.chunks(SCAN_PASS_PATIENTS))
+    {
+        let scan = store.scan(pass, window.0, window.1)?;
+        stats += scan.stats;
+        if let Some(earliest) = scan.earliest.filter(|&e| t1 != Tick::MAX && t1 <= e) {
+            return Err(HistoryError::BelowRetention { t1, earliest });
+        }
+        let replays: Vec<Replay> = pass
+            .iter()
+            .zip(scan.records)
+            .zip(live)
+            .map(|((&patient, records), &live)| Replay {
+                patient,
+                records,
+                // A pipeline with a different source layout than the live
+                // one runs over the durable tiers only — its shapes cannot
+                // absorb the live suffix.
+                live: live.filter(|o| o.shapes.len() == shapes.len()),
+                shapes,
+                range,
+                window,
+            })
             .collect();
+        outputs.extend(replay_pass(lanes, replays)?);
     }
-    exec.recycle(datasets)
-        .map_err(|e| HistoryError::Execution(e.to_string()))?;
-    let out = catch_unwind(AssertUnwindSafe(|| exec.run_collect()))
-        .map_err(|p| HistoryError::Execution(panic_text(&p)))?
-        .map_err(|e| HistoryError::Execution(e.to_string()))?;
-    Ok(if full { out } else { out.clipped(t0, t1) })
+    Ok((outputs, stats))
+}
+
+/// One patient of a pass: its scanned spans and everything a lane needs
+/// to turn them into output.
+struct Replay<'a> {
+    patient: u64,
+    records: Vec<SegmentRecord>,
+    live: Option<&'a LiveOverlay>,
+    shapes: &'a [StreamShape],
+    range: (Tick, Tick),
+    window: (Tick, Tick),
+}
+
+impl Replay<'_> {
+    fn run(self, exec: &mut Executor) -> Result<OutputCollector, HistoryError> {
+        let (t0, t1) = self.range;
+        let full = self.range == (Tick::MIN, Tick::MAX);
+        if self.records.is_empty() && self.live.is_none() {
+            return Err(HistoryError::UnknownPatient(self.patient));
+        }
+        let reader = HistoryReader::from_records(self.records);
+        let mut datasets = reader
+            .stitch(self.patient, self.shapes, self.live.map(|o| &o.snapshot))
+            .map_err(HistoryError::Execution)?;
+        if !full {
+            // Clip every source to the same margin-widened window: presence
+            // inside it is then identical to the full-history run's, so
+            // round-skipping decisions (which clear kernel state) agree too.
+            datasets = datasets
+                .into_iter()
+                .map(|d| d.clipped(self.window.0, self.window.1))
+                .collect();
+        }
+        exec.recycle(datasets)
+            .map_err(|e| HistoryError::Execution(e.to_string()))?;
+        let out = catch_unwind(AssertUnwindSafe(|| exec.run_collect()))
+            .map_err(|p| HistoryError::Execution(panic_text(&p)))?
+            .map_err(|e| HistoryError::Execution(e.to_string()))?;
+        Ok(if full { out } else { out.clipped(t0, t1) })
+    }
+}
+
+/// Replays one pass in pass order, its patients dealt to the lanes in
+/// equal runs. A pass that fits one lane runs on the calling thread;
+/// otherwise every lane with work gets a scoped thread.
+fn replay_pass(
+    lanes: &mut [Executor],
+    replays: Vec<Replay<'_>>,
+) -> Result<Vec<OutputCollector>, HistoryError> {
+    let per_lane = replays.len().div_ceil(lanes.len());
+    if per_lane == replays.len() {
+        let exec = &mut lanes[0];
+        return replays.into_iter().map(|r| r.run(exec)).collect();
+    }
+    let busy = replays.len().div_ceil(per_lane);
+    let mut replays = replays.into_iter();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = lanes
+            .iter_mut()
+            .take(busy)
+            .map(|exec| {
+                let work: Vec<_> = replays.by_ref().take(per_lane).collect();
+                s.spawn(move || work.into_iter().map(|r| r.run(exec)).collect())
+            })
+            .collect();
+        // Join every lane before judging any: the scope would otherwise
+        // re-raise a panic left in an unjoined one.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        let mut outputs = Vec::new();
+        for lane in joined {
+            let done: Result<Vec<_>, _> =
+                lane.unwrap_or_else(|p| Err(HistoryError::Execution(panic_text(&p))));
+            outputs.extend(done?);
+        }
+        Ok(outputs)
+    })
 }
 
 fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
@@ -450,12 +553,30 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
 pub struct CohortReport {
     range: (Tick, Tick),
     outputs: Vec<(u64, OutputCollector)>,
+    scan: ScanStats,
 }
 
 impl CohortReport {
     /// Assembles a report (front ends build these from fanned-out runs).
     pub fn new(range: (Tick, Tick), outputs: Vec<(u64, OutputCollector)>) -> Self {
-        Self { range, outputs }
+        Self {
+            range,
+            outputs,
+            scan: ScanStats::default(),
+        }
+    }
+
+    /// Attaches what the query's store scans cost.
+    pub fn with_scan(mut self, scan: ScanStats) -> Self {
+        self.scan = scan;
+        self
+    }
+
+    /// Segment files opened and skipped and bytes read on this query's
+    /// behalf, summed over its scan passes. Zero on reports assembled
+    /// from remote answers, which do not carry it over the wire.
+    pub fn scan_stats(&self) -> ScanStats {
+        self.scan
     }
 
     /// The `[t0, t1)` bounds the cohort ran over.

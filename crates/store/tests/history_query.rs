@@ -13,6 +13,11 @@
 //! * **Typed errors** — degenerate ranges and ranges below the
 //!   retention floor are named errors with locked messages, never
 //!   silently-empty results.
+//! * **One scan per cohort** — an eight-patient cohort opens each
+//!   overlapping file once, not once per patient, and answers what the
+//!   per-patient loop answers.
+//! * **Reads outside the lock** — a spill completes while a scan is
+//!   stopped in the middle of a file.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -381,4 +386,258 @@ fn range_below_retention_is_a_named_error_with_locked_message() {
         .run_with(&store, ROUND, |_| Some(overlay.clone()));
     assert!(ok.is_ok(), "err: {:?}", ok.err().map(|e| e.to_string()));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Eight patients interleaved in shared segment files, queried as one
+/// narrow cohort: every overlapping file is opened once for the whole
+/// cohort (the same files one patient's query opens), the report carries
+/// that cost, and the outputs equal the per-patient loop's byte for byte.
+#[test]
+fn eight_patient_cohort_opens_each_overlapping_file_once() {
+    let dir = tmp_dir("onescan");
+    let shape = StreamShape::new(0, 2);
+    let factory = pipeline(1, shape);
+    let store = SharedStore::open(StoreConfig::new(&dir).flush_batch(600)).unwrap();
+    let patients: Vec<u64> = (20..28).collect();
+    // Round-robin the patients' sessions so every flushed file holds
+    // spans of all eight.
+    let data: Vec<SignalData> = (0..8).map(|i| recorded(shape, 4_000, 31 + i)).collect();
+    let mut sessions: Vec<LiveSession> = patients
+        .iter()
+        .map(|&p| {
+            let mut session = LiveSession::new(factory().unwrap(), ROUND).unwrap();
+            session.set_retire_sink(store.sink_for(p));
+            session
+        })
+        .collect();
+    for k in 0..4_000 {
+        for (session, d) in sessions.iter_mut().zip(&data) {
+            let t = k as Tick * 2;
+            if d.presence().contains(t) {
+                session.push(0, t, d.values()[k]).unwrap();
+            }
+            if k % 100 == 99 {
+                session.poll(|_| {}).unwrap();
+            }
+        }
+    }
+    let overlays: HashMap<u64, LiveOverlay> = patients
+        .iter()
+        .zip(&sessions)
+        .map(|(&p, session)| {
+            let overlay = LiveOverlay {
+                snapshot: session.export_suffix(),
+                shapes: session.source_shapes(),
+            };
+            (p, overlay)
+        })
+        .collect();
+    let files = segment_files(&dir) as u64;
+    assert!(files >= 10, "need a fragmented store ({files} files)");
+
+    let (t0, t1) = (3_000, 3_800);
+    let query = |cohort: &[u64]| {
+        HistoryQuery::new()
+            .patients(cohort.iter().copied())
+            .range(t0, t1)
+            .pipeline_factory(factory.clone())
+            .run_with(&store, ROUND, |p| overlays.get(&p).cloned())
+            .unwrap()
+    };
+    let before = store.stats();
+    let solo = query(&patients[..1]);
+    let one = solo.scan_stats();
+    assert!(
+        one.segments_opened >= 1 && one.segments_skipped >= 1,
+        "{one:?}"
+    );
+    assert_eq!(one.segments_opened + one.segments_skipped, files);
+
+    let report = query(&patients);
+    assert_eq!(
+        report.scan_stats(),
+        one,
+        "a cohort pass costs one patient's"
+    );
+    let after = store.stats();
+    assert_eq!(
+        after.segments_opened - before.segments_opened,
+        2 * one.segments_opened
+    );
+    assert_eq!(
+        after.segments_skipped - before.segments_skipped,
+        2 * one.segments_skipped
+    );
+    assert_eq!(after.bytes_read - before.bytes_read, 2 * one.bytes_read);
+
+    for (i, &p) in patients.iter().enumerate() {
+        assert_eq!(report.outputs()[i].0, p);
+        let alone = query(&[p]).into_single().unwrap();
+        assert_same(
+            &format!("cohort patient {p}"),
+            &alone,
+            &report.outputs()[i].1,
+        );
+        assert_same(
+            &format!("cohort patient {p} vs clipped batch"),
+            &batch_run(&factory, &data[i]).clipped(t0, t1),
+            &alone,
+        );
+        assert!(!alone.is_empty(), "empty comparison proves nothing");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[cfg(unix)]
+mod mid_scan {
+    //! Tests that stop a scan part-way. A FIFO with a segment's name is
+    //! listed like any other file; the scan then blocks in `File::open`
+    //! until this side opens the write end, which in turn returns only
+    //! once the scan is there — a rendezvous with the listing behind the
+    //! scan and the read still ahead of it.
+
+    use super::*;
+    use lifestream_core::live::RetiredSpan;
+    use lifestream_store::segment::encode_record;
+    use lifestream_store::{SegmentRecord, SEGMENT_MAGIC, SEGMENT_VERSION};
+    use std::io::Write;
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    fn shape() -> StreamShape {
+        StreamShape::new(0, 2)
+    }
+
+    /// Four samples of `v` from `base_slot`.
+    fn span(base_slot: u64, v: f32) -> RetiredSpan {
+        RetiredSpan {
+            source: 0,
+            shape: shape(),
+            base_slot,
+            values: vec![v; 4],
+            ranges: vec![(base_slot as Tick * 2, base_slot as Tick * 2 + 8)],
+        }
+    }
+
+    fn mkfifo(path: &Path) {
+        let made = std::process::Command::new("mkfifo")
+            .arg(path)
+            .status()
+            .unwrap();
+        assert!(made.success(), "mkfifo failed");
+    }
+
+    /// Opens `fifo`'s write end: returns once the scan is opening it.
+    fn meet_scan_at(fifo: &Path) -> std::fs::File {
+        std::fs::OpenOptions::new().write(true).open(fifo).unwrap()
+    }
+
+    /// A one-span segment image for the FIFO to serve.
+    fn image(base_slot: u64, v: f32) -> Vec<u8> {
+        let RetiredSpan {
+            base_slot,
+            values,
+            ranges,
+            ..
+        } = span(base_slot, v);
+        let mut image = SEGMENT_MAGIC.to_vec();
+        image.push(SEGMENT_VERSION);
+        image.extend(encode_record(&SegmentRecord {
+            patient: PATIENT,
+            source: 0,
+            shape: shape(),
+            base_slot,
+            values,
+            ranges,
+        }));
+        image
+    }
+
+    fn first_values(records: &[SegmentRecord]) -> Vec<f32> {
+        records.iter().map(|r| r.values[0]).collect()
+    }
+
+    /// The store's lock covers a scan's listing, not its file reads: a
+    /// spill issued while the scan is inside a file must complete (with
+    /// the lock held across reads it would wait for a scan that waits
+    /// for this thread).
+    #[test]
+    fn spill_completes_while_a_scan_is_inside_a_file_read() {
+        let dir = tmp_dir("unlocked");
+        let store = SharedStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
+        let mut sink = store.sink_for(PATIENT);
+        sink(span(0, 1.0));
+        sink(span(4, 2.0));
+        // An un-indexed name, sorting after the writer's: opened last.
+        let fifo = dir.join("seg-fifo.lss");
+        mkfifo(&fifo);
+
+        std::thread::scope(|s| {
+            let scan = s.spawn(|| store.scan(&[PATIENT], Tick::MIN, Tick::MAX));
+            let mut pipe = meet_scan_at(&fifo);
+            let (done, spilled) = channel();
+            s.spawn(move || {
+                sink(span(8, 3.0));
+                done.send(()).unwrap();
+            });
+            let outcome = spilled.recv_timeout(Duration::from_secs(20));
+            // Release the scan before judging, or a failure would hang
+            // the scope instead of failing the test.
+            pipe.write_all(&image(12, 4.0)).unwrap();
+            drop(pipe);
+            let scanned = scan.join().unwrap().unwrap();
+
+            assert!(outcome.is_ok(), "spill waited for the scan's file reads");
+            // What was listed before the spill: two files and the FIFO.
+            assert_eq!(first_values(&scanned.records[0]), vec![1.0, 2.0, 4.0]);
+            assert_eq!(scanned.stats.segments_opened, 3);
+        });
+        assert_eq!(store.stats().segments_written, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A listed file that is gone when the scan reaches it — here renamed
+    /// mid-scan, as a compaction replaces its inputs — restarts the scan
+    /// from a fresh listing: the replacement is found, and what the
+    /// abandoned pass had read is not in the answer. A name that still
+    /// leads nowhere after that is a typed store error.
+    #[test]
+    fn scan_relists_once_when_a_listed_file_disappears() {
+        let dir = tmp_dir("relist");
+        let store = SharedStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
+        store.sink_for(PATIENT)(span(4, 2.0));
+        let flushed = std::fs::read_dir(&dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        // Sorts before any writer's files: opened first.
+        let fifo = dir.join("seg-0.lss");
+        mkfifo(&fifo);
+
+        std::thread::scope(|s| {
+            let scan = s.spawn(|| store.scan(&[PATIENT], Tick::MIN, Tick::MAX));
+            // While the scan waits on the FIFO, the file it listed next is
+            // replaced under another name, and the FIFO's own name goes
+            // (its open ends stay connected) so the restart skips it.
+            let mut pipe = meet_scan_at(&fifo);
+            std::fs::rename(&flushed, dir.join("seg-replacement.lss")).unwrap();
+            std::fs::remove_file(&fifo).unwrap();
+            pipe.write_all(&image(0, 1.0)).unwrap();
+            drop(pipe);
+            let scanned = scan.join().unwrap().unwrap();
+            assert_eq!(first_values(&scanned.records[0]), vec![2.0]);
+            assert_eq!(scanned.stats.segments_opened, 1, "the completed pass only");
+        });
+
+        std::os::unix::fs::symlink("nowhere", dir.join("seg-dangling.lss")).unwrap();
+        let err = HistoryQuery::new()
+            .patient(PATIENT)
+            .pipeline_factory(pipeline(0, shape()))
+            .run_with(&store, ROUND, |_| None)
+            .unwrap_err();
+        assert!(matches!(err, HistoryError::Store(_)), "err: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
