@@ -50,7 +50,7 @@ fn main() {
         .expect("executor");
     let out = exec.run_collect().expect("run");
 
-    let detections = times_to_samples(out.times(), 8);
+    let detections = times_to_samples(&out.times(), 8);
     // Collapse per-sample detections into distinct detection events
     // (separated by more than one artifact length).
     let mut distinct: Vec<usize> = Vec::new();

@@ -331,11 +331,13 @@ fn put_samples(buf: &mut Vec<u8>, samples: &[Sample]) {
 fn put_collector(buf: &mut Vec<u8>, c: &OutputCollector) {
     put_u32(buf, c.arity() as u32);
     put_u32(buf, c.len() as u32);
-    for &t in c.times() {
+    for t in c.iter_times() {
         put_i64(buf, t);
     }
-    for &d in c.durations() {
-        put_i64(buf, d);
+    for r in c.runs() {
+        for _ in 0..r.n {
+            put_i64(buf, r.duration);
+        }
     }
     for f in 0..c.arity() {
         for &v in c.values(f) {

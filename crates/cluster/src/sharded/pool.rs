@@ -253,9 +253,7 @@ impl ExecutorPool {
                 .run_with(|w| coll.absorb(w))
                 .map_err(|e| e.to_string())?;
             let collected = coll
-                .times()
-                .iter()
-                .copied()
+                .iter_times()
                 .zip(coll.values(0).iter().copied())
                 .collect();
             Ok(PoolRun::Done {

@@ -385,6 +385,54 @@ fn golden_replies_v2() {
     );
 }
 
+/// A collector filled by `absorb` — runs, two fields, a gap and a change
+/// of duration inside a presence run — goes on the wire as the flat v2
+/// layout (every time, every duration, then each field's column), and
+/// comes back with the same runs.
+#[test]
+fn absorbed_collector_keeps_the_flat_v2_layout() {
+    use lifestream_core::fwindow::FWindow;
+    use lifestream_core::time::StreamShape;
+
+    let mut w = FWindow::new(StreamShape::new(0, 2), 20, 2);
+    let mut c = OutputCollector::new(2);
+    let mut flat: Vec<(i64, i64, [f32; 2])> = Vec::new();
+    for round in 0..3i64 {
+        w.slide_to(round * 20);
+        for i in (0..10usize).filter(|&i| round != 1 || i != 4) {
+            let d = if round == 2 && i >= 6 { 1 } else { 2 };
+            let row = [(round * 10) as f32 + i as f32, -0.5 * i as f32];
+            w.write(i, &row, d);
+            flat.push((round * 20 + 2 * i as i64, d, row));
+        }
+        c.absorb(&w);
+    }
+    assert_eq!(
+        c.runs().len(),
+        3,
+        "split at the gap and at the duration change"
+    );
+
+    let mut want = vec![WIRE_VERSION, 0x84];
+    want.extend_from_slice(&2u32.to_le_bytes());
+    want.extend_from_slice(&(flat.len() as u32).to_le_bytes());
+    want.extend(flat.iter().flat_map(|e| e.0.to_le_bytes()));
+    want.extend(flat.iter().flat_map(|e| e.1.to_le_bytes()));
+    for f in 0..2 {
+        want.extend(flat.iter().flat_map(|e| e.2[f].to_bits().to_le_bytes()));
+    }
+    let bytes = encode_reply(&WireReply::Output(c.clone()));
+    assert_eq!(bytes, want);
+    match decode_reply(&bytes).expect("decode") {
+        WireReply::Output(back) => {
+            assert_eq!(back.runs(), c.runs());
+            assert_eq!((back.len(), back.checksum()), (c.len(), c.checksum()));
+        }
+        other => panic!("expected Output, got {other:?}"),
+    }
+    assert_eq!(reencode_reply(&bytes), bytes);
+}
+
 #[test]
 fn golden_import_v2() {
     // next_round 100; one source (base_slot 5, watermark 110, one value

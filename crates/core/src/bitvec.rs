@@ -102,15 +102,26 @@ impl BitVec {
         self.words.fill(0);
     }
 
-    /// Sets bits `lo..hi` (half-open).
+    /// Sets bits `lo..hi` (half-open), a word at a time: a masked head
+    /// word, whole words of ones, a masked tail word. Every bulk window
+    /// fill goes through here, so a dense round costs `len / 64` stores.
     ///
     /// # Panics
     /// Panics if `hi > len`.
     pub fn set_range(&mut self, lo: usize, hi: usize) {
         assert!(hi <= self.len, "range end {hi} out of range {}", self.len);
-        for i in lo..hi {
-            let w = &mut self.words[i / 64];
-            *w |= 1u64 << (i % 64);
+        if lo >= hi {
+            return;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        let head = u64::MAX << (lo % 64);
+        let tail = u64::MAX >> (63 - (hi - 1) % 64);
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(u64::MAX);
+            self.words[last] |= tail;
         }
     }
 
@@ -168,6 +179,18 @@ impl BitVec {
     /// loops can iterate flat slices with no per-slot presence branch.
     pub fn iter_runs(&self) -> IterRuns<'_> {
         IterRuns { bv: self, pos: 0 }
+    }
+
+    /// Writes the bits out as one flag per bit, run by run — the form
+    /// flat stage loops read presence in.
+    ///
+    /// # Panics
+    /// Panics if `flags` is shorter than the bitvector.
+    pub fn unpack_into(&self, flags: &mut [bool]) {
+        flags[..self.len].fill(false);
+        for (lo, hi) in self.iter_runs() {
+            flags[lo..hi].fill(true);
+        }
     }
 
     /// Iterator over the indices of set bits.
@@ -368,6 +391,39 @@ mod tests {
         );
         let from_runs: Vec<usize> = runs.iter().flat_map(|&(lo, hi)| lo..hi).collect();
         assert_eq!(from_runs, b.iter_ones().collect::<Vec<_>>());
+        let mut flags = vec![true; 200];
+        b.unpack_into(&mut flags);
+        assert!((0..200).all(|i| flags[i] == b.get(i)));
+    }
+
+    #[test]
+    fn set_range_matches_the_bit_loop_for_every_range() {
+        // Every (lo, hi) over 200 bits covers the word edges 0/63/64/65/
+        // 127/128, empty ranges, single words and the full vector; the
+        // pre-set bits check that a range only ever adds bits.
+        for lo in 0..=200 {
+            for hi in lo..=200 {
+                let mut fast = BitVec::new(200);
+                fast.set(7, true);
+                fast.set(190, true);
+                let mut slow = fast.clone();
+                fast.set_range(lo, hi);
+                for i in lo..hi {
+                    slow.set(i, true);
+                }
+                assert_eq!(fast, slow, "set_range({lo}, {hi})");
+            }
+        }
+        let mut b = BitVec::new(130);
+        b.set_range(5, 5);
+        b.set_range(9, 3); // inverted range: empty, like the loop it replaces
+        assert!(!b.any());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_range_past_the_end_panics() {
+        BitVec::new(130).set_range(100, 131);
     }
 
     #[test]

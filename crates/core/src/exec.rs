@@ -28,6 +28,26 @@
 //! output is bit-identical to staged output (see the [`fuse`](crate::fuse)
 //! module docs for the eligibility rules and what breaks a group).
 //! [`ExecOptions::without_fusion`] disables the pass for A/B comparison.
+//!
+//! **Output is periodic too.** An FWindow stores no sync time because slot
+//! `i` sits at `base + i·period`; [`OutputCollector`] keeps that argument
+//! to the end of the pipeline. It stores the payload columns flat (4 bytes
+//! per event and field) and, in place of one time and one duration per
+//! event, a list of [`Run`]s `{t0, period, duration, n}`:
+//! [`absorb`](OutputCollector::absorb) copies each presence run of a sink
+//! window as one slice per field and extends the last run when the time,
+//! the period and the duration all continue — a dense output of any length
+//! is one run. A run ends at a gap, at a change of grid, and where the
+//! per-slot durations change (`Chop`, `AlterDuration`, chains that pass
+//! input durations through). The list is a function of the event sequence
+//! alone: `absorb`, [`push`](OutputCollector::push), the wire decoder and
+//! [`clipped`](OutputCollector::clipped) all reduce to one per-event rule,
+//! so equal outputs have equal runs however they were built. Reads go
+//! through [`runs`](OutputCollector::runs) and
+//! [`iter_times`](OutputCollector::iter_times);
+//! [`times`](OutputCollector::times) and
+//! [`durations`](OutputCollector::durations) are derived conveniences that
+//! allocate and fill a `Vec<Tick>` (8 bytes per event) on every call.
 
 use crate::error::{Error, Result};
 use crate::fuse::{self, FusionGroup, FusionPlan, Role};
@@ -105,12 +125,66 @@ impl ExecOptions {
     }
 }
 
-/// Collects sink output into dense arrays.
+/// A maximal stretch of collected events on one grid: event `i` of the run
+/// sits at `t0 + i * period` and lasts `duration` ticks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Sync time of the run's first event.
+    pub t0: Tick,
+    /// Distance between consecutive events; 0 while the run holds a
+    /// single event (its grid is not known yet).
+    pub period: Tick,
+    /// Duration shared by every event of the run.
+    pub duration: Tick,
+    /// Number of events.
+    pub n: usize,
+}
+
+impl Run {
+    /// Sync time of event `i`. Wrapping, like the rule that builds runs: a
+    /// harness or a peer may `push` any `i64`, and modulo 2^64 the run
+    /// form still gives back exactly what was pushed.
+    fn time(&self, i: usize) -> Tick {
+        self.t0.wrapping_add((i as Tick).wrapping_mul(self.period))
+    }
+
+    /// Sync times of the run's events, in order.
+    pub fn times(&self) -> impl Iterator<Item = Tick> {
+        let run = *self;
+        (0..run.n).map(move |i| run.time(i))
+    }
+
+    /// True when the times ascend without wrapping, so a time range
+    /// selects one index range.
+    fn ascends(&self) -> bool {
+        let last = (self.n as Tick - 1)
+            .checked_mul(self.period)
+            .and_then(|span| self.t0.checked_add(span));
+        self.n == 1 || (self.period > 0 && last.is_some())
+    }
+
+    /// The events `lo..hi` of an ascending run whose sync time lies in
+    /// `[t0, t1)`.
+    fn index_range(&self, t0: Tick, t1: Tick) -> (usize, usize) {
+        let p = self.period.max(1);
+        let first_at_or_after = |t: Tick| {
+            let steps = t
+                .saturating_sub(self.t0)
+                .saturating_add(p - 1)
+                .div_euclid(p);
+            steps.clamp(0, self.n as Tick) as usize
+        };
+        (first_at_or_after(t0), first_at_or_after(t1))
+    }
+}
+
+/// Collects sink output: payload columns plus a run list for the times
+/// (see the module docs, "Output is periodic too").
 #[derive(Debug, Clone, Default)]
 pub struct OutputCollector {
     arity: usize,
-    times: Vec<Tick>,
-    durations: Vec<Tick>,
+    len: usize,
+    runs: Vec<Run>,
     fields: Vec<Vec<f32>>,
 }
 
@@ -119,42 +193,109 @@ impl OutputCollector {
     pub fn new(arity: usize) -> Self {
         Self {
             arity,
-            times: Vec::new(),
-            durations: Vec::new(),
+            len: 0,
+            runs: Vec::new(),
             fields: vec![Vec::new(); arity],
         }
     }
 
-    /// Absorbs every present event of a window.
+    /// Absorbs every present event of a window: one slice copy per field
+    /// and presence run, and one run-list update per stretch of equal
+    /// durations inside it.
     pub fn absorb(&mut self, w: &FWindow) {
         debug_assert_eq!(w.arity(), self.arity);
-        for (i, t, d) in w.iter_present() {
-            self.times.push(t);
-            self.durations.push(d);
-            for f in 0..self.arity {
-                self.fields[f].push(w.field(f)[i]);
+        let period = w.shape().period();
+        let durations = w.durations();
+        for (lo, hi) in w.presence().iter_runs() {
+            for (f, col) in self.fields.iter_mut().enumerate() {
+                col.extend_from_slice(&w.field(f)[lo..hi]);
             }
+            let mut s = lo;
+            while s < hi {
+                let d = durations[s];
+                let same = durations[s..hi].iter().take_while(|&&x| x == d).count();
+                self.push_stretch(w.slot_time(s), period, d, same);
+                s += same;
+            }
+        }
+    }
+
+    /// Records one event's time and duration: it continues the last run
+    /// when the duration matches and the time is the run's next grid point
+    /// (a single-event run takes its period from the event that follows
+    /// it), and opens a new run otherwise. Every way of adding events
+    /// reduces to this rule, so the run list depends on the event sequence
+    /// alone.
+    fn push_time(&mut self, t: Tick, d: Tick) {
+        self.len += 1;
+        if let Some(r) = self.runs.last_mut() {
+            if r.duration == d {
+                if r.n == 1 {
+                    r.period = t.wrapping_sub(r.t0);
+                    r.n = 2;
+                    return;
+                }
+                if t == r.time(r.n) {
+                    r.n += 1;
+                    return;
+                }
+            }
+        }
+        self.runs.push(Run {
+            t0: t,
+            period: 0,
+            duration: d,
+            n: 1,
+        });
+    }
+
+    /// Records `n` events `t, t + period, ..` of duration `d`. The first
+    /// three go through [`push_time`](Self::push_time); by then the last
+    /// run holds the two latest events, so its period is `period` and the
+    /// rest extend it — the same list as `n` single pushes.
+    fn push_stretch(&mut self, t: Tick, period: Tick, d: Tick, n: usize) {
+        let head = n.min(3);
+        for i in 0..head {
+            self.push_time(t + i as Tick * period, d);
+        }
+        if n > head {
+            self.runs.last_mut().expect("pushed above").n += n - head;
+            self.len += n - head;
         }
     }
 
     /// Number of collected events.
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.len
     }
 
     /// True when nothing was collected.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.len == 0
     }
 
-    /// Sync times of the collected events.
-    pub fn times(&self) -> &[Tick] {
-        &self.times
+    /// The run list: the collected events' times and durations, in order.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
-    /// Durations of the collected events.
-    pub fn durations(&self) -> &[Tick] {
-        &self.durations
+    /// Sync times of the collected events, computed from the runs.
+    pub fn iter_times(&self) -> impl Iterator<Item = Tick> + '_ {
+        self.runs.iter().flat_map(Run::times)
+    }
+
+    /// Sync times of the collected events, materialised (8 bytes per event
+    /// on every call — loops want [`iter_times`](Self::iter_times)).
+    pub fn times(&self) -> Vec<Tick> {
+        self.iter_times().collect()
+    }
+
+    /// Durations of the collected events, materialised per call.
+    pub fn durations(&self) -> Vec<Tick> {
+        self.runs
+            .iter()
+            .flat_map(|r| std::iter::repeat_n(r.duration, r.n))
+            .collect()
     }
 
     /// Values of field `f` across all collected events.
@@ -177,8 +318,7 @@ impl OutputCollector {
     /// Panics when `values.len()` differs from the collector's arity.
     pub fn push(&mut self, t: Tick, d: Tick, values: &[f32]) {
         assert_eq!(values.len(), self.arity, "payload arity mismatch");
-        self.times.push(t);
-        self.durations.push(d);
+        self.push_time(t, d);
         for (f, &v) in values.iter().enumerate() {
             self.fields[f].push(v);
         }
@@ -189,19 +329,36 @@ impl OutputCollector {
     /// [`SignalData::clipped`](crate::source::SignalData::clipped) for
     /// range-bounded retrospective queries: run the pipeline over a
     /// margin-padded input window, then clip the collected output to the
-    /// requested range.
+    /// requested range. Runs are trimmed by index arithmetic and their
+    /// values copied as slices.
     pub fn clipped(&self, t0: Tick, t1: Tick) -> Self {
         let mut out = Self::new(self.arity);
-        for (i, &t) in self.times.iter().enumerate() {
-            if t >= t0 && t < t1 {
-                out.times.push(t);
-                out.durations.push(self.durations[i]);
-                for f in 0..self.arity {
-                    out.fields[f].push(self.fields[f][i]);
+        let mut at = 0usize;
+        for r in &self.runs {
+            if r.ascends() {
+                let (lo, hi) = r.index_range(t0, t1);
+                if lo < hi {
+                    out.push_stretch(r.time(lo), r.period, r.duration, hi - lo);
+                    out.copy_values(self, at + lo, at + hi);
+                }
+            } else {
+                // Times that do not ascend only come from `push`.
+                for (i, t) in r.times().enumerate() {
+                    if t >= t0 && t < t1 {
+                        out.push_time(t, r.duration);
+                        out.copy_values(self, at + i, at + i + 1);
+                    }
                 }
             }
+            at += r.n;
         }
         out
+    }
+
+    fn copy_values(&mut self, from: &Self, lo: usize, hi: usize) {
+        for (dst, src) in self.fields.iter_mut().zip(&from.fields) {
+            dst.extend_from_slice(&src[lo..hi]);
+        }
     }
 
     /// Order-sensitive checksum over times and values — used by tests to
@@ -212,11 +369,15 @@ impl OutputCollector {
             h ^= x;
             h = h.wrapping_mul(0x1000_0000_01b3);
         };
-        for (i, &t) in self.times.iter().enumerate() {
-            mix(t as u64);
-            for f in 0..self.arity {
-                mix(self.fields[f][i].to_bits() as u64);
+        let mut at = 0usize;
+        for r in &self.runs {
+            for (i, t) in r.times().enumerate() {
+                mix(t as u64);
+                for col in &self.fields {
+                    mix(col[at + i].to_bits() as u64);
+                }
             }
+            at += r.n;
         }
         h
     }
@@ -605,7 +766,7 @@ impl Executor {
     /// processing walks: shifts carry their input lookback down to the
     /// sources, while window lookaheads only ever look *forward*.
     /// Kernel-internal history (FIR taps, shift spill, sliding-aggregate
-    /// rings) is carried in kernel state across rounds, never re-read from
+    /// carries) is carried in kernel state across rounds, never re-read from
     /// source buffers, so it contributes nothing here. Margins are rounded
     /// up to whole source periods; a non-unit-scale lineage map (possible
     /// only through the generic [`LineageMap::scaled`] constructor, which
@@ -811,9 +972,253 @@ mod tests {
     use crate::query::QueryBuilder;
     use crate::source::SignalData;
     use crate::time::StreamShape;
+    use proptest::prelude::*;
 
     fn ramp(shape: StreamShape, n: usize) -> SignalData {
         SignalData::dense(shape, (0..n).map(|i| i as f32).collect())
+    }
+
+    /// One event as the collector stored it before it kept runs.
+    type FlatEvent = (Tick, Tick, Vec<f32>);
+
+    /// The present events of a window, one by one.
+    fn flat_events(w: &FWindow) -> Vec<FlatEvent> {
+        w.iter_present()
+            .map(|(i, t, d)| (t, d, (0..w.arity()).map(|f| w.field(f)[i]).collect()))
+            .collect()
+    }
+
+    fn pushed(arity: usize, events: &[FlatEvent]) -> OutputCollector {
+        let mut c = OutputCollector::new(arity);
+        for (t, d, row) in events {
+            c.push(*t, *d, row);
+        }
+        c
+    }
+
+    /// Holds the run form to the flat per-event form on every read the
+    /// collector offers, and to the run list `push` builds from the same
+    /// events.
+    fn assert_matches_flat(c: &OutputCollector, flat: &[FlatEvent], ctx: &str) {
+        assert_eq!(c.len(), flat.len(), "{ctx}: len");
+        assert_eq!(c.is_empty(), flat.is_empty(), "{ctx}: is_empty");
+        let times: Vec<Tick> = flat.iter().map(|e| e.0).collect();
+        assert_eq!(
+            c.iter_times().collect::<Vec<_>>(),
+            times,
+            "{ctx}: iter_times"
+        );
+        assert_eq!(c.times(), times, "{ctx}: times");
+        let durations: Vec<Tick> = flat.iter().map(|e| e.1).collect();
+        assert_eq!(c.durations(), durations, "{ctx}: durations");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (t, _, row) in flat {
+            for x in std::iter::once(*t as u64).chain(row.iter().map(|v| v.to_bits() as u64)) {
+                h = (h ^ x).wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        assert_eq!(c.checksum(), h, "{ctx}: checksum");
+        for f in 0..c.arity() {
+            let col: Vec<u32> = flat.iter().map(|e| e.2[f].to_bits()).collect();
+            let got: Vec<u32> = c.values(f).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, col, "{ctx}: values({f})");
+        }
+        assert_eq!(
+            c.runs().iter().map(|r| r.n).sum::<usize>(),
+            flat.len(),
+            "{ctx}"
+        );
+        assert_eq!(c.runs(), pushed(c.arity(), flat).runs(), "{ctx}: runs");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Windows of random presence, period, arity and durations (one
+        /// duration, or several changing inside a presence run), absorbed
+        /// round after round: the run form reads back exactly as the flat
+        /// per-event form does, whole and clipped at every bound that
+        /// splits a run or falls beside one.
+        #[test]
+        fn run_form_equals_the_flat_event_form(
+            period in prop::sample::select(vec![1i64, 2, 5]),
+            arity in 1usize..4,
+            slots in 1usize..90,
+            rounds in 1usize..5,
+            absent in prop::collection::vec((0usize..360, 1usize..40), 0..6),
+            duration_steps in prop::collection::vec((0usize..360, 1i64..4), 0..5),
+            skipped_round in 0usize..6,
+        ) {
+            let shape = StreamShape::new(3, period);
+            let mut w = FWindow::new(shape, slots as Tick * period, arity);
+            let mut c = OutputCollector::new(arity);
+            let mut flat = Vec::new();
+            for r in (0..rounds).filter(|&r| r != skipped_round) {
+                w.slide_to(r as Tick * w.dim());
+                for i in 0..w.len() {
+                    let g = r * slots + i; // slot index over the whole run
+                    if absent.iter().any(|&(s, l)| (s..s + l).contains(&g)) {
+                        continue;
+                    }
+                    // The duration steps up wherever a step lies at or below.
+                    let d = period * (1 + duration_steps.iter().filter(|s| s.0 <= g).map(|s| s.1).sum::<Tick>());
+                    let row: Vec<f32> = (0..arity).map(|f| (g * 7 + f) as f32 * 0.5 - 40.0).collect();
+                    w.write(i, &row, d);
+                }
+                c.absorb(&w);
+                flat.extend(flat_events(&w));
+            }
+            assert_matches_flat(&c, &flat, "absorbed");
+
+            // Clip bounds: each run's first, second and last time, one tick
+            // either side, and bounds outside everything.
+            let mut bounds = vec![Tick::MIN, -1, Tick::MAX];
+            for r in c.runs() {
+                let last = r.t0 + (r.n as Tick - 1) * r.period;
+                bounds.extend([r.t0 - 1, r.t0, r.t0 + 1, r.t0 + r.period, last, last + 1]);
+            }
+            for &t0 in &bounds {
+                for &t1 in &bounds {
+                    let want: Vec<FlatEvent> =
+                        flat.iter().filter(|e| e.0 >= t0 && e.0 < t1).cloned().collect();
+                    assert_matches_flat(&c.clipped(t0, t1), &want, &format!("clipped({t0}, {t1})"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_events_in_any_order_read_back_and_clip_as_pushed() {
+        // A harness (or a peer, through the wire decoder) may push what no
+        // sink emits: repeated and descending times, a lone event between
+        // two grids, and a grid that wraps past `Tick::MAX`.
+        let rows = [
+            (10, 2),
+            (10, 2),
+            (10, 2),
+            (8, 2),
+            (6, 2),
+            (7, 1),
+            (20, 1),
+            (30, 1),
+            (40, 3),
+            (Tick::MAX - 1, 5),
+            (Tick::MAX, 5),
+            (Tick::MIN, 5),
+            (Tick::MIN, 4),
+            (Tick::MAX, 4),
+        ];
+        let events: Vec<FlatEvent> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, d))| (t, d, vec![i as f32, -(i as f32)]))
+            .collect();
+        let c = pushed(2, &events);
+        assert_matches_flat(&c, &events, "pushed");
+        let wrapped = c.runs().iter().find(|r| r.t0 == Tick::MAX - 1).unwrap();
+        assert_eq!((wrapped.period, wrapped.n), (1, 3), "the grid wraps");
+        let ranges = [
+            (7, 11),
+            (10, 11),
+            (0, 8),
+            (8, 41),
+            (21, 30),
+            (41, 50),
+            (Tick::MIN, 0),
+            (Tick::MIN, Tick::MAX),
+            (Tick::MAX - 1, Tick::MAX),
+        ];
+        for (t0, t1) in ranges {
+            let want: Vec<FlatEvent> = events
+                .iter()
+                .filter(|e| e.0 >= t0 && e.0 < t1)
+                .cloned()
+                .collect();
+            assert_matches_flat(&c.clipped(t0, t1), &want, &format!("clipped({t0}, {t1})"));
+        }
+    }
+
+    #[test]
+    fn dense_rounds_collect_into_one_run() {
+        let s = StreamShape::new(0, 2);
+        let mut exec_out = {
+            let mut qb = QueryBuilder::new();
+            let src = qb.source("s", s);
+            qb.sink(src);
+            qb.compile()
+                .unwrap()
+                .executor_with(
+                    vec![ramp(s, 1000)],
+                    ExecOptions::default().with_round_ticks(100),
+                )
+                .unwrap()
+        };
+        let out = exec_out.run_collect().unwrap();
+        assert_eq!(
+            out.runs(),
+            [Run {
+                t0: 0,
+                period: 2,
+                duration: 2,
+                n: 1000
+            }]
+        );
+    }
+
+    /// `run_collect` against the same run collected event by event.
+    fn assert_collects_like_events(mut exec: Executor, ctx: &str) -> OutputCollector {
+        let mut flat = Vec::new();
+        exec.run_with(|w| flat.extend(flat_events(w))).unwrap();
+        exec.reset();
+        let out = exec.run_collect().unwrap();
+        assert!(!out.is_empty(), "{ctx}: empty output proves nothing");
+        assert_matches_flat(&out, &flat, ctx);
+        out
+    }
+
+    #[test]
+    fn chop_pipeline_collects_mixed_durations_exactly() {
+        // Period-6 events chopped on multiples of 4 last 4, 2, 2, 4, ..:
+        // the durations change inside every presence run.
+        let s = StreamShape::new(0, 6);
+        let mut data = ramp(s, 400);
+        data.punch_gap(600, 900);
+        let mut qb = QueryBuilder::new();
+        let src = qb.source("s", s);
+        let chopped = qb.chop(src, 4).unwrap();
+        qb.sink(chopped);
+        let exec = qb
+            .compile()
+            .unwrap()
+            .executor_with(vec![data], ExecOptions::default().with_round_ticks(120))
+            .unwrap();
+        let out = assert_collects_like_events(exec, "chop");
+        let durations = out.durations();
+        assert!(durations.contains(&2) && durations.contains(&4));
+        assert!(
+            out.runs().len() > 100,
+            "a run ends where the duration changes"
+        );
+    }
+
+    #[test]
+    fn two_source_join_collects_both_fields_exactly() {
+        let (sa, sb) = (StreamShape::new(0, 2), StreamShape::new(0, 5));
+        let (mut a, mut b) = (ramp(sa, 2500), ramp(sb, 1000));
+        a.punch_gap(700, 1900);
+        b.punch_gap(1500, 2300);
+        b.punch_gap(4005, 4010);
+        let mut qb = QueryBuilder::new();
+        let (ha, hb) = (qb.source("a", sa), qb.source("b", sb));
+        let j = qb.join(ha, hb, JoinKind::Inner).unwrap();
+        qb.sink(j);
+        let exec = qb
+            .compile()
+            .unwrap()
+            .executor_with(vec![a, b], ExecOptions::default().with_round_ticks(200))
+            .unwrap();
+        let out = assert_collects_like_events(exec, "join");
+        assert_eq!(out.arity(), 2);
     }
 
     #[test]

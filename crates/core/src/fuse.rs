@@ -56,7 +56,7 @@
 //! on the *unfused* node list, unchanged. That is sound because every
 //! fusible stage is unit-scale — lineage margins compose across a fused
 //! group exactly as they composed across the staged chain (lookbacks and
-//! lookaheads add), and stage-internal history (FIR taps, sliding rings)
+//! lookaheads add), and stage-internal history (FIR taps, sliding carries)
 //! is carried in stage state across rounds, never re-read from buffers,
 //! exactly like the staged kernels it replaces. The executor's skip path
 //! forwards `on_skip` to every stage, so gap-driven state resets are
@@ -67,11 +67,18 @@
 //! Fused execution must be *bit-identical* to staged execution (the
 //! differential battery diffs the two). Stages therefore replicate the
 //! staged kernels' exact arithmetic: the same closure invocation order
-//! over present slots, the same [`AggKind::fold`] accumulation order over
-//! the same item sequence, and one shared FIR accumulation helper
-//! ([`ops::fir`](crate::ops::fir)) used by both the staged kernel and the
-//! fused stage. Fast paths are only taken where they provably execute the
-//! same floating-point operation sequence.
+//! over present slots, and for the two stateful operators not a replica
+//! but the same code — one FIR accumulation helper
+//! ([`ops::fir`](crate::ops::fir)) and one flat sliding-window fold
+//! ([`ops::aggregate`](crate::ops::aggregate)) serve both the staged
+//! kernel and the fused stage. That fold keeps the carried slots directly
+//! before the round's in one scratch, so every trailing window is a
+//! contiguous slice, and folds fully present windows lag-major over blocks
+//! of neighbouring output slots; each slot's `f64` accumulator still takes
+//! its values oldest first, the order [`AggKind::fold`] defines, so the
+//! re-ordering across slots changes no output bit. Fast paths are only
+//! taken where they provably execute the same floating-point operation
+//! sequence.
 //!
 //! [`round_active`]: crate::exec::Executor
 //! [`AggKind::fold`]: crate::ops::aggregate::AggKind::fold
@@ -350,10 +357,7 @@ impl Kernel for FusedKernel {
 
         // Unpack input presence into flags and values into scratch `a` —
         // run-wise, so dense inputs are two bulk copies.
-        self.in_flags[..len].fill(false);
-        for (lo, hi) in input.presence().iter_runs() {
-            self.in_flags[lo..hi].fill(true);
-        }
+        input.presence().unpack_into(&mut self.in_flags);
         self.a_vals[..len].copy_from_slice(&input.field(0)[..len]);
         self.a_flags[..len].copy_from_slice(&self.in_flags[..len]);
 

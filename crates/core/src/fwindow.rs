@@ -146,12 +146,7 @@ impl FWindow {
             ((end - 1 - self.base) / self.shape.period() + 1) as usize
         };
         debug_assert!(self.len <= self.capacity());
-        self.present.reset(self.len.max(1).min(self.capacity()));
-        if self.len == 0 {
-            self.present.reset(0);
-        } else {
-            self.present.reset(self.len);
-        }
+        self.present.reset(self.len);
     }
 
     /// Sync time of slot `i` — computed from the index, never loaded from

@@ -43,7 +43,7 @@ pub enum OpKind {
     /// §6.1).
     WhereShape,
     /// Windowed aggregation: window `w`, stride `p`. Tumbling (`w == p`) is
-    /// stateless; sliding (`w > p`) carries a constant-size ring of inputs.
+    /// stateless; sliding (`w > p`) carries the last `w / period − 1` input slots.
     Aggregate {
         /// Aggregation window length in ticks.
         window: Tick,

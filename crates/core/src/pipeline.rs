@@ -433,7 +433,7 @@ mod tests {
         let out = exec.run_collect().unwrap();
         // Original samples at t=0,8,16,... value t/8; interpolated slots
         // at t=2,4,6 should be t/8 exactly (linear data).
-        let t10 = out.times().iter().position(|&t| t == 10).unwrap();
+        let t10 = out.iter_times().position(|t| t == 10).unwrap();
         assert!((out.values(0)[t10] - 1.25).abs() < 1e-5);
         assert!(out.len() >= 390);
     }
@@ -522,9 +522,8 @@ mod tests {
         assert!(!out.is_empty(), "artifact should be detected");
         // Detections should land inside the artifact region [7200, 8000).
         let inside = out
-            .times()
-            .iter()
-            .filter(|&&t| (7000..8200).contains(&t))
+            .iter_times()
+            .filter(|t| (7000..8200).contains(t))
             .count();
         assert!(inside * 2 >= out.len(), "detections centered on artifact");
     }

@@ -295,11 +295,14 @@ impl QueryBuilder {
         } else {
             LineageMap::with_margins(window, 0)
         };
-        let factory: KernelFactory = Box::new(move |_| {
+        let factory: KernelFactory = Box::new(move |node: &Node| {
             if window == stride {
                 Box::new(TumblingAggKernel::new(kind, window))
             } else {
-                Box::new(SlidingAggKernel::new(kind, window, in_period))
+                // Every window of a plan shares one dimension, so this is
+                // the input window's slot count.
+                let in_capacity = (node.dim / in_period) as usize;
+                Box::new(SlidingAggKernel::new(kind, window, in_period, in_capacity))
             }
         });
         Ok(self.push(

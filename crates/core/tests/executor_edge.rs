@@ -53,7 +53,7 @@ fn left_join_emits_all_left_events() {
         .unwrap();
     assert_eq!(out.len(), 100);
     // Right side NaN inside the gap.
-    let idx30 = out.times().iter().position(|&t| t == 30).unwrap();
+    let idx30 = out.iter_times().position(|t| t == 30).unwrap();
     assert!(out.values(1)[idx30].is_nan());
     assert!(!out.values(1)[5].is_nan());
 }

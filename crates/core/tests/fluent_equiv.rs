@@ -92,7 +92,7 @@ fn collect(c: CompiledQuery, inputs: Vec<SignalData>) -> (Vec<Tick>, Vec<Vec<f32
     let mut exec = c.executor(inputs).unwrap();
     let out = exec.run_collect().unwrap();
     let values = (0..out.arity()).map(|f| out.values(f).to_vec()).collect();
-    (out.times().to_vec(), values)
+    (out.times(), values)
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! randomized fusible chains over gap-heavy data (including Fig.-3-style
 //! long-dropout patterns), plus regression tests that re-gridding
 //! operators (tumbling aggregates, `alter_period`) break fusion groups
-//! instead of being silently mis-fused.
+//! instead of being silently mis-fused. Sliding aggregates — one flat fold
+//! behind the staged kernel and the fused stage — are also held, both
+//! ways, to a naive `(t − w, t]` reference.
 
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::ops::aggregate::AggKind;
@@ -90,7 +92,9 @@ fn stage_strategy() -> impl Strategy<Value = Stage> {
                 AggKind::Mean,
                 AggKind::Min,
                 AggKind::Max,
-                AggKind::Sum
+                AggKind::Sum,
+                AggKind::Count,
+                AggKind::Std
             ]),
             2usize..32
         )
@@ -231,6 +235,133 @@ fn full_vocabulary_chain_is_bit_identical() {
     assert_eq!(fused_exec.fusion_groups()[0].members.len(), 5);
     assert!(!fused.is_empty(), "empty output proves nothing");
     assert_identical(&fused, &staged, "full vocabulary chain");
+}
+
+/// The select ahead of every sliding aggregate of the battery below (so
+/// that the `stride == period` chains have two members and fuse).
+fn pre_select(v: f32) -> f32 {
+    v * 0.5 + 1.0
+}
+
+/// Every present `(time, pre-selected value)` of `data` in `(t - w, t]`,
+/// oldest first — what a trailing window is defined to hold.
+fn trailing_window(data: &SignalData, t: Tick, w: Tick) -> Vec<f32> {
+    let p = data.shape().period();
+    (1..=w / p)
+        .map(|i| t - w + i * p)
+        .filter_map(|ti| data.value_at(ti))
+        .map(pre_select)
+        .collect()
+}
+
+/// `AggKind::fold`'s contract written out naively: `f64` sums taken oldest
+/// first, the extremes by `f32::max` / `f32::min` from ∓∞.
+fn naive_aggregate(kind: AggKind, items: &[f32]) -> Option<f32> {
+    let n = items.len() as f64;
+    let sum = items.iter().fold(0.0f64, |s, &v| s + v as f64);
+    let sumsq = items.iter().fold(0.0f64, |s, &v| s + v as f64 * v as f64);
+    (!items.is_empty()).then(|| match kind {
+        AggKind::Sum => sum as f32,
+        AggKind::Count => n as f32,
+        AggKind::Mean => (sum / n) as f32,
+        AggKind::Std => (sumsq / n - (sum / n) * (sum / n)).max(0.0).sqrt() as f32,
+        AggKind::Max => items.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
+        AggKind::Min => items.iter().fold(f32::INFINITY, |m, &v| m.min(v)),
+    })
+}
+
+/// All six kinds × stride = period and 4·period × windows shorter than,
+/// as long as and longer than the round, staged and fused, over gaps that
+/// start and end inside the carried slots, a gap long enough that rounds
+/// are skipped, and a recycled executor (a reset between two datasets):
+/// every output equals the naive reference bit for bit.
+#[test]
+fn sliding_aggregates_match_a_naive_trailing_window_reference() {
+    const P: Tick = 2;
+    const SLIDING_ROUND: Tick = 64; // 32 input slots
+    let shape = StreamShape::new(0, P);
+    // Gaps in slots, on top of `gappy`'s 600-slot dropout that no window
+    // spans: one that starts in the last slots of round 2 (inside every
+    // carry below) and ends in round 3, one that ends in the last slots of
+    // round 3, and single slots either side of a round edge.
+    let first = gappy(
+        shape,
+        1_500,
+        7,
+        &[(90, 12), (120, 6), (127, 1), (128, 1), (161, 2)],
+    );
+    let second = gappy(shape, 1_100, 11, &[(30, 3), (63, 2)]);
+    let kinds = [
+        AggKind::Sum,
+        AggKind::Mean,
+        AggKind::Max,
+        AggKind::Min,
+        AggKind::Count,
+        AggKind::Std,
+    ];
+    for kind in kinds {
+        for stride_slots in [1, 4] {
+            for window_slots in [8, 32, 80] {
+                for fuse in [true, false] {
+                    let (w, stride) = (window_slots * P, stride_slots * P);
+                    let ctx = format!("{kind:?} w={w} stride={stride} fuse={fuse}");
+                    let q = Query::new();
+                    q.source("s", shape)
+                        .map(pre_select)
+                        .unwrap()
+                        .aggregate(kind, w, stride)
+                        .unwrap()
+                        .sink();
+                    let mut opts = ExecOptions::default().with_round_ticks(SLIDING_ROUND);
+                    if !fuse {
+                        opts = opts.without_fusion();
+                    }
+                    let mut exec = q
+                        .compile()
+                        .unwrap()
+                        .executor_with(vec![first.clone()], opts)
+                        .unwrap();
+                    // Only a same-grid sliding aggregate is a fusion member.
+                    let fused = fuse && stride_slots == 1;
+                    assert_eq!(exec.fusion_groups().len(), usize::from(fused), "{ctx}");
+                    for (pass, data) in [&first, &second].into_iter().enumerate() {
+                        if pass == 1 {
+                            exec.recycle(vec![data.clone()]).unwrap();
+                        }
+                        let mut out = OutputCollector::new(1);
+                        let stats = exec.run_with(|win| out.absorb(win)).unwrap();
+                        assert_eq!(stats.steady_state_allocs, 0, "{ctx}");
+                        if pass == 0 {
+                            assert!(
+                                stats.windows_skipped > 0,
+                                "{ctx}: the long gap skips rounds"
+                            );
+                        }
+                        // Rounds run until one starts a round past the data.
+                        let data_end = data.presence().end().unwrap();
+                        let rounds = (data_end + SLIDING_ROUND - 1) / SLIDING_ROUND + 1;
+                        let want: Vec<(Tick, f32)> = (0..rounds * SLIDING_ROUND)
+                            .step_by(stride as usize)
+                            .filter_map(|t| {
+                                let items = trailing_window(data, t, w);
+                                naive_aggregate(kind, &items).map(|v| (t, v))
+                            })
+                            .collect();
+                        assert_eq!(out.len(), want.len(), "{ctx} pass {pass}: event count");
+                        let got = out.iter_times().zip(out.values(0));
+                        for ((t, v), (wt, wv)) in got.zip(&want) {
+                            assert_eq!(
+                                (t, v.to_bits()),
+                                (*wt, wv.to_bits()),
+                                "{ctx} pass {pass}: {v} vs {wv} at t={wt}"
+                            );
+                        }
+                        assert!(out.durations().iter().all(|&d| d == stride), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Regression: a tumbling aggregate (window == stride) re-grids the

@@ -76,15 +76,7 @@ fn fingerprint(out: &OutputCollector) -> (usize, u64) {
 /// The rows of a collector at or above `from` — what a failover is
 /// required to preserve.
 fn suffix_of(out: &OutputCollector, from: Tick) -> OutputCollector {
-    let mut s = OutputCollector::new(out.arity().max(1));
-    for i in 0..out.len() {
-        let t = out.times()[i];
-        if t >= from {
-            let vals: Vec<f32> = (0..out.arity()).map(|f| out.values(f)[i]).collect();
-            s.push(t, out.durations()[i], &vals);
-        }
-    }
-    s
+    out.clipped(from, Tick::MAX)
 }
 
 /// Fault-free reference: the same feed through an in-process ingest.

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Collapse per-sample matches into distinct detections.
     let mut events = Vec::new();
-    for &t in out.times() {
+    for t in out.iter_times() {
         let sample = (t / 8) as usize;
         if events.last().is_none_or(|&p: &usize| sample > p + 300) {
             events.push(sample);

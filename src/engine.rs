@@ -479,9 +479,7 @@ impl EnginePipeline for LifeStreamPrepared {
             let mut coll = OutputCollector::new(exec.sink_arity().map_err(fail)?);
             let stats = exec.run_with(|w| coll.absorb(w)).map_err(fail)?;
             let collected = coll
-                .times()
-                .iter()
-                .copied()
+                .iter_times()
                 .zip(coll.values(0).iter().copied())
                 .collect();
             Ok(RunOutcome {

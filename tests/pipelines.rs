@@ -88,7 +88,7 @@ fn linezero_detection_accuracy_on_synthetic_month_slice() {
         .unwrap()
         .run_collect()
         .unwrap();
-    let samples = times_to_samples(out.times(), 8);
+    let samples = times_to_samples(&out.times(), 8);
     let mut distinct = Vec::new();
     for &d in &samples {
         if distinct.last().is_none_or(|&p| d > p + 300) {
