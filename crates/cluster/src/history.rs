@@ -59,8 +59,7 @@ pub trait HistoryQueryApi {
     /// pipeline/store/transport failures.
     fn history(&self, query: HistoryQuery) -> Result<CohortReport, HistoryError>;
 
-    /// Single-patient, full-range, live-pipeline convenience — the
-    /// shape the old `query_history` methods answered, now typed.
+    /// Single-patient, full-range, live-pipeline convenience.
     ///
     /// # Errors
     /// As [`history`](Self::history).

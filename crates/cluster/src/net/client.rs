@@ -16,6 +16,7 @@ use crate::history::{CohortReport, HistoryError, HistoryQuery, HistoryQueryApi, 
 use crate::sharded::{Ingest, IngestStats, PatientHandoff, PatientId, Sample, SessionMeta};
 
 use super::wire::{self, WireCmd, WireReply};
+use super::SOCKET_BUF;
 
 /// Client-side knobs for a [`RemoteIngest`].
 #[derive(Debug, Clone, Copy)]
@@ -331,7 +332,8 @@ impl RemoteIngest {
 
     /// Flushes staged samples and asks the server to process all
     /// complete rounds (fire-and-forget; its ack counts against the
-    /// window).
+    /// window). Everything written so far leaves for the server here, so a
+    /// producer that goes quiet after a poll has still been heard.
     pub fn poll(&self) {
         let mut c = self.conn.lock().expect("conn lock");
         if c.dead.is_some() {
@@ -339,6 +341,7 @@ impl RemoteIngest {
         }
         let _ = self.ship_staged(&mut c);
         let _ = self.send_windowed(&mut c, &WireCmd::Poll, Pending::Poll);
+        let _ = self.flush_wire(&mut c);
     }
 
     /// Ends a patient's stream and returns everything it emitted.
@@ -426,16 +429,6 @@ impl RemoteIngest {
         }
     }
 
-    /// Pre-query surface kept for one release: full-history, stringly
-    /// errors.
-    ///
-    /// # Errors
-    /// As [`history_query`](Self::history_query).
-    #[deprecated(note = "use HistoryQueryApi::history / history_one")]
-    pub fn query_history(&self, patient: PatientId) -> Result<OutputCollector, String> {
-        self.history_query(patient, Tick::MIN, Tick::MAX, 0, 0)
-    }
-
     /// Synchronization point: flushes staged samples and waits for every
     /// outstanding ack, making [`stats`](Self::stats) (including
     /// server-side drop counts) exact.
@@ -515,8 +508,8 @@ impl RemoteIngest {
         sock.set_read_timeout(self.cfg.read_timeout)?;
         sock.set_write_timeout(self.cfg.write_timeout)?;
         Ok(Wire {
-            reader: BufReader::new(sock.try_clone()?),
-            writer: BufWriter::new(sock),
+            reader: BufReader::with_capacity(SOCKET_BUF, sock.try_clone()?),
+            writer: BufWriter::with_capacity(SOCKET_BUF, sock),
         })
     }
 
@@ -676,16 +669,19 @@ impl RemoteIngest {
         if c.staged.is_empty() || c.dead.is_some() {
             return c.dead.clone().map_or(Ok(()), Err);
         }
-        let batch = std::mem::take(&mut c.staged);
+        let fresh = Vec::with_capacity(c.staged.len());
+        let batch = std::mem::replace(&mut c.staged, fresh);
         c.stats.batches_flushed += 1;
         let sent = batch.len() as u64;
         self.send_windowed(c, &WireCmd::Batch(batch), Pending::Batch(sent))
     }
 
-    /// Ships an async-acked frame into the window, then blocks while the
-    /// window is over-full — acks are the transport's backpressure. A
-    /// retryable send failure triggers a reconnect, which replays the
-    /// window (including this frame).
+    /// Writes an async-acked frame into the window (buffered — the flush
+    /// comes with the next blocking read), then blocks while the window is
+    /// over-full — acks are the transport's backpressure — and takes every
+    /// further ack that has already arrived. A retryable send failure
+    /// triggers a reconnect, which replays the window (including this
+    /// frame).
     fn send_windowed(&self, c: &mut Conn, cmd: &WireCmd, kind: Pending) -> Result<(), String> {
         if let Some(e) = &c.dead {
             return Err(e.clone());
@@ -698,26 +694,48 @@ impl RemoteIngest {
             kind,
             maybe_applied: false,
         });
-        if let Err(e) = self.write_last(c) {
-            if wire::retryable_io(&e) && !c.closing {
-                self.reconnect(c, &format!("send: {e}"))?;
-            } else {
-                return Err(self.poison(c, &format!("transport: {e}")));
-            }
-        }
-        while c.window.len() > self.cfg.window {
+        let sent = {
+            let Conn { wire, window, .. } = &mut *c;
+            let payload = &window.back().expect("just pushed").payload;
+            wire.as_mut()
+                .ok_or_else(not_connected)
+                .and_then(|w| wire::write_frame(&mut w.writer, payload))
+        };
+        self.sent_or_reconnect(c, sent)?;
+        while c.window.len() > self.cfg.window
+            || (!c.window.is_empty()
+                && c.wire
+                    .as_ref()
+                    .is_some_and(|w| !w.reader.buffer().is_empty()))
+        {
             self.drain_one(c)?;
         }
         Ok(())
     }
 
-    /// Writes the newest window entry's payload.
-    fn write_last(&self, c: &mut Conn) -> io::Result<()> {
-        let Conn { wire, window, .. } = c;
-        let w = wire.as_mut().ok_or_else(not_connected)?;
-        let payload = &window.back().expect("just pushed").payload;
-        wire::write_frame(&mut w.writer, payload)?;
-        w.writer.flush()
+    /// A failed window write reconnects (and replays the window) when the
+    /// failure is retryable, and kills the session otherwise.
+    fn sent_or_reconnect(&self, c: &mut Conn, sent: io::Result<()>) -> Result<(), String> {
+        match sent {
+            Ok(()) => Ok(()),
+            Err(e) if wire::retryable_io(&e) && !c.closing => {
+                self.reconnect(c, &format!("send: {e}"))
+            }
+            Err(e) => Err(self.poison(c, &format!("transport: {e}"))),
+        }
+    }
+
+    /// Sends everything buffered so far.
+    fn flush_wire(&self, c: &mut Conn) -> Result<(), String> {
+        if c.dead.is_some() {
+            return Ok(());
+        }
+        let sent = c
+            .wire
+            .as_mut()
+            .ok_or_else(not_connected)
+            .and_then(|w| w.writer.flush());
+        self.sent_or_reconnect(c, sent)
     }
 
     fn write_payload(&self, c: &mut Conn, payload: &[u8]) -> io::Result<()> {
@@ -726,10 +744,15 @@ impl RemoteIngest {
         w.writer.flush()
     }
 
-    /// Reads one reply frame; a clean server close surfaces as a
-    /// retryable error (the machine may be back in a moment).
+    /// Reads one reply frame, first sending whatever is still buffered
+    /// when the read may sleep (the rule on both ends: flush before
+    /// blocking on a read). A clean server close surfaces as a retryable
+    /// error (the machine may be back in a moment).
     fn read_reply_frame(&self, c: &mut Conn) -> io::Result<Vec<u8>> {
         let w = c.wire.as_mut().ok_or_else(not_connected)?;
+        if w.reader.buffer().is_empty() {
+            w.writer.flush()?;
+        }
         match wire::read_frame(&mut w.reader)? {
             Some(p) => Ok(p),
             None => Err(io::Error::new(

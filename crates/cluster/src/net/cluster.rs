@@ -80,14 +80,28 @@ impl SourceTail {
     /// byte-equivalent to the server's retained suffix.
     fn record(&mut self, t: Tick, v: f32) {
         let SourceMeta { offset, period, .. } = self.meta;
-        if period <= 0 || t < offset || (t - offset).rem_euclid(period) != 0 || t < self.retired_to
-        {
-            return;
+        let newest = self.tail.back().map(|&(last, _)| last);
+        // The slot right after the newest entry — every sample of a
+        // gapless in-order feed — is on the grid and above the horizon
+        // because that entry is: nothing to check, nowhere to search.
+        if newest.and_then(|last| last.checked_add(period)) != Some(t) {
+            if period <= 0
+                || t < offset
+                || (t - offset).rem_euclid(period) != 0
+                || t < self.retired_to
+            {
+                return;
+            }
+            if newest.is_some_and(|last| t <= last) {
+                // Out of order: a late sample fills its hole, a duplicate
+                // is dropped (the server rejects the re-push as well).
+                if let Err(pos) = self.tail.binary_search_by_key(&t, |&(ts, _)| ts) {
+                    self.tail.insert(pos, (t, v));
+                }
+                return;
+            }
         }
-        match self.tail.binary_search_by_key(&t, |&(ts, _)| ts) {
-            Ok(_) => {} // duplicate: the server rejects the re-push as well
-            Err(pos) => self.tail.insert(pos, (t, v)),
-        }
+        self.tail.push_back((t, v));
         self.watermark = self.watermark.max(t + period);
     }
 
@@ -768,16 +782,6 @@ impl ClusterIngest {
         self.endpoints[survivor].history_query(patient, t0, t1, warmup, pipeline)
     }
 
-    /// Pre-query surface kept for one release: full-history, stringly
-    /// errors.
-    ///
-    /// # Errors
-    /// As [`history_query`](Self::history_query).
-    #[deprecated(note = "use HistoryQueryApi::history / history_one")]
-    pub fn query_history(&self, patient: PatientId) -> Result<OutputCollector, String> {
-        self.history_query(patient, Tick::MIN, Tick::MAX, 0, 0)
-    }
-
     /// Closes every endpoint connection. Equivalent to dropping.
     pub fn shutdown(self) {}
 
@@ -979,6 +983,25 @@ mod tests {
 
     fn dense_history(n: usize) -> (Vec<f32>, Vec<(Tick, Tick)>) {
         ((0..n).map(|i| i as f32).collect(), vec![(0, 2 * n as Tick)])
+    }
+
+    #[test]
+    fn tail_records_what_the_server_would_accept() {
+        // In-order samples, a gap, a late sample filling a hole, a
+        // duplicate, an off-grid tick and one below the retired horizon:
+        // the tail must hold exactly the accepted ones, sorted.
+        let mut tail = SourceTail::new(meta());
+        for t in [0, 2, 4, 10, 12, 6, 12, 7, 14, 16] {
+            tail.record(t, t as f32);
+        }
+        let ticks = |tail: &SourceTail| tail.tail.iter().map(|&(t, _)| t).collect::<Vec<_>>();
+        assert_eq!(ticks(&tail), [0, 2, 4, 6, 10, 12, 14, 16]);
+        assert_eq!(tail.watermark, 18);
+        tail.retire_below(24); // margin 10: everything below 14 goes
+        tail.record(8, 8.0);
+        tail.record(18, 18.0);
+        assert_eq!(ticks(&tail), [14, 16, 18]);
+        assert_eq!(tail.watermark, 20);
     }
 
     #[test]

@@ -36,6 +36,44 @@
 //!   (sever / delay / black-hole at seed-chosen frame boundaries) that
 //!   drives the fault-equivalence battery in `tests/fault_equiv.rs`.
 //!
+//! ## The ack contract
+//!
+//! Every command gets exactly one reply, and replies come back in command
+//! order. For the windowed commands the reply is an `Ack`, and an ack
+//! means *applied*: the batch has been pushed into its sessions on every
+//! shard it touched (a `Poll`: enqueued on every shard behind all earlier
+//! batches), and the ack's `cum_samples` / `cum_dropped` are the exact
+//! session-lifetime totals up to and including that command. That is what
+//! lets the client's window bound the work in flight, check each ack's
+//! delta against the frame it sent, and reconcile drop counts across a
+//! lost connection.
+//!
+//! What the contract does not promise is one `write` per ack. Both ends
+//! buffer their socket writes and obey one rule — **flush before blocking
+//! on a read**:
+//!
+//! * the server handler enqueues a frame on the shards and moves on to
+//!   the next frame it has already received; acks are written as their
+//!   batches complete and flushed when it runs out of input (see
+//!   `server.rs` for the bound on what it may owe);
+//! * the client writes frames without flushing and sends them when it is
+//!   about to wait — the window is full, or the call is synchronous
+//!   (`admit`, `finish`, `barrier`, a handoff, a history query, `close`)
+//!   — and at every `poll`, so a producer that then goes quiet has been
+//!   heard. When it does read, it takes every ack that has arrived.
+//!
+//! Neither side can therefore sleep in `read` holding bytes the other is
+//! waiting for, and a burst of frames costs a handful of system calls
+//! each way instead of two per frame.
+//!
+//! Across a reconnect: replies owed for frames the dead connection had
+//! already enqueued belong to the session, not the socket. The successor
+//! connection waits for them to be applied before it answers `Resume`, so
+//! `last_applied_seq` and the cumulative counters it reports are exact;
+//! the acks themselves are discarded, and the client — which replays those
+//! frames because it never saw them acked — gets a fresh ack for each
+//! from the session record, without anything being applied twice.
+//!
 //! ## Choosing a front end
 //!
 //! | Front end | Sessions live | Use when |
@@ -146,6 +184,10 @@ pub mod wire;
 pub use client::{RemoteConfig, RemoteHealth, RemoteIngest};
 pub use cluster::{ClusterHealth, ClusterIngest, MachineHealth};
 pub use server::ShardServer;
+
+/// Capacity of the socket reader and writer on both ends: a burst of
+/// frames or acks is a handful of `read`/`write` calls, not one each.
+const SOCKET_BUF: usize = 64 << 10;
 
 #[cfg(test)]
 mod tests {
@@ -355,6 +397,141 @@ mod tests {
         assert!(reply.len() > 6);
         assert_eq!(reply[4], wire::WIRE_VERSION);
         assert_eq!(reply[5], 0x82, "Err reply expected");
+        drop(sock);
+        server.shutdown();
+    }
+
+    #[test]
+    fn peer_that_never_reads_is_bounded_and_still_gets_every_ack_in_order() {
+        use std::io::Write;
+        use std::sync::mpsc::channel;
+        use std::sync::Mutex;
+        use std::time::Instant;
+
+        use super::wire::{decode_reply, encode_cmd, read_frame, write_frame, WireCmd, WireReply};
+        use crate::sharded::hash_patient;
+
+        // A kernel that waits for one token per negative sample it meets:
+        // each negative sample stalls its shard inside a poll until the
+        // test sends the next token (or hangs up).
+        let (token, tokens) = channel::<()>();
+        let tokens = Arc::new(Mutex::new(tokens));
+        let gated: PipelineFactory = Arc::new(move || {
+            let tokens = Arc::clone(&tokens);
+            let q = Query::new();
+            q.source("s", StreamShape::new(0, 2))
+                .select(1, move |i, o| {
+                    if i[0] < 0.0 {
+                        let _ = tokens.lock().expect("tokens").recv();
+                    }
+                    o[0] = i[0];
+                })?
+                .sink();
+            q.compile()
+        });
+        const CAP: usize = 4;
+        let server = ShardServer::bind(
+            gated,
+            IngestConfig::new(2, 100).channel_cap(CAP),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        // One patient per shard, and a stranger routed like the second.
+        let on = |shard: u64| (0u64..).filter(move |&p| hash_patient(p) % 2 == shard);
+        let stalled = on(0).next().unwrap();
+        let (free, unknown) = {
+            let mut ids = on(1);
+            (ids.next().unwrap(), ids.next().unwrap())
+        };
+
+        let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_nodelay(true).unwrap();
+        // Frames written together leave in one `write`.
+        let send = |sock: &mut std::net::TcpStream, first: u64, cmds: &[WireCmd]| {
+            let mut bytes = Vec::new();
+            for (seq, cmd) in (first..).zip(cmds) {
+                write_frame(&mut bytes, &encode_cmd(seq, cmd)).unwrap();
+            }
+            sock.write_all(&bytes).unwrap();
+        };
+        let recv = |sock: &mut std::net::TcpStream| {
+            decode_reply(&read_frame(sock).unwrap().expect("a reply, not EOF")).unwrap()
+        };
+        let expect_ack = |sock: &mut std::net::TcpStream, want: (u64, u64, u64)| match recv(sock) {
+            WireReply::Ack {
+                seq,
+                cum_samples,
+                cum_dropped,
+            } => assert_eq!((seq, cum_samples, cum_dropped), want),
+            other => panic!("wanted ack {want:?}, got {other:?}"),
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::yield_now();
+            }
+        };
+        let hello = WireCmd::Hello {
+            session: 42,
+            epoch: 0,
+            last_acked_seq: 0,
+        };
+        send(&mut sock, 0, &[hello]);
+        assert!(matches!(recv(&mut sock), WireReply::Resume { .. }));
+        for (seq, patient) in [(1, stalled), (2, free)] {
+            send(&mut sock, seq, &[WireCmd::Admit { patient }]);
+            assert!(matches!(recv(&mut sock), WireReply::Admitted { .. }));
+        }
+
+        // Two whole rounds for shard 0's patient, each led by a negative
+        // sample and followed by a poll: the shard stalls in the first
+        // poll now, and in the second as soon as the first is let go.
+        let round = |slots: std::ops::Range<i64>| {
+            let lead = slots.start;
+            let samples = slots.map(|k| (stalled, 0, 2 * k, if k == lead { -1.0 } else { 1.0 }));
+            WireCmd::Batch(samples.collect())
+        };
+        send(&mut sock, 3, &[round(0..60), WireCmd::Poll]);
+        expect_ack(&mut sock, (3, 60, 0));
+        expect_ack(&mut sock, (4, 60, 0));
+        // The second round, alone: once the handler has taken it in, it
+        // has nothing left to read and waits for the stalled shard.
+        send(&mut sock, 5, &[round(60..110)]);
+        wait_for("the handler never took frame 5", &|| {
+            server.ingest_stats().samples_pushed == 110
+        });
+        // Behind its back: the second poll, one frame that will sit behind
+        // that poll on the stalled shard, and ten ack windows' worth that
+        // the other shard applies at once — without reading a single ack.
+        // The head of it is one segment, so the handler finds the stalled
+        // frame and the first of the flood together.
+        let flood = 10 * RemoteConfig::default().window as u64;
+        let flood_frame = |k: u64| {
+            let t = 2 * k as i64;
+            WireCmd::Batch(vec![(free, 0, t, k as f32), (unknown, 0, t, 0.0)])
+        };
+        let mut burst = vec![WireCmd::Poll, WireCmd::Batch(vec![(stalled, 0, 220, 1.0)])];
+        burst.extend((1..=CAP as u64).map(flood_frame));
+        send(&mut sock, 6, &burst);
+        let rest: Vec<WireCmd> = (CAP as u64 + 1..=flood).map(flood_frame).collect();
+        send(&mut sock, 8 + CAP as u64, &rest);
+        // First token: frame 5 is applied and the shard stalls in the
+        // second poll with frame 7 queued behind it. The handler may now
+        // take in frames until it owes CAP acks and no further; only then
+        // is the shard let go for good.
+        token.send(()).unwrap();
+        wait_for("the handler never ran ahead", &|| {
+            server.ack_backlog_high_water() >= CAP
+        });
+        drop(token);
+        expect_ack(&mut sock, (5, 110, 0));
+        expect_ack(&mut sock, (6, 110, 0));
+        expect_ack(&mut sock, (7, 111, 0));
+        for k in 1..=flood {
+            expect_ack(&mut sock, (7 + k, 111 + k, k));
+        }
+        assert_eq!(server.ack_backlog_high_water(), CAP);
         drop(sock);
         server.shutdown();
     }

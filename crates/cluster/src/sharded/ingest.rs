@@ -6,7 +6,7 @@
 //! pushed `(patient, source, t, v)` event stream onto per-shard worker
 //! threads, each owning the [`LiveSession`]s of the patients routed to it.
 //!
-//! ## Batched ingest
+//! ## Batched ingest, by run
 //!
 //! A per-sample channel send costs more than the sample's processing, so
 //! the front end stages samples client-side: [`push`](LiveIngest::push)
@@ -17,6 +17,27 @@
 //! whole batch with one channel round, so dispatch cost is amortized over
 //! the batch — the same observation batched-rollout systems make about
 //! per-item dispatch.
+//!
+//! What travels on a shard channel is not the staged tuples but the form
+//! a periodic stream has: a *run batch* — headers `{patient, source, t0,
+//! dt, n}` plus one flat column of values. `group_runs` builds it, once
+//! per batch and for both entry points (staged pushes and
+//! [`ingest_batch`](LiveIngest::ingest_batch)): each `(patient, source)`
+//! key keeps one open run, `dt` is the step between the run's first two
+//! ticks, and a sample that is not exactly one step past the run's last
+//! (a gap, a duplicate, a step backwards) opens a new run. The shard then
+//! pays one session lookup and one [`LiveSession::push_run`] per run
+//! instead of a lookup, a grid check and a presence insert per sample.
+//! `push_run` appends a run in one piece only when that is provably what
+//! the per-sample pushes would have produced — `dt` equals the source's
+//! period and the run starts on the grid, at or above the source's
+//! watermark and compaction horizon; every other run (wrong step,
+//! off-grid, late, duplicate, unknown source) *falls back* to
+//! [`LiveSession::push`] sample by sample. So grouping decides nothing
+//! about validity, the deferred errors are the strings `push` returns, and
+//! per source they come in arrival order. (Across two sources of one
+//! patient they come in the order the runs were opened, which is arrival
+//! order whenever an offending sample starts its own run.)
 //!
 //! ## Bounded queues and backpressure
 //!
@@ -48,15 +69,16 @@
 //! *transport*. [`crate::net`] implements the same trait over TCP
 //! ([`RemoteIngest`](crate::net::RemoteIngest) /
 //! [`ClusterIngest`](crate::net::ClusterIngest)), reusing this module's
-//! shard loop via the acked entry points
-//! ([`ingest_batch`](LiveIngest::ingest_batch) returns drop counts
-//! synchronously so a wire ack can carry them) and moving whole sessions
+//! shard loop via the acked entry point
+//! ([`ingest_batch`](LiveIngest::ingest_batch) enqueues a batch and
+//! returns a [`BatchTicket`] that resolves to its drop count once it is
+//! applied, so a wire ack can carry it) and moving whole sessions
 //! between machines with [`export_patient`](LiveIngest::export_patient) /
 //! [`import_patient`](LiveIngest::import_patient) ([`PatientHandoff`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -76,6 +98,167 @@ use super::PatientId;
 
 /// One pushed sample: `(patient, source index, sync time, value)`.
 pub type Sample = (PatientId, usize, Tick, f32);
+
+/// One periodic run inside a [`RunBatch`]: `n` samples of one
+/// `(patient, source)` at ticks `t0, t0 + dt, …`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RunHeader {
+    patient: PatientId,
+    source: usize,
+    t0: Tick,
+    /// The run's first step; `0` for a single-sample run.
+    dt: Tick,
+    n: usize,
+}
+
+/// The one batch form on a shard channel: run headers plus one flat value
+/// column holding the runs' values back to back, in header order.
+#[derive(Debug, Default, PartialEq)]
+struct RunBatch {
+    runs: Vec<RunHeader>,
+    values: Vec<f32>,
+}
+
+/// Groups a tuple batch into per-shard [`RunBatch`]es, the only place
+/// samples turn into runs.
+///
+/// Each `(patient, source)` key has at most one *open* run. A key's second
+/// sample sets the run's `dt` (when it lies later); after that a sample
+/// continues the run only at exactly `last + dt`. Anything else — a gap, a
+/// duplicate, a step backwards, a tick so extreme the subtraction
+/// overflows (these come off the socket) — closes the run and opens a new
+/// one, so a key's samples keep their arrival order across its runs, and
+/// runs are emitted in the order they were opened. Whether a run is
+/// *valid* is not decided here: [`LiveSession::push_run`] falls back to
+/// per-sample pushes for whatever is not a clean append.
+fn group_runs(
+    samples: &[Sample],
+    shards: usize,
+    shard_of: impl Fn(PatientId) -> usize,
+) -> Vec<RunBatch> {
+    struct Building {
+        shard: usize,
+        head: RunHeader,
+        last: Tick,
+        /// Next free position of this run in its shard's value column.
+        cursor: usize,
+    }
+    let mut runs: Vec<Building> = Vec::new();
+    let mut run_of: Vec<usize> = Vec::with_capacity(samples.len());
+    // The open run of every key seen, in order of first appearance, and
+    // each key's place in that list.
+    let mut open: Vec<usize> = Vec::new();
+    let mut place: HashMap<(PatientId, usize), usize> = HashMap::new();
+    // Feeds interleave their keys in a steady rotation, so the key after
+    // the one just seen is nearly always the one that followed it last
+    // time round: that open run is tried before anything is hashed.
+    let mut guess = 0;
+    for &(patient, source, t, _) in samples {
+        let fresh = |shard| Building {
+            shard,
+            head: RunHeader {
+                patient,
+                source,
+                t0: t,
+                dt: 0,
+                n: 1,
+            },
+            last: t,
+            cursor: 0,
+        };
+        let guessed = open.get(guess).is_some_and(|&at| {
+            let head = &runs[at].head;
+            head.patient == patient && head.source == source
+        });
+        let known = if guessed {
+            Some(guess)
+        } else {
+            place.get(&(patient, source)).copied()
+        };
+        let at = match known {
+            Some(at) => {
+                let run = &mut runs[open[at]];
+                match t.checked_sub(run.last) {
+                    Some(step) if step > 0 && (run.head.n == 1 || step == run.head.dt) => {
+                        run.head.dt = step;
+                        run.head.n += 1;
+                        run.last = t;
+                    }
+                    _ => {
+                        let shard = run.shard;
+                        open[at] = runs.len();
+                        runs.push(fresh(shard));
+                    }
+                }
+                at
+            }
+            None => {
+                place.insert((patient, source), open.len());
+                open.push(runs.len());
+                runs.push(fresh(shard_of(patient)));
+                open.len() - 1
+            }
+        };
+        run_of.push(open[at]);
+        guess = if at + 1 == open.len() { 0 } else { at + 1 };
+    }
+    let mut out: Vec<RunBatch> = (0..shards).map(|_| RunBatch::default()).collect();
+    for run in &mut runs {
+        let share = &mut out[run.shard];
+        run.cursor = share.values.len();
+        share.values.resize(run.cursor + run.head.n, 0.0);
+        share.runs.push(run.head);
+    }
+    for (&(.., v), &at) in samples.iter().zip(&run_of) {
+        let run = &mut runs[at];
+        out[run.shard].values[run.cursor] = v;
+        run.cursor += 1;
+    }
+    out
+}
+
+/// Completion handle of one [`LiveIngest::ingest_batch`] call: resolves,
+/// once every shard has applied its share, to the number of the batch's
+/// samples dropped for unknown patients.
+#[derive(Debug)]
+pub struct BatchTicket {
+    applied: Receiver<u64>,
+    /// Shards that have not reported yet.
+    outstanding: usize,
+    dropped: u64,
+}
+
+impl BatchTicket {
+    /// The drop count if every shard has applied its share, without
+    /// blocking; `None` while one is still behind.
+    pub fn try_wait(&mut self) -> Option<u64> {
+        while self.outstanding > 0 {
+            match self.applied.try_recv() {
+                Ok(dropped) => self.absorb(dropped),
+                Err(TryRecvError::Empty) => return None,
+                // A shard that shut down dropped its share unapplied.
+                Err(TryRecvError::Disconnected) => self.outstanding = 0,
+            }
+        }
+        Some(self.dropped)
+    }
+
+    /// Blocks until every shard has applied its share.
+    pub fn wait(&mut self) -> u64 {
+        while self.outstanding > 0 {
+            match self.applied.recv() {
+                Ok(dropped) => self.absorb(dropped),
+                Err(_) => self.outstanding = 0,
+            }
+        }
+        self.dropped
+    }
+
+    fn absorb(&mut self, dropped: u64) {
+        self.dropped += dropped;
+        self.outstanding -= 1;
+    }
+}
 
 /// The ingest *protocol*: the staging/backpressure surface every ingest
 /// front end exposes, independent of the transport underneath.
@@ -224,14 +407,12 @@ enum Cmd {
         patient: PatientId,
         reply: Sender<Result<SessionMeta, String>>,
     },
-    /// A staged run of samples, applied in order on the shard.
-    SampleBatch(Vec<Sample>),
-    /// An already-assembled batch applied synchronously: the reply carries
-    /// the number of samples dropped for unknown patients, so an acked
-    /// transport can propagate the drop count to its client.
-    SampleBatchSync {
-        batch: Vec<Sample>,
-        reply: Sender<u64>,
+    /// One shard's share of a batch, grouped into runs and applied in run
+    /// order. An acked transport asks for a reply: the number of samples
+    /// dropped for unknown patients, sent once the batch is applied.
+    SampleBatch {
+        batch: RunBatch,
+        reply: Option<Sender<u64>>,
     },
     Poll,
     Finish {
@@ -280,6 +461,7 @@ pub struct LiveIngest {
     /// a full channel backpressures every producer pushing to that shard.
     staged: Vec<Mutex<Vec<Sample>>>,
     batch: usize,
+    channel_cap: usize,
     counters: Arc<Counters>,
     /// A second factory clone for retrospective re-runs
     /// ([`history`](Self::history) compiles a fresh pipeline on the
@@ -342,11 +524,12 @@ impl LiveIngest {
 
     fn spawn(factory: PipelineFactory, cfg: IngestConfig, store: Option<SharedStore>) -> Self {
         let workers = cfg.workers.max(1);
+        let channel_cap = cfg.channel_cap.max(1);
         let counters = Arc::new(Counters::default());
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for me in 0..workers {
-            let (tx, rx) = sync_channel::<Cmd>(cfg.channel_cap.max(1));
+            let (tx, rx) = sync_channel::<Cmd>(channel_cap);
             let factory = PipelineFactory::clone(&factory);
             let counters = Arc::clone(&counters);
             let store = store.clone();
@@ -362,6 +545,7 @@ impl LiveIngest {
             handles,
             staged: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             batch: cfg.batch.max(1),
+            channel_cap,
             counters,
             factory,
             registry: Mutex::new(HashMap::new()),
@@ -395,6 +579,12 @@ impl LiveIngest {
     /// Ingest shard count.
     pub fn workers(&self) -> usize {
         self.txs.len()
+    }
+
+    /// Depth of each shard's bounded command channel
+    /// ([`IngestConfig::channel_cap`]).
+    pub fn channel_cap(&self) -> usize {
+        self.channel_cap
     }
 
     /// The shard a patient's events route to.
@@ -450,11 +640,10 @@ impl LiveIngest {
         staged.push((patient, source, t, v));
         self.counters.samples_pushed.fetch_add(1, Ordering::Relaxed);
         if staged.len() >= self.batch {
-            let batch = std::mem::take(&mut *staged);
             // Ship while holding the staging lock: releasing it first
             // would let a concurrent producer ship a *later* batch ahead
             // of this one, reordering samples on the shard.
-            self.ship(shard, batch);
+            self.ship_staged(shard, &mut staged);
         }
     }
 
@@ -483,38 +672,34 @@ impl LiveIngest {
         ack.recv().map_err(|_| "ingest shard gone".to_string())?
     }
 
-    /// Applies an already-assembled batch, routing each sample to its
-    /// shard and waiting until every shard has applied its slice. Returns
-    /// the number of samples dropped for unknown patients — the delta an
-    /// acked transport ships back to its client.
+    /// Enqueues an already-assembled batch: groups it into runs
+    /// ([`group_runs`]), hands each shard its share, and returns at once
+    /// with the [`BatchTicket`] that resolves — to the number of samples
+    /// dropped for unknown patients, the delta an acked transport ships
+    /// back to its client — when every shard has applied it. Blocks only
+    /// while a shard's bounded channel is full (backpressure).
     ///
     /// This is the server-side entry point of the wire fabric: samples
     /// arrive pre-batched, so they bypass the client-side staging buffers
     /// (do not interleave this with [`push`](Self::push) for the same
     /// patient — the staging buffer would race the direct path).
-    pub fn ingest_batch(&self, batch: Vec<Sample>) -> u64 {
-        let n = batch.len() as u64;
-        let mut per_shard: Vec<Vec<Sample>> = (0..self.txs.len()).map(|_| Vec::new()).collect();
-        for s in batch {
-            per_shard[self.shard_of(s.0)].push(s);
-        }
-        self.counters.samples_pushed.fetch_add(n, Ordering::Relaxed);
-        let mut acks = Vec::new();
-        for (shard, slice) in per_shard.into_iter().enumerate() {
-            if slice.is_empty() {
-                continue;
+    pub fn ingest_batch(&self, batch: Vec<Sample>) -> BatchTicket {
+        self.counters
+            .samples_pushed
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        let (reply, applied) = channel();
+        let mut outstanding = 0;
+        let shares = group_runs(&batch, self.txs.len(), |p| self.shard_of(p));
+        for (shard, share) in shares.into_iter().enumerate() {
+            if !share.runs.is_empty() && self.ship(shard, share, Some(reply.clone())) {
+                outstanding += 1;
             }
-            self.counters
-                .batches_flushed
-                .fetch_add(1, Ordering::Relaxed);
-            let (reply, ack) = channel();
-            let _ = self.txs[shard].send(Cmd::SampleBatchSync {
-                batch: slice,
-                reply,
-            });
-            acks.push(ack);
         }
-        acks.into_iter().filter_map(|a| a.recv().ok()).sum()
+        BatchTicket {
+            applied,
+            outstanding,
+            dropped: 0,
+        }
     }
 
     /// Removes a patient's session and returns its handoff state: the
@@ -657,16 +842,6 @@ impl LiveIngest {
             .into_single()
     }
 
-    /// Pre-query surface kept for one release: full-history, stringly
-    /// errors.
-    ///
-    /// # Errors
-    /// The [`HistoryError`] rendered to its display message.
-    #[deprecated(note = "use HistoryQueryApi::history / history_one")]
-    pub fn query_history(&self, patient: PatientId) -> Result<OutputCollector, String> {
-        self.history_one(patient).map_err(|e| e.to_string())
-    }
-
     /// Serves a wire-side [`HistoryQuery`] (see
     /// [`WireCmd::HistoryQuery`](crate::net::WireCmd::HistoryQuery)):
     /// one patient, range-bounded, pipeline named by registry id.
@@ -718,21 +893,29 @@ impl LiveIngest {
     /// lock is held across the send (see `push` for why).
     fn flush_shard(&self, shard: usize) {
         let mut staged = self.staged[shard].lock().expect("staging lock");
-        if staged.is_empty() {
-            return;
+        if !staged.is_empty() {
+            self.ship_staged(shard, &mut staged);
         }
-        let batch = std::mem::take(&mut *staged);
-        self.ship(shard, batch);
     }
 
-    fn ship(&self, shard: usize, batch: Vec<Sample>) {
+    /// Groups one shard's staged samples into runs and ships them,
+    /// leaving the staging buffer empty with its capacity kept.
+    fn ship_staged(&self, shard: usize, staged: &mut Vec<Sample>) {
+        let share = group_runs(staged, 1, |_| 0).pop().expect("one share");
+        staged.clear();
+        self.ship(shard, share, None);
+    }
+
+    /// Enqueues one shard's share of a batch; `false` when the shard is
+    /// gone (after shutdown), when dropping the batch is correct. A
+    /// bounded send blocks while the shard is behind (backpressure).
+    fn ship(&self, shard: usize, batch: RunBatch, reply: Option<Sender<u64>>) -> bool {
         self.counters
             .batches_flushed
             .fetch_add(1, Ordering::Relaxed);
-        // A bounded send blocks while the shard is behind (backpressure);
-        // it only errors after shutdown, when dropping the batch is
-        // correct.
-        let _ = self.txs[shard].send(Cmd::SampleBatch(batch));
+        self.txs[shard]
+            .send(Cmd::SampleBatch { batch, reply })
+            .is_ok()
     }
 
     /// Shared teardown for [`shutdown`](Self::shutdown) and `Drop`:
@@ -835,12 +1018,11 @@ fn ingest_loop(
                 };
                 let _ = reply.send(outcome);
             }
-            Cmd::SampleBatch(batch) => {
-                apply_batch(&mut sessions, batch, &counters);
-            }
-            Cmd::SampleBatchSync { batch, reply } => {
-                let dropped = apply_batch(&mut sessions, batch, &counters);
-                let _ = reply.send(dropped);
+            Cmd::SampleBatch { batch, reply } => {
+                let dropped = apply_batch(&mut sessions, &batch, &counters);
+                if let Some(reply) = reply {
+                    let _ = reply.send(dropped);
+                }
             }
             Cmd::Poll => {
                 for s in sessions.values_mut() {
@@ -1009,23 +1191,28 @@ fn session_meta(live: &LiveSession) -> Result<SessionMeta, String> {
     })
 }
 
-/// Applies one batch of samples to a shard's sessions, counting drops
-/// (unknown patients) both into the shared counters and the return value.
+/// Applies one batch of runs to a shard's sessions — one session lookup
+/// and one [`LiveSession::push_run`] per run — counting drops (unknown
+/// patients) both into the shared counters and the return value.
 fn apply_batch(
     sessions: &mut HashMap<PatientId, Session>,
-    batch: Vec<Sample>,
+    batch: &RunBatch,
     counters: &Counters,
 ) -> u64 {
     let mut dropped = 0u64;
-    for (patient, source, t, v) in batch {
-        match sessions.get_mut(&patient) {
+    let mut at = 0;
+    for run in &batch.runs {
+        let values = &batch.values[at..at + run.n];
+        at += run.n;
+        match sessions.get_mut(&run.patient) {
             Some(s) if !s.poisoned => {
-                if let Err(e) = s.live.push(source, t, v) {
-                    s.errors.push(e.to_string());
-                }
+                let Session { live, errors, .. } = s;
+                live.push_run(run.source, run.t0, run.dt, values, |e| {
+                    errors.push(e.to_string());
+                });
             }
             Some(_) => { /* poisoned: finish will report why */ }
-            None => dropped += 1,
+            None => dropped += run.n as u64,
         }
     }
     if dropped > 0 {
@@ -1081,6 +1268,108 @@ mod tests {
                 .sink();
             q.compile()
         })
+    }
+
+    /// Every key's samples, in order, as the runs of `shares` spell them.
+    fn expand(shares: &[RunBatch]) -> HashMap<(PatientId, usize), Vec<(Tick, f32)>> {
+        let mut by_key: HashMap<_, Vec<_>> = HashMap::new();
+        for share in shares {
+            let mut at = 0;
+            for run in &share.runs {
+                let samples = by_key.entry((run.patient, run.source)).or_default();
+                for (k, &v) in share.values[at..at + run.n].iter().enumerate() {
+                    samples.push((run.t0 + k as Tick * run.dt, v));
+                }
+                at += run.n;
+            }
+            assert_eq!(
+                at,
+                share.values.len(),
+                "the column holds the runs and no more"
+            );
+        }
+        by_key
+    }
+
+    #[test]
+    fn group_runs_makes_one_run_per_interleaved_key() {
+        // Three keys in rotation, one of them on a slower grid.
+        let mut samples = Vec::new();
+        for k in 0..40i64 {
+            samples.push((1, 0, 2 * k, k as f32));
+            samples.push((2, 0, 2 * k, -(k as f32)));
+            if k % 4 == 0 {
+                samples.push((1, 1, 2 * k, 0.5));
+            }
+        }
+        let shares = group_runs(&samples, 2, |p| (p % 2) as usize);
+        let head = |patient, source, dt, n| RunHeader {
+            patient,
+            source,
+            t0: 0,
+            dt,
+            n,
+        };
+        assert_eq!(shares[1].runs, [head(1, 0, 2, 40), head(1, 1, 8, 10)]);
+        assert_eq!(shares[0].runs, [head(2, 0, 2, 40)]);
+        assert_eq!(shares[0].values[39], -39.0);
+        assert_eq!(&shares[1].values[38..42], [38.0, 39.0, 0.5, 0.5]);
+    }
+
+    #[test]
+    fn group_runs_breaks_runs_but_never_reorders_a_key() {
+        // Gaps, duplicates, steps back, a changed step and ticks at the
+        // ends of the range: whatever the runs, each key's samples come
+        // back out in arrival order, and no tick arithmetic overflows.
+        let ticks = [
+            0,
+            2,
+            4,
+            10,
+            12,
+            12,
+            8,
+            9,
+            10,
+            Tick::MAX,
+            Tick::MIN,
+            Tick::MIN + 1,
+            Tick::MAX - 1,
+            Tick::MAX,
+            -4,
+            -2,
+        ];
+        let mut samples = Vec::new();
+        for (i, &t) in ticks.iter().enumerate() {
+            samples.push((7, 0, t, i as f32));
+            samples.push((7, 1, t, 100.0 + i as f32));
+            samples.push((9, 0, ticks[ticks.len() - 1 - i], 200.0 + i as f32));
+        }
+        let shares = group_runs(&samples, 3, |p| (p % 3) as usize);
+        let mut expect: HashMap<_, Vec<_>> = HashMap::new();
+        for &(p, s, t, v) in &samples {
+            expect.entry((p, s)).or_default().push((t, v));
+        }
+        assert_eq!(expand(&shares), expect);
+        let runs_of_7_0: Vec<_> = shares[1]
+            .runs
+            .iter()
+            .filter(|r| r.source == 0)
+            .map(|r| (r.t0, r.dt, r.n))
+            .collect();
+        assert_eq!(
+            runs_of_7_0,
+            [
+                (0, 2, 3),
+                (10, 2, 2),
+                (12, 0, 1),
+                (8, 1, 3),
+                (Tick::MAX, 0, 1),
+                (Tick::MIN, 1, 2),
+                (Tick::MAX - 1, 1, 2),
+                (-4, 2, 2),
+            ]
+        );
     }
 
     #[test]
@@ -1179,16 +1468,23 @@ mod tests {
     }
 
     #[test]
-    fn ingest_batch_reports_drops_synchronously() {
+    fn ingest_batch_ticket_resolves_to_the_drop_count() {
         let ingest = LiveIngest::new(factory(), 2, 100);
         ingest.admit(1).unwrap();
-        let dropped = ingest.ingest_batch(vec![
+        let mut ticket = ingest.ingest_batch(vec![
             (1, 0, 0, 1.0),
             (9, 0, 0, 1.0), // unknown
             (1, 0, 2, 2.0),
             (8, 0, 2, 1.0), // unknown
         ]);
-        assert_eq!(dropped, 2, "drop count is exact at return, not eventual");
+        // Poll without blocking until both shards have applied their share.
+        let dropped = loop {
+            if let Some(dropped) = ticket.try_wait() {
+                break dropped;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(dropped, 2, "drop count is exact once the ticket resolves");
         let stats = ingest.stats();
         assert_eq!(stats.dropped_unknown, 2);
         assert_eq!(stats.samples_pushed, 4);
@@ -1238,7 +1534,7 @@ mod tests {
         // The patient left A: it is no longer admitted there, and pushes
         // mis-routed to A now count as drops instead of vanishing.
         assert!(a.finish(5).unwrap_err().contains("not admitted"));
-        assert_eq!(a.ingest_batch(vec![(5, 0, 700, 1.0)]), 1);
+        assert_eq!(a.ingest_batch(vec![(5, 0, 700, 1.0)]).wait(), 1);
         // The stream continues on B, byte-identical to the unbroken run.
         for k in 350..600 {
             b.push(5, 0, k * 2, feed(k));

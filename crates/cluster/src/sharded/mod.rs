@@ -67,7 +67,8 @@ use lifestream_core::source::SignalData;
 use lifestream_core::time::Tick;
 
 pub use ingest::{
-    Ingest, IngestConfig, IngestStats, LiveIngest, PatientHandoff, Sample, SessionMeta, SourceMeta,
+    BatchTicket, Ingest, IngestConfig, IngestStats, LiveIngest, PatientHandoff, Sample,
+    SessionMeta, SourceMeta,
 };
 pub use pool::{ExecutorPool, PipelineFactory, PoolRun, PoolStats, ShapeFactory};
 

@@ -14,8 +14,8 @@
 //!   byte-identical to the reference, nothing is duplicated, and the
 //!   client-side tails mean no acked input frame is lost.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use cluster_harness::machines::MachineState;
 use cluster_harness::net::chaos::{ChaosProxy, Fault, FaultPlan};
@@ -205,6 +205,128 @@ proptest! {
         let (got, _, _) = run_through_chaos(pipe, plan, &patients, samples, poll_every, cfg);
         prop_assert_eq!(got, expect, "fault schedule leaked into output");
     }
+}
+
+/// A select whose kernel parks on `gate` whenever it meets a negative
+/// sample: holding the gate stalls the shard inside a poll, so frames sent
+/// after it are enqueued and cannot be applied until the test lets go.
+fn gated_factory(gate: &Arc<Mutex<()>>) -> PipelineFactory {
+    let gate = Arc::clone(gate);
+    Arc::new(move || {
+        let gate = Arc::clone(&gate);
+        let q = Query::new();
+        q.source("s", StreamShape::new(0, PERIOD))
+            .select(1, move |i, o| {
+                if i[0] < 0.0 {
+                    drop(gate.lock());
+                }
+                o[0] = i[0] * 2.0 - 3.0;
+            })?
+            .sink();
+        q.compile()
+    })
+}
+
+/// The server acks in bursts, after the fact: a connection can die while
+/// frames it took in are enqueued on a shard and not yet applied. Here a
+/// sever lands exactly then — eight frames, half of whose samples belong
+/// to a patient nobody admitted, sit behind a shard parked in a poll — and
+/// the resumed session must still apply each frame once, report exact
+/// applied / dropped totals to the client, and produce the fault-free
+/// output.
+#[test]
+fn sever_with_frames_enqueued_but_unapplied_resumes_exactly_once() {
+    const PATIENT: u64 = 5;
+    const UNKNOWN: u64 = 77;
+    const BEFORE: i64 = 110; // one whole round and a bit
+    const STALLED: i64 = 16;
+    let gate = Arc::new(Mutex::new(()));
+    let value = |k: i64| if k == 0 { -1.0 } else { wave(k, PATIENT) };
+
+    let server = ShardServer::bind(
+        gated_factory(&gate),
+        IngestConfig::new(1, ROUND),
+        "127.0.0.1:0",
+    )
+    .expect("bind server");
+    // Client frames, in order: Hello, Admit, 27 batches of 4, the flush of
+    // the 2 staged samples, Poll; then the 8 stalled batches, and the Poll
+    // (frame 39) at which the proxy cuts the connection.
+    let plan = FaultPlan {
+        seed: 1,
+        min_frame: 39,
+        max_frame: 40,
+        faults: vec![Fault::Sever],
+    };
+    let proxy = ChaosProxy::spawn(server.local_addr(), plan).expect("spawn proxy");
+    let remote = RemoteIngest::connect(
+        proxy.local_addr(),
+        RemoteConfig::default()
+            .batch(4)
+            .window(32)
+            .retries(10)
+            .backoff(Duration::from_millis(2), Duration::from_millis(20)),
+    )
+    .expect("connect");
+    remote.admit(PATIENT).expect("admit");
+
+    let held = gate.lock().expect("gate");
+    for k in 0..BEFORE {
+        remote.push(PATIENT, 0, k * PERIOD, value(k));
+    }
+    remote.poll(); // the shard meets the negative sample and parks
+    let out = std::thread::scope(|scope| {
+        // Any call from here on may be the one that meets the sever,
+        // redials, and waits for `Resume` — which the server owes only
+        // once the parked shard has applied what the dead connection
+        // enqueued. So the client runs beside the thread that holds the
+        // gate.
+        let client = scope.spawn(|| {
+            for k in BEFORE..BEFORE + STALLED {
+                remote.push(PATIENT, 0, k * PERIOD, value(k));
+                remote.push(UNKNOWN, 0, k * PERIOD, 0.0);
+            }
+            remote.poll(); // sends the eight batches; the proxy severs at this Poll
+            remote.barrier().expect("barrier across the sever");
+            remote.finish(PATIENT).expect("finish")
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while proxy.faults_injected() == 0 {
+            assert!(Instant::now() < deadline, "the sever never fired");
+            std::thread::yield_now();
+        }
+        // The cut is made and the shard is still parked: whatever the old
+        // connection took in of the eight batches is enqueued, none of it
+        // applied (drops are counted when a batch is applied).
+        assert_eq!(server.ingest_stats().dropped_unknown, 0);
+        drop(held);
+        client.join().expect("client thread")
+    });
+
+    assert_eq!(proxy.faults_injected(), 1);
+    assert!(
+        remote.health().reconnects >= 1,
+        "the sever must force a resume"
+    );
+    let pushed = (BEFORE + 2 * STALLED) as u64;
+    assert_eq!(remote.stats().dropped_unknown, STALLED as u64);
+    assert_eq!(remote.stats().samples_pushed, pushed);
+    // Applied once each: the server saw every sample exactly one time.
+    assert_eq!(server.ingest_stats().samples_pushed, pushed);
+    assert_eq!(server.ingest_stats().dropped_unknown, STALLED as u64);
+
+    let local = LiveIngest::new(gated_factory(&gate), 1, ROUND);
+    local.admit(PATIENT).expect("admit");
+    for k in 0..BEFORE + STALLED {
+        local.push(PATIENT, 0, k * PERIOD, value(k));
+    }
+    let expect = local.finish(PATIENT).expect("finish");
+    local.shutdown();
+    assert_eq!(fingerprint(&out), fingerprint(&expect));
+
+    remote.shutdown();
+    proxy.shutdown();
+    server.shutdown();
 }
 
 /// Hard kill mid-batch: one of two servers dies between a barrier and

@@ -176,10 +176,8 @@ fn retrospective_query_matches_cold_run_while_ingest_continues() {
     let out = ingest.finish(p).unwrap();
     assert_same("live output", &cold_reference(p, total), &out);
 
-    // Finished patients stay queryable from segments alone — through
-    // the deprecated shim too, which must keep answering.
-    #[allow(deprecated)]
-    let after = ingest.query_history(p).unwrap();
+    // Finished patients stay queryable from segments alone.
+    let after = ingest.history_one(p).unwrap();
     assert_same("post-finish query", &cold_reference(p, total), &after);
     ingest.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -247,9 +245,8 @@ fn query_errors_are_descriptive() {
     let err = no_store.history_one(1).unwrap_err();
     assert!(matches!(err, HistoryError::NoStore));
     assert!(err.to_string().contains("store"), "err: {err}");
-    #[allow(deprecated)]
-    let err = no_store.query_history(1).unwrap_err();
-    assert!(err.contains("store"), "err: {err}");
+    let err = HistoryQueryApi::history(&no_store, HistoryQuery::new().patient(1)).unwrap_err();
+    assert!(matches!(err, HistoryError::NoStore), "err: {err}");
     no_store.shutdown();
 
     let dir = tmp_dir("err");
@@ -349,16 +346,15 @@ fn history_query_over_the_wire_matches_cold_run() {
         .unwrap_err();
     assert!(matches!(err, HistoryError::Remote(_)), "err: {err}");
 
-    // The stream continues over the same connection; the deprecated
-    // shim still answers the full range.
+    // The stream continues over the same connection, and a later
+    // full-range query sees all of it.
     for k in mid..2_000 {
         remote.push(p, 0, k * PERIOD, wave(k, p));
     }
-    #[allow(deprecated)]
-    let shimmed = remote.query_history(p).unwrap();
+    let full = remote.history_one(p).unwrap();
     let out = remote.finish(p).unwrap();
     assert_same("wire output", &cold_reference(p, 2_000), &out);
-    assert_same("wire shim query", &cold_reference(p, 2_000), &shimmed);
+    assert_same("wire full-range query", &cold_reference(p, 2_000), &full);
     remote.shutdown();
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -159,3 +159,104 @@ proptest! {
         }
     }
 }
+
+/// ECG max-pooled onto ABP's grid and joined with it: two sources with
+/// different periods, so a patient's batch share holds runs of both.
+fn two_source_factory() -> PipelineFactory {
+    Arc::new(|| {
+        let q = Query::new();
+        let ecg = q.source("ecg", StreamShape::new(0, 2));
+        let abp = q.source("abp", StreamShape::new(0, 8));
+        ecg.aggregate(AggKind::Max, 80, 80)?
+            .join(abp, lifestream_core::ops::join::JoinKind::Inner)?
+            .sink();
+        q.compile()
+    })
+}
+
+/// Batches are grouped into runs once and applied by run; none of that may
+/// show. An interleaved feed of four admitted patients on two sources —
+/// with gaps, off-grid ticks, duplicates, samples below the compaction
+/// horizon, and a patient nobody admitted — must give the same outputs,
+/// the same joined `finish` errors and the same drop count at every batch
+/// size and worker count as it does sample by sample.
+///
+/// (Errors keep their order per source. Patient 21 errs on both of its
+/// sources, more than a batch apart, so its joined message is comparable
+/// whole.)
+#[test]
+fn run_grouped_batches_match_per_sample_ingest_errors_and_drops_included() {
+    const STEPS: i64 = 1_500;
+    const UNKNOWN: u64 = 99;
+    let wave = |k: i64, p: u64, s: usize| ((k * 37 + p as i64 * 101 + s as i64 * 13) % 997) as f32;
+    // The arrival order every configuration is fed.
+    let mut feed: Vec<(u64, usize, Tick, f32)> = Vec::new();
+    for k in 0..STEPS {
+        for p in [3u64, 8, 21, 34, UNKNOWN] {
+            let gap = (k + p as i64 * 7) % 400 < 25;
+            if !gap {
+                feed.push((p, 0, 2 * k, wave(k, p, 0)));
+                if k % 4 == 0 {
+                    feed.push((p, 1, 2 * k, wave(k, p, 1)));
+                }
+            }
+            match (p, k % 300) {
+                // Patient 3 errs on source 0 only: off the grid, a
+                // duplicate, a sample long retired.
+                (3, 50) => feed.push((p, 0, 2 * k + 1, -1.0)),
+                (3, 120) => feed.push((p, 0, 2 * k - 20, -2.0)),
+                (3, 200) if k > 600 => feed.push((p, 0, 0, -3.0)),
+                // Patient 8 on source 1 only.
+                (8, 70) => feed.push((p, 1, 2 * k + 2, -4.0)),
+                (8, 160) => feed.push((p, 1, 8 * (k / 4) - 8, -5.0)),
+                // Patient 21 on both, far apart; and an unknown source.
+                (21, 10) => feed.push((p, 0, 2 * k + 1, -6.0)),
+                (21, 150) => feed.push((p, 1, 2 * k + 3, -7.0)),
+                (21, 290) => feed.push((p, 2, 2 * k, -8.0)),
+                _ => {}
+            }
+        }
+    }
+    let run = |batch: usize, workers: usize| {
+        let ingest = LiveIngest::with_config(
+            two_source_factory(),
+            IngestConfig::new(workers, ROUND)
+                .batch(batch)
+                .channel_cap(4),
+        );
+        for p in [3u64, 8, 21, 34] {
+            ingest.admit(p).expect("admit");
+        }
+        for (i, &(p, s, t, v)) in feed.iter().enumerate() {
+            ingest.push(p, s, t, v);
+            if i % 701 == 700 {
+                ingest.poll();
+            }
+        }
+        let outcomes: Vec<Result<(usize, u64), String>> = [3u64, 8, 21, 34]
+            .iter()
+            .map(|&p| ingest.finish(p).map(|out| (out.len(), out.checksum())))
+            .collect();
+        (outcomes, ingest.stats().dropped_unknown)
+    };
+    let (expect, expect_dropped) = run(1, 1);
+    assert!(expect[..3].iter().all(Result::is_err), "{expect:?}");
+    assert!(
+        expect[0]
+            .as_ref()
+            .is_err_and(|e| e.contains("compaction horizon")),
+        "{expect:?}"
+    );
+    assert!(expect[3].as_ref().is_ok_and(|&(n, _)| n > 0), "{expect:?}");
+    assert_eq!(
+        expect_dropped,
+        feed.iter().filter(|s| s.0 == UNKNOWN).count() as u64
+    );
+    for workers in [1, 2] {
+        for batch in [1, 7, 256] {
+            let (got, dropped) = run(batch, workers);
+            assert_eq!(got, expect, "batch {batch}, {workers} workers");
+            assert_eq!(dropped, expect_dropped, "batch {batch}, {workers} workers");
+        }
+    }
+}

@@ -131,6 +131,38 @@ impl LiveSource {
         Ok(())
     }
 
+    /// Appends the run `t0, t0 + dt, …` as one slice when that leaves the
+    /// exact state the same samples through [`push`](Self::push) would:
+    /// `dt` is the period and the run starts on the grid, at or above the
+    /// watermark (so no slot it covers can be present) and the retained
+    /// horizon. Returns `false`, having changed nothing, otherwise.
+    fn append_run(&mut self, t0: Tick, dt: Tick, values: &[f32]) -> bool {
+        let period = self.shape.period();
+        let end = (values.len() as Tick)
+            .checked_mul(dt)
+            .and_then(|span| t0.checked_add(span));
+        let Some(end) = end else { return false };
+        // `watermark >= offset`, so the grid test cannot overflow.
+        if dt != period
+            || values.is_empty()
+            || t0 < self.watermark
+            || t0 < self.base_time()
+            || !self.shape.on_grid(t0)
+        {
+            return false;
+        }
+        let slot = ((t0 - self.base_time()) / period) as usize;
+        if slot < self.values.len() {
+            return false;
+        }
+        let buf = Arc::make_mut(&mut self.values);
+        buf.resize(slot, 0.0); // the gap below the run, as `push` pads it
+        buf.extend_from_slice(values);
+        self.presence.add(t0, end);
+        self.watermark = end;
+        true
+    }
+
     /// Zero-copy snapshot of the retained suffix: `Arc` bumps only.
     fn snapshot(&self) -> SignalData {
         SignalData::from_shared(
@@ -390,6 +422,43 @@ impl LiveSession {
             });
         }
         src.push(t, v)
+    }
+
+    /// Appends a periodic run to source `source`: `values[k]` at tick
+    /// `t0 + k·dt` (wrapping), exactly as that many [`push`](Self::push)
+    /// calls in order would, with every error `push` would have returned
+    /// handed to `on_err` in the same order.
+    ///
+    /// This is the form a periodic stream arrives in — a base tick, a
+    /// period and a column of values. When `dt` is the source's period and
+    /// the run is a strict on-grid append (it starts at or above the
+    /// source's watermark and compaction horizon) it costs one slice copy,
+    /// one presence range and one watermark store. Any other run — wrong
+    /// `dt`, off-grid or late start, unknown source — goes through `push`
+    /// sample by sample, which stays the reference the fast path is tested
+    /// against.
+    pub fn push_run(
+        &mut self,
+        source: usize,
+        t0: Tick,
+        dt: Tick,
+        values: &[f32],
+        mut on_err: impl FnMut(Error),
+    ) {
+        if self
+            .sources
+            .get_mut(source)
+            .is_some_and(|src| src.append_run(t0, dt, values))
+        {
+            return;
+        }
+        let mut t = t0;
+        for &v in values {
+            if let Err(e) = self.push(source, t, v) {
+                on_err(e);
+            }
+            t = t.wrapping_add(dt);
+        }
     }
 
     /// Processes every round fully below all sources' watermarks, calling

@@ -267,6 +267,108 @@ proptest! {
     }
 }
 
+/// `splitmix64`: the run generator's only source of randomness.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `push_run` against its reference: any sequence of runs — clean
+    /// appends, gaps, a wrong `dt`, off-grid starts, starts below the
+    /// watermark (duplicates, and late samples that fill a hole) or below
+    /// the compaction horizon, single samples, ticks at `i64::MIN` /
+    /// `i64::MAX` — must leave the session exactly where the same samples
+    /// through `push` leave it: same error strings in the same order, same
+    /// retained slots and exported suffix after every run, same output.
+    #[test]
+    fn push_run_equals_per_sample_push(
+        seed in 0u64..u64::MAX / 2,
+        ops in 20usize..160,
+        poll_every in prop::sample::select(vec![1usize, 3, 7, 1000]),
+    ) {
+        let shapes = [StreamShape::new(0, 2), StreamShape::new(0, 8)];
+        let build = || {
+            let q = Query::new();
+            let a = q.source("ecg", shapes[0]);
+            let b = q.source("abp", shapes[1]);
+            a.aggregate(AggKind::Max, 80, 80)
+                .unwrap()
+                .join(b, JoinKind::Inner)
+                .unwrap()
+                .sink();
+            q.compile().unwrap()
+        };
+        let mut by_run = LiveSession::new(build(), ROUND).unwrap();
+        let mut by_sample = LiveSession::new(build(), ROUND).unwrap();
+        let arity = by_run.sink_arity().unwrap();
+        let (mut out_run, mut out_sample) = (OutputCollector::new(arity), OutputCollector::new(arity));
+        let (mut err_run, mut err_sample) = (Vec::new(), Vec::new());
+
+        let mut rng = seed;
+        // Where a well-behaved feed would append next, per source.
+        let mut head = [0 as Tick; 2];
+        let mut clean_runs = 0usize;
+        for op in 0..ops {
+            // One source index in eight is unknown to the query.
+            let source = match mix(&mut rng) % 8 {
+                7 => 2,
+                r => (r % 2) as usize,
+            };
+            let known = source.min(1);
+            let period = shapes[known].period();
+            let n = 1 + (mix(&mut rng) % 40) as usize;
+            let (t0, dt, n) = match mix(&mut rng) % 16 {
+                // Clean appends, now and then after a gap, dominate —
+                // they are what moves the watermark and the horizon.
+                0..=6 => (head[known], period, n),
+                7 => (head[known] + (1 + mix(&mut rng) % 300) as Tick * period, period, n),
+                8 => (head[known], [2 * period, period + 1, 1, 0, -period][(mix(&mut rng) % 5) as usize], n.min(6)),
+                9 => (head[known] + 1, period, n),
+                10 => (head[known] - (1 + mix(&mut rng) % 60) as Tick * period, period, n),
+                11 => ((mix(&mut rng) % 50) as Tick * period, period, n.min(4)),
+                12 => (head[known], period, 1),
+                13 => (Tick::MIN, [period, 1][(mix(&mut rng) % 2) as usize], n.min(3)),
+                14 => (Tick::MAX, [period, 1][(mix(&mut rng) % 2) as usize], n.min(3)),
+                _ => (head[known], 0, 1),
+            };
+            let values: Vec<f32> = (0..n).map(|_| (mix(&mut rng) % 997) as f32 / 7.0).collect();
+            if source < 2 && dt == period && t0 >= head[known] && t0 % period == 0 {
+                head[known] = t0 + n as Tick * period;
+                clean_runs += 1;
+            }
+
+            by_run.push_run(source, t0, dt, &values, |e| err_run.push(e.to_string()));
+            let mut t = t0;
+            for &v in &values {
+                if let Err(e) = by_sample.push(source, t, v) {
+                    err_sample.push(e.to_string());
+                }
+                t = t.wrapping_add(dt);
+            }
+            if op % poll_every == poll_every - 1 {
+                by_run.poll(|w| out_run.absorb(w)).unwrap();
+                by_sample.poll(|w| out_sample.absorb(w)).unwrap();
+            }
+            for s in 0..2 {
+                prop_assert_eq!(by_run.retained_slots(s).unwrap(), by_sample.retained_slots(s).unwrap());
+            }
+            prop_assert_eq!(by_run.export_suffix(), by_sample.export_suffix());
+        }
+        by_run.finish(|w| out_run.absorb(w)).unwrap();
+        by_sample.finish(|w| out_sample.absorb(w)).unwrap();
+        prop_assert_eq!(err_run, err_sample);
+        prop_assert_eq!(out_run.len(), out_sample.len());
+        prop_assert_eq!(out_run.checksum(), out_sample.checksum());
+        prop_assert!(clean_runs > 0, "the fast path must have been taken");
+    }
+}
+
 #[test]
 fn fig3_pipeline_live_equals_batch_on_gap_heavy_data() {
     // The full end-to-end application, including the stateful transform
