@@ -3,7 +3,7 @@
 //! regresses beyond the tolerance.
 //!
 //! Absolute Mev/s numbers are machine-bound — a 4-core CI runner and the
-//! 1-core box that produced a baseline legitimately disagree — so the
+//! 2-core box that produced the baselines legitimately disagree — so the
 //! gate checks only the ratios the bench JSONs were designed around:
 //!
 //! | bench                | gated metrics                                    |

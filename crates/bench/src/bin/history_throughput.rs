@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cluster_harness::sharded::{IngestConfig, LiveIngest, PipelineFactory};
-use cluster_harness::HistoryQuery;
+use cluster_harness::{HistoryQuery, HistoryQueryApi};
 use lifestream_bench::{scale, Table};
 use lifestream_core::ops::aggregate::AggKind;
 use lifestream_core::stream::Query;

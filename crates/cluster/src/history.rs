@@ -37,6 +37,7 @@
 //! locally compiled plan cannot travel over the wire.
 
 use lifestream_core::exec::OutputCollector;
+use lifestream_core::time::Tick;
 
 pub use lifestream_store::query::{
     CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, QueryFactory,
@@ -67,4 +68,40 @@ pub trait HistoryQueryApi {
         self.history(HistoryQuery::new().patient(patient))?
             .into_single()
     }
+}
+
+/// `history` for a front end that reaches its sessions over the wire
+/// ([`RemoteIngest`](crate::net::RemoteIngest),
+/// [`ClusterIngest`](crate::net::ClusterIngest)): validates the query,
+/// names the pipeline by registry id — [`PipelineSpec::Live`] travels as
+/// `0`, [`PipelineSpec::Registered`] as its id, and a locally compiled
+/// plan or factory cannot cross the wire — and makes one
+/// `one(patient, t0, t1, warmup, pipeline)` roundtrip per cohort patient,
+/// in the order the cohort named them.
+pub(crate) fn history_over_wire(
+    query: HistoryQuery,
+    mut one: impl FnMut(PatientId, Tick, Tick, Tick, u32) -> Result<OutputCollector, String>,
+) -> Result<CohortReport, HistoryError> {
+    let (range, patients, warmup, spec) = query.into_parts();
+    if patients.is_empty() {
+        return Err(HistoryError::NoPatients);
+    }
+    HistoryQuery::validate_range(range.0, range.1)?;
+    let pipeline = match spec {
+        PipelineSpec::Live => 0,
+        PipelineSpec::Registered(id) => id,
+        PipelineSpec::Compiled(_) | PipelineSpec::Factory(_) => {
+            return Err(HistoryError::Remote(
+                "a compiled pipeline cannot travel over the wire; \
+                 register it on the server and query by id"
+                    .into(),
+            ))
+        }
+    };
+    let outputs = patients
+        .iter()
+        .map(|&p| Ok((p, one(p, range.0, range.1, warmup, pipeline)?)))
+        .collect::<Result<Vec<_>, String>>()
+        .map_err(HistoryError::Remote)?;
+    Ok(CohortReport::new(range, outputs))
 }

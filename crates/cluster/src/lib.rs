@@ -32,7 +32,7 @@
 //!   tolerant: clients reconnect-with-resume over a session handshake
 //!   and replay their un-acked window exactly once, and the router
 //!   fails a dead machine's patients over to survivors from bounded
-//!   client-side tails ([`net::chaos`] drives the deterministic
+//!   client-side mirrors ([`net::chaos`] drives the deterministic
 //!   fault-injection battery that pins both properties). All three
 //!   front ends implement [`sharded::Ingest`], so deployment shape is
 //!   a constructor choice.

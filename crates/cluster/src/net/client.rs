@@ -12,7 +12,9 @@ use std::time::Duration;
 use lifestream_core::exec::OutputCollector;
 use lifestream_core::time::Tick;
 
-use crate::history::{CohortReport, HistoryError, HistoryQuery, HistoryQueryApi, PipelineSpec};
+use crate::history::{
+    history_over_wire, CohortReport, HistoryError, HistoryQuery, HistoryQueryApi,
+};
 use crate::sharded::{Ingest, IngestStats, PatientHandoff, PatientId, Sample, SessionMeta};
 
 use super::wire::{self, WireCmd, WireReply};
@@ -391,22 +393,13 @@ impl RemoteIngest {
         }
     }
 
-    /// Low-level single-patient retrospective roundtrip: re-runs the
-    /// server-side pipeline named by registry id `pipeline` (`0` = the
-    /// live pipeline) over `patient`'s durable history clipped to
-    /// `[t0, t1)` (use `(i64::MIN, i64::MAX)` for everything) and
-    /// returns the collected output. The live session keeps ingesting;
-    /// the query runs over a stitched copy. Synchronous: drains the
-    /// in-flight window first, so every pushed sample is reflected.
-    /// Most callers want the typed
-    /// [`HistoryQueryApi`](crate::history::HistoryQueryApi) surface
-    /// instead.
-    ///
-    /// # Errors
-    /// Returns the server's error (no store, bad range, unknown
-    /// patient, unregistered pipeline) as its display message, or the
-    /// transport error.
-    pub fn history_query(
+    /// One patient's retrospective roundtrip: re-runs the server-side
+    /// pipeline named by registry id `pipeline` (`0` = the live pipeline)
+    /// over `patient`'s durable history clipped to `[t0, t1)` and returns
+    /// the collected output, or the server's error as its display
+    /// message. Synchronous: drains the in-flight window first, so every
+    /// pushed sample is reflected.
+    pub(super) fn history_query(
         &self,
         patient: PatientId,
         t0: Tick,
@@ -887,36 +880,12 @@ impl Ingest for RemoteIngest {
 
 impl HistoryQueryApi for RemoteIngest {
     /// Runs the query over the wire, one synchronous roundtrip per
-    /// cohort patient. Only transport-expressible pipelines work here:
-    /// [`PipelineSpec::Live`] travels as registry id `0` and
-    /// [`PipelineSpec::Registered`] as its id; a locally compiled plan
-    /// or factory cannot cross the wire — register it on the server
-    /// and query by id.
+    /// cohort patient. Only transport-expressible pipelines work here
+    /// (see the module docs of [`crate::history`]).
     fn history(&self, query: HistoryQuery) -> Result<CohortReport, HistoryError> {
-        let (range, patients, warmup, spec) = query.into_parts();
-        if patients.is_empty() {
-            return Err(HistoryError::NoPatients);
-        }
-        HistoryQuery::validate_range(range.0, range.1)?;
-        let pipeline = match spec {
-            PipelineSpec::Live => 0,
-            PipelineSpec::Registered(id) => id,
-            PipelineSpec::Compiled(_) | PipelineSpec::Factory(_) => {
-                return Err(HistoryError::Remote(
-                    "a compiled pipeline cannot travel over the wire; \
-                     register it on the server and query by id"
-                        .into(),
-                ))
-            }
-        };
-        let mut outputs = Vec::with_capacity(patients.len());
-        for &p in &patients {
-            let out = self
-                .history_query(p, range.0, range.1, warmup, pipeline)
-                .map_err(HistoryError::Remote)?;
-            outputs.push((p, out));
-        }
-        Ok(CohortReport::new(range, outputs))
+        history_over_wire(query, |p, t0, t1, warmup, pipeline| {
+            self.history_query(p, t0, t1, warmup, pipeline)
+        })
     }
 }
 

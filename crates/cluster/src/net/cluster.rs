@@ -2,7 +2,7 @@
 //! with live partition handoff between them and automatic patient
 //! failover when a machine dies.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::ToSocketAddrs;
 use std::path::PathBuf;
@@ -10,13 +10,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use lifestream_core::exec::OutputCollector;
-use lifestream_core::live::{SessionSnapshot, SourceSuffix};
-use lifestream_core::time::Tick;
+use lifestream_core::live::SessionBuffer;
+use lifestream_core::time::{StreamShape, Tick};
 use lifestream_store::HistoryReader;
 
-use crate::history::{CohortReport, HistoryError, HistoryQuery, HistoryQueryApi, PipelineSpec};
+use crate::history::{
+    history_over_wire, CohortReport, HistoryError, HistoryQuery, HistoryQueryApi,
+};
 use crate::machines::{MachineState, PlacementTable};
-use crate::sharded::{Ingest, IngestStats, PatientHandoff, PatientId, SessionMeta, SourceMeta};
+use crate::sharded::{Ingest, IngestStats, PatientHandoff, PatientId, SessionMeta};
 
 use super::client::{RemoteConfig, RemoteHealth, RemoteIngest};
 
@@ -51,295 +53,75 @@ pub struct ClusterHealth {
     pub frames_replayed: u64,
 }
 
-/// Client-side replay buffer for one source: the on-grid sample tail at
-/// or above the retirement horizon, mirroring exactly what the owning
-/// server retains (`frontier - margin`), plus the source watermark.
-struct SourceTail {
-    meta: SourceMeta,
-    /// Accepted samples at or above `retired_to`, ascending by time.
-    tail: VecDeque<(Tick, f32)>,
-    /// Largest accepted sample time + period (mirrors the server's).
-    watermark: Tick,
-    /// Grid-aligned horizon: everything below has been retired.
-    retired_to: Tick,
-}
-
-impl SourceTail {
-    fn new(meta: SourceMeta) -> Self {
-        Self {
-            meta,
-            tail: VecDeque::new(),
-            watermark: meta.offset,
-            retired_to: meta.offset,
-        }
-    }
-
-    /// Mirrors `LiveSource::push` acceptance: on-grid, at or above the
-    /// retained horizon, no duplicate. Rejected samples would have been
-    /// rejected (deferred) by the server too, so the tail stays
-    /// byte-equivalent to the server's retained suffix.
-    fn record(&mut self, t: Tick, v: f32) {
-        let SourceMeta { offset, period, .. } = self.meta;
-        let newest = self.tail.back().map(|&(last, _)| last);
-        // The slot right after the newest entry — every sample of a
-        // gapless in-order feed — is on the grid and above the horizon
-        // because that entry is: nothing to check, nowhere to search.
-        if newest.and_then(|last| last.checked_add(period)) != Some(t) {
-            if period <= 0
-                || t < offset
-                || (t - offset).rem_euclid(period) != 0
-                || t < self.retired_to
-            {
-                return;
-            }
-            if newest.is_some_and(|last| t <= last) {
-                // Out of order: a late sample fills its hole, a duplicate
-                // is dropped (the server rejects the re-push as well).
-                if let Err(pos) = self.tail.binary_search_by_key(&t, |&(ts, _)| ts) {
-                    self.tail.insert(pos, (t, v));
-                }
-                return;
-            }
-        }
-        self.tail.push_back((t, v));
-        self.watermark = self.watermark.max(t + period);
-    }
-
-    /// Retires the tail below `frontier - margin`, grid-aligned down —
-    /// the same compaction rule `LiveSession` applies after a poll.
-    fn retire_below(&mut self, frontier: Tick) {
-        let SourceMeta {
-            offset,
-            period,
-            margin,
-        } = self.meta;
-        if period <= 0 {
-            return;
-        }
-        let cutoff = frontier.saturating_sub(margin).max(offset);
-        let aligned = offset + (cutoff - offset).div_euclid(period) * period;
-        if aligned <= self.retired_to {
-            return;
-        }
-        self.retired_to = aligned;
-        while let Some(&(t, _)) = self.tail.front() {
-            if t < aligned {
-                self.tail.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Densifies the tail into the wire suffix shape: values from the
-    /// first buffered slot, presence ranges masking the gaps.
-    fn suffix(&self, next_round: Tick) -> SourceSuffix {
-        let SourceMeta { offset, period, .. } = self.meta;
-        if period <= 0 {
-            return SourceSuffix {
-                base_slot: 0,
-                watermark: self.watermark,
-                values: Vec::new(),
-                ranges: Vec::new(),
-            };
-        }
-        if let (Some(&(t0, _)), Some(&(tn, _))) = (self.tail.front(), self.tail.back()) {
-            let base_slot = ((t0 - offset) / period) as u64;
-            let nslots = ((tn - t0) / period) as usize + 1;
-            let mut values = vec![0.0_f32; nslots];
-            let mut ranges: Vec<(Tick, Tick)> = Vec::new();
-            for &(t, v) in &self.tail {
-                values[((t - t0) / period) as usize] = v;
-                match ranges.last_mut() {
-                    Some(r) if r.1 == t => r.1 = t + period,
-                    _ => ranges.push((t, t + period)),
-                }
-            }
-            SourceSuffix {
-                base_slot,
-                watermark: self.watermark,
-                values,
-                ranges,
-            }
-        } else {
-            // No buffered samples: park the base at the first grid slot
-            // at or above the frontier. That keeps the import's warm-up
-            // replay window tight, and stays at or below the watermark
-            // (every source watermark is >= the frontier), so the next
-            // push still clears the imported horizon.
-            let start = next_round.max(offset);
-            let base_slot = ((start - offset) + period - 1).div_euclid(period) as u64;
-            SourceSuffix {
-                base_slot,
-                watermark: self.watermark,
-                values: Vec::new(),
-                ranges: Vec::new(),
-            }
-        }
-    }
-}
-
-/// Builds one source's failover suffix, preferring durable segment
-/// history over the client-side replay tail: the store's densified
-/// history and the tail are merged sample-by-sample (the tail wins on
-/// overlap — it is at least as fresh), then clipped to the retained
-/// window `[align_down(frontier - margin), …)` — the same window the
-/// dead machine's live session held. A tail that lost samples (a client
-/// mirror truncated by a crash or restart) is thereby healed from the
-/// segments, as long as every retired span reached the store.
-fn suffix_with_store(
-    meta: SourceMeta,
-    history: Option<&lifestream_store::DenseHistory>,
-    tail: &VecDeque<(Tick, f32)>,
-    watermark: Tick,
-    frontier: Tick,
-) -> SourceSuffix {
-    let SourceMeta {
-        offset,
-        period,
-        margin,
-    } = meta;
-    if period <= 0 {
-        return SourceSuffix {
-            base_slot: 0,
-            watermark,
-            values: Vec::new(),
-            ranges: Vec::new(),
-        };
-    }
-    let cutoff = {
-        let c = frontier.saturating_sub(margin).max(offset);
-        offset + (c - offset).div_euclid(period) * period
-    };
-    let mut samples: BTreeMap<Tick, f32> = BTreeMap::new();
-    if let Some((values, ranges)) = history {
-        for &(s, e) in ranges {
-            // Segment presence ranges start on the grid and the cutoff
-            // is grid-aligned, so their max is on the grid too.
-            let mut t = s.max(cutoff);
-            while t < e {
-                if let Some(&v) = values.get(((t - offset) / period) as usize) {
-                    samples.insert(t, v);
-                }
-                t += period;
-            }
-        }
-    }
-    for &(t, v) in tail {
-        if t >= cutoff {
-            samples.insert(t, v);
-        }
-    }
-    if let (Some((&t0, _)), Some((&tn, _))) = (samples.first_key_value(), samples.last_key_value())
-    {
-        let base_slot = ((t0 - offset) / period) as u64;
-        let nslots = ((tn - t0) / period) as usize + 1;
-        let mut values = vec![0.0_f32; nslots];
-        let mut ranges: Vec<(Tick, Tick)> = Vec::new();
-        let mut wm = watermark;
-        for (&t, &v) in &samples {
-            values[((t - t0) / period) as usize] = v;
-            match ranges.last_mut() {
-                Some(r) if r.1 == t => r.1 = t + period,
-                _ => ranges.push((t, t + period)),
-            }
-            wm = wm.max(t + period);
-        }
-        SourceSuffix {
-            base_slot,
-            watermark: wm,
-            values,
-            ranges,
-        }
-    } else {
-        let start = frontier.max(offset);
-        let base_slot = ((start - offset) + period - 1).div_euclid(period) as u64;
-        SourceSuffix {
-            base_slot,
-            watermark,
-            values: Vec::new(),
-            ranges: Vec::new(),
-        }
-    }
-}
-
-/// Client-side mirror of one patient's live session: enough bounded
-/// state (`O(round + margin + poll lag)` per source) to re-admit the
-/// patient on a survivor if its machine dies.
+/// Client-side mirror of one patient's live session: the session's buffer
+/// half ([`SessionBuffer`], the type the owning server's `LiveSession`
+/// keeps its own samples in) with no executor behind it. It is fed every
+/// push and advanced at every poll, so it accepts, refuses and retires
+/// exactly what the server's session does and stays `O(round + margin +
+/// poll lag)` per source — enough to re-admit the patient on a survivor
+/// if its machine dies. Its round frontier is the one of the last poll:
+/// rounds below it count as emitted, so a failover resumes
+/// (output-suppressed warm-up, same as a handoff import) from there.
 struct PatientState {
-    round: Tick,
     arity: usize,
-    sources: Vec<SourceTail>,
-    /// Round frontier at the last poll: rounds below it are considered
-    /// emitted, so a failover resumes (output-suppressed warm-up, same
-    /// as a handoff import) from here.
-    frontier: Tick,
+    buf: SessionBuffer,
 }
 
 impl PatientState {
-    fn new(meta: &SessionMeta) -> Self {
-        let mut state = Self {
-            round: meta.round.max(1),
-            arity: meta.arity.max(1),
-            sources: meta.sources.iter().copied().map(SourceTail::new).collect(),
-            frontier: 0,
-        };
-        state.advance();
-        state
-    }
-
-    /// Recomputes the processed-round frontier from the source
-    /// watermarks and retires every tail the source's margin below it —
-    /// called at each poll, mirroring the server's compaction.
-    fn advance(&mut self) {
-        let wm = self.sources.iter().map(|s| s.watermark).min().unwrap_or(0);
-        let frontier = (wm.div_euclid(self.round) * self.round).max(0);
-        if frontier > self.frontier {
-            self.frontier = frontier;
-        }
-        for s in &mut self.sources {
-            s.retire_below(self.frontier);
-        }
-    }
-
-    /// Builds a re-admission handoff: margin suffix plus the frontier,
-    /// with an empty output collector (output collected on the dead
-    /// machine is gone; the survivor re-emits from the frontier). With a
-    /// store attached, each source's suffix is rebuilt from the durable
-    /// segments overlaid with the replay tail ([`suffix_with_store`])
-    /// instead of the tail alone.
-    fn handoff(&self, store: Option<(&HistoryReader, PatientId)>) -> PatientHandoff {
-        let sources = self
+    /// Sizes the mirror from the owning server's admit reply.
+    fn new(meta: &SessionMeta) -> Result<Self, String> {
+        let shapes = meta
             .sources
             .iter()
-            .enumerate()
-            .map(|(i, s)| match store {
-                Some((reader, patient)) => {
-                    let history = reader.source_history(patient, i).and_then(Result::ok);
-                    suffix_with_store(
-                        s.meta,
-                        history.as_ref(),
-                        &s.tail,
-                        s.watermark,
-                        self.frontier,
-                    )
-                }
-                None => s.suffix(self.frontier),
-            })
-            .collect();
-        PatientHandoff {
-            snapshot: SessionSnapshot {
-                next_round: self.frontier,
-                sources,
-            },
-            output: OutputCollector::new(self.arity),
-            errors: Vec::new(),
-        }
+            .map(|s| (s.period > 0).then(|| StreamShape::new(s.offset, s.period)))
+            .collect::<Option<Vec<_>>>()
+            .ok_or("session meta names a source with a non-positive period")?;
+        let margins = meta.sources.iter().map(|s| s.margin).collect();
+        let buf = SessionBuffer::new(&shapes, margins, meta.round).map_err(|e| e.to_string())?;
+        Ok(Self {
+            arity: meta.arity.max(1),
+            buf,
+        })
     }
 
-    fn record(&mut self, source: usize, t: Tick, v: f32) {
-        if let Some(s) = self.sources.get_mut(source) {
-            s.record(t, v);
+    /// Mirrors one pushed sample. What the buffer refuses the server
+    /// refuses as well (and defers to `finish`), so the error is dropped.
+    fn push(&mut self, source: usize, t: Tick, v: f32) {
+        let _ = self.buf.push(source, t, v);
+    }
+
+    /// Moves the frontier to the last complete round and retires every
+    /// source its margin below it — called at each poll, as the server's
+    /// session does when the `Poll` reaches it.
+    fn advance(&mut self) {
+        self.buf.advance_to(self.buf.frontier(), None);
+    }
+
+    /// Builds a re-admission handoff: the mirror's suffix export — what
+    /// the dead machine's session would have exported at this frontier —
+    /// with an empty output collector (output collected on the dead
+    /// machine is gone; the survivor re-emits from the frontier). With a
+    /// store attached, the durable segments are overlaid first and the
+    /// mirror's own samples over them, so a mirror that lost samples is
+    /// healed from disk and stays the fresher of the two where both have
+    /// one; a source whose segments cannot be overlaid keeps the mirror
+    /// alone.
+    fn handoff(&self, store: Option<(&HistoryReader, PatientId)>) -> PatientHandoff {
+        let mut buf = self.buf.clone();
+        if let Some((reader, patient)) = store {
+            let mirrored = self.buf.sources();
+            for (i, (src, mine)) in buf.sources_mut().iter_mut().zip(mirrored).enumerate() {
+                let healed = reader.overlay_source(patient, i, src).is_ok()
+                    && src.overlay_suffix(&mine.suffix()).is_ok();
+                if !healed {
+                    *src = mine.clone();
+                }
+            }
+        }
+        PatientHandoff {
+            snapshot: buf.export_suffix(),
+            output: OutputCollector::new(self.arity),
+            errors: Vec::new(),
         }
     }
 }
@@ -358,12 +140,13 @@ impl PatientState {
 ///
 /// # Failover
 ///
-/// Every admitted patient additionally keeps a *client-side* replay
-/// tail: the margin suffix of each source (the same bounded window the
-/// server retains) plus the round frontier of the last poll. When an
+/// Every admitted patient additionally keeps a *client-side* mirror of
+/// its session's buffers: the margin suffix of each source (the same
+/// bounded window the server retains, in the same type) plus the round
+/// frontier of the last poll. When an
 /// endpoint exhausts its reconnect budget and goes dead, the machine is
 /// declared [`MachineState::Down`] in the table and each patient it
-/// owned is re-admitted on a survivor by importing that tail — the
+/// owned is re-admitted on a survivor by importing that mirror — the
 /// warm-up replay suppresses output below the frontier, exactly like a
 /// [`rebalance`](Self::rebalance) import. A hard-killed machine
 /// therefore never loses a patient; what *is* lost is bounded: output
@@ -372,12 +155,12 @@ impl PatientState {
 ///
 /// With a shared tiered store attached
 /// ([`connect_with_store`](Self::connect_with_store)), failover prefers
-/// **segment rebuild** over the replay tail alone: each re-admitted
-/// source suffix is stitched from the durable segments the dead machine
-/// spilled, overlaid with the client tail — a truncated tail is healed
-/// from disk — and [`history_query`](Self::history_query) re-runs any
-/// patient's pipeline over its full durable history on whichever machine
-/// currently owns it.
+/// **segment rebuild** over the mirror alone: each re-admitted source
+/// suffix is the durable segments the dead machine spilled, overlaid
+/// with the mirror — a mirror that lost samples is healed from disk —
+/// and [`history`](HistoryQueryApi::history) re-runs any patient's
+/// pipeline over its full durable history on whichever machine currently
+/// owns it.
 pub struct ClusterIngest {
     endpoints: Vec<RemoteIngest>,
     /// Shared tiered-store directory, when every machine spills to the
@@ -413,7 +196,7 @@ impl ClusterIngest {
     /// Like [`connect`](Self::connect), for a fleet whose machines all
     /// spill to the tiered store at `store_dir` (shared storage). The
     /// path enables segment-preferred failover rebuilds; retrospective
-    /// queries ([`history_query`](Self::history_query)) work either way,
+    /// queries ([`history`](HistoryQueryApi::history)) work either way,
     /// since they run server-side.
     ///
     /// # Errors
@@ -497,7 +280,7 @@ impl ClusterIngest {
     ///
     /// A machine death mid-handoff is recovered, not surfaced: if the
     /// *source* dies during the export, the whole machine fails over
-    /// (client-side tails re-admit its patients on survivors); if the
+    /// (client-side mirrors re-admit its patients on survivors); if the
     /// *destination* dies during the import, it is declared down and the
     /// already-exported state — still in hand — lands on whichever
     /// machine then owns the patient, with zero loss.
@@ -528,7 +311,7 @@ impl ClusterIngest {
             Err(e) => {
                 if self.endpoints[from].is_dead() {
                     // Source died mid-export: whether or not the export
-                    // landed server-side, the client tail re-admits the
+                    // landed server-side, the client mirror re-admits the
                     // patient (and everything else the machine owned) on
                     // a survivor.
                     self.failover_locked(&mut table, from);
@@ -537,36 +320,28 @@ impl ClusterIngest {
                 return Err(e);
             }
         };
-        match self.endpoints[to].import_patient(patient, state.clone()) {
-            Ok(()) => {
-                table.assign(patient, to);
-                Ok(())
-            }
-            Err(e) => {
-                if self.endpoints[to].is_dead() {
-                    // Destination died mid-import: down it (re-homing any
-                    // patients it owned), then land the exported state —
-                    // with its collected output intact — on whichever
-                    // machine now owns the patient.
-                    self.failover_locked(&mut table, to);
-                    let target = table.place(patient);
-                    if table.state(target) != MachineState::Down {
-                        return match self.endpoints[target].import_patient(patient, state) {
-                            Ok(()) => {
-                                table.assign(patient, target);
-                                Ok(())
-                            }
-                            Err(e2) => Err(format!(
-                                "patient {patient} stranded mid-handoff (import failed): {e2}"
-                            )),
-                        };
-                    }
-                }
-                Err(format!(
-                    "patient {patient} stranded mid-handoff (import failed): {e}"
-                ))
+        let stranded =
+            |e: String| format!("patient {patient} stranded mid-handoff (import failed): {e}");
+        let Err(refused) = self.endpoints[to].import_patient(patient, state.clone()) else {
+            table.assign(patient, to);
+            return Ok(());
+        };
+        if self.endpoints[to].is_dead() {
+            // Destination died mid-import: down it (re-homing any
+            // patients it owned), then land the exported state — with its
+            // collected output intact — on whichever machine now owns
+            // the patient.
+            self.failover_locked(&mut table, to);
+            let target = table.place(patient);
+            if table.state(target) != MachineState::Down {
+                self.endpoints[target]
+                    .import_patient(patient, state)
+                    .map_err(stranded)?;
+                table.assign(patient, target);
+                return Ok(());
             }
         }
+        Err(stranded(refused))
     }
 
     /// Synchronization point across every live endpoint: flushes staged
@@ -578,20 +353,26 @@ impl ClusterIngest {
     /// Returns the first live endpoint's non-fatal transport error, if
     /// any.
     pub fn barrier(&self) -> Result<(), String> {
+        self.on_live(RemoteIngest::barrier)
+    }
+
+    /// Runs `call` on every machine not yet down, fails over the ones it
+    /// finds (or leaves) dead, and returns the first error a machine that
+    /// is still alive gave.
+    fn on_live(&self, call: impl Fn(&RemoteIngest) -> Result<(), String>) -> Result<(), String> {
         let mut dead = Vec::new();
-        let mut first_err = None;
+        let mut first_err = Ok(());
         {
             let table = self.table.read().expect("table lock");
             for (m, e) in self.endpoints.iter().enumerate() {
                 if table.state(m) == MachineState::Down {
                     continue;
                 }
-                if let Err(err) = e.barrier() {
-                    if e.is_dead() {
-                        dead.push(m);
-                    } else if first_err.is_none() {
-                        first_err = Some(err);
-                    }
+                let outcome = call(e);
+                if e.is_dead() {
+                    dead.push(m);
+                } else if first_err.is_ok() {
+                    first_err = outcome;
                 }
             }
         }
@@ -599,10 +380,7 @@ impl ClusterIngest {
             self.failover(m);
         }
         self.note_degraded();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err
     }
 
     /// Cluster-wide counters: pushes counted at the router (so a dying
@@ -621,52 +399,40 @@ impl ClusterIngest {
     }
 
     /// Admits a patient on its placed machine and starts its client-side
-    /// replay tail. If the placed machine is dead, it fails over first
-    /// and the admit lands on the survivor.
+    /// mirror. If the placed machine is dead, it fails over first and the
+    /// admit lands on the survivor.
     ///
     /// # Errors
-    /// Returns the owning server's error.
+    /// Returns the owning server's error, or — with the session finished
+    /// on the server again — what is wrong with the meta it answered.
     pub fn admit(&self, patient: PatientId) -> Result<(), String> {
-        let (machine, refused) = {
-            let table = self.table.read().expect("table lock");
-            let m = table.place(patient);
-            match self.endpoints[m].admit_meta(patient) {
-                Ok(meta) => {
-                    drop(table);
-                    self.register(patient, &meta);
-                    return Ok(());
-                }
-                Err(e) => (m, e),
-            }
-        };
-        if !self.endpoints[machine].is_dead() {
-            return Err(refused);
-        }
-        self.failover(machine);
-        let survivor = self.table.read().expect("table lock").place(patient);
-        if survivor == machine {
-            return Err(refused);
-        }
-        let meta = self.endpoints[survivor].admit_meta(patient)?;
-        self.register(patient, &meta);
+        let meta = self.on_owner(patient, |e| e.admit_meta(patient), |refused| refused)?;
+        // A meta no mirror fits leaves no session behind on the owner.
+        let state = PatientState::new(&meta).inspect_err(|_| {
+            let _ = self.on_owner(patient, |e| e.finish(patient), |e| e);
+        })?;
+        self.patients
+            .write()
+            .expect("patients lock")
+            .insert(patient, Mutex::new(state));
         Ok(())
     }
 
     /// Stages one sample on the owning machine's client and mirrors it
-    /// into the patient's replay tail. The table's read lock is held
+    /// into the patient's session buffers. The table's read lock is held
     /// across the push so a concurrent [`rebalance`](Self::rebalance)
     /// cannot redirect the patient mid-sample, while pushes to different
     /// machines proceed in parallel (a blocked endpoint backpressures
     /// only its own producers, not the fleet). A push that exhausts the
     /// endpoint's reconnect budget triggers a failover; the sample is
-    /// already in the tail, so it survives the move.
+    /// already in the mirror, so it survives the move.
     pub fn push(&self, patient: PatientId, source: usize, t: Tick, v: f32) {
         self.samples_pushed.fetch_add(1, Ordering::Relaxed);
         let dead = {
             let table = self.table.read().expect("table lock");
             let m = table.place(patient);
             if let Some(ps) = self.patients.read().expect("patients lock").get(&patient) {
-                ps.lock().expect("patient state").record(source, t, v);
+                ps.lock().expect("patient state").push(source, t, v);
             }
             self.endpoints[m].push(patient, source, t, v);
             self.endpoints[m].is_dead().then_some(m)
@@ -677,7 +443,7 @@ impl ClusterIngest {
     }
 
     /// Flushes and polls every live machine, advancing each patient's
-    /// replay frontier and retiring its tails to the margin — the
+    /// mirror frontier and retiring its buffers to the margin — the
     /// client-side mirror of the servers' compaction.
     pub fn poll(&self) {
         {
@@ -686,23 +452,11 @@ impl ClusterIngest {
                 ps.lock().expect("patient state").advance();
             }
         }
-        let mut dead = Vec::new();
-        {
-            let table = self.table.read().expect("table lock");
-            for (m, e) in self.endpoints.iter().enumerate() {
-                if table.state(m) == MachineState::Down {
-                    continue;
-                }
-                e.poll();
-                if e.is_dead() {
-                    dead.push(m);
-                }
-            }
-        }
-        for m in dead {
-            self.failover(m);
-        }
-        self.note_degraded();
+        // A poll is fire-and-forget: there is no error to return.
+        let _ = self.on_live(|e| {
+            e.poll();
+            Ok(())
+        });
     }
 
     /// Ends a patient's stream on its owning machine. If the machine is
@@ -712,92 +466,47 @@ impl ClusterIngest {
     /// # Errors
     /// Returns the owning server's deferred errors.
     pub fn finish(&self, patient: PatientId) -> Result<OutputCollector, String> {
-        let machine = {
-            let table = self.table.read().expect("table lock");
-            let m = table.place(patient);
-            match self.endpoints[m].finish(patient) {
-                Ok(out) => {
-                    drop(table);
-                    self.unregister(patient);
-                    return Ok(out);
-                }
-                Err(e) => {
-                    if !self.endpoints[m].is_dead() {
-                        return Err(e);
-                    }
-                    m
-                }
-            }
-        };
-        self.failover(machine);
-        let survivor = self.table.read().expect("table lock").place(patient);
-        let out = self.endpoints[survivor].finish(patient)?;
-        self.unregister(patient);
-        Ok(out)
-    }
-
-    /// Re-runs a pipeline over a patient's durable history (segments +
-    /// write buffer + live suffix), clipped to `[t0, t1)`, on the
-    /// machine currently owning the patient; live ingest on that
-    /// patient continues. `pipeline` names a server-side registry id
-    /// (`0` = the live pipeline). If the owner is dead — including dying
-    /// *mid-query* — it fails over first (the store directory is shared,
-    /// so the survivor sees the same segments) and retries on the new
-    /// owner. Most callers want the typed
-    /// [`HistoryQueryApi`](crate::history::HistoryQueryApi) surface
-    /// instead.
-    ///
-    /// # Errors
-    /// Returns the owning server's error (no store attached, bad range,
-    /// unknown patient, unregistered pipeline) or the transport error
-    /// when no survivor remains.
-    pub fn history_query(
-        &self,
-        patient: PatientId,
-        t0: Tick,
-        t1: Tick,
-        warmup: Tick,
-        pipeline: u32,
-    ) -> Result<OutputCollector, String> {
-        let machine = {
-            let table = self.table.read().expect("table lock");
-            let m = table.place(patient);
-            match self.endpoints[m].history_query(patient, t0, t1, warmup, pipeline) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    if !self.endpoints[m].is_dead() {
-                        return Err(e);
-                    }
-                    m
-                }
-            }
-        };
-        self.failover(machine);
-        let survivor = self.table.read().expect("table lock").place(patient);
-        if survivor == machine {
-            return Err(format!(
-                "patient {patient}: no live machine left to answer the history query"
-            ));
-        }
-        self.endpoints[survivor].history_query(patient, t0, t1, warmup, pipeline)
-    }
-
-    /// Closes every endpoint connection. Equivalent to dropping.
-    pub fn shutdown(self) {}
-
-    fn register(&self, patient: PatientId, meta: &SessionMeta) {
-        self.patients
-            .write()
-            .expect("patients lock")
-            .insert(patient, Mutex::new(PatientState::new(meta)));
-    }
-
-    fn unregister(&self, patient: PatientId) {
+        let out = self.on_owner(patient, |e| e.finish(patient), |e| e)?;
         self.patients
             .write()
             .expect("patients lock")
             .remove(&patient);
+        Ok(out)
     }
+
+    /// The router's one retry rule: runs `call` on the machine owning
+    /// `patient` (under the table's read lock, so a concurrent handoff
+    /// cannot move the patient mid-call); if that fails because the
+    /// machine is dead — including dying *mid-call* — fails it over and
+    /// runs `call` on the survivor the patient re-homed to. With no
+    /// survivor, the error is `no_survivor` of the dead machine's.
+    fn on_owner<T>(
+        &self,
+        patient: PatientId,
+        call: impl Fn(&RemoteIngest) -> Result<T, String>,
+        no_survivor: impl FnOnce(String) -> String,
+    ) -> Result<T, String> {
+        let (machine, err) = {
+            let table = self.table.read().expect("table lock");
+            let m = table.place(patient);
+            match call(&self.endpoints[m]) {
+                Ok(done) => return Ok(done),
+                Err(e) => (m, e),
+            }
+        };
+        if !self.endpoints[machine].is_dead() {
+            return Err(err);
+        }
+        self.failover(machine);
+        let survivor = self.table.read().expect("table lock").place(patient);
+        if survivor == machine {
+            return Err(no_survivor(err));
+        }
+        call(&self.endpoints[survivor])
+    }
+
+    /// Closes every endpoint connection. Equivalent to dropping.
+    pub fn shutdown(self) {}
 
     fn failover(&self, machine: usize) {
         let mut table = self.table.write().expect("table lock");
@@ -805,15 +514,15 @@ impl ClusterIngest {
     }
 
     /// Declares a dead machine [`MachineState::Down`] and re-admits
-    /// every patient it owned onto survivors from the client-side replay
-    /// tails. If a survivor dies during the re-admission it cascades:
+    /// every patient it owned onto survivors from the client-side
+    /// mirrors. If a survivor dies during the re-admission it cascades:
     /// that machine is downed too and its patients (plus the ones still
     /// in flight) re-home onto whatever remains. With no live machine
     /// left, remaining patients are counted lost and every subsequent
     /// call surfaces the transport error.
     fn failover_locked(&self, table: &mut PlacementTable, machine: usize) {
         // Fresh view of the shared segments: everything the dead machine
-        // flushed is durable and preferred over the replay tails.
+        // flushed is durable and preferred over the mirrors.
         let reader = self
             .store_dir
             .as_ref()
@@ -903,36 +612,19 @@ impl ClusterIngest {
 impl HistoryQueryApi for ClusterIngest {
     /// Routes each cohort patient's query to the machine owning it,
     /// with the same failover-and-retry the rest of the router applies:
-    /// an owner dying mid-query downs the machine, re-homes its
-    /// patients, and re-asks the survivor. Per-patient results come
-    /// back in the order the cohort named them. Transport limits match
-    /// [`RemoteIngest`]: only [`PipelineSpec::Live`] (id `0`) and
-    /// [`PipelineSpec::Registered`] pipelines can cross the wire.
+    /// an owner dying mid-query downs the machine, re-homes its patients
+    /// (the store directory is shared, so the survivor sees the same
+    /// segments) and re-asks the survivor. Transport limits match
+    /// [`RemoteIngest`]: only [`PipelineSpec`](crate::history::PipelineSpec)`::Live`
+    /// (id `0`) and `Registered` pipelines can cross the wire.
     fn history(&self, query: HistoryQuery) -> Result<CohortReport, HistoryError> {
-        let (range, patients, warmup, spec) = query.into_parts();
-        if patients.is_empty() {
-            return Err(HistoryError::NoPatients);
-        }
-        HistoryQuery::validate_range(range.0, range.1)?;
-        let pipeline = match spec {
-            PipelineSpec::Live => 0,
-            PipelineSpec::Registered(id) => id,
-            PipelineSpec::Compiled(_) | PipelineSpec::Factory(_) => {
-                return Err(HistoryError::Remote(
-                    "a compiled pipeline cannot travel over the wire; \
-                     register it on the servers and query by id"
-                        .into(),
-                ))
-            }
-        };
-        let mut outputs = Vec::with_capacity(patients.len());
-        for &p in &patients {
-            let out = self
-                .history_query(p, range.0, range.1, warmup, pipeline)
-                .map_err(HistoryError::Remote)?;
-            outputs.push((p, out));
-        }
-        Ok(CohortReport::new(range, outputs))
+        history_over_wire(query, |p, t0, t1, warmup, pipeline| {
+            self.on_owner(
+                p,
+                |e| e.history_query(p, t0, t1, warmup, pipeline),
+                |_| format!("patient {p}: no live machine left to answer the history query"),
+            )
+        })
     }
 }
 
@@ -972,82 +664,110 @@ impl std::fmt::Debug for ClusterIngest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::SourceMeta;
+    use lifestream_core::live::SourceSuffix;
+    use lifestream_store::SegmentRecord;
 
-    fn meta() -> SourceMeta {
-        SourceMeta {
-            offset: 0,
-            period: 2,
-            margin: 10,
+    const PATIENT: PatientId = 9;
+
+    /// One period-2 source with a 10-tick margin under 100-tick rounds.
+    fn meta() -> SessionMeta {
+        SessionMeta {
+            round: 100,
+            arity: 1,
+            sources: vec![SourceMeta {
+                offset: 0,
+                period: 2,
+                margin: 10,
+            }],
         }
     }
 
-    fn dense_history(n: usize) -> (Vec<f32>, Vec<(Tick, Tick)>) {
-        ((0..n).map(|i| i as f32).collect(), vec![(0, 2 * n as Tick)])
-    }
-
-    #[test]
-    fn tail_records_what_the_server_would_accept() {
-        // In-order samples, a gap, a late sample filling a hole, a
-        // duplicate, an off-grid tick and one below the retired horizon:
-        // the tail must hold exactly the accepted ones, sorted.
-        let mut tail = SourceTail::new(meta());
-        for t in [0, 2, 4, 10, 12, 6, 12, 7, 14, 16] {
-            tail.record(t, t as f32);
+    /// A mirror polled at frontier 100 — so retired to `100 - 10 = 90`,
+    /// slot 45 — that holds only `values` from tick `from` on.
+    fn mirror_holding(from: Tick, values: &[f32]) -> PatientState {
+        let mut state = PatientState::new(&meta()).unwrap();
+        state.buf.advance_to(100, None);
+        for (k, &v) in values.iter().enumerate() {
+            state.push(0, from + 2 * k as Tick, v);
         }
-        let ticks = |tail: &SourceTail| tail.tail.iter().map(|&(t, _)| t).collect::<Vec<_>>();
-        assert_eq!(ticks(&tail), [0, 2, 4, 6, 10, 12, 14, 16]);
-        assert_eq!(tail.watermark, 18);
-        tail.retire_below(24); // margin 10: everything below 14 goes
-        tail.record(8, 8.0);
-        tail.record(18, 18.0);
-        assert_eq!(ticks(&tail), [14, 16, 18]);
-        assert_eq!(tail.watermark, 20);
+        state
+    }
+
+    /// A store holding slots `0..n` of the source, value = slot index.
+    fn store_with(n: usize, shape: StreamShape) -> HistoryReader {
+        HistoryReader::from_records(vec![SegmentRecord {
+            patient: PATIENT,
+            source: 0,
+            shape,
+            base_slot: 0,
+            values: (0..n).map(|i| i as f32).collect(),
+            ranges: vec![(0, 2 * n as Tick)],
+        }])
+    }
+
+    fn healed(state: PatientState, reader: &HistoryReader) -> SourceSuffix {
+        let mut snapshot = state.handoff(Some((reader, PATIENT))).snapshot;
+        assert_eq!(snapshot.next_round, 100);
+        snapshot.sources.remove(0)
     }
 
     #[test]
-    fn store_heals_a_truncated_tail() {
+    fn store_heals_a_mirror_that_lost_samples() {
         // The dead machine retained [frontier - margin, ..) = [90, ..),
-        // but the client tail lost everything below t = 96 (a restarted
-        // mirror). The store's densified history covers slots 0..50
-        // (t < 100): the rebuilt suffix must splice store samples over
-        // the hole and keep the fresher tail beyond it.
-        let tail: VecDeque<(Tick, f32)> = vec![(96, -1.0), (98, -2.0), (100, -3.0)].into();
-        let (values, ranges) = dense_history(50);
-        let s = suffix_with_store(meta(), Some(&(values, ranges)), &tail, 102, 100);
-        // Window starts at 100 - 10 = 90 → slot 45.
+        // but the mirror lost everything below t = 96. The store covers
+        // t < 100: the handoff must splice store samples over the hole
+        // and keep the fresher mirror beyond it.
+        let state = mirror_holding(96, &[-1.0, -2.0, -3.0]);
+        let s = healed(state, &store_with(50, StreamShape::new(0, 2)));
         assert_eq!(s.base_slot, 45);
         assert_eq!(s.ranges, vec![(90, 102)]);
-        // 90..96 from the store (values 45, 46, 47), 96.. from the tail.
+        // 90..96 from the store (values 45, 46, 47), 96.. from the mirror.
         assert_eq!(s.values, vec![45.0, 46.0, 47.0, -1.0, -2.0, -3.0]);
         assert_eq!(s.watermark, 102);
     }
 
     #[test]
-    fn tail_wins_over_store_on_overlap() {
-        let tail: VecDeque<(Tick, f32)> = vec![(94, 7.0)].into();
-        let (values, ranges) = dense_history(50);
-        let s = suffix_with_store(meta(), Some(&(values, ranges)), &tail, 100, 100);
-        let slot_94 = ((94 - s.base_slot as Tick * 2) / 2) as usize;
-        assert_eq!(s.values[slot_94], 7.0, "tail sample must shadow the store");
+    fn mirror_wins_over_store_on_overlap() {
+        let state = mirror_holding(94, &[7.0]);
+        let s = healed(state, &store_with(50, StreamShape::new(0, 2)));
+        assert_eq!(s.ranges, vec![(90, 100)]);
+        assert_eq!(s.values, vec![45.0, 46.0, 7.0, 48.0, 49.0]);
     }
 
     #[test]
-    fn no_store_history_degrades_to_the_tail() {
-        let tail: VecDeque<(Tick, f32)> = vec![(92, 1.0), (94, 2.0)].into();
-        let s = suffix_with_store(meta(), None, &tail, 96, 100);
-        assert_eq!(s.base_slot, 46);
-        assert_eq!(s.values, vec![1.0, 2.0]);
-        assert_eq!(s.ranges, vec![(92, 96)]);
+    fn no_usable_store_history_degrades_to_the_mirror() {
+        let state = mirror_holding(92, &[1.0, 2.0]);
+        let alone = state.handoff(None).snapshot;
+        assert_eq!(alone.sources[0].ranges, vec![(92, 96)]);
+        // No spans for the patient, and spans on another grid (refused by
+        // the overlay): both leave exactly the mirror's own export.
+        for reader in [
+            HistoryReader::from_records(Vec::new()),
+            store_with(50, StreamShape::new(0, 4)),
+        ] {
+            assert_eq!(state.handoff(Some((&reader, PATIENT))).snapshot, alone);
+        }
     }
 
     #[test]
     fn history_below_the_window_is_clipped() {
         // Everything durable ends before the retained window: the suffix
-        // must come out empty with its base parked at the frontier, not
-        // drag the whole history into the import replay.
-        let (values, ranges) = dense_history(10); // t < 20
-        let s = suffix_with_store(meta(), Some(&(values, ranges)), &VecDeque::new(), 20, 100);
+        // must come out empty at the retired horizon, not drag the whole
+        // history into the import replay.
+        let state = mirror_holding(100, &[]);
+        let s = healed(state, &store_with(10, StreamShape::new(0, 2))); // t < 20
         assert!(s.values.is_empty() && s.ranges.is_empty());
-        assert_eq!(s.base_slot, 50);
+        assert_eq!(s.base_slot, 45);
+    }
+
+    #[test]
+    fn malformed_session_meta_is_refused_not_mirrored() {
+        let mut bad = meta();
+        bad.sources[0].period = 0;
+        assert!(PatientState::new(&bad).is_err());
+        let mut bad = meta();
+        bad.round = 0;
+        assert!(PatientState::new(&bad).is_err());
     }
 }

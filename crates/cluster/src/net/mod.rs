@@ -98,7 +98,7 @@
 //! | Mid-frame EOF | `wire::WireError::ConnectionLost` (retryable) | same as above | nothing |
 //! | Malformed / hostile frame | decode error | none — `Err` reply, connection fatal | n/a (protocol error, not a fault) |
 //! | Stale epoch (superseded connection) | server epoch guard | none — old connection told to die | nothing: the new epoch owns the window |
-//! | Reconnect budget exhausted | [`RemoteIngest::is_dead`] | cluster failover: machine marked `Down`, patients re-admitted from client tails on survivors | un-acked window input is *replayed, not lost*; output rounds below the failover frontier collected only on the dead machine, plus its deferred per-sample errors |
+//! | Reconnect budget exhausted | [`RemoteIngest::is_dead`] | cluster failover: machine marked `Down`, patients re-admitted from client mirrors on survivors | un-acked window input is *replayed, not lost*; output rounds below the failover frontier collected only on the dead machine, plus its deferred per-sample errors |
 //! | Machine death mid-`rebalance` export | dead source endpoint | whole-machine failover (tails) | same as failover |
 //! | Machine death mid-`rebalance` import | dead destination endpoint | destination downed; exported state re-imported on the patient's new owner | nothing: the export (with collected output) was still in hand |
 //! | Every machine dead | `live_machines() == 0` | none | patients counted `patients_lost`; calls surface transport errors |

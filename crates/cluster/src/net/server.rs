@@ -42,6 +42,7 @@ use std::thread::JoinHandle;
 
 use lifestream_store::StoreConfig;
 
+use crate::history::{CohortReport, HistoryQuery};
 use crate::sharded::{BatchTicket, IngestConfig, IngestStats, LiveIngest, PipelineFactory};
 
 use super::wire::{self, WireCmd, WireReply};
@@ -578,10 +579,17 @@ fn run_sync(cmd: WireCmd, ingest: &LiveIngest) -> WireReply {
             t1,
             warmup,
             pipeline,
-        } => match ingest.history_remote(patient, t0, t1, warmup, pipeline) {
-            Ok(out) => WireReply::Output(out),
-            Err(e) => WireReply::Err(e),
-        },
+        } => {
+            let query = HistoryQuery::new()
+                .patient(patient)
+                .range(t0, t1)
+                .warmup(warmup)
+                .pipeline_id(pipeline);
+            match ingest.history(query).and_then(CohortReport::into_single) {
+                Ok(out) => WireReply::Output(out),
+                Err(e) => WireReply::Err(e.to_string()),
+            }
+        }
         WireCmd::Batch(_) | WireCmd::Poll | WireCmd::Hello { .. } => {
             unreachable!("not a synchronous command")
         }

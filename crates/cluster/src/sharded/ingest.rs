@@ -84,7 +84,7 @@ use std::thread::JoinHandle;
 
 use lifestream_core::exec::OutputCollector;
 use lifestream_core::live::{LiveSession, SessionSnapshot};
-use lifestream_core::time::{StreamShape, Tick};
+use lifestream_core::time::Tick;
 use lifestream_store::query::{empty_executor, run_cohort_on};
 use lifestream_store::{
     CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, SharedStore, StoreConfig,
@@ -436,7 +436,7 @@ enum Cmd {
     /// retrospective query over a live patient.
     Snapshot {
         patient: PatientId,
-        reply: Sender<Result<(SessionSnapshot, Vec<StreamShape>), String>>,
+        reply: Sender<Result<LiveOverlay, String>>,
     },
     Shutdown,
 }
@@ -494,7 +494,7 @@ impl LiveIngest {
     /// Spawns the ingest shards with a tiered history store attached:
     /// every admitted (or imported) session spills its retired spans into
     /// segments under `store_cfg.dir`, and [`history`](Self::history) /
-    /// [`history_one`](Self::history_one) can re-run a pipeline over any
+    /// [`history_one`](HistoryQueryApi::history_one) can re-run a pipeline over any
     /// patient's history — full or range-bounded — while its live
     /// stream continues.
     ///
@@ -833,41 +833,6 @@ impl LiveIngest {
         Ok(CohortReport::new(range, patients.into_iter().zip(outputs).collect()).with_scan(scan))
     }
 
-    /// Single-patient, full-range convenience over [`history`](Self::history).
-    ///
-    /// # Errors
-    /// As [`history`](Self::history).
-    pub fn history_one(&self, patient: PatientId) -> Result<OutputCollector, HistoryError> {
-        self.history(HistoryQuery::new().patient(patient))?
-            .into_single()
-    }
-
-    /// Serves a wire-side [`HistoryQuery`] (see
-    /// [`WireCmd::HistoryQuery`](crate::net::WireCmd::HistoryQuery)):
-    /// one patient, range-bounded, pipeline named by registry id.
-    ///
-    /// # Errors
-    /// As [`history`](Self::history), rendered to the display message
-    /// the wire reply carries.
-    pub fn history_remote(
-        &self,
-        patient: PatientId,
-        t0: Tick,
-        t1: Tick,
-        warmup: Tick,
-        pipeline: u32,
-    ) -> Result<OutputCollector, String> {
-        self.history(
-            HistoryQuery::new()
-                .patient(patient)
-                .range(t0, t1)
-                .warmup(warmup)
-                .pipeline_id(pipeline),
-        )
-        .and_then(CohortReport::into_single)
-        .map_err(|e| e.to_string())
-    }
-
     /// Pauses `patient`'s session just long enough to snapshot its
     /// in-memory suffix. `None` when the patient is not live on this
     /// ingest (finished, on another machine, or poisoned) — the query
@@ -877,10 +842,7 @@ impl LiveIngest {
         self.flush_shard(shard);
         let (reply, ack) = channel();
         let _ = self.txs[shard].send(Cmd::Snapshot { patient, reply });
-        match ack.recv() {
-            Ok(Ok((snapshot, shapes))) => Some(LiveOverlay { snapshot, shapes }),
-            _ => None,
-        }
+        ack.recv().ok()?.ok()
     }
 
     /// Closes every session and joins the shard threads. Equivalent to
@@ -1154,7 +1116,10 @@ fn ingest_loop(
             }
             Cmd::Snapshot { patient, reply } => {
                 let outcome = match sessions.get(&patient) {
-                    Some(s) if !s.poisoned => Ok((s.live.export_suffix(), s.live.source_shapes())),
+                    Some(s) if !s.poisoned => Ok(LiveOverlay {
+                        snapshot: s.live.export_suffix(),
+                        shapes: s.live.source_shapes(),
+                    }),
                     Some(s) => Err(format!(
                         "patient {patient} session is poisoned: {}",
                         s.errors.join("; ")

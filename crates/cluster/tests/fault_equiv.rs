@@ -12,7 +12,14 @@
 //!   (mid-batch or mid-handoff) ends with every patient live on the
 //!   survivor; output at or above the failover frontier is
 //!   byte-identical to the reference, nothing is duplicated, and the
-//!   client-side tails mean no acked input frame is lost.
+//!   client-side mirrors mean no acked input frame is lost.
+//! * **Mirror fidelity** — the session a survivor rebuilds from the
+//!   router's mirror is, buffer for buffer, the session the dead machine
+//!   held: it exports what a server that never died exports, and accepts
+//!   the same late samples.
+//! * **Hostile frames** — a far-future tick in a `Batch` and a malformed
+//!   `Import` are refused with typed errors; the shard and the server
+//!   keep serving and a sibling patient's output is untouched.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -20,8 +27,9 @@ use std::time::{Duration, Instant};
 use cluster_harness::machines::MachineState;
 use cluster_harness::net::chaos::{ChaosProxy, Fault, FaultPlan};
 use cluster_harness::net::{ClusterIngest, RemoteConfig, RemoteIngest, ShardServer};
-use cluster_harness::sharded::{IngestConfig, LiveIngest, PipelineFactory};
+use cluster_harness::sharded::{IngestConfig, LiveIngest, PatientHandoff, PipelineFactory};
 use lifestream_core::exec::OutputCollector;
+use lifestream_core::live::{SessionSnapshot, SourceSuffix};
 use lifestream_core::ops::aggregate::AggKind;
 use lifestream_core::stream::Query;
 use lifestream_core::time::{StreamShape, Tick};
@@ -519,4 +527,200 @@ fn hard_kill_mid_handoff_recovers_the_exported_patient() {
 
     cluster.shutdown();
     server_b.shutdown();
+}
+
+/// The claim the failover docs make, end to end: the router's mirror is
+/// the owning server's session state. One patient is fed — in order,
+/// across a gap, with a late fill, a duplicate, an off-grid tick and a
+/// tick below the retired horizon, polls in between — through a cluster
+/// and, identically, into a reference server that never dies. The owner is
+/// then hard-killed, so the survivor's session is the mirror's handoff;
+/// a late sample lands between the retired horizon and the first sample
+/// either holds; and both sessions are exported. Sources, base slots,
+/// watermarks, values, ranges and frontier must be equal.
+#[test]
+fn mirror_handoff_equals_the_servers_export() {
+    const P: u64 = 3;
+    let pipe = Pipe::SlidingMean; // 40-tick window: a history margin to keep
+    let bind = || {
+        ShardServer::bind(factory(pipe), IngestConfig::new(2, ROUND), "127.0.0.1:0").expect("bind")
+    };
+    // Declared first, so dropped last: a failing assertion unwinds the
+    // clients before the servers wait on their connections.
+    let (server_ref, mut servers) = (bind(), vec![Some(bind()), Some(bind())]);
+    let addr = |m: usize| servers[m].as_ref().expect("alive").local_addr();
+    let addrs = [addr(0), addr(1)];
+    let cfg = || {
+        RemoteConfig::default()
+            .batch(8)
+            .window(4)
+            .retries(2)
+            .backoff(Duration::from_millis(1), Duration::from_millis(5))
+    };
+    let cluster = ClusterIngest::connect(&addrs, cfg()).expect("connect cluster");
+    let reference = RemoteIngest::connect(server_ref.local_addr(), cfg()).expect("connect ref");
+    cluster.admit(P).expect("admit");
+    reference.admit(P).expect("admit ref");
+
+    let push = |t: Tick| {
+        cluster.push(P, 0, t, wave(t, P));
+        reference.push(P, 0, t, wave(t, P));
+    };
+    let poll = || {
+        cluster.poll();
+        reference.poll();
+    };
+    // In order, a gap, a late fill, a duplicate, an off-grid tick, and a
+    // source the session does not have.
+    for t in [0, 2, 4, 10, 12, 6, 12, 7, 14, 16] {
+        push(t);
+    }
+    cluster.push(P, 1, 18, 0.0);
+    reference.push(P, 1, 18, 0.0);
+    poll();
+    (9..150).for_each(|k| push(k * PERIOD));
+    poll();
+    // A gap that straddles the next retired horizon: samples resume at
+    // 590, the frontier moves to 600, the horizon (600 less the margin)
+    // sits below 590 with nothing buffered in between.
+    (295..320).for_each(|k| push(k * PERIOD));
+    poll();
+    push(8); // below the retired horizon now
+    cluster.barrier().expect("barrier");
+    reference.barrier().expect("barrier ref");
+
+    let owner = cluster.machine_of(P);
+    servers[owner].take().expect("alive").kill();
+
+    // Late fills between the horizon and the first buffered sample: the
+    // dead machine's session would have taken them. One goes into the
+    // mirror before the death is discovered (the barrier's roundtrip
+    // finds it and re-admits P on the survivor from the mirror), one
+    // into the rebuilt session after.
+    push(580);
+    (320..330).for_each(|k| push(k * PERIOD));
+    poll();
+    cluster.barrier().expect("barrier across the kill");
+    reference.barrier().expect("barrier ref");
+    assert_eq!(cluster.health().patients_failed_over, 1);
+    push(570);
+    (330..340).for_each(|k| push(k * PERIOD));
+    poll();
+    cluster.barrier().expect("barrier after failover");
+    reference.barrier().expect("barrier ref");
+
+    let probe = RemoteIngest::connect(addrs[1 - owner], cfg()).expect("connect probe");
+    let rebuilt = probe.export_patient(P).expect("export survivor");
+    let never_died = reference.export_patient(P).expect("export ref");
+    assert!(never_died.snapshot.next_round >= 600);
+    let ranges = &never_died.snapshot.sources[0].ranges;
+    assert!(
+        ranges.contains(&(570, 572)) && ranges.contains(&(580, 582)),
+        "the reference took both late fills: {ranges:?}"
+    );
+    assert_eq!(rebuilt.snapshot, never_died.snapshot);
+}
+
+/// One far-future tick in a `Batch` frame used to make the shard thread
+/// `resize` a sample buffer across the whole gap — at this distance, a
+/// capacity-overflow panic that took every session of the shard with it.
+/// It is now a push error like any other: deferred to that patient's
+/// `finish`, the shard alive, the sibling on the same shard byte-identical
+/// to a run that never saw the tick.
+#[test]
+fn far_future_tick_is_refused_and_the_shard_survives() {
+    let (victim, sibling) = (3u64, 8u64);
+    let far = (Tick::MAX / 2 / PERIOD) * PERIOD;
+    let server = ShardServer::bind(
+        factory(Pipe::SlidingMean),
+        IngestConfig::new(1, ROUND), // one shard: the two share a thread
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let remote = RemoteIngest::connect(
+        server.local_addr(),
+        RemoteConfig::default().batch(16).window(4),
+    )
+    .expect("connect");
+    remote.admit(victim).expect("admit");
+    remote.admit(sibling).expect("admit");
+    for k in 0..400i64 {
+        remote.push(victim, 0, k * PERIOD, wave(k, victim));
+        remote.push(sibling, 0, k * PERIOD, wave(k, sibling));
+        if k == 123 {
+            remote.push(victim, 0, far, 1.0);
+        }
+        if k % 67 == 0 {
+            remote.poll();
+        }
+    }
+    let err = remote
+        .finish(victim)
+        .expect_err("the tick is a deferred error");
+    assert!(err.contains("too far ahead"), "err: {err}");
+    assert_eq!(
+        err.matches("sample time").count(),
+        1,
+        "and the only one: {err}"
+    );
+    let out = remote.finish(sibling).expect("sibling finish");
+    let expect = reference(Pipe::SlidingMean, &[sibling], 400, 67).remove(0);
+    assert_eq!(fingerprint(&out), fingerprint(&expect));
+    remote.shutdown();
+    server.shutdown();
+}
+
+/// An `Import` frame whose presence ranges are off the grid, below the
+/// suffix's base slot, or past its values used to be installed as it
+/// came, leaving presence over slots that were never materialised; one
+/// whose watermark lies beyond its values sent the shard's next poll
+/// running rounds up to it. Each is now answered with an error reply,
+/// admits nothing, and leaves the server serving.
+#[test]
+fn hostile_import_frames_are_refused_and_admit_nothing() {
+    const P: u64 = 5;
+    let server = ShardServer::bind(
+        factory(Pipe::Select),
+        IngestConfig::new(1, ROUND),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let remote =
+        RemoteIngest::connect(server.local_addr(), RemoteConfig::default()).expect("connect");
+    // Five values from slot 10 on: ticks [20, 30) of the period-2 grid.
+    let hostile = [
+        ("off the", (21, 25), 30),
+        ("below the span base", (10, 24), 30),
+        ("beyond the span", (20, 40), 30),
+        ("watermark", (20, 30), (Tick::MAX / ROUND - 1) * ROUND),
+    ];
+    for (why, range, watermark) in hostile {
+        let state = PatientHandoff {
+            snapshot: SessionSnapshot {
+                next_round: 0,
+                sources: vec![SourceSuffix {
+                    base_slot: 10,
+                    watermark,
+                    values: vec![1.0; 5],
+                    ranges: vec![range],
+                }],
+            },
+            output: OutputCollector::new(1),
+            errors: Vec::new(),
+        };
+        let err = remote.import_patient(P, state).expect_err(why);
+        assert!(err.contains(why), "{why}: {err}");
+        // Nothing was admitted under that id.
+        assert!(remote.finish(P).unwrap_err().contains("not admitted"));
+    }
+    // And the server still serves: a fresh admit streams to the end.
+    remote.admit(P).expect("admit after the refusals");
+    for k in 0..300i64 {
+        remote.push(P, 0, k * PERIOD, wave(k, P));
+    }
+    let out = remote.finish(P).expect("finish");
+    let expect = reference(Pipe::Select, &[P], 300, 1000).remove(0);
+    assert_eq!(fingerprint(&out), fingerprint(&expect));
+    remote.shutdown();
+    server.shutdown();
 }

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use crate::error::{Error, Result};
 use crate::exec::{ExecOptions, Executor, OutputCollector};
 use crate::fwindow::FWindow;
-use crate::presence::PresenceMap;
+use crate::presence::{add_range, ranges_contain, retire_ranges, PresenceMap};
 use crate::query::CompiledQuery;
 use crate::source::SignalData;
 use crate::stats::RunStats;
@@ -64,113 +64,369 @@ pub struct RetiredSpan {
 /// Callback receiving compacted spans before they are dropped.
 pub type RetireSink = Box<dyn FnMut(RetiredSpan) + Send>;
 
-/// Compacting per-source ingest buffer.
+/// The most grid slots a push may open above a buffer's retained base.
 ///
-/// Samples land in an `Arc`-shared dense array whose first slot is
-/// `base_slot` on the stream grid; once a round has been processed, the
-/// session *retires* everything below the round start minus the source's
-/// lineage history margin, so the buffer holds only the live suffix.
-/// Snapshots clone the `Arc`, not the samples, and the executor releases
-/// its clone at the end of each span — steady-state pushes and compaction
-/// therefore mutate in place; copy-on-write only fires (bounded by the
-/// retained suffix) if a snapshot somehow outlives the span.
-#[derive(Debug)]
-struct LiveSource {
+/// The buffer is dense, so a push materialises every slot between the
+/// base and its tick: without a bound, one far-future tick off a socket
+/// allocates `gap / period` floats and, at the extreme, overflows the
+/// `Vec`'s capacity on a shard thread. 2^26 slots is a day and a half of
+/// a 500 Hz waveform (256 MiB of `f32`) — the longest disconnection, or
+/// the longest unpolled stretch, a source rides through. Every test,
+/// example and bench in the tree stays below 2^21 slots between two
+/// polls, so none of them can meet it.
+///
+/// It bounds what a *sample* may open, not what a buffer may hold: an
+/// [`overlay`](LiveSource::overlay) copies spans the caller already has
+/// in memory, so a stitched history is as long as what the store kept.
+pub const MAX_RETAINED_SLOTS: usize = 1 << 26;
+
+/// Why a source buffer refused a sample.
+enum Reject {
+    OffGrid,
+    BelowHorizon,
+    Duplicate,
+    TooFar,
+}
+
+/// Compacting per-source ingest buffer: a periodic stream's `(offset,
+/// period)`, a dense value column and its presence ranges.
+///
+/// Samples land in a dense array whose first slot is `base_slot` on the
+/// stream grid; once a round has been processed, the session *retires*
+/// everything below the round start minus the source's lineage history
+/// margin, so the buffer holds only the live suffix. The buffer owns the
+/// array outright between snapshots, so an append touches no reference
+/// count. A snapshot moves it into an `Arc` — no sample is copied — and
+/// the first write after one takes it back: for free once the executor
+/// has released its clone at the end of the span, by copying the retained
+/// suffix if a snapshot somehow outlives it.
+///
+/// This is the one such buffer in the tree: [`LiveSession`] runs rounds
+/// over it, the cluster router mirrors a remote session in it, and the
+/// history store stitches segments into it. Every way in — [`push`],
+/// [`append_run`], [`overlay`] — keeps presence inside the materialised
+/// slots and at or above the retained base; a pushed sample opens at
+/// most [`MAX_RETAINED_SLOTS`] above that base.
+///
+/// [`push`]: Self::push
+/// [`append_run`]: Self::append_run
+/// [`overlay`]: Self::overlay
+#[derive(Debug, Clone)]
+pub struct LiveSource {
     shape: StreamShape,
     /// Grid-slot index of `values[0]`; everything below is retired.
     base_slot: usize,
-    values: Arc<Vec<f32>>,
-    presence: PresenceMap,
+    /// The value column — empty while `lent` holds it.
+    values: Vec<f32>,
+    /// The value column while a snapshot shares it.
+    lent: Option<Arc<Vec<f32>>>,
+    /// Presence intervals, sorted and coalesced — a [`PresenceMap`]'s
+    /// list, held bare so that an append touches no reference count
+    /// either.
+    ranges: Vec<(Tick, Tick)>,
     /// Largest appended sync time + period (this source's watermark).
     watermark: Tick,
 }
 
 impl LiveSource {
-    fn new(shape: StreamShape) -> Self {
+    /// An empty buffer at the stream offset.
+    pub fn new(shape: StreamShape) -> Self {
         Self {
             shape,
             base_slot: 0,
-            values: Arc::new(Vec::new()),
-            presence: PresenceMap::new(),
+            values: Vec::new(),
+            lent: None,
+            ranges: Vec::new(),
             watermark: shape.offset(),
         }
     }
 
-    fn base_time(&self) -> Tick {
+    /// An empty buffer whose retained base is grid slot `base_slot`:
+    /// what lies below counts as retired, so an [`overlay`](Self::overlay)
+    /// materialises nothing under it.
+    ///
+    /// # Errors
+    /// Returns an error when the slot's time does not fit a [`Tick`].
+    pub fn starting_at(shape: StreamShape, base_slot: u64) -> Result<Self> {
+        let mut src = Self::new(shape);
+        if src.time_of(base_slot).is_none() {
+            return Err(Error::InvalidParameter {
+                message: format!("base slot {base_slot} is off the {shape} grid"),
+            });
+        }
+        src.base_slot = base_slot as usize;
+        Ok(src)
+    }
+
+    /// Rebuilds a buffer from an exported suffix, trusting none of it:
+    /// the base must be a representable grid slot and the watermark and
+    /// every presence range must pass [`overlay_suffix`](Self::overlay_suffix).
+    ///
+    /// # Errors
+    /// Returns an error naming the malformed field.
+    pub fn from_suffix(shape: StreamShape, suffix: &SourceSuffix) -> Result<Self> {
+        let mut src = Self::starting_at(shape, suffix.base_slot)?;
+        src.overlay_suffix(suffix)?;
+        Ok(src)
+    }
+
+    /// The source's grid shape.
+    pub fn shape(&self) -> StreamShape {
+        self.shape
+    }
+
+    /// Sync time of the first retained slot (the retained horizon).
+    pub fn base_time(&self) -> Tick {
         self.shape.offset() + self.base_slot as Tick * self.shape.period()
     }
 
-    fn push(&mut self, t: Tick, v: f32) -> Result<()> {
-        if !self.shape.on_grid(t) || t < self.shape.offset() {
-            return Err(Error::InvalidParameter {
-                message: format!("sample time {t} off the {} grid", self.shape),
-            });
+    /// Currently buffered grid slots (the retained suffix length).
+    pub fn retained_slots(&self) -> usize {
+        self.values().len()
+    }
+
+    fn values(&self) -> &[f32] {
+        self.lent.as_deref().map_or(&self.values, |lent| lent)
+    }
+
+    /// The value column, taken back from the last snapshot if need be.
+    fn values_mut(&mut self) -> &mut Vec<f32> {
+        if let Some(lent) = self.lent.take() {
+            self.values = Arc::try_unwrap(lent).unwrap_or_else(|held| (*held).clone());
         }
-        if t < self.base_time() {
-            return Err(Error::InvalidParameter {
-                message: format!(
-                    "sample time {t} is below the retained horizon {} (already \
-                     processed and retired)",
-                    self.base_time()
-                ),
-            });
+        &mut self.values
+    }
+
+    /// One past the last materialised slot.
+    fn end_time(&self) -> Tick {
+        self.base_time() + self.values().len() as Tick * self.shape.period()
+    }
+
+    /// Slot index of `t` counted from the stream offset; `None` when `t`
+    /// is off the grid or below the offset.
+    fn grid_slot(&self, t: Tick) -> Option<u64> {
+        let d = t.checked_sub(self.shape.offset())?;
+        (d >= 0 && d % self.shape.period() == 0).then(|| (d / self.shape.period()) as u64)
+    }
+
+    /// Sync time of grid slot `slot`, when it fits a [`Tick`].
+    fn time_of(&self, slot: u64) -> Option<Tick> {
+        Tick::try_from(slot)
+            .ok()?
+            .checked_mul(self.shape.period())?
+            .checked_add(self.shape.offset())
+    }
+
+    /// The acceptance rule: a sample is taken when it is on the grid, at
+    /// or above the retained horizon, not already present, and within
+    /// [`MAX_RETAINED_SLOTS`] of the base.
+    fn admit(&mut self, t: Tick, v: f32) -> std::result::Result<(), Reject> {
+        let end = t.checked_add(self.shape.period()).ok_or(Reject::TooFar)?;
+        // The slot right after the buffer's last, at the watermark — every
+        // sample of a gapless in-order feed — is on the grid, above the
+        // horizon and absent because the buffer's end is: nothing to
+        // divide, nowhere to search.
+        if t == self.watermark && t == self.end_time() {
+            if self.values().len() >= MAX_RETAINED_SLOTS {
+                return Err(Reject::TooFar);
+            }
+            self.values_mut().push(v);
+        } else {
+            let slot = self.grid_slot(t).ok_or(Reject::OffGrid)?;
+            let slot = slot
+                .checked_sub(self.base_slot as u64)
+                .ok_or(Reject::BelowHorizon)?;
+            if t < self.watermark && ranges_contain(&self.ranges, t) {
+                return Err(Reject::Duplicate);
+            }
+            if slot >= MAX_RETAINED_SLOTS as u64 {
+                return Err(Reject::TooFar);
+            }
+            self.write(slot as usize, &[v]);
         }
-        if t < self.watermark && self.presence.contains(t) {
-            return Err(Error::InvalidParameter {
-                message: format!("sample time {t} arrived out of order"),
-            });
-        }
-        let slot = ((t - self.base_time()) / self.shape.period()) as usize;
-        let values = Arc::make_mut(&mut self.values);
-        if slot >= values.len() {
-            values.resize(slot + 1, 0.0);
-        }
-        values[slot] = v;
-        self.presence.add(t, t + self.shape.period());
-        self.watermark = self.watermark.max(t + self.shape.period());
+        add_range(&mut self.ranges, t, end);
+        self.watermark = self.watermark.max(end);
         Ok(())
+    }
+
+    fn reject(&self, t: Tick, why: Reject) -> Error {
+        let message = match why {
+            Reject::OffGrid => format!("sample time {t} off the {} grid", self.shape),
+            Reject::BelowHorizon => format!(
+                "sample time {t} is below the retained horizon {} (already \
+                 processed and retired)",
+                self.base_time()
+            ),
+            Reject::Duplicate => format!("sample time {t} arrived out of order"),
+            Reject::TooFar => format!(
+                "sample time {t} is too far ahead: it would open more than \
+                 {MAX_RETAINED_SLOTS} slots above the retained horizon {}",
+                self.base_time()
+            ),
+        };
+        Error::InvalidParameter { message }
+    }
+
+    /// Appends or fills one sample at grid time `t`.
+    ///
+    /// # Errors
+    /// Returns an error for an off-grid tick, one below the retained
+    /// horizon, a duplicate, or one more than [`MAX_RETAINED_SLOTS`]
+    /// above the horizon; the buffer is unchanged.
+    pub fn push(&mut self, t: Tick, v: f32) -> Result<()> {
+        self.admit(t, v).map_err(|why| self.reject(t, why))
     }
 
     /// Appends the run `t0, t0 + dt, …` as one slice when that leaves the
     /// exact state the same samples through [`push`](Self::push) would:
     /// `dt` is the period and the run starts on the grid, at or above the
     /// watermark (so no slot it covers can be present) and the retained
-    /// horizon. Returns `false`, having changed nothing, otherwise.
-    fn append_run(&mut self, t0: Tick, dt: Tick, values: &[f32]) -> bool {
+    /// horizon, and ends within [`MAX_RETAINED_SLOTS`]. Returns `false`,
+    /// having changed nothing, otherwise.
+    pub fn append_run(&mut self, t0: Tick, dt: Tick, values: &[f32]) -> bool {
         let period = self.shape.period();
         let end = (values.len() as Tick)
             .checked_mul(dt)
             .and_then(|span| t0.checked_add(span));
         let Some(end) = end else { return false };
-        // `watermark >= offset`, so the grid test cannot overflow.
-        if dt != period
-            || values.is_empty()
-            || t0 < self.watermark
-            || t0 < self.base_time()
-            || !self.shape.on_grid(t0)
-        {
+        if dt != period || values.is_empty() || t0 < self.watermark {
             return false;
         }
-        let slot = ((t0 - self.base_time()) / period) as usize;
-        if slot < self.values.len() {
+        let above = self
+            .grid_slot(t0)
+            .and_then(|s| s.checked_sub(self.base_slot as u64));
+        let Some(slot) = above.map(|s| s as usize) else {
+            return false;
+        };
+        if slot < self.values().len() || slot.saturating_add(values.len()) > MAX_RETAINED_SLOTS {
             return false;
         }
-        let buf = Arc::make_mut(&mut self.values);
-        buf.resize(slot, 0.0); // the gap below the run, as `push` pads it
-        buf.extend_from_slice(values);
-        self.presence.add(t0, end);
+        self.write(slot, values);
+        add_range(&mut self.ranges, t0, end);
         self.watermark = end;
         true
     }
 
-    /// Zero-copy snapshot of the retained suffix: `Arc` bumps only.
-    fn snapshot(&self) -> SignalData {
+    /// Copies `samples` over the slots from `slot` on, materialising (as
+    /// zeros) any gap between the buffer's end and `slot`.
+    fn write(&mut self, slot: usize, samples: &[f32]) {
+        let buf = self.values_mut();
+        if slot >= buf.len() {
+            buf.resize(slot, 0.0);
+            buf.extend_from_slice(samples);
+        } else {
+            let end = slot + samples.len();
+            if end > buf.len() {
+                buf.resize(end, 0.0);
+            }
+            buf[slot..end].copy_from_slice(samples);
+        }
+    }
+
+    /// Copies one span — dense `values` starting at grid slot `base_slot`,
+    /// `ranges` masking its absent slots — over this buffer, one slice
+    /// copy per presence range; slots already present are overwritten
+    /// (later spans win) and whatever lies below the retained base is
+    /// dropped as retired. The span is trusted for nothing: it may come
+    /// off a socket or a disk. The buffer grows to the span's last
+    /// present slot — within the values the caller holds, plus the gap up
+    /// to them, so it is the caller that keeps the base
+    /// ([`starting_at`](Self::starting_at)) near its data.
+    ///
+    /// # Errors
+    /// Returns an error, with the ranges before it already copied, for a
+    /// range that is empty, off the grid or outside `values`.
+    pub fn overlay(
+        &mut self,
+        base_slot: u64,
+        values: &[f32],
+        ranges: &[(Tick, Tick)],
+    ) -> Result<()> {
+        let err = |message: String| Err(Error::InvalidParameter { message });
+        for &(start, end) in ranges {
+            let (Some(first), Some(last)) = (self.grid_slot(start), self.grid_slot(end)) else {
+                return err(format!(
+                    "presence range [{start}, {end}) off the {} grid",
+                    self.shape
+                ));
+            };
+            if last <= first {
+                return err(format!("presence range [{start}, {end}) is empty"));
+            }
+            let Some(from) = first.checked_sub(base_slot) else {
+                return err(format!(
+                    "presence range [{start}, {end}) below the span base"
+                ));
+            };
+            if last - base_slot > values.len() as u64 {
+                return err(format!(
+                    "presence range [{start}, {end}) beyond the span's {} values",
+                    values.len()
+                ));
+            }
+            let (from, n) = (from as usize, (last - first) as usize);
+            let retired = (self.base_slot as u64).saturating_sub(first).min(n as u64) as usize;
+            if retired == n {
+                continue;
+            }
+            let slot = (first as usize + retired) - self.base_slot;
+            self.write(slot, &values[from + retired..from + n]);
+            let base_time = self.base_time();
+            add_range(&mut self.ranges, start.max(base_time), end);
+            self.watermark = self.watermark.max(end);
+        }
+        Ok(())
+    }
+
+    /// Overlays an exported suffix and raises the watermark to its.
+    ///
+    /// # Errors
+    /// As [`overlay`](Self::overlay); and, with nothing copied, for a
+    /// watermark off the grid or above the suffix's materialised end —
+    /// no buffer exports one, and a frontier follows the watermark.
+    pub fn overlay_suffix(&mut self, suffix: &SourceSuffix) -> Result<()> {
+        let end = (suffix.base_slot)
+            .checked_add(suffix.values.len() as u64)
+            .and_then(|slot| self.time_of(slot));
+        let sound = self.grid_slot(suffix.watermark).is_some()
+            && end.is_some_and(|end| suffix.watermark <= end);
+        if !sound {
+            return Err(Error::InvalidParameter {
+                message: format!(
+                    "watermark {} is off the {} grid or above the suffix's {} values",
+                    suffix.watermark,
+                    self.shape,
+                    suffix.values.len()
+                ),
+            });
+        }
+        self.overlay(suffix.base_slot, &suffix.values, &suffix.ranges)?;
+        self.watermark = self.watermark.max(suffix.watermark);
+        Ok(())
+    }
+
+    /// Snapshot of the retained suffix that copies no sample: the value
+    /// column moves into an `Arc` (or, already there, is bumped); only
+    /// the presence intervals are copied.
+    pub fn snapshot(&mut self) -> SignalData {
+        let lent = (self.lent).get_or_insert_with(|| Arc::new(std::mem::take(&mut self.values)));
         SignalData::from_shared(
             self.shape,
             self.base_slot,
-            Arc::clone(&self.values),
-            self.presence.clone(),
+            Arc::clone(lent),
+            PresenceMap::from_coalesced(self.ranges.clone()),
         )
+    }
+
+    /// The retained suffix as a portable copy: base, watermark, dense
+    /// values and presence ranges, exactly as held.
+    pub fn suffix(&self) -> SourceSuffix {
+        SourceSuffix {
+            base_slot: self.base_slot as u64,
+            watermark: self.watermark,
+            values: self.values().to_vec(),
+            ranges: self.ranges.clone(),
+        }
     }
 
     /// Retires everything strictly below `cutoff` (grid-aligned down,
@@ -181,58 +437,34 @@ impl LiveSource {
     /// With `capture` set, the dropped prefix is returned as a
     /// [`RetiredSpan`] (with `source` left 0 for the caller to fill in)
     /// instead of vanishing; a span with no present samples returns `None`
-    /// either way. Presence coverage never exceeds the materialized slots
-    /// (`push` resizes `values` through the sample's slot), so the drained
-    /// values always cover the clipped ranges.
-    fn retire_below(&mut self, cutoff: Tick, capture: bool) -> Option<RetiredSpan> {
+    /// either way. Presence coverage never exceeds the materialized slots,
+    /// so the drained values always cover the clipped ranges.
+    pub fn retire_below(&mut self, cutoff: Tick, capture: bool) -> Option<RetiredSpan> {
         let cutoff = self.shape.align_down(cutoff.max(self.shape.offset()));
         let new_base = ((cutoff - self.shape.offset()) / self.shape.period()) as usize;
         if new_base <= self.base_slot {
             return None;
         }
-        let old_base = self.base_slot;
-        let drop = new_base - self.base_slot;
-        let values = Arc::make_mut(&mut self.values);
-        let span = if capture {
-            // Clip presence to the retired interval *before* `retire`
-            // clamps it away.
-            let ranges: Vec<(Tick, Tick)> = self
-                .presence
-                .ranges()
-                .iter()
-                .filter_map(|&(s, e)| {
-                    let e = e.min(cutoff);
-                    (e > s).then_some((s, e))
-                })
-                .collect();
-            let drained: Vec<f32> = if drop >= values.len() {
-                std::mem::take(values)
-            } else {
-                values.drain(..drop).collect()
-            };
-            (!ranges.is_empty()).then_some(RetiredSpan {
+        // Take the column back first: the drain borrows it beside the
+        // other fields.
+        let retired = (new_base - self.base_slot).min(self.values_mut().len());
+        let dead = self.values.drain(..retired);
+        // Clip presence to the retired interval *before* `retire` clamps
+        // it away.
+        let span = capture
+            .then(|| RetiredSpan {
                 source: 0,
                 shape: self.shape,
-                base_slot: old_base as u64,
-                values: drained,
-                ranges,
+                base_slot: self.base_slot as u64,
+                values: dead.collect(),
+                ranges: (self.ranges.iter())
+                    .filter_map(|&(s, e)| (e.min(cutoff) > s).then_some((s, e.min(cutoff))))
+                    .collect(),
             })
-        } else {
-            if drop >= values.len() {
-                values.clear();
-            } else {
-                values.drain(..drop);
-            }
-            None
-        };
+            .filter(|span| !span.ranges.is_empty());
         self.base_slot = new_base;
-        self.presence.retire(cutoff);
+        retire_ranges(&mut self.ranges, cutoff);
         span
-    }
-
-    /// Currently buffered grid slots (the retained suffix length).
-    fn retained_slots(&self) -> usize {
-        self.values.len()
     }
 }
 
@@ -268,131 +500,110 @@ pub struct SessionSnapshot {
     pub sources: Vec<SourceSuffix>,
 }
 
-/// An online execution session over a compiled query.
+/// The buffer half of a live session: one [`LiveSource`] per source, each
+/// source's history margin, the round length and the round frontier.
 ///
-/// Samples are appended with [`push`](Self::push); [`poll`](Self::poll)
-/// processes every round whose interval is complete (i.e. below all
-/// sources' watermarks) and invokes the output callback, exactly as the
-/// retrospective executor would have. [`finish`](Self::finish) flushes the
-/// tail. One executor persists across polls, so stateful kernels (sliding
-/// aggregates, shifts, join carries) behave exactly as offline.
-///
-/// The session's cost is bounded by the round size, not the stream
-/// length: once a round is processed, each source buffer retires
-/// everything below the round start minus that source's lineage history
-/// margin ([`Executor::history_margins`]), and snapshots handed to the
-/// executor share the retained suffix by `Arc` instead of copying it. A
-/// session that is pushed to and polled forever therefore holds
-/// O(round + margin + poll lag) memory and pays O(delta) per poll,
-/// regardless of how many samples have flowed through it.
-pub struct LiveSession {
-    exec: Executor,
+/// It owns the rules a session's state obeys whoever holds it — which
+/// samples are accepted, where the frontier may move (the smallest
+/// watermark, floored to the round), what is retired behind it (everything
+/// below `frontier − margin`, grid-aligned down) and what crosses a
+/// machine boundary ([`export_suffix`](Self::export_suffix)). A
+/// [`LiveSession`] is this plus an executor; the cluster router keeps one
+/// per patient, with no executor, as its failover mirror of the owning
+/// server's session — the same feed and the same polls leave the same
+/// state in both, by construction.
+#[derive(Debug, Clone)]
+pub struct SessionBuffer {
     sources: Vec<LiveSource>,
-    round_dim: Tick,
-    /// Next round start to process.
-    next_round: Tick,
     /// Per-source retirement margins (ticks below `next_round` a future
     /// round may still consult), fixed by the compiled lineage.
     margins: Vec<Tick>,
-    /// Optional recipient of compacted spans (tiered history store).
-    retire_sink: Option<RetireSink>,
-    stats: RunStats,
+    round: Tick,
+    /// Next round start to process.
+    next_round: Tick,
 }
 
-impl LiveSession {
-    /// Creates a session with the given processing-window length in ticks.
+impl SessionBuffer {
+    /// Empty buffers for `shapes`, retiring `margins[i]` below the
+    /// frontier of `round`-tick rounds.
     ///
     /// # Errors
-    /// Returns an error when the round length is incompatible with the
-    /// traced dimension.
-    pub fn new(compiled: CompiledQuery, round_ticks: Tick) -> Result<Self> {
-        if round_ticks <= 0 {
+    /// Returns an error for a non-positive round, a negative margin, or
+    /// a margin count that differs from the shape count.
+    pub fn new(shapes: &[StreamShape], margins: Vec<Tick>, round: Tick) -> Result<Self> {
+        if round <= 0 {
             return Err(Error::InvalidParameter {
                 message: "live round length must be positive".into(),
             });
         }
-        let shapes = compiled.source_shapes();
-        let sources: Vec<LiveSource> = shapes.iter().map(|&s| LiveSource::new(s)).collect();
-        let empty: Vec<SignalData> = shapes
-            .iter()
-            .map(|&s| SignalData::dense(s, Vec::new()))
-            .collect();
-        let exec =
-            compiled.executor_with(empty, ExecOptions::default().with_round_ticks(round_ticks))?;
-        let round_dim = exec.round_dim();
-        let margins = exec.history_margins();
+        if margins.len() != shapes.len() || margins.iter().any(|&m| m < 0) {
+            return Err(Error::InvalidParameter {
+                message: format!(
+                    "history margins {margins:?} do not fit {} sources",
+                    shapes.len()
+                ),
+            });
+        }
         Ok(Self {
-            exec,
-            sources,
-            round_dim,
-            next_round: 0,
+            sources: shapes.iter().map(|&s| LiveSource::new(s)).collect(),
             margins,
-            retire_sink: None,
-            stats: RunStats::new(),
+            round,
+            next_round: 0,
         })
     }
 
-    /// Attaches a retire sink: from now on every compacted span is handed
-    /// to `sink` (as a [`RetiredSpan`]) instead of being dropped. This is
-    /// the interception point a tiered history store uses to make the
-    /// session's past durable while the live suffix stays bounded.
-    pub fn set_retire_sink(&mut self, sink: RetireSink) {
-        self.retire_sink = Some(sink);
-    }
-
-    /// Detaches the retire sink, if any; subsequent compactions discard
-    /// retired spans again.
-    pub fn clear_retire_sink(&mut self) -> Option<RetireSink> {
-        self.retire_sink.take()
-    }
-
-    /// The processing-window length in effect.
-    pub fn round_dim(&self) -> Tick {
-        self.round_dim
-    }
-
-    /// The grid shape (offset, period) of every source, in source order —
-    /// what a remote peer needs to size and align a replay buffer.
-    pub fn source_shapes(&self) -> Vec<StreamShape> {
-        self.sources.iter().map(|s| s.shape).collect()
-    }
-
-    /// Payload arity of the single sink (what an output collector needs).
+    /// Rebuilds the buffers a peer exported, trusting none of the
+    /// snapshot (it may come off a socket).
     ///
     /// # Errors
-    /// Returns an error when the query has more than one sink.
-    pub fn sink_arity(&self) -> Result<usize> {
-        self.exec.sink_arity()
+    /// Returns an error when the snapshot's source count does not match,
+    /// when its frontier is not round-aligned, or when a suffix is
+    /// malformed ([`LiveSource::from_suffix`]).
+    pub fn from_snapshot(
+        shapes: &[StreamShape],
+        margins: Vec<Tick>,
+        round: Tick,
+        snapshot: &SessionSnapshot,
+    ) -> Result<Self> {
+        let mut buf = Self::new(shapes, margins, round)?;
+        if snapshot.sources.len() != shapes.len() {
+            return Err(Error::InvalidParameter {
+                message: format!(
+                    "snapshot has {} sources, query has {}",
+                    snapshot.sources.len(),
+                    shapes.len()
+                ),
+            });
+        }
+        if snapshot.next_round < 0 || snapshot.next_round % round != 0 {
+            return Err(Error::InvalidParameter {
+                message: format!(
+                    "snapshot frontier {} is not aligned to the {round}-tick round grid",
+                    snapshot.next_round
+                ),
+            });
+        }
+        for (src, suffix) in buf.sources.iter_mut().zip(&snapshot.sources) {
+            *src = LiveSource::from_suffix(src.shape, suffix)?;
+        }
+        buf.next_round = snapshot.next_round;
+        Ok(buf)
     }
 
-    /// Cumulative statistics across all polls.
-    pub fn stats(&self) -> RunStats {
-        self.stats
+    /// Next round start to process: rounds below it are done.
+    pub fn next_round(&self) -> Tick {
+        self.next_round
     }
 
-    /// Ticks below the next unprocessed round that source `source` must
-    /// keep buffered (its lineage history margin).
-    ///
-    /// # Errors
-    /// Returns an error for an unknown source index.
-    pub fn history_margin(&self, source: usize) -> Result<Tick> {
-        self.margins
-            .get(source)
-            .copied()
-            .ok_or(Error::InvalidHandle { node: source })
+    /// The per-source buffers, in source order.
+    pub fn sources(&self) -> &[LiveSource] {
+        &self.sources
     }
 
-    /// Grid slots currently buffered for source `source` — after a poll,
-    /// bounded by the history margin plus the data not yet processed,
-    /// never by the total stream length.
-    ///
-    /// # Errors
-    /// Returns an error for an unknown source index.
-    pub fn retained_slots(&self, source: usize) -> Result<usize> {
-        self.sources
-            .get(source)
-            .map(LiveSource::retained_slots)
-            .ok_or(Error::InvalidHandle { node: source })
+    /// The per-source buffers, for overlaying spans from elsewhere (a
+    /// history store) onto them.
+    pub fn sources_mut(&mut self) -> &mut [LiveSource] {
+        &mut self.sources
     }
 
     /// Appends one sample to source `source` at grid time `t`.
@@ -400,28 +611,30 @@ impl LiveSession {
     /// # Errors
     /// Returns an error for an unknown source, an off-grid timestamp, a
     /// sample below the compaction horizon (the error names the horizon,
-    /// the round frontier, and the source's history margin), or an
-    /// out-of-order duplicate.
+    /// the round frontier, and the source's history margin), an
+    /// out-of-order duplicate, or a tick more than
+    /// [`MAX_RETAINED_SLOTS`] above the horizon.
+    #[inline]
     pub fn push(&mut self, source: usize, t: Tick, v: f32) -> Result<()> {
         let src = self
             .sources
             .get_mut(source)
             .ok_or(Error::InvalidHandle { node: source })?;
-        if src.shape.on_grid(t) && t >= src.shape.offset() && t < src.base_time() {
-            // The source-level check would fire too, but only the session
-            // knows *why* the horizon sits where it does — say so.
-            let margin = self.margins.get(source).copied().unwrap_or(0);
-            return Err(Error::InvalidParameter {
+        src.admit(t, v).map_err(|why| match why {
+            // Only the session knows *why* the horizon sits where it
+            // does — say so.
+            Reject::BelowHorizon => Error::InvalidParameter {
                 message: format!(
                     "sample time {t} is below the compaction horizon {}: rounds \
                      below the frontier {} are already processed, and source \
-                     {source} retains a history margin of {margin} ticks below it",
+                     {source} retains a history margin of {} ticks below it",
                     src.base_time(),
                     self.next_round,
+                    self.margins[source],
                 ),
-            });
-        }
-        src.push(t, v)
+            },
+            why => src.reject(t, why),
+        })
     }
 
     /// Appends a periodic run to source `source`: `values[k]` at tick
@@ -461,15 +674,196 @@ impl LiveSession {
         }
     }
 
+    /// The frontier rule: every round fully below all sources'
+    /// watermarks is complete, so the frontier may move to the smallest
+    /// watermark floored to the round grid.
+    pub fn frontier(&self) -> Tick {
+        let safe = self.sources.iter().map(|s| s.watermark).min().unwrap_or(0);
+        safe.div_euclid(self.round) * self.round
+    }
+
+    /// Moves the frontier up to `to` (never back) and applies the retire
+    /// rule: rounds below `to` are done, so each source keeps only its
+    /// history margin below it. Every dropped prefix that held samples is
+    /// handed to `sink`, when there is one.
+    pub fn advance_to(&mut self, to: Tick, mut sink: Option<&mut RetireSink>) {
+        if to <= self.next_round {
+            return;
+        }
+        self.next_round = to;
+        for (i, (src, &margin)) in self.sources.iter_mut().zip(&self.margins).enumerate() {
+            let span = src.retire_below(to.saturating_sub(margin), sink.is_some());
+            if let (Some(mut span), Some(sink)) = (span, sink.as_mut()) {
+                span.source = i;
+                sink(span);
+            }
+        }
+    }
+
+    /// The buffers as a portable snapshot: per-source retained suffixes
+    /// plus the round frontier, exactly as held — a peer that rebuilds it
+    /// ([`from_snapshot`](Self::from_snapshot)) accepts and refuses the
+    /// same pushes from then on.
+    pub fn export_suffix(&self) -> SessionSnapshot {
+        SessionSnapshot {
+            next_round: self.next_round,
+            sources: self.sources.iter().map(LiveSource::suffix).collect(),
+        }
+    }
+}
+
+/// An online execution session over a compiled query.
+///
+/// Samples are appended with [`push`](Self::push); [`poll`](Self::poll)
+/// processes every round whose interval is complete (i.e. below all
+/// sources' watermarks) and invokes the output callback, exactly as the
+/// retrospective executor would have. [`finish`](Self::finish) flushes the
+/// tail. One executor persists across polls, so stateful kernels (sliding
+/// aggregates, shifts, join carries) behave exactly as offline.
+///
+/// The session's cost is bounded by the round size, not the stream
+/// length: once a round is processed, each source buffer retires
+/// everything below the round start minus that source's lineage history
+/// margin ([`Executor::history_margins`]), and snapshots handed to the
+/// executor share the retained suffix by `Arc` instead of copying it. A
+/// session that is pushed to and polled forever therefore holds
+/// O(round + margin + poll lag) memory and pays O(delta) per poll,
+/// regardless of how many samples have flowed through it.
+pub struct LiveSession {
+    exec: Executor,
+    buf: SessionBuffer,
+    /// Optional recipient of compacted spans (tiered history store).
+    retire_sink: Option<RetireSink>,
+    stats: RunStats,
+}
+
+impl LiveSession {
+    /// Creates a session with the given processing-window length in ticks.
+    ///
+    /// # Errors
+    /// Returns an error when the round length is incompatible with the
+    /// traced dimension.
+    pub fn new(compiled: CompiledQuery, round_ticks: Tick) -> Result<Self> {
+        if round_ticks <= 0 {
+            return Err(Error::InvalidParameter {
+                message: "live round length must be positive".into(),
+            });
+        }
+        let shapes = compiled.source_shapes();
+        let empty: Vec<SignalData> = shapes
+            .iter()
+            .map(|&s| SignalData::dense(s, Vec::new()))
+            .collect();
+        let exec =
+            compiled.executor_with(empty, ExecOptions::default().with_round_ticks(round_ticks))?;
+        let buf = SessionBuffer::new(&shapes, exec.history_margins(), exec.round_dim())?;
+        Ok(Self {
+            exec,
+            buf,
+            retire_sink: None,
+            stats: RunStats::new(),
+        })
+    }
+
+    /// Attaches a retire sink: from now on every compacted span is handed
+    /// to `sink` (as a [`RetiredSpan`]) instead of being dropped. This is
+    /// the interception point a tiered history store uses to make the
+    /// session's past durable while the live suffix stays bounded.
+    pub fn set_retire_sink(&mut self, sink: RetireSink) {
+        self.retire_sink = Some(sink);
+    }
+
+    /// Detaches the retire sink, if any; subsequent compactions discard
+    /// retired spans again.
+    pub fn clear_retire_sink(&mut self) -> Option<RetireSink> {
+        self.retire_sink.take()
+    }
+
+    /// The processing-window length in effect.
+    pub fn round_dim(&self) -> Tick {
+        self.buf.round
+    }
+
+    /// The grid shape (offset, period) of every source, in source order —
+    /// what a remote peer needs to size and align a replay buffer.
+    pub fn source_shapes(&self) -> Vec<StreamShape> {
+        self.buf.sources.iter().map(|s| s.shape).collect()
+    }
+
+    /// Payload arity of the single sink (what an output collector needs).
+    ///
+    /// # Errors
+    /// Returns an error when the query has more than one sink.
+    pub fn sink_arity(&self) -> Result<usize> {
+        self.exec.sink_arity()
+    }
+
+    /// Cumulative statistics across all polls.
+    pub fn stats(&self) -> RunStats {
+        self.stats
+    }
+
+    /// Ticks below the next unprocessed round that source `source` must
+    /// keep buffered (its lineage history margin).
+    ///
+    /// # Errors
+    /// Returns an error for an unknown source index.
+    pub fn history_margin(&self, source: usize) -> Result<Tick> {
+        self.buf
+            .margins
+            .get(source)
+            .copied()
+            .ok_or(Error::InvalidHandle { node: source })
+    }
+
+    /// Grid slots currently buffered for source `source` — after a poll,
+    /// bounded by the history margin plus the data not yet processed,
+    /// never by the total stream length.
+    ///
+    /// # Errors
+    /// Returns an error for an unknown source index.
+    pub fn retained_slots(&self, source: usize) -> Result<usize> {
+        self.buf
+            .sources
+            .get(source)
+            .map(LiveSource::retained_slots)
+            .ok_or(Error::InvalidHandle { node: source })
+    }
+
+    /// Appends one sample to source `source` at grid time `t`
+    /// ([`SessionBuffer::push`]).
+    ///
+    /// # Errors
+    /// Returns an error for an unknown source, an off-grid timestamp, a
+    /// sample below the compaction horizon (the error names the horizon,
+    /// the round frontier, and the source's history margin), an
+    /// out-of-order duplicate, or a tick too far ahead of the horizon.
+    pub fn push(&mut self, source: usize, t: Tick, v: f32) -> Result<()> {
+        self.buf.push(source, t, v)
+    }
+
+    /// Appends a periodic run to source `source`: `values[k]` at tick
+    /// `t0 + k·dt`, exactly as that many [`push`](Self::push) calls in
+    /// order would, with every error `push` would have returned handed to
+    /// `on_err` in the same order ([`SessionBuffer::push_run`]).
+    pub fn push_run(
+        &mut self,
+        source: usize,
+        t0: Tick,
+        dt: Tick,
+        values: &[f32],
+        on_err: impl FnMut(Error),
+    ) {
+        self.buf.push_run(source, t0, dt, values, on_err);
+    }
+
     /// Processes every round fully below all sources' watermarks, calling
     /// `on_output` with each sink window.
     ///
     /// # Errors
     /// Propagates execution errors.
     pub fn poll<F: FnMut(&FWindow)>(&mut self, on_output: F) -> Result<RunStats> {
-        let safe = self.sources.iter().map(|s| s.watermark).min().unwrap_or(0);
-        let end = safe.div_euclid(self.round_dim) * self.round_dim;
-        self.run_span(end, on_output)
+        self.run_span(self.buf.frontier(), on_output)
     }
 
     /// Flushes all remaining data (end of stream), including the same
@@ -479,13 +873,13 @@ impl LiveSession {
     /// # Errors
     /// Propagates execution errors.
     pub fn finish<F: FnMut(&FWindow)>(&mut self, mut on_output: F) -> Result<RunStats> {
-        let end = self.sources.iter().map(|s| s.watermark).max().unwrap_or(0);
-        let aligned =
-            (end + self.round_dim - 1).div_euclid(self.round_dim) * self.round_dim + self.round_dim;
+        let round = self.buf.round;
+        let end = self.buf.sources.iter().map(|s| s.watermark).max();
+        let aligned = (end.unwrap_or(0) + round - 1).div_euclid(round) * round + round;
         let mut stats = self.run_span(aligned, &mut on_output)?;
         let mut extra = 0;
         while self.exec.has_pending() && extra < 64 {
-            let s = self.run_span(self.next_round + self.round_dim, &mut on_output)?;
+            let s = self.run_span(self.buf.next_round + round, &mut on_output)?;
             stats.merge(&s);
             extra += 1;
         }
@@ -513,19 +907,7 @@ impl LiveSession {
     /// handoff: samples already pushed but not yet processed are part of
     /// the retained suffix, so nothing in flight is dropped.
     pub fn export_suffix(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            next_round: self.next_round,
-            sources: self
-                .sources
-                .iter()
-                .map(|s| SourceSuffix {
-                    base_slot: s.base_slot as u64,
-                    watermark: s.watermark,
-                    values: (*s.values).clone(),
-                    ranges: s.presence.ranges().to_vec(),
-                })
-                .collect(),
-        }
+        self.buf.export_suffix()
     }
 
     /// Resumes a session exported by [`export_suffix`](Self::export_suffix)
@@ -544,87 +926,54 @@ impl LiveSession {
     ///
     /// # Errors
     /// Returns an error when the snapshot's source count does not match
-    /// the query, when its frontier is not round-aligned, or when the
-    /// warm-up replay fails.
+    /// the query, when its frontier is not round-aligned, when a suffix
+    /// is malformed (presence off the grid, below its base or past its
+    /// values), or when the warm-up replay fails.
     pub fn import_suffix(
         compiled: CompiledQuery,
         round_ticks: Tick,
         snapshot: SessionSnapshot,
     ) -> Result<Self> {
         let mut session = Self::new(compiled, round_ticks)?;
-        if snapshot.sources.len() != session.sources.len() {
-            return Err(Error::InvalidParameter {
-                message: format!(
-                    "snapshot has {} sources, query has {}",
-                    snapshot.sources.len(),
-                    session.sources.len()
-                ),
-            });
-        }
-        if snapshot.next_round < 0 || snapshot.next_round % session.round_dim != 0 {
-            return Err(Error::InvalidParameter {
-                message: format!(
-                    "snapshot frontier {} is not aligned to the {}-tick round grid",
-                    snapshot.next_round, session.round_dim
-                ),
-            });
-        }
-        for (src, suffix) in session.sources.iter_mut().zip(snapshot.sources) {
-            src.base_slot = suffix.base_slot as usize;
-            src.values = Arc::new(suffix.values);
-            src.presence = PresenceMap::new();
-            for (s, e) in suffix.ranges {
-                src.presence.add(s, e);
-            }
-            src.watermark = suffix.watermark.max(src.shape.offset());
-        }
+        let (shapes, margins) = (session.source_shapes(), session.buf.margins.clone());
+        session.buf = SessionBuffer::from_snapshot(&shapes, margins, session.buf.round, &snapshot)?;
         // Warm-up replay: run the retained rounds below the frontier with
         // output discarded, rebuilding kernel state from the suffix.
+        let (round, frontier) = (session.buf.round, session.buf.next_round);
         let replay_from = session
+            .buf
             .sources
             .iter()
-            .map(|s| s.base_time().div_euclid(session.round_dim) * session.round_dim)
+            .map(|s| s.base_time().div_euclid(round) * round)
             .min()
-            .unwrap_or(snapshot.next_round)
-            .min(snapshot.next_round);
-        if replay_from < snapshot.next_round {
-            let datasets: Vec<SignalData> =
-                session.sources.iter().map(LiveSource::snapshot).collect();
-            session.exec.replace_sources(datasets)?;
-            session
-                .exec
-                .run_span(replay_from, snapshot.next_round, &mut |_| {})?;
+            .unwrap_or(frontier)
+            .min(frontier);
+        if replay_from < frontier {
+            let datasets = session.buf.sources.iter_mut().map(LiveSource::snapshot);
+            session.exec.replace_sources(datasets.collect())?;
+            session.exec.run_span(replay_from, frontier, &mut |_| {})?;
             session.exec.release_sources();
         }
-        session.next_round = snapshot.next_round;
         Ok(session)
     }
 
     fn run_span<F: FnMut(&FWindow)>(&mut self, to: Tick, mut on_output: F) -> Result<RunStats> {
-        if to <= self.next_round {
+        if to <= self.buf.next_round {
             return Ok(RunStats::new());
         }
         // Zero-copy: snapshots share each source's retained suffix.
-        let datasets: Vec<SignalData> = self.sources.iter().map(LiveSource::snapshot).collect();
-        self.exec.replace_sources(datasets)?;
-        let stats = self.exec.run_span(self.next_round, to, &mut on_output)?;
+        let datasets = self.buf.sources.iter_mut().map(LiveSource::snapshot);
+        self.exec.replace_sources(datasets.collect())?;
+        let stats = self
+            .exec
+            .run_span(self.buf.next_round, to, &mut on_output)?;
         // Drop the executor's snapshot before compacting: with the
         // session's buffer unique again, retirement (and later appends)
         // mutate in place instead of copy-on-writing against it.
         self.exec.release_sources();
-        self.next_round = to;
-        // Compact: rounds below `to` are done, so each source only needs
-        // its lineage margin of history below the new frontier. With a
-        // retire sink attached the dropped prefixes are spilled, not lost.
-        let capture = self.retire_sink.is_some();
-        for (i, (src, &margin)) in self.sources.iter_mut().zip(&self.margins).enumerate() {
-            if let Some(mut span) = src.retire_below(to.saturating_sub(margin), capture) {
-                span.source = i;
-                if let Some(sink) = self.retire_sink.as_mut() {
-                    sink(span);
-                }
-            }
-        }
+        // Compact behind the new frontier; with a retire sink attached
+        // the dropped prefixes are spilled, not lost.
+        self.buf.advance_to(to, self.retire_sink.as_mut());
         self.stats.merge(&stats);
         Ok(stats)
     }
@@ -633,9 +982,9 @@ impl LiveSession {
 impl std::fmt::Debug for LiveSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveSession")
-            .field("sources", &self.sources.len())
-            .field("round_dim", &self.round_dim)
-            .field("next_round", &self.next_round)
+            .field("sources", &self.buf.sources.len())
+            .field("round_dim", &self.buf.round)
+            .field("next_round", &self.buf.next_round)
             .finish()
     }
 }

@@ -35,10 +35,59 @@ pub struct PresenceMap {
     ranges: Arc<Vec<(Tick, Tick)>>,
 }
 
+/// [`PresenceMap::add`] on a bare interval list (sorted, coalesced; the
+/// interval not empty) — for an owner that holds its intervals outright
+/// and builds a map only to share them.
+pub(crate) fn add_range(ranges: &mut Vec<(Tick, Tick)>, start: Tick, end: Tick) {
+    // An interval at or past the last one — every append of an in-order
+    // feed — extends or follows it: nothing to search.
+    match ranges.last_mut() {
+        Some(last) if last.1 == start => {
+            last.1 = end;
+            return;
+        }
+        Some(last) if last.1 > start => {}
+        _ => return ranges.push((start, end)),
+    }
+    // Find insertion window: all ranges overlapping or adjacent.
+    let lo = ranges.partition_point(|&(_, e)| e < start);
+    let hi = ranges.partition_point(|&(s, _)| s <= end);
+    if lo == hi {
+        ranges.insert(lo, (start, end));
+        return;
+    }
+    let new_start = start.min(ranges[lo].0);
+    let new_end = end.max(ranges[hi - 1].1);
+    ranges.drain(lo..hi);
+    ranges.insert(lo, (new_start, new_end));
+}
+
+/// [`PresenceMap::retire`] on a bare interval list.
+pub(crate) fn retire_ranges(ranges: &mut Vec<(Tick, Tick)>, before: Tick) {
+    let cut = ranges.partition_point(|&(_, e)| e <= before);
+    ranges.drain(..cut);
+    if let Some(first) = ranges.first_mut() {
+        first.0 = first.0.max(before);
+    }
+}
+
+/// [`PresenceMap::contains`] on a bare interval list.
+pub(crate) fn ranges_contain(ranges: &[(Tick, Tick)], t: Tick) -> bool {
+    let i = ranges.partition_point(|&(_, e)| e <= t);
+    i < ranges.len() && ranges[i].0 <= t
+}
+
 impl PresenceMap {
     /// Creates an empty map (no data anywhere).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Wraps an interval list that is already sorted and coalesced.
+    pub(crate) fn from_coalesced(ranges: Vec<(Tick, Tick)>) -> Self {
+        Self {
+            ranges: Arc::new(ranges),
+        }
     }
 
     /// Creates a map with a single interval `[start, end)`.
@@ -51,21 +100,9 @@ impl PresenceMap {
     /// Adds `[start, end)`, merging with existing/adjacent intervals.
     /// Empty or inverted intervals are ignored.
     pub fn add(&mut self, start: Tick, end: Tick) {
-        if end <= start {
-            return;
+        if end > start {
+            add_range(Arc::make_mut(&mut self.ranges), start, end);
         }
-        // Find insertion window: all ranges overlapping or adjacent.
-        let lo = self.ranges.partition_point(|&(_, e)| e < start);
-        let hi = self.ranges.partition_point(|&(s, _)| s <= end);
-        let ranges = Arc::make_mut(&mut self.ranges);
-        if lo == hi {
-            ranges.insert(lo, (start, end));
-            return;
-        }
-        let new_start = start.min(ranges[lo].0);
-        let new_end = end.max(ranges[hi - 1].1);
-        ranges.drain(lo..hi);
-        ranges.insert(lo, (new_start, new_end));
     }
 
     /// Removes `[start, end)` from the map (punches a gap).
@@ -100,11 +137,7 @@ impl PresenceMap {
         if cut == 0 && self.ranges.first().is_none_or(|&(s, _)| s >= before) {
             return;
         }
-        let ranges = Arc::make_mut(&mut self.ranges);
-        ranges.drain(..cut);
-        if let Some(first) = ranges.first_mut() {
-            first.0 = first.0.max(before);
-        }
+        retire_ranges(Arc::make_mut(&mut self.ranges), before);
     }
 
     /// True if any data exists in `[start, end)`.
@@ -127,7 +160,7 @@ impl PresenceMap {
 
     /// True if the instant `t` lies in a data interval.
     pub fn contains(&self, t: Tick) -> bool {
-        self.overlaps(t, t + 1)
+        ranges_contain(&self.ranges, t)
     }
 
     /// Number of data ticks covered by `[start, end)` ∩ map.

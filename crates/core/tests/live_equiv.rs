@@ -5,7 +5,9 @@
 //! online and offline alike.
 
 use lifestream_core::exec::{ExecOptions, OutputCollector};
-use lifestream_core::live::LiveSession;
+use lifestream_core::live::{
+    LiveSession, LiveSource, SessionBuffer, SessionSnapshot, SourceSuffix, MAX_RETAINED_SLOTS,
+};
 use lifestream_core::ops::aggregate::AggKind;
 use lifestream_core::ops::join::JoinKind;
 use lifestream_core::pipeline as lspipe;
@@ -286,6 +288,13 @@ proptest! {
     /// `i64::MAX` — must leave the session exactly where the same samples
     /// through `push` leave it: same error strings in the same order, same
     /// retained slots and exported suffix after every run, same output.
+    ///
+    /// A third participant is a bare [`SessionBuffer`] — what the cluster
+    /// router keeps per patient as its failover mirror — pushed sample by
+    /// sample and advanced to its frontier where the sessions poll: its
+    /// export must equal theirs (sources, base slots, watermarks, values,
+    /// ranges, frontier) after every run, and it must refuse what they
+    /// refuse.
     #[test]
     fn push_run_equals_per_sample_push(
         seed in 0u64..u64::MAX / 2,
@@ -308,7 +317,9 @@ proptest! {
         let mut by_sample = LiveSession::new(build(), ROUND).unwrap();
         let arity = by_run.sink_arity().unwrap();
         let (mut out_run, mut out_sample) = (OutputCollector::new(arity), OutputCollector::new(arity));
-        let (mut err_run, mut err_sample) = (Vec::new(), Vec::new());
+        let (mut err_run, mut err_sample, mut err_mirror) = (Vec::new(), Vec::new(), Vec::new());
+        let margins = (0..2).map(|s| by_run.history_margin(s).unwrap()).collect();
+        let mut mirror = SessionBuffer::new(&shapes, margins, by_run.round_dim()).unwrap();
 
         let mut rng = seed;
         // Where a well-behaved feed would append next, per source.
@@ -349,20 +360,26 @@ proptest! {
                 if let Err(e) = by_sample.push(source, t, v) {
                     err_sample.push(e.to_string());
                 }
+                if let Err(e) = mirror.push(source, t, v) {
+                    err_mirror.push(e.to_string());
+                }
                 t = t.wrapping_add(dt);
             }
             if op % poll_every == poll_every - 1 {
                 by_run.poll(|w| out_run.absorb(w)).unwrap();
                 by_sample.poll(|w| out_sample.absorb(w)).unwrap();
+                mirror.advance_to(mirror.frontier(), None);
             }
             for s in 0..2 {
                 prop_assert_eq!(by_run.retained_slots(s).unwrap(), by_sample.retained_slots(s).unwrap());
             }
             prop_assert_eq!(by_run.export_suffix(), by_sample.export_suffix());
+            prop_assert_eq!(mirror.export_suffix(), by_run.export_suffix());
         }
         by_run.finish(|w| out_run.absorb(w)).unwrap();
         by_sample.finish(|w| out_sample.absorb(w)).unwrap();
-        prop_assert_eq!(err_run, err_sample);
+        prop_assert_eq!(&err_run, &err_sample);
+        prop_assert_eq!(err_mirror, err_sample);
         prop_assert_eq!(out_run.len(), out_sample.len());
         prop_assert_eq!(out_run.checksum(), out_sample.checksum());
         prop_assert!(clean_runs > 0, "the fast path must have been taken");
@@ -387,4 +404,124 @@ fn fig3_pipeline_live_equals_batch_on_gap_heavy_data() {
         },
         vec![ecg, abp],
     );
+}
+
+/// One period-2 source straight to the sink: no history margin.
+fn passthrough() -> CompiledQuery {
+    let q = Query::new();
+    q.source("s", StreamShape::new(0, 2)).sink();
+    q.compile().unwrap()
+}
+
+#[test]
+fn far_future_push_is_refused_without_allocating() {
+    // One tick far above the horizon used to `resize` the dense
+    // buffer across the whole gap. It is a push error now, through
+    // `push` and through a run alike, and changes nothing.
+    let mut s = LiveSession::new(passthrough(), 100).unwrap();
+    for k in 0..10 {
+        s.push(0, k * 2, k as f32).unwrap();
+    }
+    let before = s.export_suffix();
+    let first_refused = MAX_RETAINED_SLOTS as Tick * 2;
+    for t in [first_refused, Tick::MAX / 4 * 2, Tick::MAX - 1] {
+        let err = s.push(0, t, 1.0).unwrap_err().to_string();
+        assert!(err.contains("too far ahead"), "t = {t}: {err}");
+        assert!(err.contains("retained horizon 0"), "t = {t}: {err}");
+    }
+    let mut errs = Vec::new();
+    s.push_run(0, first_refused, 2, &[1.0; 5], |e| errs.push(e.to_string()));
+    assert_eq!(errs.len(), 5);
+    assert!(errs.iter().all(|e| e.contains("too far ahead")), "{errs:?}");
+    assert_eq!(s.export_suffix(), before);
+    // The bound is on slots above the horizon, not on the tick: it
+    // moves with the horizon.
+    for k in 10..100 {
+        s.push(0, k * 2, k as f32).unwrap();
+    }
+    s.poll(|_| {}).unwrap();
+    assert_eq!(s.export_suffix().sources[0].base_slot, 100);
+    let err = s.push(0, first_refused + 200, 1.0).unwrap_err().to_string();
+    assert!(err.contains("retained horizon 200"), "{err}");
+    assert_eq!(s.finish_collect().unwrap().len(), 0);
+}
+
+#[test]
+fn import_validates_every_suffix_field() {
+    // A snapshot off the wire is trusted for nothing: presence must
+    // sit on the grid, at or above the suffix's base, inside its
+    // values; the base itself must be a representable slot; and the
+    // watermark, which the round frontier follows, may not lie off the
+    // grid or above the values the suffix brought.
+    let good = SourceSuffix {
+        base_slot: 10,
+        watermark: 30,
+        values: vec![1.0; 5],
+        ranges: vec![(20, 24), (26, 30)],
+    };
+    let import = |suffix: &SourceSuffix| {
+        let snapshot = SessionSnapshot {
+            next_round: 0,
+            sources: vec![suffix.clone()],
+        };
+        LiveSession::import_suffix(passthrough(), 100, snapshot)
+    };
+    let rebuilt = import(&good).unwrap().export_suffix().sources.remove(0);
+    assert_eq!((rebuilt.base_slot, rebuilt.watermark), (10, 30));
+    assert_eq!(rebuilt.ranges, good.ranges);
+    type Spoil = fn(&mut SourceSuffix);
+    let hostile: [(&str, Spoil); 9] = [
+        ("off the", |s| s.ranges[0] = (21, 25)),
+        ("off the", |s| s.ranges[1].1 = 29),
+        ("off the", |s| s.ranges[0].0 = Tick::MIN),
+        ("is empty", |s| s.ranges[0] = (24, 20)),
+        ("below the span base", |s| s.ranges[0].0 = 18),
+        ("beyond the span's 5 values", |s| s.ranges[1].1 = 32),
+        ("base slot", |s| s.base_slot = u64::MAX / 2),
+        ("watermark", |s| s.watermark = Tick::MAX - 1),
+        ("watermark", |s| s.watermark = 29),
+    ];
+    for (why, spoil) in hostile {
+        let mut bad = good.clone();
+        spoil(&mut bad);
+        let err = import(&bad).unwrap_err().to_string();
+        assert!(err.contains(why), "{why}: {err}");
+    }
+}
+
+#[test]
+fn overlay_copies_ranges_and_drops_what_is_retired() {
+    let mut src = LiveSource::new(StreamShape::new(0, 2));
+    // Two spans with a hole between them, then a later span that
+    // rewrites part of the first: later spans win.
+    src.overlay(0, &[1.0, 2.0, 3.0], &[(0, 6)]).unwrap();
+    src.overlay(5, &[6.0, 0.0, 8.0], &[(10, 12), (14, 16)])
+        .unwrap();
+    src.overlay(1, &[-2.0], &[(2, 4)]).unwrap();
+    let got = src.suffix();
+    assert_eq!(got.values, [1.0, -2.0, 3.0, 0.0, 0.0, 6.0, 0.0, 8.0]);
+    assert_eq!(got.ranges, [(0, 6), (10, 12), (14, 16)]);
+    assert_eq!(got.watermark, 16);
+    // Below the retained base a span is already retired: clipped,
+    // not an error; the rest lands.
+    src.retire_below(12, false);
+    src.overlay(4, &[9.0, 9.5, 7.0, 7.5], &[(8, 16)]).unwrap();
+    let got = src.suffix();
+    assert_eq!(got.base_slot, 6);
+    assert_eq!(got.values, [7.0, 7.5]);
+    assert_eq!(got.ranges, [(12, 16)]);
+    // The bound on what a push may open is not a bound on a history:
+    // a buffer based near its data takes spans wherever they sit.
+    let far = MAX_RETAINED_SLOTS as u64 * 2;
+    let mut src = LiveSource::starting_at(StreamShape::new(0, 2), far).unwrap();
+    src.overlay(
+        far - 1,
+        &[0.5, 1.5],
+        &[(far as Tick * 2 - 2, far as Tick * 2 + 2)],
+    )
+    .unwrap();
+    let got = src.suffix();
+    assert_eq!((got.base_slot, got.values), (far, vec![1.5]));
+    assert_eq!(got.ranges, [(far as Tick * 2, far as Tick * 2 + 2)]);
+    assert!(LiveSource::starting_at(StreamShape::new(0, 2), u64::MAX / 2).is_err());
 }

@@ -115,7 +115,7 @@
 //!   flushed**: the loss window is exactly the unflushed write buffer, at
 //!   most `flush_batch` samples per store. With `flush_batch = 0` the
 //!   window is empty and a hard kill loses nothing below the horizon
-//!   (the suffix above it is the cluster replay tail's job).
+//!   (the suffix above it is the cluster mirror's job).
 //! * [`StoreConfig::retention`] bounds disk: on flush, segment files whose
 //!   every span ends more than `retention` ticks below the newest spilled
 //!   tick are deleted whole. Retention is a *coverage* promise — queries
@@ -139,7 +139,7 @@ pub use query::{
     CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, QueryFactory,
     SCAN_PASS_PATIENTS,
 };
-pub use reader::{DenseHistory, HistoryReader};
+pub use reader::HistoryReader;
 pub use segment::{SegmentRecord, SEGMENT_MAGIC, SEGMENT_VERSION};
 
 use std::fs;

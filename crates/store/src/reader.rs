@@ -3,17 +3,17 @@
 //! [`HistoryReader`] is the query half of the tiered store. It loads every
 //! span relevant to a patient — durable segments plus, optionally, the
 //! live session's exported suffix — and densifies them into one
-//! [`SignalData`] per source, base slot 0, exactly the layout a cold batch
-//! run over the original feed would have produced. Any compiled pipeline
+//! [`SignalData`] per source, from the lowest slot any of them holds: the
+//! presence, and so the output, of a cold batch run over the original
+//! feed. Any compiled pipeline
 //! can then execute over the result: retrospective queries need no special
 //! engine, just reconstructed inputs.
 
 use std::io;
 use std::path::Path;
 
-use lifestream_core::live::SessionSnapshot;
-use lifestream_core::prelude::PresenceMap;
-use lifestream_core::time::{StreamShape, Tick};
+use lifestream_core::live::{LiveSource, SessionSnapshot};
+use lifestream_core::time::StreamShape;
 use lifestream_core::SignalData;
 
 use crate::segment::{read_segment, SegmentRecord};
@@ -22,59 +22,6 @@ use crate::segment::{read_segment, SegmentRecord};
 #[derive(Debug, Clone, Default)]
 pub struct HistoryReader {
     records: Vec<SegmentRecord>,
-}
-
-/// One source's densified durable history: values from slot 0 upward plus
-/// the presence ranges masking absent slots — the return shape of
-/// [`HistoryReader::source_history`].
-pub type DenseHistory = (Vec<f32>, Vec<(Tick, Tick)>);
-
-/// One source's densified history while stitching.
-struct Stitched {
-    values: Vec<f32>,
-    presence: PresenceMap,
-}
-
-impl Stitched {
-    fn new() -> Self {
-        Self {
-            values: Vec::new(),
-            presence: PresenceMap::new(),
-        }
-    }
-
-    /// Copies one span (dense values starting at `base_slot`, presence
-    /// ranges masking the absent slots) into the slot-0-based history.
-    fn overlay(
-        &mut self,
-        shape: StreamShape,
-        base_slot: u64,
-        values: &[f32],
-        ranges: &[(Tick, Tick)],
-    ) -> Result<(), String> {
-        for &(start, end) in ranges {
-            if !shape.on_grid(start) || start < shape.offset() {
-                return Err(format!("presence range start {start} off the {shape} grid"));
-            }
-            let first = ((start - shape.offset()) / shape.period()) as usize;
-            let n = ((end - start) / shape.period()) as usize;
-            let from = first
-                .checked_sub(base_slot as usize)
-                .ok_or_else(|| format!("presence range [{start}, {end}) below the span base"))?;
-            if from + n > values.len() {
-                return Err(format!(
-                    "presence range [{start}, {end}) beyond the span's {} values",
-                    values.len()
-                ));
-            }
-            if first + n > self.values.len() {
-                self.values.resize(first + n, 0.0);
-            }
-            self.values[first..first + n].copy_from_slice(&values[from..from + n]);
-            self.presence.add(start, end);
-        }
-        Ok(())
-    }
 }
 
 impl HistoryReader {
@@ -132,41 +79,51 @@ impl HistoryReader {
         shapes.into_iter().collect()
     }
 
-    /// Densifies one source's durable history from slot 0 upward.
-    /// Returns `(values, presence ranges)`, or `None` when the patient
-    /// has no spans for that source.
-    pub fn source_history(
+    /// `patient`'s spans of source `source`, in record order.
+    fn spans(&self, patient: u64, source: usize) -> impl Iterator<Item = &SegmentRecord> {
+        self.records
+            .iter()
+            .filter(move |r| r.patient == patient && r.source as usize == source)
+    }
+
+    /// Overlays every span of `patient`'s source `source` onto `into`,
+    /// in record order (later spans win), through core's validated
+    /// [`LiveSource::overlay`]; what lies below `into`'s retained base is
+    /// dropped. Returns how many spans there were.
+    ///
+    /// # Errors
+    /// Fails, with `into` partly written, when a span's shape is not
+    /// `into`'s or a span is malformed.
+    pub fn overlay_source(
         &self,
         patient: u64,
         source: usize,
-    ) -> Option<Result<DenseHistory, String>> {
-        let spans: Vec<&SegmentRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.patient == patient && r.source as usize == source)
-            .collect();
-        let first = spans.first()?;
-        let shape = first.shape;
-        let mut st = Stitched::new();
-        for r in &spans {
+        into: &mut LiveSource,
+    ) -> Result<usize, String> {
+        let shape = into.shape();
+        let mut spans = 0;
+        for r in self.spans(patient, source) {
             if r.shape != shape {
-                return Some(Err(format!(
-                    "patient {patient} source {source} has spans on both {shape} and {}",
+                return Err(format!(
+                    "patient {patient} source {source}: segment span on {} but the query expects {shape}",
                     r.shape
-                )));
+                ));
             }
-            if let Err(e) = st.overlay(shape, r.base_slot, &r.values, &r.ranges) {
-                return Some(Err(e));
-            }
+            into.overlay(r.base_slot, &r.values, &r.ranges)
+                .map_err(|e| e.to_string())?;
+            spans += 1;
         }
-        Some(Ok((st.values, st.presence.ranges().to_vec())))
+        Ok(spans)
     }
 
-    /// Reconstructs `patient`'s full history as one [`SignalData`] per
-    /// source: durable spans overlaid with the live suffix (when given),
-    /// densified from slot 0 — byte-identical input to a cold batch run
-    /// over the original feed. Overlapping spans must agree (re-spills
-    /// across a failover carry identical samples); later spans win.
+    /// Reconstructs `patient`'s history as one [`SignalData`] per source:
+    /// durable spans overlaid with the live suffix (when given), densified
+    /// from the lowest slot a span starts at — nothing is materialised
+    /// below the data, however far up the grid a long-lived or
+    /// retention-trimmed stream sits — with the presence, sample for
+    /// sample, of a cold batch run over the original feed. Overlapping
+    /// spans must agree (re-spills across a failover carry identical
+    /// samples); later spans win.
     ///
     /// # Errors
     /// Fails when a span's shape disagrees with `shapes`, when the live
@@ -188,25 +145,16 @@ impl HistoryReader {
         }
         let mut out = Vec::with_capacity(shapes.len());
         for (i, &shape) in shapes.iter().enumerate() {
-            let mut st = Stitched::new();
-            for r in self
-                .records
-                .iter()
-                .filter(|r| r.patient == patient && r.source as usize == i)
-            {
-                if r.shape != shape {
-                    return Err(format!(
-                        "patient {patient} source {i}: segment span on {} but the query expects {shape}",
-                        r.shape
-                    ));
-                }
-                st.overlay(shape, r.base_slot, &r.values, &r.ranges)?;
-            }
+            let stored = self.spans(patient, i).map(|r| r.base_slot);
+            let base = stored.chain(live.map(|snap| snap.sources[i].base_slot));
+            let mut src = LiveSource::starting_at(shape, base.min().unwrap_or(0))
+                .map_err(|e| e.to_string())?;
+            self.overlay_source(patient, i, &mut src)?;
             if let Some(snap) = live {
-                let suffix = &snap.sources[i];
-                st.overlay(shape, suffix.base_slot, &suffix.values, &suffix.ranges)?;
+                src.overlay_suffix(&snap.sources[i])
+                    .map_err(|e| e.to_string())?;
             }
-            out.push(SignalData::with_presence(shape, st.values, st.presence));
+            out.push(src.snapshot());
         }
         Ok(out)
     }
@@ -215,6 +163,7 @@ impl HistoryReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifestream_core::time::Tick;
 
     fn rec(
         patient: u64,

@@ -10,14 +10,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lifestream_core::exec::{ExecOptions, OutputCollector};
-use lifestream_core::live::LiveSession;
+use lifestream_core::live::{LiveSession, SessionSnapshot, SourceSuffix, MAX_RETAINED_SLOTS};
 use lifestream_core::ops::aggregate::AggKind;
 use lifestream_core::ops::join::JoinKind;
 use lifestream_core::query::CompiledQuery;
 use lifestream_core::source::SignalData;
 use lifestream_core::stream::Query;
 use lifestream_core::time::{StreamShape, Tick};
-use lifestream_store::{HistoryReader, SharedStore, StoreConfig};
+use lifestream_store::{HistoryReader, SegmentRecord, SharedStore, StoreConfig};
 use proptest::prelude::*;
 
 const ROUND: Tick = 400;
@@ -236,4 +236,55 @@ proptest! {
         assert_spill_reconstructs(build, vec![data], flush_batch, poll_every, &dir);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+#[test]
+fn stitch_starts_at_the_lowest_span_not_at_slot_zero() {
+    // A stream that has run for days: every span, and the live suffix,
+    // sit above 2^26 slots — the bound on what a *push* may open. A
+    // history is as long as its data, wherever on the grid it starts.
+    let shape = StreamShape::new(0, 2);
+    let far = MAX_RETAINED_SLOTS as u64 * 3;
+    let t = |slot: u64| slot as Tick * 2;
+    let span = |base_slot: u64, values: Vec<f32>| SegmentRecord {
+        patient: PATIENT,
+        source: 0,
+        shape,
+        ranges: vec![(t(base_slot), t(base_slot + values.len() as u64))],
+        base_slot,
+        values,
+    };
+    let reader =
+        HistoryReader::from_records(vec![span(far, vec![1.0, 2.0]), span(far + 4, vec![5.0])]);
+    let live = SessionSnapshot {
+        next_round: 0,
+        sources: vec![SourceSuffix {
+            base_slot: far + 5,
+            watermark: t(far + 7),
+            values: vec![6.0, 7.0],
+            ranges: vec![(t(far + 5), t(far + 7))],
+        }],
+    };
+    let data = reader
+        .stitch(PATIENT, &[shape], Some(&live))
+        .unwrap()
+        .remove(0);
+    assert_eq!((data.base_slot() as u64, data.len()), (far, 7));
+    let got: Vec<_> = data.present_samples().map(|(_, t, v)| (t, v)).collect();
+    let want = [(0, 1.0), (1, 2.0), (4, 5.0), (5, 6.0), (6, 7.0)];
+    assert_eq!(got, want.map(|(k, v)| (t(far + k), v)));
+    // And the executor runs over it as over any other input.
+    let q = Query::new();
+    q.source("s", shape)
+        .select(1, |i, o| o[0] = i[0] + 1.0)
+        .unwrap()
+        .sink();
+    let mut exec = q
+        .compile()
+        .unwrap()
+        .executor_with(vec![data], ExecOptions::default().with_round_ticks(ROUND))
+        .unwrap();
+    let out = exec.run_collect().unwrap();
+    assert_eq!(out.times(), want.map(|(k, _)| t(far + k)));
+    assert_eq!(out.values(0), want.map(|(_, v)| v + 1.0));
 }

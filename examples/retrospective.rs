@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use lifestream::cluster::sharded::{IngestConfig, LiveIngest, PipelineFactory};
-use lifestream::cluster::HistoryQuery;
+use lifestream::cluster::{HistoryQuery, HistoryQueryApi};
 use lifestream::core::exec::{ExecOptions, OutputCollector};
 use lifestream::core::prelude::*;
 use lifestream::core::source::SignalData;

@@ -3,12 +3,13 @@
 # the committed baseline in crates/bench/results/.
 #
 # The bench-regression gate compares portable ratios against these
-# committed files, and the committed baselines were originally measured
-# on a 1-core box — thread-scaling curves there are flat by physics. CI
-# runs every bench on the real runner and uploads the JSONs as
-# artifacts; this script is the promotion path: it validates that an
-# artifact is gate-ready (known bench id, gated metric present, real
-# `host_cores` recorded) and copies it into place.
+# committed files. All five were measured on a 2-core box with CI's own
+# settings (each records its `host_cores`; thread-scaling curves are
+# only meaningful relative to that field). CI runs every bench on the
+# real runner and uploads the JSONs as artifacts; this script is the
+# promotion path: it validates that an artifact is gate-ready (known
+# bench id, gated metric present, real `host_cores` recorded) and
+# copies it into place.
 #
 # Usage: scripts/promote_baseline.sh <artifact.json> [<artifact.json>...]
 
