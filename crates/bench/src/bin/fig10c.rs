@@ -4,8 +4,7 @@
 //! The LifeStream arm runs on the sharded multi-patient runtime
 //! (`cluster_harness::sharded`): long-lived shard workers with pooled,
 //! recycled executors, so the curve measures the service's steady state
-//! rather than a compile-per-patient loop. See `sharded_scaling` for the
-//! JSON-emitting sweep of the sharded runtime alone.
+//! rather than a compile-per-patient loop.
 //!
 //! Paper (32-core m5a.8xlarge): LifeStream scales to 32 threads; Trill
 //! OOMs beyond 12; NumLib saturates around 24 threads at 44% below

@@ -7,8 +7,7 @@
 //! functions are thin wrappers that dispatch the shared definition
 //! through the [`Engine`](lifestream::engine::Engine) trait.
 //! Each paper table/figure has a binary in `src/bin/` that prints the
-//! same rows/series the paper reports; Criterion benches in `benches/`
-//! cover the micro-level comparisons.
+//! same rows/series the paper reports.
 //!
 //! All workload sizes scale with the `LS_SCALE` environment variable
 //! (default 1.0) so CI can run quick passes while full runs regenerate
@@ -193,7 +192,7 @@ impl Primitive {
 /// (1-minute processing rounds); returns output events. Takes the
 /// inputs by value so timed benchmark loops pay exactly one dataset
 /// copy.
-pub fn run_workload(engine: &dyn Engine, workload: &Workload, inputs: Vec<SignalData>) -> u64 {
+fn run_workload(engine: &dyn Engine, workload: &Workload, inputs: Vec<SignalData>) -> u64 {
     engine
         .run(
             workload,
@@ -283,7 +282,7 @@ impl Operation {
 }
 
 /// FIR taps used by every PassFilter benchmark.
-pub fn bench_taps() -> Vec<f32> {
+fn bench_taps() -> Vec<f32> {
     lspipe::fir_lowpass(31, 0.1)
 }
 
@@ -317,7 +316,7 @@ pub fn numlib_operation(op: Operation, data: &SignalData) -> u64 {
 }
 
 /// The Fig. 3 end-to-end workload (1-second processing windows).
-pub fn e2e_workload() -> Workload {
+fn e2e_workload() -> Workload {
     Workload::Fig3 { window: 1000 }
 }
 
@@ -374,7 +373,7 @@ pub fn table1_join_pair(minutes: i64, seed: u64) -> (SignalData, SignalData) {
 
 /// The Table 1 upsample workload: linear-interpolation resample onto a
 /// 500 Hz (period-2) grid.
-pub fn upsample_workload() -> Workload {
+fn upsample_workload() -> Workload {
     Workload::Operation {
         op: TableOp::Resample { new_period: 2 },
         window: 1000,

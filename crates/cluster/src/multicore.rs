@@ -163,9 +163,8 @@ pub fn run_scaling(
 /// Runs the whole patient workload through a [`ShardedRuntime`] built
 /// with `cfg` over the Fig. 3 pipeline, and tallies the reports: total
 /// present input events of the patients that completed, whether any job
-/// failed (OOM or error), and the runtime's final counters. Shared by
-/// [`run_scaling`] and the `sharded_scaling` bench binary so the two
-/// cannot silently diverge in accounting.
+/// failed (OOM or error), and the runtime's final counters. The
+/// LifeStream arm of [`run_scaling`].
 pub fn run_workload_sharded(
     workload: &PatientWorkload,
     cfg: ShardedConfig,

@@ -349,8 +349,8 @@ pub struct IngestConfig {
     /// Processing-round length for every patient session.
     pub round_ticks: Tick,
     /// Samples staged per shard before an automatic batch flush. `1`
-    /// degenerates to per-sample sends (the pre-batching behaviour, kept
-    /// measurable for the `live_throughput` bench).
+    /// degenerates to per-sample sends (the pre-batching behaviour, which
+    /// `ingest_equiv` pins batched ingest against).
     pub batch: usize,
     /// Bounded depth of each shard's command channel; a full channel
     /// blocks `push`/`poll` until the shard catches up (backpressure).

@@ -99,7 +99,7 @@ fn assert_same(label: &str, a: &OutputCollector, b: &OutputCollector) {
     assert_eq!(a.checksum(), b.checksum(), "{label}: checksum");
 }
 
-/// The tentpole acceptance criterion, in-process: with a store attached,
+/// The store-backed rebuild guarantee, in-process: with a store attached,
 /// a mid-stream retrospective query over data already compacted away
 /// from memory equals the cold batch run over the same prefix — and the
 /// live stream is undisturbed by the query.
@@ -284,7 +284,7 @@ fn query_errors_are_descriptive() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The same acceptance criterion through the wire: `HistoryQuery` on a
+/// The same guarantee through the wire: `HistoryQuery` on a
 /// loopback server answers byte-identically to the cold run — full
 /// range, clipped range, and a registry pipeline resolved by id.
 #[test]

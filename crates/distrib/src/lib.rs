@@ -21,94 +21,6 @@
 //! Three [`Profile`]s dial those knobs to the three engines. Absolute
 //! numbers are not the point (the paper's Table 1 machines differ);
 //! the order — Storm < Spark < Flink ≪ Trill ≪ LifeStream/SciPy — is.
-//!
-//! ## The distributed runtime this crate argues for
-//!
-//! The baselines above spawn work per input batch and pay serialization
-//! at every hop. LifeStream's own answer — long-lived sharded workers
-//! with pooled, warmed, LRU-capped executors that patient data is routed
-//! *to* — lives in [`cluster_harness::sharded`] and is re-exported here
-//! as [`sharded`] so distributed-deployment code has one import surface:
-//! the baselines to compare against and the runtime to deploy.
-//!
-//! Its data plane is *bounded end to end*: batch jobs queue on bounded
-//! per-shard deques (`ShardedConfig::queue_cap` backpressures `submit`),
-//! live samples are staged client-side and shipped as batches over
-//! bounded channels (`IngestConfig`; `push` blocks when a shard lags,
-//! exactly the discipline these baselines' channel-connected operator
-//! tasks apply between operators), and each live session compacts its
-//! ingest buffer as rounds complete, so resident memory follows the
-//! round size and history margin — not the feed length. The
-//! `live_throughput` bench bin quantifies the batched-vs-per-sample win
-//! and the flat long-session curve.
-//!
-//! Unlike the baselines above — which pay serialization at every
-//! operator hop even inside one process — serialization in this runtime
-//! appears exactly where a machine boundary does: the [`net`] fabric
-//! (re-exported here alongside [`sharded`]) puts the same ingest
-//! protocol on a versioned length-prefixed TCP wire. Pick the front end
-//! by deployment shape, not by API (all three implement
-//! [`sharded::Ingest`]):
-//!
-//! * [`sharded::LiveIngest`] — one process owns every patient; bounded
-//!   in-memory channels, no serialization at all.
-//! * [`net::RemoteIngest`] — producers and compute on different hosts;
-//!   one TCP peer, acks as backpressure, server-side drop counts
-//!   propagated back into client stats.
-//! * [`net::ClusterIngest`] — patients partitioned across a fleet of
-//!   [`net::ShardServer`] machines via the live `machines::PlacementTable`
-//!   routing table, with lossless mid-stream partition handoff
-//!   (margin-suffix state transfer) for rebalancing. The
-//!   `net_throughput` bench bin quantifies what the wire costs and what
-//!   frame batching buys back; `cluster_loopback` demonstrates (and CI
-//!   asserts) byte-identical output across all three front ends.
-//!
-//! ## Durability: what survives a machine death
-//!
-//! The JVM engines buy fault tolerance with the same machinery that
-//! costs them their throughput above — Spark recomputes from lineage,
-//! Storm acks per record, Flink snapshots channel state into
-//! checkpoints. This runtime prices durability separately, in two
-//! tiers, so the live path never pays for history it isn't asked to
-//! keep:
-//!
-//! * **Store-less** (the default): each cluster client keeps a margin
-//!   tail per patient — exactly the `history_margin` suffix a pipeline
-//!   needs to warm up. A killed machine's patients fail over onto
-//!   survivors from those tails with zero *sample* loss, but output
-//!   rounds already collected on the dead machine, and all history
-//!   below the compaction horizon, are gone. Retention bound = the
-//!   margin; everything older exists nowhere.
-//! * **Tiered store attached** (`lifestream_store`, via
-//!   `ShardServer::bind_with_store` + `net::ClusterIngest`'s
-//!   `connect_with_store` on a shared segment directory): every suffix
-//!   the compactor retires is spilled to append-only, checksummed
-//!   segment files *before* leaving memory. Failover then rebuilds the
-//!   dead machine's patients from segments + margin tail, and any
-//!   patient's feed stays answerable retrospectively byte-identically
-//!   to the cold batch run — while live ingest continues. Retention
-//!   bound = `StoreConfig::retention` ticks of durable history
-//!   (unbounded by default); the crash-loss window = the unflushed
-//!   write buffer (`flush_batch`, zero if every spill is flushed).
-//!
-//! Retrospective access to the durable tier is one typed API across
-//! every front end: [`history::HistoryQueryApi`], answering a
-//! [`history::HistoryQuery`] — a `[t0, t1)` time range, a patient
-//! cohort, a pipeline — with per-patient outputs in a
-//! [`history::CohortReport`]. Range-bounded queries *prune*: segment
-//! file names carry a tick-range index, so files entirely outside the
-//! (margin-padded) window are never opened, and the answer is
-//! byte-identical to the full-history run clipped to the range. Over
-//! the wire the query travels as opcode `HistoryQuery{patient, t0, t1,
-//! warmup, pipeline}`, naming a server-registered pipeline by id
-//! (`0` = the live pipeline); errors are typed
-//! ([`history::HistoryError`]) with locked messages for the named
-//! range errors.
-//!
-//! The `history_throughput` bench bin prices the spill path against
-//! store-less ingest (and the pruned narrow-range scan against the
-//! full scan); `crates/cluster/tests/history_equiv.rs` pins the
-//! kill-and-rebuild guarantee.
 
 #![warn(missing_docs)]
 // Boxing each event is the point: it reproduces the per-event heap
@@ -120,10 +32,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel;
 use lifestream_core::source::SignalData;
 use lifestream_core::time::Tick;
-
-pub use cluster_harness::history;
-pub use cluster_harness::net;
-pub use cluster_harness::sharded;
 
 /// One event record (what a JVM engine would hold as an object).
 #[derive(Debug, Clone, Copy, PartialEq)]
