@@ -64,7 +64,9 @@ fn main() {
     let (s, skip, alloc) = run_with(
         &ecg,
         &abp,
-        ExecOptions::eager().with_round_ticks(WINDOW_1MIN),
+        ExecOptions::default()
+            .without_targeting()
+            .with_round_ticks(WINDOW_1MIN),
     );
     t.row(&[
         "- targeted processing".into(),
@@ -74,7 +76,13 @@ fn main() {
     ]);
     let no_target = s;
 
-    let (s, skip, alloc) = run_with(&ecg, &abp, ExecOptions::eager().with_round_ticks(span));
+    let (s, skip, alloc) = run_with(
+        &ecg,
+        &abp,
+        ExecOptions::default()
+            .without_targeting()
+            .with_round_ticks(span),
+    );
     t.row(&[
         "- locality (one giant round)".into(),
         format!("{s:.2}"),

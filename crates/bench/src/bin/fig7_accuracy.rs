@@ -5,8 +5,8 @@
 
 use lifestream_core::exec::ExecOptions;
 use lifestream_core::ops::where_shape::ShapeMode;
-use lifestream_core::query::QueryBuilder;
 use lifestream_core::source::SignalData;
+use lifestream_core::stream::Query;
 use lifestream_core::time::StreamShape;
 use lifestream_signal::artifacts::{
     inject_line_zero, line_zero_onset_pattern, score_detections, times_to_samples, LineZeroSpec,
@@ -37,13 +37,12 @@ fn main() {
     // pressure level, downward ramp, flat zero — and the extended `Where`
     // matches it amplitude-invariantly (z-normalized windows + cDTW).
     let pattern = line_zero_onset_pattern(32, 8, 96);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("abp", shape);
-    let det = qb
-        .where_shape(src, pattern, 8, 2.1, true, ShapeMode::Keep)
-        .expect("where_shape");
-    qb.sink(det);
-    let mut exec = qb
+    let q = Query::new();
+    q.source("abp", shape)
+        .where_shape(pattern, 8, 2.1, true, ShapeMode::Keep)
+        .expect("where_shape")
+        .sink();
+    let mut exec = q
         .compile()
         .expect("compile")
         .executor_with(vec![data], ExecOptions::default().with_round_ticks(60_000))

@@ -3,9 +3,9 @@
 //! Shared machinery for the benchmark harness: dataset construction,
 //! timing, table rendering, and workload runners. Every benchmarked
 //! query is defined exactly once as a
-//! [`Workload`](lifestream::engine::Workload) — the per-engine runner
+//! [`Workload`] — the per-engine runner
 //! functions are thin wrappers that dispatch the shared definition
-//! through the [`Engine`](lifestream::engine::Engine) trait.
+//! through the [`Engine`] trait.
 //! Each paper table/figure has a binary in `src/bin/` that prints the
 //! same rows/series the paper reports.
 //!

@@ -673,7 +673,7 @@ impl LiveIngest {
     }
 
     /// Enqueues an already-assembled batch: groups it into runs
-    /// ([`group_runs`]), hands each shard its share, and returns at once
+    /// (`group_runs`), hands each shard its share, and returns at once
     /// with the [`BatchTicket`] that resolves — to the number of samples
     /// dropped for unknown patients, the delta an acked transport ships
     /// back to its client — when every shard has applied it. Blocks only
@@ -1414,6 +1414,18 @@ mod tests {
         let err = ingest.finish(5).unwrap_err();
         assert!(err.contains("time 3"), "first error kept: {err}");
         assert!(err.contains("time 7"), "later errors joined in: {err}");
+        ingest.shutdown();
+    }
+
+    #[test]
+    fn push_to_an_unknown_source_surfaces_at_finish() {
+        let ingest = LiveIngest::new(factory(), 1, 100);
+        ingest.admit(5).unwrap();
+        ingest.push(5, 0, 2, 1.0);
+        ingest.push(5, 7, 2, 1.0); // the pipeline has one source
+        let err = ingest.finish(5).unwrap_err();
+        let unknown = lifestream_core::Error::UnknownSource { index: 7 };
+        assert_eq!(err, unknown.to_string());
         ingest.shutdown();
     }
 

@@ -11,11 +11,10 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A query referenced a stream handle from a different builder or a
-    /// node id out of range.
-    InvalidHandle {
-        /// The offending node index.
-        node: usize,
+    /// A source index names no source of the query.
+    UnknownSource {
+        /// The offending source index.
+        index: usize,
     },
     /// The query graph has no sink.
     NoSink,
@@ -57,7 +56,7 @@ pub enum Error {
         /// The dimension that overflowed the configured bound.
         dim: Tick,
     },
-    /// Two fluent [`Stream`](crate::stream::Stream)s from different
+    /// Two [`Stream`](crate::stream::Stream)s from different
     /// [`Query`](crate::stream::Query) scopes were combined in one
     /// operator.
     CrossQuery,
@@ -74,8 +73,8 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::InvalidHandle { node } => {
-                write!(f, "invalid stream handle referencing node {node}")
+            Error::UnknownSource { index } => {
+                write!(f, "query has no source {index}")
             }
             Error::NoSink => write!(f, "query has no sink"),
             Error::Cycle => write!(f, "query graph contains a cycle"),
@@ -124,7 +123,7 @@ mod tests {
     #[test]
     fn display_is_nonempty_and_lowercase() {
         let errs: Vec<Error> = vec![
-            Error::InvalidHandle { node: 3 },
+            Error::UnknownSource { index: 3 },
             Error::NoSink,
             Error::Cycle,
             Error::IncompatibleJoin {

@@ -15,7 +15,7 @@
 //! Rounds that cannot are skipped wholesale — on gap-riddled physiological
 //! data this prunes the bulk of the compute-heavy transformations.
 //!
-//! **Operator fusion** ([`fuse`](crate::fuse)): at executor construction,
+//! **Operator fusion** ([`fuse`]): at executor construction,
 //! maximal chains of unit-scale single-consumer operators (select / where /
 //! transform / FIR / sliding aggregates on the input grid) are collapsed
 //! into one [`FusedKernel`](crate::fuse::FusedKernel) placed at the chain's
@@ -25,7 +25,7 @@
 //! cache-resident across the whole chain. Fusion is a pure execution-plan
 //! rewrite — the graph, lineage maps, targeted skipping, and
 //! [`history_margins`](Executor::history_margins) are untouched, and fused
-//! output is bit-identical to staged output (see the [`fuse`](crate::fuse)
+//! output is bit-identical to staged output (see the [`fuse`]
 //! module docs for the eligibility rules and what breaks a group).
 //! [`ExecOptions::without_fusion`] disables the pass for A/B comparison.
 //!
@@ -74,7 +74,7 @@ pub struct ExecOptions {
     /// minute (60 000 ticks). `None` uses the minimal traced dimension.
     pub round_ticks: Option<Tick>,
     /// Fuse chains of unit-scale operators into single-pass kernels (see
-    /// [`fuse`](crate::fuse)). Output is bit-identical either way; staged
+    /// [`fuse`]). Output is bit-identical either way; staged
     /// execution is kept for A/B comparison and benchmarks. Default true.
     pub fuse: bool,
 }
@@ -91,14 +91,6 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Options with targeted processing disabled (eager execution).
-    pub fn eager() -> Self {
-        Self {
-            targeted: false,
-            ..Self::default()
-        }
-    }
-
     /// Sets the processing window length in ticks.
     pub fn with_round_ticks(mut self, t: Tick) -> Self {
         self.round_ticks = Some(t);
@@ -969,13 +961,29 @@ mod tests {
     use super::*;
     use crate::ops::aggregate::AggKind;
     use crate::ops::join::JoinKind;
-    use crate::query::QueryBuilder;
+    use crate::query::CompiledQuery;
     use crate::source::SignalData;
+    use crate::stream::{Query, Stream};
     use crate::time::StreamShape;
     use proptest::prelude::*;
 
     fn ramp(shape: StreamShape, n: usize) -> SignalData {
         SignalData::dense(shape, (0..n).map(|i| i as f32).collect())
+    }
+
+    /// One source of `shape` through `op` into a sink.
+    fn compile(shape: StreamShape, op: impl FnOnce(Stream<'_>) -> Stream<'_>) -> CompiledQuery {
+        let q = Query::new();
+        op(q.source("s", shape)).sink();
+        q.compile().unwrap()
+    }
+
+    /// Two sources inner-joined into a sink.
+    fn joined(left: StreamShape, right: StreamShape) -> CompiledQuery {
+        let q = Query::new();
+        let (a, b) = (q.source("a", left), q.source("b", right));
+        a.join(b, JoinKind::Inner).unwrap().sink();
+        q.compile().unwrap()
     }
 
     /// One event as the collector stored it before it kept runs.
@@ -1141,18 +1149,12 @@ mod tests {
     #[test]
     fn dense_rounds_collect_into_one_run() {
         let s = StreamShape::new(0, 2);
-        let mut exec_out = {
-            let mut qb = QueryBuilder::new();
-            let src = qb.source("s", s);
-            qb.sink(src);
-            qb.compile()
-                .unwrap()
-                .executor_with(
-                    vec![ramp(s, 1000)],
-                    ExecOptions::default().with_round_ticks(100),
-                )
-                .unwrap()
-        };
+        let mut exec_out = compile(s, |s| s)
+            .executor_with(
+                vec![ramp(s, 1000)],
+                ExecOptions::default().with_round_ticks(100),
+            )
+            .unwrap();
         let out = exec_out.run_collect().unwrap();
         assert_eq!(
             out.runs(),
@@ -1183,13 +1185,7 @@ mod tests {
         let s = StreamShape::new(0, 6);
         let mut data = ramp(s, 400);
         data.punch_gap(600, 900);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        let chopped = qb.chop(src, 4).unwrap();
-        qb.sink(chopped);
-        let exec = qb
-            .compile()
-            .unwrap()
+        let exec = compile(s, |s| s.chop(4).unwrap())
             .executor_with(vec![data], ExecOptions::default().with_round_ticks(120))
             .unwrap();
         let out = assert_collects_like_events(exec, "chop");
@@ -1208,13 +1204,7 @@ mod tests {
         a.punch_gap(700, 1900);
         b.punch_gap(1500, 2300);
         b.punch_gap(4005, 4010);
-        let mut qb = QueryBuilder::new();
-        let (ha, hb) = (qb.source("a", sa), qb.source("b", sb));
-        let j = qb.join(ha, hb, JoinKind::Inner).unwrap();
-        qb.sink(j);
-        let exec = qb
-            .compile()
-            .unwrap()
+        let exec = joined(sa, sb)
             .executor_with(vec![a, b], ExecOptions::default().with_round_ticks(200))
             .unwrap();
         let out = assert_collects_like_events(exec, "join");
@@ -1225,10 +1215,7 @@ mod tests {
     fn identity_pipeline_roundtrips() {
         let s = StreamShape::new(0, 2);
         let data = ramp(s, 100);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        qb.sink(src);
-        let mut exec = qb.compile().unwrap().executor(vec![data]).unwrap();
+        let mut exec = compile(s, |s| s).executor(vec![data]).unwrap();
         let out = exec.run_collect().unwrap();
         assert_eq!(out.len(), 100);
         assert_eq!(out.values(0)[99], 99.0);
@@ -1239,11 +1226,9 @@ mod tests {
     fn select_pipeline_end_to_end() {
         let s = StreamShape::new(0, 1);
         let data = ramp(s, 50);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        let sel = qb.select_map(src, |v| v + 1.0);
-        qb.sink(sel);
-        let mut exec = qb.compile().unwrap().executor(vec![data]).unwrap();
+        let mut exec = compile(s, |s| s.map(|v| v + 1.0).unwrap())
+            .executor(vec![data])
+            .unwrap();
         let out = exec.run_collect().unwrap();
         assert_eq!(out.values(0)[0], 1.0);
         assert_eq!(out.values(0)[49], 50.0);
@@ -1251,27 +1236,45 @@ mod tests {
 
     #[test]
     fn listing1_end_to_end_produces_joined_stream() {
-        // Listing 1 over dense data: output at every joint grid point.
-        let s500 = StreamShape::new(0, 2);
-        let s200 = StreamShape::new(0, 5);
-        let d500 = ramp(s500, 500); // [0, 1000)
-        let d200 = ramp(s200, 200); // [0, 1000)
-        let mut qb = QueryBuilder::new();
-        let a = qb.source("sig500", s500);
-        let b = qb.source("sig200", s200);
-        let mean = qb.aggregate(a, AggKind::Mean, 100, 100).unwrap();
-        let adj = qb
-            .join_map(a, mean, JoinKind::Inner, 1, |v, m, o| o[0] = v[0] - m[0])
-            .unwrap();
-        let out = qb.join(adj, b, JoinKind::Inner).unwrap();
-        qb.sink(out);
-        let mut exec = qb.compile().unwrap().executor(vec![d500, d200]).unwrap();
-        let res = exec.run_collect().unwrap();
-        // Joint grid (0,1) but events exist where covering events overlap:
-        // every tick in [0, 1000) is covered by both streams.
-        assert_eq!(res.len(), 1000);
-        // At t=0: sig500 value 0, window mean of values 0..49 = 24.5.
-        assert_eq!(res.values(0)[0], -24.5);
+        // Listing 1 over dense data, once on ramps and once on sawtooths:
+        // an event at every tick both streams cover, each the sig500
+        // sample less its 100-tick tumbling mean, beside the sig200 sample.
+        type Wave = fn(usize) -> f32;
+        let (s500, s200) = (StreamShape::new(0, 2), StreamShape::new(0, 5));
+        let cases: [(usize, Wave, Wave); 2] = [
+            (500, |i| i as f32, |i| i as f32),
+            (5_000, |i| (i % 313) as f32, |i| (i % 71) as f32),
+        ];
+        for (n500, f500, f200) in cases {
+            let span = 2 * n500; // both cover [0, span)
+            let d500 = SignalData::dense(s500, (0..n500).map(f500).collect());
+            let d200 = SignalData::dense(s200, (0..span / 5).map(f200).collect());
+            let q = Query::new();
+            let sig500 = q.source("sig500", s500);
+            let sig200 = q.source("sig200", s200);
+            let (a, b) = sig500.multicast();
+            a.aggregate(AggKind::Mean, 100, 100)
+                .unwrap()
+                .join_map(b, JoinKind::Inner, 1, |m, v, o| o[0] = v[0] - m[0])
+                .unwrap()
+                .join(sig200, JoinKind::Inner)
+                .unwrap()
+                .sink();
+            let mut exec = q.compile().unwrap().executor(vec![d500, d200]).unwrap();
+            let res = exec.run_collect().unwrap();
+            // Joint grid (0,1): every tick in [0, span) is covered.
+            assert_eq!(res.len(), span);
+            // At t=0: sig500 value 0, window mean of values 0..49 = 24.5.
+            assert_eq!(res.values(0)[0], -24.5);
+            for (k, t) in res.iter_times().enumerate() {
+                assert_eq!(t, k as Tick);
+                let first = k / 100 * 50; // first sig500 slot of k's window
+                let mean = (first..first + 50).map(f500).sum::<f32>() / 50.0;
+                let want = f500(k / 2) - mean;
+                assert!((res.values(0)[k] - want).abs() < 1e-3, "t={t}");
+                assert_eq!(res.values(1)[k], f200(k / 5), "t={t}");
+            }
+        }
     }
 
     #[test]
@@ -1279,13 +1282,7 @@ mod tests {
         let s = StreamShape::new(0, 1);
         let mut data = ramp(s, 10_000);
         data.punch_gap(1000, 9000);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        let sel = qb.select_map(src, |v| v * 2.0);
-        qb.sink(sel);
-        let mut exec = qb
-            .compile()
-            .unwrap()
+        let mut exec = compile(s, |s| s.map(|v| v * 2.0).unwrap())
             .executor_with(vec![data], ExecOptions::default().with_round_ticks(100))
             .unwrap();
         let stats = exec.run().unwrap();
@@ -1311,16 +1308,16 @@ mod tests {
             (a, b)
         };
         let build = || {
-            let mut qb = QueryBuilder::new();
-            let a = qb.source("ecg", s500);
-            let b = qb.source("abp", s125);
-            let mean = qb.aggregate(a, AggKind::Mean, 200, 200).unwrap();
-            let adj = qb
-                .join_map(a, mean, JoinKind::Inner, 1, |v, m, o| o[0] = v[0] - m[0])
-                .unwrap();
-            let j = qb.join(adj, b, JoinKind::Inner).unwrap();
-            qb.sink(j);
-            qb.compile().unwrap()
+            let q = Query::new();
+            let a = q.source("ecg", s500);
+            let b = q.source("abp", s125);
+            let mean = a.aggregate(AggKind::Mean, 200, 200).unwrap();
+            a.join_map(mean, JoinKind::Inner, 1, |v, m, o| o[0] = v[0] - m[0])
+                .unwrap()
+                .join(b, JoinKind::Inner)
+                .unwrap()
+                .sink();
+            q.compile().unwrap()
         };
         for gaps in [false, true] {
             let (a1, b1) = mk(gaps);
@@ -1329,7 +1326,12 @@ mod tests {
                 .executor_with(vec![a1, b1], ExecOptions::default().with_round_ticks(400))
                 .unwrap();
             let mut e2 = build()
-                .executor_with(vec![a2, b2], ExecOptions::eager().with_round_ticks(400))
+                .executor_with(
+                    vec![a2, b2],
+                    ExecOptions::default()
+                        .without_targeting()
+                        .with_round_ticks(400),
+                )
                 .unwrap();
             let o1 = e1.run_collect().unwrap();
             let o2 = e2.run_collect().unwrap();
@@ -1348,14 +1350,7 @@ mod tests {
         let mut r = ramp(s, 10_000);
         r.punch_gap(0, 5000);
         r.punch_gap(6000, 10_000);
-        let mut qb = QueryBuilder::new();
-        let a = qb.source("l", s);
-        let b = qb.source("r", s);
-        let j = qb.join(a, b, JoinKind::Inner).unwrap();
-        qb.sink(j);
-        let mut exec = qb
-            .compile()
-            .unwrap()
+        let mut exec = joined(s, s)
             .executor_with(vec![l, r], ExecOptions::default().with_round_ticks(100))
             .unwrap();
         let stats = exec.run().unwrap();
@@ -1373,13 +1368,7 @@ mod tests {
     fn dynamic_memory_mode_counts_allocations() {
         let s = StreamShape::new(0, 1);
         let data = ramp(s, 1000);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        let sel = qb.select_map(src, |v| v);
-        qb.sink(sel);
-        let mut exec = qb
-            .compile()
-            .unwrap()
+        let mut exec = compile(s, |s| s.map(|v| v).unwrap())
             .executor_with(
                 vec![data],
                 ExecOptions::default()
@@ -1395,13 +1384,7 @@ mod tests {
     fn static_memory_mode_has_zero_steady_state_allocs() {
         let s = StreamShape::new(0, 1);
         let data = ramp(s, 1000);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        let sel = qb.select_map(src, |v| v);
-        qb.sink(sel);
-        let mut exec = qb
-            .compile()
-            .unwrap()
+        let mut exec = compile(s, |s| s.map(|v| v).unwrap())
             .executor_with(vec![data], ExecOptions::default().with_round_ticks(100))
             .unwrap();
         let stats = exec.run().unwrap();
@@ -1409,18 +1392,17 @@ mod tests {
     }
 
     /// select → select → where chain over gappy data; fusible end to end.
-    fn fusible_chain() -> (crate::query::CompiledQuery, SignalData) {
+    fn fusible_chain() -> (CompiledQuery, SignalData) {
         let s = StreamShape::new(0, 1);
         let mut data = ramp(s, 4000);
         data.punch_gap(500, 700);
         data.punch_gap(1203, 1207);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        let a = qb.select_map(src, |v| v * 2.0);
-        let b = qb.select_map(a, |v| v + 1.0);
-        let c = qb.where_(b, |v| v[0] as i64 % 3 != 0).unwrap();
-        qb.sink(c);
-        (qb.compile().unwrap(), data)
+        let compiled = compile(s, |s| {
+            let doubled = s.map(|v| v * 2.0).unwrap();
+            let shifted = doubled.map(|v| v + 1.0).unwrap();
+            shifted.where_(|v| v[0] as i64 % 3 != 0).unwrap()
+        });
+        (compiled, data)
     }
 
     #[test]
@@ -1491,14 +1473,12 @@ mod tests {
     fn multicast_fan_out_breaks_fusion_group() {
         let s = StreamShape::new(0, 1);
         let mk = || {
-            let mut qb = QueryBuilder::new();
-            let src = qb.source("s", s);
-            let a = qb.select_map(src, |v| v * 2.0);
-            let b = qb.select_map(a, |v| v + 1.0);
-            // `a` feeds both `b` and the join: its window must survive.
-            let j = qb.join(b, a, crate::ops::join::JoinKind::Inner).unwrap();
-            qb.sink(j);
-            qb.compile().unwrap()
+            compile(s, |s| {
+                let a = s.map(|v| v * 2.0).unwrap();
+                let b = a.map(|v| v + 1.0).unwrap();
+                // `a` feeds both `b` and the join: its window must survive.
+                b.join(a, JoinKind::Inner).unwrap()
+            })
         };
         let fused = mk().executor(vec![ramp(s, 100)]).unwrap();
         // No chain of >= 2 exclusive members exists, so nothing fuses.
@@ -1515,13 +1495,7 @@ mod tests {
     fn shift_pipeline_drains_spill() {
         let s = StreamShape::new(0, 1);
         let data = ramp(s, 100);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        let sh = qb.shift(src, 250).unwrap();
-        qb.sink(sh);
-        let mut exec = qb
-            .compile()
-            .unwrap()
+        let mut exec = compile(s, |s| s.shift(250).unwrap())
             .executor_with(vec![data], ExecOptions::default().with_round_ticks(50))
             .unwrap();
         let out = exec.run_collect().unwrap();
@@ -1534,10 +1508,7 @@ mod tests {
     fn empty_sources_produce_no_output() {
         let s = StreamShape::new(0, 1);
         let data = SignalData::dense(s, vec![]);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        qb.sink(src);
-        let mut exec = qb.compile().unwrap().executor(vec![data]).unwrap();
+        let mut exec = compile(s, |s| s).executor(vec![data]).unwrap();
         let out = exec.run_collect().unwrap();
         assert!(out.is_empty());
     }
@@ -1546,12 +1517,7 @@ mod tests {
     fn window_size_option_round_up() {
         let s = StreamShape::new(0, 2);
         let data = ramp(s, 10);
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", s);
-        qb.sink(src);
-        let exec = qb
-            .compile()
-            .unwrap()
+        let exec = compile(s, |s| s)
             .executor_with(vec![data], ExecOptions::default().with_round_ticks(7))
             .unwrap();
         assert_eq!(exec.round_dim(), 8); // 7 rounded up to a multiple of 2

@@ -179,7 +179,7 @@ impl fmt::Display for Node {
 }
 
 /// The computation graph: nodes in topological order (construction via
-/// [`QueryBuilder`](crate::query::QueryBuilder) guarantees producers precede
+/// [`Stream`](crate::stream::Stream) operators guarantees producers precede
 /// consumers), plus the sink set.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {

@@ -19,7 +19,7 @@
 //! Those two properties power three optimizations:
 //!
 //! 1. **Locality tracing** ([`trace`]) — a query-compile-time pass that
-//!    equalizes the [`FWindow`](fwindow::FWindow) dimensions across the whole
+//!    equalizes the [`FWindow`] dimensions across the whole
 //!    computation graph so intermediate results are consumed immediately,
 //!    maximizing end-to-end cache locality.
 //! 2. **Static memory allocation** ([`memory`]) — all intermediate FWindows
@@ -31,9 +31,8 @@
 //!
 //! ## Quickstart
 //!
-//! Queries are written against the fluent [`stream`] surface: a
-//! [`Query`](stream::Query) scope hands out chainable
-//! [`Stream`](stream::Stream) values, and every Table-2 operator is a
+//! Queries are written in one language, [`stream`]: a [`Query`] scope
+//! hands out chainable [`Stream`] values, and every Table-2 operator is a
 //! fallible method on them.
 //!
 //! ```
@@ -55,11 +54,10 @@
 //! # Ok::<(), lifestream_core::Error>(())
 //! ```
 //!
-//! The fluent layer drives the logical-plan layer — the
-//! [`QueryBuilder`](query::QueryBuilder) — one-to-one; both compile to
-//! identical plans, and the builder remains the documented low-level API
-//! for compiler passes that rewrite the plan graph (see [`stream`] for
-//! the two-layer design).
+//! A [`Query`] owns its logical plan: each operator method validates its
+//! parameters and appends one graph node, and [`Query::compile`] traces
+//! the graph into the [`CompiledQuery`](query::CompiledQuery) that
+//! executors, live sessions and history replays all run.
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -86,7 +84,6 @@ pub mod trace;
 pub use error::{Error, Result};
 pub use exec::{ExecOptions, Executor};
 pub use fwindow::FWindow;
-pub use query::{QueryBuilder, StreamHandle};
 pub use source::SignalData;
 pub use stream::{Query, Stream};
 pub use time::{StreamShape, Tick};
@@ -99,7 +96,6 @@ pub mod prelude {
     pub use crate::ops::aggregate::AggKind;
     pub use crate::ops::join::JoinKind;
     pub use crate::presence::PresenceMap;
-    pub use crate::query::{QueryBuilder, StreamHandle};
     pub use crate::source::SignalData;
     pub use crate::stats::RunStats;
     pub use crate::stream::{Query, Stream};

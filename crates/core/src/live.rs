@@ -12,12 +12,10 @@
 //! use lifestream_core::live::LiveSession;
 //! use lifestream_core::prelude::*;
 //!
-//! let mut qb = QueryBuilder::new();
-//! let src = qb.source("ecg", StreamShape::new(0, 2));
-//! let doubled = qb.select_map(src, |v| v * 2.0);
-//! qb.sink(doubled);
+//! let q = Query::new();
+//! q.source("ecg", StreamShape::new(0, 2)).map(|v| v * 2.0)?.sink();
 //!
-//! let mut session = LiveSession::new(qb.compile()?, 100)?;
+//! let mut session = LiveSession::new(q.compile()?, 100)?;
 //! for k in 0..200 {
 //!     session.push(0, k * 2, k as f32)?;
 //! }
@@ -619,7 +617,7 @@ impl SessionBuffer {
         let src = self
             .sources
             .get_mut(source)
-            .ok_or(Error::InvalidHandle { node: source })?;
+            .ok_or(Error::UnknownSource { index: source })?;
         src.admit(t, v).map_err(|why| match why {
             // Only the session knows *why* the horizon sits where it
             // does — say so.
@@ -813,7 +811,7 @@ impl LiveSession {
             .margins
             .get(source)
             .copied()
-            .ok_or(Error::InvalidHandle { node: source })
+            .ok_or(Error::UnknownSource { index: source })
     }
 
     /// Grid slots currently buffered for source `source` — after a poll,
@@ -827,7 +825,7 @@ impl LiveSession {
             .sources
             .get(source)
             .map(LiveSource::retained_slots)
-            .ok_or(Error::InvalidHandle { node: source })
+            .ok_or(Error::UnknownSource { index: source })
     }
 
     /// Appends one sample to source `source` at grid time `t`
@@ -993,14 +991,26 @@ impl std::fmt::Debug for LiveSession {
 mod tests {
     use super::*;
     use crate::ops::aggregate::AggKind;
-    use crate::query::QueryBuilder;
+    use crate::query::CompiledQuery;
+    use crate::stream::{Query, Stream};
+
+    /// One source of `shape` through `op` into a sink.
+    fn compile(shape: StreamShape, op: impl FnOnce(Stream<'_>) -> Stream<'_>) -> CompiledQuery {
+        let q = Query::new();
+        op(q.source("s", shape)).sink();
+        q.compile().unwrap()
+    }
+
+    fn plus_one() -> CompiledQuery {
+        compile(StreamShape::new(0, 2), |s| s.map(|v| v + 1.0).unwrap())
+    }
+
+    fn shift_250() -> CompiledQuery {
+        compile(StreamShape::new(0, 1), |s| s.shift(250).unwrap())
+    }
 
     fn session(round: Tick) -> LiveSession {
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", StreamShape::new(0, 2));
-        let sel = qb.select_map(src, |v| v + 1.0);
-        qb.sink(sel);
-        LiveSession::new(qb.compile().unwrap(), round).unwrap()
+        LiveSession::new(plus_one(), round).unwrap()
     }
 
     #[test]
@@ -1037,11 +1047,9 @@ mod tests {
         // The deployment-seamlessness property: identical output online
         // and offline, including a stateful sliding aggregate.
         let build = || {
-            let mut qb = QueryBuilder::new();
-            let src = qb.source("s", StreamShape::new(0, 2));
-            let agg = qb.aggregate(src, AggKind::Mean, 20, 2).unwrap();
-            qb.sink(agg);
-            qb.compile().unwrap()
+            compile(StreamShape::new(0, 2), |s| {
+                s.aggregate(AggKind::Mean, 20, 2).unwrap()
+            })
         };
         let vals: Vec<f32> = (0..500).map(|i| ((i * 37) % 97) as f32).collect();
 
@@ -1071,7 +1079,10 @@ mod tests {
     fn rejects_bad_pushes() {
         let mut s = session(100);
         assert!(s.push(0, 3, 1.0).is_err()); // off grid
-        assert!(s.push(1, 2, 1.0).is_err()); // unknown source
+        assert_eq!(
+            s.push(1, 2, 1.0).unwrap_err(),
+            Error::UnknownSource { index: 1 }
+        );
         s.push(0, 10, 1.0).unwrap();
         assert!(s.push(0, 10, 2.0).is_err()); // duplicate
         s.push(0, 20, 2.0).unwrap(); // forward gap is fine
@@ -1104,11 +1115,7 @@ mod tests {
 
     #[test]
     fn shift_margin_keeps_lookback_history() {
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", StreamShape::new(0, 1));
-        let sh = qb.shift(src, 250).unwrap();
-        qb.sink(sh);
-        let mut s = LiveSession::new(qb.compile().unwrap(), 100).unwrap();
+        let mut s = LiveSession::new(shift_250(), 100).unwrap();
         // Shift(250) lineage looks 250 ticks back from any round start.
         assert_eq!(s.history_margin(0).unwrap(), 250);
         for t in 0..1000 {
@@ -1151,11 +1158,9 @@ mod tests {
         // including a stateful sliding aggregate whose ring state crosses
         // the handoff point.
         let build = || {
-            let mut qb = QueryBuilder::new();
-            let src = qb.source("s", StreamShape::new(0, 2));
-            let agg = qb.aggregate(src, AggKind::Mean, 100, 10).unwrap();
-            qb.sink(agg);
-            qb.compile().unwrap()
+            compile(StreamShape::new(0, 2), |s| {
+                s.aggregate(AggKind::Mean, 100, 10).unwrap()
+            })
         };
         let vals: Vec<f32> = (0..800).map(|i| ((i * 37) % 97) as f32).collect();
 
@@ -1200,13 +1205,7 @@ mod tests {
         // A forward shift keeps a real spill queue and a 250-tick margin;
         // export right after a poll (frontier advanced, history retired to
         // the margin) and resume.
-        let build = || {
-            let mut qb = QueryBuilder::new();
-            let src = qb.source("s", StreamShape::new(0, 1));
-            let sh = qb.shift(src, 250).unwrap();
-            qb.sink(sh);
-            qb.compile().unwrap()
-        };
+        let build = shift_250;
         let mut reference = LiveSession::new(build(), 100).unwrap();
         let mut ref_out = OutputCollector::new(1);
         let mut first = LiveSession::new(build(), 100).unwrap();
@@ -1235,23 +1234,18 @@ mod tests {
     fn import_rejects_mismatched_snapshots() {
         let snap = session(100).export_suffix();
         // Wrong source count.
-        let mut qb = QueryBuilder::new();
-        let a = qb.source("a", StreamShape::new(0, 2));
-        let b = qb.source("b", StreamShape::new(0, 2));
-        let j = qb.join(a, b, crate::ops::join::JoinKind::Inner).unwrap();
-        qb.sink(j);
-        let err = LiveSession::import_suffix(qb.compile().unwrap(), 100, snap.clone())
+        let q = Query::new();
+        let a = q.source("a", StreamShape::new(0, 2));
+        let b = q.source("b", StreamShape::new(0, 2));
+        a.join(b, crate::ops::join::JoinKind::Inner).unwrap().sink();
+        let err = LiveSession::import_suffix(q.compile().unwrap(), 100, snap.clone())
             .unwrap_err()
             .to_string();
         assert!(err.contains("sources"), "err: {err}");
         // Misaligned frontier.
         let mut bad = snap;
         bad.next_round = 37;
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", StreamShape::new(0, 2));
-        let sel = qb.select_map(src, |v| v + 1.0);
-        qb.sink(sel);
-        let err = LiveSession::import_suffix(qb.compile().unwrap(), 100, bad)
+        let err = LiveSession::import_suffix(plus_one(), 100, bad)
             .unwrap_err()
             .to_string();
         assert!(err.contains("aligned"), "err: {err}");
@@ -1262,11 +1256,7 @@ mod tests {
         // Satellite regression: the below-horizon error must name the
         // horizon itself, the round frontier, and the source's history
         // margin so an operator can see *why* the push was refused.
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", StreamShape::new(0, 1));
-        let sh = qb.shift(src, 250).unwrap();
-        qb.sink(sh);
-        let mut s = LiveSession::new(qb.compile().unwrap(), 100).unwrap();
+        let mut s = LiveSession::new(shift_250(), 100).unwrap();
         for t in 0..1000 {
             s.push(0, t, t as f32).unwrap();
         }
@@ -1284,11 +1274,7 @@ mod tests {
         // Attach a sink, stream with interleaved polls, and check the
         // spilled spans plus the retained suffix reconstruct the full
         // history exactly — nothing lost, nothing duplicated.
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", StreamShape::new(0, 2));
-        let sel = qb.select_map(src, |v| v + 1.0);
-        qb.sink(sel);
-        let mut s = LiveSession::new(qb.compile().unwrap(), 100).unwrap();
+        let mut s = session(100);
         let spilled: Arc<Mutex<Vec<RetiredSpan>>> = Arc::new(Mutex::new(Vec::new()));
         let sink_ref = Arc::clone(&spilled);
         s.set_retire_sink(Box::new(move |span| sink_ref.lock().unwrap().push(span)));
@@ -1341,14 +1327,25 @@ mod tests {
 
     #[test]
     fn gaps_in_live_feed_are_skipped() {
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", StreamShape::new(0, 1));
-        qb.sink(src);
-        let mut s = LiveSession::new(qb.compile().unwrap(), 50).unwrap();
+        let mut s = LiveSession::new(compile(StreamShape::new(0, 1), |s| s), 50).unwrap();
         s.push(0, 0, 1.0).unwrap();
         s.push(0, 500, 2.0).unwrap(); // long disconnection
         let out = s.finish_collect().unwrap();
         assert_eq!(out.len(), 2);
         assert!(s.stats().windows_skipped > 0);
+    }
+
+    #[test]
+    fn unknown_source_is_refused_by_index() {
+        let mut s = session(100);
+        let unknown = Error::UnknownSource { index: 7 };
+        assert_eq!(s.push(0, 2, 1.0), Ok(()));
+        assert_eq!(s.push(7, 2, 1.0).unwrap_err(), unknown);
+        let mut errs = Vec::new();
+        s.push_run(7, 0, 2, &[1.0, 2.0], |e| errs.push(e));
+        assert_eq!(errs, [unknown.clone(), unknown.clone()]);
+        assert_eq!(s.history_margin(7).unwrap_err(), unknown);
+        assert_eq!(s.retained_slots(7).unwrap_err(), unknown);
+        assert_eq!(unknown.to_string(), "query has no source 7");
     }
 }

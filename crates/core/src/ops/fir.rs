@@ -8,12 +8,12 @@
 //! partials, matching the old closure-based `pass_filter`). Output is
 //! present exactly where input is present. Up to `taps − 1` trailing
 //! samples of a run carry across round boundaries in kernel state
-//! ([`FirState`]), so a run spanning rounds filters identically to the
+//! (`FirState`), so a run spanning rounds filters identically to the
 //! same run inside one round; a skipped round clears the carry, which is
 //! consistent because a skipped round is an all-absent round.
 //!
 //! Both the staged [`FirKernel`] and the fused stage it converts into run
-//! the *same* accumulation code ([`FirState::apply_run`]): a per-sample
+//! the *same* accumulation code (`FirState::apply_run`): a per-sample
 //! history-aware head for the first `taps − 1` positions of a run, then a
 //! branch-free dense interior — a fixed-trip tap loop over independent
 //! output positions, the autovectorization-friendly shape the fusion pass
@@ -111,7 +111,7 @@ impl FirState {
 }
 
 /// Staged FIR kernel: walks the input window's presence runs, filtering
-/// each through [`FirState::apply_run`]. Output durations are rewritten
+/// each through `FirState::apply_run`. Output durations are rewritten
 /// to the grid period (like `Transform`, whose closure-based
 /// `pass_filter` this operator replaces).
 pub struct FirKernel {
@@ -124,7 +124,9 @@ impl FirKernel {
     /// Creates a FIR kernel. `capacity` bounds one round's slots.
     ///
     /// # Panics
-    /// Panics on empty taps (the builder validates first).
+    /// Panics on empty taps
+    /// ([`Stream::pass_filter`](crate::stream::Stream::pass_filter)
+    /// validates first).
     pub fn new(taps: Vec<f32>, capacity: usize) -> Self {
         assert!(!taps.is_empty(), "FIR requires at least one tap");
         Self {

@@ -1,9 +1,10 @@
-//! Prebuilt physiological-data pipelines, written against the fluent
+//! Prebuilt physiological-data pipelines, written against the
 //! [`Stream`] API.
 //!
 //! The building blocks here are the operation benchmarks of Table 3
-//! (Normalize, PassFilter, FillConst, FillMean, Resample) expressed as
-//! LifeStream queries, plus the three end-to-end applications evaluated in
+//! (Normalize, FillConst, FillMean, Resample) expressed as LifeStream
+//! queries — PassFilter is the [`Stream::pass_filter`] operator itself —
+//! plus the three end-to-end applications evaluated in
 //! the paper: the Fig. 3 ECG ⋈ ABP pipeline (§8.3), the line-zero artifact
 //! detection model, and the cardiac-arrest-prediction (CAP) feature
 //! pipeline (§8.4). Each operation takes and returns a [`Stream`], so
@@ -83,36 +84,6 @@ pub fn normalize(input: Stream<'_>, window: Tick) -> Result<Stream<'_>> {
             }
         }
     })
-}
-
-/// `PassFilter`: finite-impulse-response frequency filtering (the SciPy
-/// benchmark of Table 3), built on the first-class `Fir` operator so
-/// chains containing it fuse into single-pass kernels. Within each
-/// maximal run of present samples, `y[t] = Σₖ taps[k]·x[t−k·period]`;
-/// gaps reset the filter. On dense data this matches the historical
-/// `Transform`-closure implementation exactly.
-///
-/// `window` is kept for API compatibility with the other Table-3
-/// building blocks and validated the same way (positive multiple of the
-/// period); the run-based filter no longer slices on it.
-///
-/// # Errors
-/// Rejects an empty tap vector, an invalid window, or multi-field input.
-pub fn pass_filter(input: Stream<'_>, window: Tick, taps: Vec<f32>) -> Result<Stream<'_>> {
-    if taps.is_empty() {
-        return Err(Error::InvalidParameter {
-            message: "pass_filter requires at least one tap".into(),
-        });
-    }
-    let period = input.shape()?.period();
-    if window <= 0 || window % period != 0 {
-        return Err(Error::InvalidParameter {
-            message: format!(
-                "pass_filter window {window} must be a positive multiple of period {period}"
-            ),
-        });
-    }
-    input.pass_filter(taps)
 }
 
 /// `FillConst`: fills gaps smaller than the sub-window with a constant
@@ -383,7 +354,8 @@ mod tests {
                 .collect(),
         );
         let q = Query::new();
-        pass_filter(q.source("s", s), 500, fir_lowpass(31, 0.05))
+        q.source("s", s)
+            .pass_filter(fir_lowpass(31, 0.05))
             .unwrap()
             .sink();
         let mut exec = q.compile().unwrap().executor(vec![data]).unwrap();

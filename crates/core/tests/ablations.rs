@@ -1,7 +1,8 @@
 //! `ExecOptions` ablation coverage: targeted-vs-eager query processing
 //! and static-vs-dynamic memory are *performance* knobs — they must
 //! agree bit-for-bit on outputs for every prebuilt pipeline in
-//! `lifestream_core::pipeline`, on both dense and gap-heavy data.
+//! `lifestream_core::pipeline`, the FIR operator and a `where_shape` →
+//! `map` chain, on both dense and gap-heavy data.
 
 use lifestream_core::exec::ExecOptions;
 use lifestream_core::ops::where_shape::ShapeMode;
@@ -17,7 +18,13 @@ fn waveform(shape: StreamShape, slots: usize, gaps: bool) -> SignalData {
     let vals: Vec<f32> = (0..slots)
         .map(|i| (i as f32 * 0.05).sin() * 30.0 + 80.0 + (i % 13) as f32)
         .collect();
-    let mut data = SignalData::dense(shape, vals);
+    with_gaps(SignalData::dense(shape, vals), gaps)
+}
+
+/// `data` with a short gap, a multi-round gap and a tail dropout, when
+/// `gaps` is set.
+fn with_gaps(mut data: SignalData, gaps: bool) -> SignalData {
+    let (shape, slots) = (data.shape(), data.values().len());
     if gaps {
         let span = slots as Tick * shape.period();
         data.punch_gap(span / 8, span / 8 + span / 16);
@@ -48,7 +55,8 @@ fn prebuilt(gaps: bool) -> Vec<PipelineCase> {
             "pass_filter",
             Box::new(move || {
                 let q = Query::new();
-                lspipe::pass_filter(q.source("s", s2), WINDOW, lspipe::fir_lowpass(15, 0.1))
+                q.source("s", s2)
+                    .pass_filter(lspipe::fir_lowpass(15, 0.1))
                     .unwrap()
                     .sink();
                 q
@@ -121,6 +129,35 @@ fn prebuilt(gaps: bool) -> Vec<PipelineCase> {
                 waveform(StreamShape::new(0, 4), 3_000, gaps),
             ],
         ),
+        (
+            "where_shape_map",
+            Box::new(move || {
+                // DTW-keep a 16-sample ramp, then rescale the survivors.
+                let q = Query::new();
+                q.source("abp", s8)
+                    .where_shape(
+                        (0..16).map(|i| i as f32).collect(),
+                        4,
+                        3.0,
+                        true,
+                        ShapeMode::Keep,
+                    )
+                    .unwrap()
+                    .map(|v| v * 0.5)
+                    .unwrap()
+                    .sink();
+                q
+            }),
+            vec![with_gaps(
+                SignalData::dense(
+                    s8,
+                    (0..4_000)
+                        .map(|i| ((i % 97) as f32 * 0.4).sin() * 20.0 + (i % 29) as f32)
+                        .collect(),
+                ),
+                gaps,
+            )],
+        ),
     ]
 }
 
@@ -145,13 +182,11 @@ fn every_prebuilt_pipeline_agrees_across_all_ablations() {
                 "{name} (gaps={gaps}) produced no output; comparison is vacuous"
             );
             let ablations = [
-                ("eager", ExecOptions::eager().with_round_ticks(ROUND)),
+                ("eager", base.without_targeting()),
                 ("dynamic-memory", base.with_dynamic_memory()),
                 (
                     "eager+dynamic",
-                    ExecOptions::eager()
-                        .with_round_ticks(ROUND)
-                        .with_dynamic_memory(),
+                    base.without_targeting().with_dynamic_memory(),
                 ),
             ];
             for (label, opts) in ablations {

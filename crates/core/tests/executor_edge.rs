@@ -1,15 +1,32 @@
 //! Executor edge cases: offset streams, join flavours end-to-end,
-//! multi-sink queries, chained reshapes, and live-session multi-source
-//! interleavings.
+//! multi-sink queries, chained reshapes, live-session multi-source
+//! interleavings, and every operator refusal reaching the caller.
 
 use lifestream_core::exec::ExecOptions;
 use lifestream_core::live::LiveSession;
 use lifestream_core::ops::aggregate::AggKind;
 use lifestream_core::ops::join::JoinKind;
+use lifestream_core::ops::where_shape::ShapeMode;
 use lifestream_core::prelude::*;
+use lifestream_core::query::CompiledQuery;
 
 fn ramp(shape: StreamShape, n: usize) -> SignalData {
     SignalData::dense(shape, (0..n).map(|i| i as f32).collect())
+}
+
+/// One source of `shape` through `op` into a sink.
+fn compile(shape: StreamShape, op: impl FnOnce(Stream<'_>) -> Stream<'_>) -> CompiledQuery {
+    let q = Query::new();
+    op(q.source("s", shape)).sink();
+    q.compile().unwrap()
+}
+
+/// Sources `l` and `r` joined by `kind` into a sink.
+fn joined(l: StreamShape, r: StreamShape, kind: JoinKind) -> CompiledQuery {
+    let q = Query::new();
+    let (a, b) = (q.source("l", l), q.source("r", r));
+    a.join(b, kind).unwrap().sink();
+    q.compile().unwrap()
 }
 
 #[test]
@@ -17,13 +34,7 @@ fn offset_stream_executes_correctly() {
     // Events at 500, 502, 504, ... — far from the round grid's origin.
     let shape = StreamShape::new(500, 2);
     let data = ramp(shape, 100);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("s", shape);
-    let sel = qb.select_map(src, |v| v + 0.5);
-    qb.sink(sel);
-    let out = qb
-        .compile()
-        .unwrap()
+    let out = compile(shape, |s| s.map(|v| v + 0.5).unwrap())
         .executor_with(vec![data], ExecOptions::default().with_round_ticks(64))
         .unwrap()
         .run_collect()
@@ -39,14 +50,7 @@ fn left_join_emits_all_left_events() {
     let left = ramp(s, 100);
     let mut right = ramp(s, 100);
     right.punch_gap(20, 80);
-    let mut qb = QueryBuilder::new();
-    let l = qb.source("l", s);
-    let r = qb.source("r", s);
-    let j = qb.join(l, r, JoinKind::Left).unwrap();
-    qb.sink(j);
-    let out = qb
-        .compile()
-        .unwrap()
+    let out = joined(s, s, JoinKind::Left)
         .executor(vec![left, right])
         .unwrap()
         .run_collect()
@@ -65,14 +69,7 @@ fn outer_join_covers_union() {
     let mut right = ramp(s, 100);
     left.punch_gap(0, 50);
     right.punch_gap(50, 100);
-    let mut qb = QueryBuilder::new();
-    let l = qb.source("l", s);
-    let r = qb.source("r", s);
-    let j = qb.join(l, r, JoinKind::Outer).unwrap();
-    qb.sink(j);
-    let stats = qb
-        .compile()
-        .unwrap()
+    let stats = joined(s, s, JoinKind::Outer)
         .executor(vec![left, right])
         .unwrap()
         .run()
@@ -84,13 +81,11 @@ fn outer_join_covers_union() {
 fn multi_sink_query_counts_both_outputs() {
     let s = StreamShape::new(0, 2);
     let data = ramp(s, 50);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("s", s);
-    let a = qb.select_map(src, |v| v);
-    let b = qb.where_(src, |v| v[0] >= 25.0).unwrap();
-    qb.sink(a);
-    qb.sink(b);
-    let compiled = qb.compile().unwrap();
+    let q = Query::new();
+    let src = q.source("s", s);
+    src.map(|v| v).unwrap().sink();
+    src.where_(|v| v[0] >= 25.0).unwrap().sink();
+    let compiled = q.compile().unwrap();
     let mut exec = compiled.executor(vec![data]).unwrap();
     // run_collect rejects multi-sink; run_with sees both.
     assert!(exec.run_collect().is_err());
@@ -102,14 +97,7 @@ fn chained_reshapes_compose() {
     // grid after a timing alignment.
     let s = StreamShape::new(0, 8);
     let data = ramp(s, 50);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("s", s);
-    let sh = qb.shift(src, 8).unwrap();
-    let up = qb.alter_period(sh, 4).unwrap();
-    qb.sink(up);
-    let out = qb
-        .compile()
-        .unwrap()
+    let out = compile(s, |s| s.shift(8).unwrap().alter_period(4).unwrap())
         .executor_with(vec![data], ExecOptions::default().with_round_ticks(80))
         .unwrap()
         .run_collect()
@@ -124,18 +112,14 @@ fn chained_reshapes_compose() {
 fn aggregate_chain_mean_of_means() {
     let s = StreamShape::new(0, 1);
     let data = ramp(s, 1000);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("s", s);
-    let m1 = qb.aggregate(src, AggKind::Mean, 10, 10).unwrap();
-    let m2 = qb.aggregate(m1, AggKind::Mean, 100, 100).unwrap();
-    qb.sink(m2);
-    let out = qb
-        .compile()
-        .unwrap()
-        .executor(vec![data])
-        .unwrap()
-        .run_collect()
-        .unwrap();
+    let out = compile(s, |s| {
+        let m1 = s.aggregate(AggKind::Mean, 10, 10).unwrap();
+        m1.aggregate(AggKind::Mean, 100, 100).unwrap()
+    })
+    .executor(vec![data])
+    .unwrap()
+    .run_collect()
+    .unwrap();
     assert_eq!(out.len(), 10);
     // Mean of means over uniform windows = global window mean.
     assert!((out.values(0)[0] - 49.5).abs() < 1e-3);
@@ -146,12 +130,7 @@ fn aggregate_chain_mean_of_means() {
 fn live_session_two_sources_wait_for_slowest() {
     let s1 = StreamShape::new(0, 1);
     let s2 = StreamShape::new(0, 2);
-    let mut qb = QueryBuilder::new();
-    let a = qb.source("a", s1);
-    let b = qb.source("b", s2);
-    let j = qb.join(a, b, JoinKind::Inner).unwrap();
-    qb.sink(j);
-    let mut session = LiveSession::new(qb.compile().unwrap(), 50).unwrap();
+    let mut session = LiveSession::new(joined(s1, s2, JoinKind::Inner), 50).unwrap();
     // Source 0 races ahead; source 1 lags.
     for t in 0..200 {
         session.push(0, t, t as f32).unwrap();
@@ -172,18 +151,14 @@ fn live_session_two_sources_wait_for_slowest() {
 fn where_then_aggregate_sees_filtered_events_only() {
     let s = StreamShape::new(0, 1);
     let data = ramp(s, 100);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("s", s);
-    let evens = qb.where_(src, |v| (v[0] as i64) % 2 == 0).unwrap();
-    let sum = qb.aggregate(evens, AggKind::Sum, 10, 10).unwrap();
-    qb.sink(sum);
-    let out = qb
-        .compile()
-        .unwrap()
-        .executor(vec![data])
-        .unwrap()
-        .run_collect()
-        .unwrap();
+    let out = compile(s, |s| {
+        let evens = s.where_(|v| (v[0] as i64) % 2 == 0).unwrap();
+        evens.aggregate(AggKind::Sum, 10, 10).unwrap()
+    })
+    .executor(vec![data])
+    .unwrap()
+    .run_collect()
+    .unwrap();
     assert_eq!(out.len(), 10);
     assert_eq!(out.values(0)[0], 0.0 + 2.0 + 4.0 + 6.0 + 8.0);
 }
@@ -192,12 +167,7 @@ fn where_then_aggregate_sees_filtered_events_only() {
 fn round_larger_than_dataset_runs_once() {
     let s = StreamShape::new(0, 2);
     let data = ramp(s, 10);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("s", s);
-    qb.sink(src);
-    let mut exec = qb
-        .compile()
-        .unwrap()
+    let mut exec = compile(s, |s| s)
         .executor_with(
             vec![data],
             ExecOptions::default().with_round_ticks(1_000_000),
@@ -213,12 +183,7 @@ fn stats_skip_plus_exec_covers_span() {
     let s = StreamShape::new(0, 1);
     let mut data = ramp(s, 10_000);
     data.punch_gap(2_000, 8_000);
-    let mut qb = QueryBuilder::new();
-    let src = qb.source("s", s);
-    qb.sink(src);
-    let mut exec = qb
-        .compile()
-        .unwrap()
+    let mut exec = compile(s, |s| s)
         .executor_with(vec![data], ExecOptions::default().with_round_ticks(500))
         .unwrap();
     let stats = exec.run().unwrap();
@@ -233,12 +198,11 @@ fn stats_skip_plus_exec_covers_span() {
 // ---------------------------------------------------------------------
 
 fn two_source_executor() -> lifestream_core::exec::Executor {
-    let mut qb = QueryBuilder::new();
-    let a = qb.source("ecg", StreamShape::new(0, 2));
-    let b = qb.source("abp", StreamShape::new(0, 8));
-    let j = qb.join(a, b, JoinKind::Inner).unwrap();
-    qb.sink(j);
-    qb.compile()
+    let q = Query::new();
+    let a = q.source("ecg", StreamShape::new(0, 2));
+    let b = q.source("abp", StreamShape::new(0, 8));
+    a.join(b, JoinKind::Inner).unwrap().sink();
+    q.compile()
         .unwrap()
         .executor(vec![
             ramp(StreamShape::new(0, 2), 400),
@@ -296,13 +260,7 @@ fn recycle_resets_state_and_recomputes_span() {
     // A recycled executor must behave exactly like a fresh one, even when
     // the new dataset covers a different time span than the old one.
     let shape = StreamShape::new(0, 2);
-    let build = || {
-        let mut qb = QueryBuilder::new();
-        let src = qb.source("s", shape);
-        let agg = qb.aggregate(src, AggKind::Mean, 20, 2).unwrap();
-        qb.sink(agg);
-        qb.compile().unwrap()
-    };
+    let build = || compile(shape, |s| s.aggregate(AggKind::Mean, 20, 2).unwrap());
     let long = ramp(shape, 2_000);
     let mut short = ramp(shape, 600);
     short.punch_gap(100, 400);
@@ -331,4 +289,132 @@ fn recycle_failure_leaves_executor_reusable() {
     ]);
     assert!(ok.is_ok());
     assert!(exec.run().is_ok());
+}
+
+// ---------------------------------------------------------------------
+// operator refusals: each parameter check reaches the caller as an Error
+// ---------------------------------------------------------------------
+
+type RefusedOp = fn(Stream<'_>) -> Result<Stream<'_>>;
+
+fn refused(message: &str) -> Error {
+    Error::InvalidParameter {
+        message: message.into(),
+    }
+}
+
+#[test]
+fn every_operator_refusal_reaches_the_caller() {
+    // A single-field operator on a 2-field stream.
+    let two_fields = Error::ArityMismatch {
+        expected: 1,
+        actual: 2,
+    };
+    // Each case reads a period-2 source; the `two_fields` cases first
+    // widen it to two fields with a `select`.
+    let cases: Vec<(&str, RefusedOp, Error)> = vec![
+        (
+            "select arity 0",
+            |s| s.select(0, |_, _| {}),
+            refused("select out_arity 0 out of range"),
+        ),
+        (
+            "select arity 9",
+            |s| s.select(9, |_, _| {}),
+            refused("select out_arity 9 out of range"),
+        ),
+        (
+            "aggregate window 0",
+            |s| s.aggregate(AggKind::Mean, 0, 2),
+            refused("aggregate window 0 / stride 2 invalid"),
+        ),
+        (
+            "aggregate off the period",
+            |s| s.aggregate(AggKind::Mean, 5, 5),
+            refused("aggregate window 5 and stride 5 must be multiples of the input period 2"),
+        ),
+        (
+            "aggregate window below stride",
+            |s| s.aggregate(AggKind::Mean, 4, 8),
+            refused("aggregate window 4 / stride 8 invalid"),
+        ),
+        (
+            "chop 0",
+            |s| s.chop(0),
+            refused("chop boundary 0 must be positive"),
+        ),
+        (
+            "shift -1",
+            |s| s.shift(-1),
+            refused("shift delta -1 must be non-negative"),
+        ),
+        (
+            "alter_period 0",
+            |s| s.alter_period(0),
+            refused("alter_period 0 must be positive"),
+        ),
+        (
+            "alter_duration 0",
+            |s| s.alter_duration(0),
+            refused("alter_duration 0 must be positive"),
+        ),
+        (
+            "transform off the grid",
+            |s| s.transform(3, |_| {}),
+            refused("transform window 3 must be a positive multiple of period 2"),
+        ),
+        (
+            "pass_filter no taps",
+            |s| s.pass_filter(vec![]),
+            refused("pass_filter taps must be non-empty"),
+        ),
+        (
+            "where_shape no pattern",
+            |s| s.where_shape(vec![], 4, 1.0, true, ShapeMode::Keep),
+            refused("shape pattern must be non-empty"),
+        ),
+        (
+            "aggregate on two fields",
+            |s| s.aggregate(AggKind::Mean, 4, 4),
+            two_fields.clone(),
+        ),
+        (
+            "transform on two fields",
+            |s| s.transform(4, |_| {}),
+            two_fields.clone(),
+        ),
+        (
+            "pass_filter on two fields",
+            |s| s.pass_filter(vec![1.0]),
+            two_fields.clone(),
+        ),
+        (
+            "where_shape on two fields",
+            |s| s.where_shape(vec![0.0; 4], 4, 1.0, true, ShapeMode::Keep),
+            two_fields.clone(),
+        ),
+        (
+            "join_map arity 9",
+            |s| s.join_map(s, JoinKind::Inner, 9, |_, _, _| {}),
+            refused("join out_arity 9 out of range"),
+        ),
+        (
+            "clip_join arity 10",
+            |s| {
+                let wide = s.select(5, |i, o| o.fill(i[0]))?;
+                wide.clip_join(wide)
+            },
+            refused("clip_join arity 10 exceeds 8"),
+        ),
+    ];
+    for (name, op, want) in cases {
+        let q = Query::new();
+        let src = q.source("s", StreamShape::new(0, 2));
+        let input = if want == two_fields {
+            src.select(2, |i, o| o.fill(i[0])).unwrap()
+        } else {
+            src
+        };
+        assert_eq!(op(input).unwrap_err(), want, "{name}");
+    }
 }

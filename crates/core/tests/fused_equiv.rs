@@ -33,7 +33,7 @@ enum Stage {
 
 impl Stage {
     fn apply<'q>(&self, s: Stream<'q>) -> Stream<'q> {
-        let period = s.shape().unwrap().period();
+        let period = s.shape().period();
         match self.clone() {
             Stage::Select { mul, add } => s.map(move |v| v * mul + add).unwrap(),
             Stage::WhereGt { threshold } => s.where_(move |v| v[0] > threshold).unwrap(),

@@ -28,7 +28,7 @@
 //! 1. **Live suffix** — the session's own compacting buffer, unchanged.
 //!    It answers the *present*.
 //! 2. **Recent tier** — [`SegmentStore`]'s in-memory write buffer. A
-//!    [`RetireSink`](lifestream_core::live::RetireSink) built by
+//!    [`RetireSink`] built by
 //!    [`SharedStore::sink_for`] intercepts every compacted span; spans
 //!    accumulate until [`StoreConfig::flush_batch`] samples are pending,
 //!    then flush to a segment in one atomic write. `flush_batch = 0`
@@ -41,9 +41,10 @@
 //! # The retrospective query surface
 //!
 //! [`HistoryReader`] runs the tiers in reverse: it stitches every durable
-//! span (plus, optionally, a live [`SessionSnapshot`]
-//! (lifestream_core::live::SessionSnapshot) exported from the running
-//! session) back into dense [`SignalData`] — byte-identical input to what
+//! span (plus, optionally, a live
+//! [`SessionSnapshot`](lifestream_core::live::SessionSnapshot) exported
+//! from the running session) back into dense
+//! [`SignalData`](lifestream_core::source::SignalData) — byte-identical input to what
 //! a cold batch run over the original feed would have seen, so any
 //! existing executor can answer a retrospective query mid-ingest.
 //!

@@ -10,10 +10,8 @@
 //! baseline can consume it — and each engine implements [`Engine`] to
 //! translate that description onto its own query surface:
 //!
-//! * [`LifeStreamEngine`] builds a fluent
-//!   [`Query`](lifestream_core::stream::Query) chain (the same two-layer
-//!   fluent-surface / logical-plan split documented in
-//!   [`lifestream_core::stream`]), compiles it, and executes with the
+//! * [`LifeStreamEngine`] builds a [`Query`] chain in the query language
+//!   of [`lifestream_core::stream`], compiles it, and executes with the
 //!   static memory plan.
 //! * [`TrillEngine`] builds the eager push-dataflow pipeline.
 //! * [`NumLibEngine`] interprets the workload over materialized arrays;
@@ -339,7 +337,7 @@ pub fn all_engines() -> Vec<Box<dyn Engine>> {
 // LifeStream
 // ---------------------------------------------------------------------
 
-/// Translates a [`Workload`] onto the LifeStream fluent query surface.
+/// Translates a [`Workload`] into a LifeStream [`Query`].
 /// Shared by [`LifeStreamEngine`] (direct execution) and
 /// [`ShardedEngine`] (whose shard workers each compile their own copy
 /// once, then recycle the pooled executor across inputs).
@@ -367,7 +365,7 @@ fn lifestream_query(
                 Workload::ClipJoin => src.clip_join(q.source("src1", shapes[1])),
                 Workload::Operation { op, window } => match op {
                     TableOp::Normalize => lspipe::normalize(src, window),
-                    TableOp::PassFilter { taps } => lspipe::pass_filter(src, window, taps),
+                    TableOp::PassFilter { taps } => src.pass_filter(taps),
                     TableOp::FillConst { value } => lspipe::fill_const(src, window, value),
                     TableOp::FillMean => lspipe::fill_mean(src, window),
                     TableOp::Resample { new_period } => lspipe::resample(src, new_period, window),

@@ -17,24 +17,18 @@
 //!   described once runs on every engine through the
 //!   [`Engine`](engine::Engine) trait.
 //!
-//! ## The two-layer query API
+//! ## The query language
 //!
-//! LifeStream queries are written against two cooperating layers:
+//! LifeStream queries are written in one language ([`core::stream`]): a
+//! [`Query`](core::stream::Query) scope hands out chainable, `Copy`
+//! [`Stream`](core::stream::Stream) values, and every Table-2 operator is
+//! a fallible method that appends its node to the query's plan, so the
+//! paper's Listing 1 reads as one chain:
+//! `src.aggregate(Mean, 100, 100)?.join_map(src, Inner, 1, f)?.sink()`.
+//! [`Query::compile`](core::stream::Query::compile) traces the plan into
+//! a [`CompiledQuery`](core::query::CompiledQuery).
 //!
-//! 1. **The fluent surface** ([`core::stream`]) — a
-//!    [`Query`](core::stream::Query) scope hands out chainable, `Copy`
-//!    [`Stream`](core::stream::Stream) values; every Table-2 operator is
-//!    a consistently-fallible method, so the paper's Listing 1 reads as
-//!    one chain:
-//!    `src.aggregate(Mean, 100, 100)?.join_map(src, Inner, 1, f)?.sink()`.
-//! 2. **The logical-plan layer** ([`core::query`]) — the
-//!    [`QueryBuilder`](core::query::QueryBuilder) the fluent layer
-//!    drives one-to-one. It remains the documented low-level API: compiler
-//!    passes (locality tracing, future profile-guided rewrites) operate on
-//!    the plan graph it produces, and both surfaces compile to identical
-//!    plans.
-//!
-//! Baseline engines plug in *underneath* both layers via the
+//! Baseline engines plug in *underneath* the query language via the
 //! [`engine::Engine`] trait, so comparisons (tests, benches, paper
 //! figures) define each workload exactly once.
 //!

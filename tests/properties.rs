@@ -87,7 +87,9 @@ proptest! {
             let opts = if targeted {
                 ExecOptions::default().with_round_ticks(round)
             } else {
-                ExecOptions::eager().with_round_ticks(round)
+                ExecOptions::default()
+                    .without_targeting()
+                    .with_round_ticks(round)
             };
             q.compile()
                 .unwrap()
