@@ -693,6 +693,50 @@ mod tests {
         assert_eq!(out.values(0)[3], 9.0);
     }
 
+    /// Starts a plan in a helper and hands back the stream it ends on.
+    fn declare_source(q: &Query) -> Stream<'_> {
+        q.source("s", StreamShape::new(0, 2))
+    }
+
+    #[test]
+    fn from_builder_continues_fluently() {
+        // A stream handed out by one part of the code keeps extending the
+        // same plan after other nodes were declared through the query.
+        let q = Query::new();
+        let src = declare_source(&q);
+        let _ = q.source("unused", StreamShape::new(0, 5));
+        src.aggregate(AggKind::Mean, 100, 100).unwrap().sink();
+        let compiled = q.compile().unwrap();
+        assert_eq!(compiled.global_dim(), 100);
+        assert_eq!(compiled.source_count(), 2);
+    }
+
+    #[test]
+    fn stream_rejects_foreign_handles() {
+        // The foreign stream's node index (1) is in range in `q` too, and
+        // names a node of the same shape and arity there: scope identity,
+        // not bounds or shape, must reject it.
+        let other = Query::new();
+        let foreign = other
+            .source("a", StreamShape::new(0, 1))
+            .map(|v| v)
+            .unwrap();
+        let q = Query::new();
+        let s = q.source("s", StreamShape::new(0, 1)).map(|v| v).unwrap();
+        assert_eq!(
+            s.join(foreign, JoinKind::Left).unwrap_err(),
+            Error::CrossQuery
+        );
+        assert_eq!(
+            foreign.join(s, JoinKind::Outer).unwrap_err(),
+            Error::CrossQuery
+        );
+        assert_eq!(foreign.clip_join(s).unwrap_err(), Error::CrossQuery);
+        // Nothing foreign was appended to either plan.
+        s.sink();
+        assert_eq!(q.compile().unwrap().graph().len(), 3);
+    }
+
     #[test]
     fn shape_tracks_operators() {
         let q = Query::new();
