@@ -10,15 +10,16 @@
 //! machines. This crate provides that partitioning as a *service* at
 //! both granularities, and as a *benchmark*:
 //!
-//! * [`sharded`] is the service: a fixed pool of long-lived worker
-//!   threads (shards), each owning a pool of prepared executors that are
-//!   recycled across patients (`Executor::recycle`), so locality
-//!   tracing, memory planning, and static allocation run once per shard
-//!   rather than once per patient. Patient jobs are routed by patient-id
-//!   hash with work stealing for stragglers, and
-//!   [`sharded::LiveIngest`] multiplexes live `(patient, source, t, v)`
-//!   sample streams into per-shard `LiveSession`s with round-aligned
-//!   polling. This is the architecture the ROADMAP's "heavy traffic"
+//! * [`sharded`] is the service: a fixed set of long-lived worker
+//!   threads (shards), the one worker model for live sessions, batch jobs
+//!   and history cohort passes. [`sharded::LiveIngest`] multiplexes live
+//!   `(patient, source, t, v)` sample streams into the `LiveSession`s of
+//!   the patients hash-routed to each shard, with round-aligned polling;
+//!   [`sharded::ShardedRuntime`] sends each batch job to the shard with
+//!   the fewest jobs in flight, where one warm executor is recycled
+//!   across patients (`Executor::recycle`), so locality tracing, memory
+//!   planning, and static allocation run once per shard rather than once
+//!   per patient. This is the architecture the ROADMAP's "heavy traffic"
 //!   north star asks for: data is routed *to* warmed workers (the
 //!   Timely Dataflow shape) instead of work being spawned per input.
 //! * [`net`] stretches the same ingest protocol across machines: a

@@ -5,6 +5,9 @@
 //! live monitors, for many patients at once. [`LiveIngest`] multiplexes a
 //! pushed `(patient, source, t, v)` event stream onto per-shard worker
 //! threads, each owning the [`LiveSession`]s of the patients routed to it.
+//! The same threads run [`history`](LiveIngest::history)'s cohort passes
+//! and, behind [`ShardedRuntime`](super::ShardedRuntime), batch jobs: they
+//! are the crate's one worker model.
 //!
 //! ## Batched ingest, by run
 //!
@@ -45,7 +48,8 @@
 //! When a shard falls behind, `push` blocks on the full channel instead of
 //! queueing unboundedly — producers feel backpressure at the ingest edge,
 //! and resident memory stays bounded by `workers × channel_cap × batch`
-//! staged samples plus each session's compacted retained suffix.
+//! staged samples plus each session's compacted retained suffix, plus at
+//! most [`SCAN_PASS_PATIENTS`] stitched cohort inputs per history query.
 //!
 //! ## Semantics
 //!
@@ -76,24 +80,24 @@
 //! between machines with [`export_patient`](LiveIngest::export_patient) /
 //! [`import_patient`](LiveIngest::import_patient) ([`PatientHandoff`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use lifestream_core::exec::OutputCollector;
+use lifestream_core::exec::{Executor, OutputCollector};
 use lifestream_core::live::{LiveSession, SessionSnapshot};
-use lifestream_core::time::Tick;
+use lifestream_core::time::{StreamShape, Tick};
 use lifestream_store::query::{empty_executor, run_cohort_on};
 use lifestream_store::{
-    CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, SharedStore, StoreConfig,
-    SCAN_PASS_PATIENTS,
+    CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, ScanStats, SharedStore,
+    StoreConfig, SCAN_PASS_PATIENTS,
 };
 
 use crate::history::HistoryQueryApi;
 
-use super::pool::PipelineFactory;
+use super::pool::{ExecutorPool, Job, PipelineFactory};
 use super::PatientId;
 
 /// One pushed sample: `(patient, source index, sync time, value)`.
@@ -431,14 +435,65 @@ enum Cmd {
         state: Box<PatientHandoff>,
         reply: Sender<Result<(), String>>,
     },
-    /// Non-destructive peek: the session's current suffix snapshot plus
-    /// its source shapes, leaving the session running. The read half of a
-    /// retrospective query over a live patient.
-    Snapshot {
-        patient: PatientId,
-        reply: Sender<Result<LiveOverlay, String>>,
-    },
+    /// One batch job of a [`ShardedRuntime`](super::ShardedRuntime).
+    Job(Box<Job>),
+    /// One owning shard's share of a cohort pass.
+    Pass(Box<PassShare>),
     Shutdown,
+}
+
+/// One shard's share of a history cohort pass: the patients it owns, in
+/// query order, and the executor it replays them on. The shard
+/// snapshots those patients' live suffixes itself, reads the store once
+/// for the share, and sends the outputs back with the executor.
+struct PassShare {
+    patients: Vec<PatientId>,
+    shapes: Vec<StreamShape>,
+    range: (Tick, Tick),
+    warmup: Tick,
+    exec: Executor,
+    reply: Sender<PassDone>,
+}
+
+/// A share's outputs in its patients' order, what its store scan cost,
+/// and the executor it borrowed.
+type PassDone = (
+    Result<(Vec<OutputCollector>, ScanStats), HistoryError>,
+    Executor,
+);
+
+impl PassShare {
+    fn run(self, sessions: &HashMap<PatientId, Session>, store: Option<&SharedStore>) {
+        let PassShare {
+            patients,
+            shapes,
+            range,
+            warmup,
+            mut exec,
+            reply,
+        } = self;
+        // A patient that is not live here (finished, on another machine,
+        // or poisoned) is served from the durable tiers alone. The shard
+        // retires its own sessions' spans, so none can retire between
+        // these snapshots and the scan below.
+        let overlays: Vec<Option<LiveOverlay>> = patients
+            .iter()
+            .map(|p| match sessions.get(p) {
+                Some(s) if !s.poisoned => Some(LiveOverlay {
+                    snapshot: s.live.export_suffix(),
+                    shapes: s.live.source_shapes(),
+                }),
+                _ => None,
+            })
+            .collect();
+        let overlays: Vec<Option<&LiveOverlay>> = overlays.iter().map(Option::as_ref).collect();
+        let run = store.ok_or(HistoryError::NoStore).and_then(|store| {
+            run_cohort_on(
+                &mut exec, store, &patients, &shapes, range, warmup, &overlays,
+            )
+        });
+        let _ = reply.send((run, exec));
+    }
 }
 
 struct Session {
@@ -464,7 +519,7 @@ pub struct LiveIngest {
     channel_cap: usize,
     counters: Arc<Counters>,
     /// A second factory clone for retrospective re-runs
-    /// ([`history`](Self::history) compiles a fresh pipeline on the
+    /// ([`history`](Self::history) compiles its executors on the
     /// caller's thread, off the shard loops).
     factory: PipelineFactory,
     /// Extra retrospective pipelines, addressable by id so wire front
@@ -743,24 +798,24 @@ impl LiveIngest {
     /// Answers a retrospective [`HistoryQuery`] — durable segments, the
     /// store's write buffer, and each named patient's live in-memory
     /// suffix stitched into one dataset, then re-run through a freshly
-    /// compiled pipeline and clipped to the query's range. Each live
-    /// session is only paused long enough to snapshot its suffix (an
-    /// `Arc`-clone-sized copy); ingest on the same patients continues
-    /// while the query executes on the caller's thread. A full-range
+    /// compiled pipeline and clipped to the query's range. A full-range
     /// query's output is byte-identical to the cold batch run over
     /// everything ever pushed; a range-bounded query's output is
     /// byte-identical to that run clipped to `[t0, t1)`, and only reads
     /// the segment files whose tick ranges overlap the query.
     ///
-    /// A cohort is served by [`run_cohort_on`] in passes of at most
-    /// [`SCAN_PASS_PATIENTS`]: the caller's thread reads the store once
-    /// per pass (each overlapping file opened once, whatever the cohort's
-    /// size, the store's lock held for the listing only), then the pass's
-    /// patients replay on up to [`workers`](Self::workers) lanes when the
-    /// pipeline is given as a factory (one compile and one executor per
-    /// lane; a single lane runs on the caller's thread). A
-    /// [`PipelineSpec::Compiled`] plan is not cloneable and replays the
-    /// cohort on its one executor.
+    /// The cohort runs in passes of at most [`SCAN_PASS_PATIENTS`], in
+    /// query order, on the shard threads that own its patients. A pass is
+    /// split by owning shard; each share is one command on that shard's
+    /// channel, queued behind the shard's staged samples, and the shard
+    /// snapshots its own sessions' suffixes, reads the store once for the
+    /// share ([`run_cohort_on`]) and replays it on an executor this call
+    /// compiled (one per owning shard; a [`PipelineSpec::Compiled`] plan
+    /// is not cloneable, so its shares take turns on its one executor).
+    /// The next pass is sent only when every share of this one has
+    /// replied, so at most a pass's stitched inputs are in memory and the
+    /// shards serve live commands between passes. With W > 1 owning
+    /// shards a pass does one [`SharedStore::scan`] per shard, not one.
     ///
     /// A patient that has already `finish`ed (or lives on another
     /// machine) is served from segments alone.
@@ -772,26 +827,20 @@ impl LiveIngest {
     /// unknown to both the sessions and the store, and pipeline/store
     /// failures otherwise.
     pub fn history(&self, query: HistoryQuery) -> Result<CohortReport, HistoryError> {
-        let store = self.store.clone().ok_or(HistoryError::NoStore)?;
+        if self.store.is_none() {
+            return Err(HistoryError::NoStore);
+        }
         let (range, patients, warmup, spec) = query.into_parts();
         if patients.is_empty() {
             return Err(HistoryError::NoPatients);
         }
         HistoryQuery::validate_range(range.0, range.1)?;
-        // Snapshot every live suffix up front, before the store is read
-        // (a span retired in between then shows in both, never in
-        // neither): each session pauses only for the Arc-clone-sized
-        // export, then its ingest continues while the executors below run.
-        let overlays: Vec<Option<LiveOverlay>> =
-            patients.iter().map(|&p| self.live_overlay(p)).collect();
-        // One executor per lane, each from its own compile; at most a
-        // scan pass's patients replay at once.
-        let lane_count = patients
-            .len()
-            .min(self.workers())
-            .clamp(1, SCAN_PASS_PATIENTS);
+        let mut owners: Vec<usize> = patients.iter().map(|&p| self.shard_of(p)).collect();
+        owners.sort_unstable();
+        owners.dedup();
+        let lanes = owners.len().min(SCAN_PASS_PATIENTS);
         let compile_lanes = |factory: PipelineFactory| {
-            (0..lane_count)
+            (0..lanes)
                 .map(|_| {
                     catch_user(|| factory()).map_err(|f| HistoryError::Pipeline(f.into_message()))
                 })
@@ -812,37 +861,76 @@ impl LiveIngest {
                     })?,
             )?,
             PipelineSpec::Factory(f) => compile_lanes(f)?,
-            // A pre-compiled plan cannot be re-compiled per lane: the
-            // cohort runs on its one executor.
             PipelineSpec::Compiled(compiled) => vec![compiled],
         };
         let shapes = compiled[0].source_shapes();
-        let mut lanes = compiled
+        let mut idle = compiled
             .into_iter()
             .map(|c| empty_executor(c, self.round_ticks))
             .collect::<Result<Vec<_>, _>>()?;
-        let (outputs, scan) = run_cohort_on(
-            &mut lanes,
-            &store,
-            &patients,
-            &shapes,
-            range,
-            warmup,
-            &overlays.iter().map(Option::as_ref).collect::<Vec<_>>(),
-        )?;
-        Ok(CohortReport::new(range, patients.into_iter().zip(outputs).collect()).with_scan(scan))
+        let gone = || HistoryError::Execution("ingest shard gone".to_string());
+        let mut outputs: Vec<Option<OutputCollector>> = patients.iter().map(|_| None).collect();
+        let mut scan = ScanStats::default();
+        // Shares in flight, oldest first: their patients' cohort positions
+        // and where their reply arrives.
+        let mut in_flight: VecDeque<(Vec<usize>, Receiver<PassDone>)> = VecDeque::new();
+        let mut settle = |in_flight: &mut VecDeque<_>, idle: &mut Vec<_>| {
+            let (at, done): (Vec<usize>, Receiver<PassDone>) =
+                in_flight.pop_front().expect("a share in flight");
+            let (run, exec) = done.recv().map_err(|_| gone())?;
+            idle.push(exec);
+            let (outs, stats) = run?;
+            scan += stats;
+            for (i, out) in at.into_iter().zip(outs) {
+                outputs[i] = Some(out);
+            }
+            Ok::<_, HistoryError>(())
+        };
+        for (n, pass) in patients.chunks(SCAN_PASS_PATIENTS).enumerate() {
+            let mut shares: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (i, &p) in pass.iter().enumerate() {
+                let (shard, at) = (self.shard_of(p), n * SCAN_PASS_PATIENTS + i);
+                match shares.iter_mut().find(|(s, _)| *s == shard) {
+                    Some((_, share)) => share.push(at),
+                    None => shares.push((shard, vec![at])),
+                }
+            }
+            for (shard, at) in shares {
+                if idle.is_empty() {
+                    settle(&mut in_flight, &mut idle)?;
+                }
+                self.flush_shard(shard);
+                let (reply, done) = channel();
+                let share = PassShare {
+                    patients: at.iter().map(|&i| patients[i]).collect(),
+                    shapes: shapes.clone(),
+                    range,
+                    warmup,
+                    exec: idle.pop().expect("an idle executor"),
+                    reply,
+                };
+                self.txs[shard]
+                    .send(Cmd::Pass(Box::new(share)))
+                    .map_err(|_| gone())?;
+                in_flight.push_back((at, done));
+            }
+            while !in_flight.is_empty() {
+                settle(&mut in_flight, &mut idle)?;
+            }
+        }
+        let outputs = patients
+            .into_iter()
+            .zip(outputs)
+            .map(|(p, out)| (p, out.expect("every share replied")))
+            .collect();
+        Ok(CohortReport::new(range, outputs).with_scan(scan))
     }
 
-    /// Pauses `patient`'s session just long enough to snapshot its
-    /// in-memory suffix. `None` when the patient is not live on this
-    /// ingest (finished, on another machine, or poisoned) — the query
-    /// then runs from durable segments alone.
-    fn live_overlay(&self, patient: PatientId) -> Option<LiveOverlay> {
-        let shard = self.shard_of(patient);
-        self.flush_shard(shard);
-        let (reply, ack) = channel();
-        let _ = self.txs[shard].send(Cmd::Snapshot { patient, reply });
-        ack.recv().ok()?.ok()
+    /// Sends one batch job to the shard [`Job::shard`] names. Blocks while
+    /// that shard's bounded channel is full (backpressure).
+    pub(super) fn run_job(&self, job: Job) {
+        let shard = job.shard;
+        let _ = self.txs[shard].send(Cmd::Job(Box::new(job)));
     }
 
     /// Closes every session and joins the shard threads. Equivalent to
@@ -950,6 +1038,7 @@ fn ingest_loop(
     store: Option<SharedStore>,
 ) {
     let mut sessions: HashMap<PatientId, Session> = HashMap::new();
+    let mut pool = ExecutorPool::default();
     for cmd in rx.iter() {
         match cmd {
             Cmd::Admit { patient, reply } => {
@@ -1114,20 +1203,8 @@ fn ingest_loop(
                 };
                 let _ = reply.send(outcome);
             }
-            Cmd::Snapshot { patient, reply } => {
-                let outcome = match sessions.get(&patient) {
-                    Some(s) if !s.poisoned => Ok(LiveOverlay {
-                        snapshot: s.live.export_suffix(),
-                        shapes: s.live.source_shapes(),
-                    }),
-                    Some(s) => Err(format!(
-                        "patient {patient} session is poisoned: {}",
-                        s.errors.join("; ")
-                    )),
-                    None => Err(format!("patient {patient} not admitted")),
-                };
-                let _ = reply.send(outcome);
-            }
+            Cmd::Job(job) => job.run(&mut pool),
+            Cmd::Pass(share) => share.run(&sessions, store.as_ref()),
             Cmd::Shutdown => break,
         }
     }
@@ -1208,7 +1285,7 @@ impl UserFailure {
 }
 
 /// Runs user-adjacent code, catching both `Err` and panics (same payload
-/// policy as the batch runtime's `worker_loop`, via [`super::panic_msg`]).
+/// policy as batch jobs, via [`super::panic_msg`]).
 fn catch_user<R>(f: impl FnOnce() -> lifestream_core::error::Result<R>) -> Result<R, UserFailure> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => r.map_err(|e| UserFailure::Error(e.to_string())),

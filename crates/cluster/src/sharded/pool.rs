@@ -1,16 +1,18 @@
-//! Per-worker executor pools.
+//! Batch jobs on the ingest shards, and the one warm executor each shard
+//! keeps for them.
 //!
 //! An [`Executor`] is expensive to make — locality tracing, memory
 //! planning, and static buffer allocation all happen at construction —
 //! but cheap to *recycle*: [`Executor::recycle`] wipes kernel state and
-//! swaps the source datasets in place. The pool exploits that split: the
-//! first patient with a given source-shape signature pays the one-time
-//! compile on its worker; every later patient with the same signature
-//! rides the warmed executor. This is the per-worker half of the PGO
-//! observation that the win is in reusing warmed-up execution state on
-//! the hot path.
+//! swaps the source datasets in place. A shard's [`ExecutorPool`]
+//! exploits that split: its first job pays the one-time compile, and
+//! every later job with the same source-shape signature rides the warmed
+//! executor. This is the per-worker half of the PGO observation that the
+//! win is in reusing warmed-up execution state on the hot path.
 
-use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
@@ -19,263 +21,199 @@ use lifestream_core::source::SignalData;
 use lifestream_core::stats::RunStats;
 use lifestream_core::time::{StreamShape, Tick};
 
-/// Builds a compiled query. Each worker invokes this once per distinct
-/// source-shape signature; the result is owned by that worker's pool and
-/// recycled across patients from then on.
+use super::{JobOutcome, PatientId, PatientReport, RuntimeStats, ShardedConfig};
+
+/// Builds a compiled query. A shard invokes this on its first batch job
+/// (and again whenever a job brings another source-shape signature); the
+/// result is owned by that shard and recycled across patients.
 pub type PipelineFactory =
     Arc<dyn Fn() -> lifestream_core::error::Result<CompiledQuery> + Send + Sync>;
 
-/// A shape-adaptive pipeline factory: receives the submitted job's
-/// source-shape signature and builds a query *for those shapes*. This is
-/// what makes the pool's LRU cap real — a ward mixing monitor models
-/// (different grid periods per device) compiles one pipeline per shape,
-/// and the per-worker warm set must evict, not grow unboundedly.
-pub type ShapeFactory =
-    Arc<dyn Fn(&[StreamShape]) -> lifestream_core::error::Result<CompiledQuery> + Send + Sync>;
-
-/// Adapts a shape-oblivious [`PipelineFactory`] to the shape-receiving
-/// interface the pool stores internally.
-pub(crate) fn shape_oblivious(factory: PipelineFactory) -> ShapeFactory {
-    Arc::new(move |_shapes: &[StreamShape]| factory())
-}
-
-/// Pool hit/miss counters (exposed through the runtime's aggregate
-/// stats so scaling runs can prove the compile-once property).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PoolStats {
-    /// Cold checkouts: an executor was compiled, traced, and planned.
-    pub compiles: u64,
-    /// Warm checkouts: an existing executor was recycled in place.
-    pub recycles: u64,
-    /// Prepared executors dropped to honor the pool's size cap (least
-    /// recently used first). Many distinct pipeline shapes therefore
-    /// cannot pin unbounded static plans on a worker.
-    pub evictions: u64,
-}
-
-/// One prepared executor plus its recency stamp (for LRU eviction).
-struct Slot {
-    exec: Executor,
-    last_used: u64,
-}
-
-/// What one pooled run produced.
-#[derive(Debug)]
-pub enum PoolRun {
-    /// The job ran to completion.
-    Done {
-        /// Execution statistics for this job.
-        stats: RunStats,
-        /// Sink events `(time, first-field value)` when collection was
-        /// requested.
-        collected: Option<Vec<(Tick, f32)>>,
-    },
-    /// The executor's static memory plan exceeded the worker's share of
-    /// the machine budget (the §8.6 failure mode the budget models).
-    OutOfMemory {
-        /// Bytes the plan wanted.
-        planned_bytes: usize,
-        /// The per-worker cap it exceeded.
-        cap_bytes: usize,
-    },
-}
-
-/// A pool of prepared executors owned by one worker thread, keyed by the
-/// sources' shape signature and optionally capped (LRU) so arbitrarily
-/// many distinct shapes cannot pin unbounded static plans.
-pub struct ExecutorPool {
-    factory: ShapeFactory,
+/// What every batch job of one runtime shares: how its executors are
+/// built and run, the runtime's counters, and where reports go.
+pub(crate) struct Jobs {
+    factory: PipelineFactory,
     opts: ExecOptions,
-    slots: HashMap<Vec<StreamShape>, Slot>,
-    /// Static-plan footprint per shape signature, remembered even after
-    /// an over-budget executor is evicted — so a persistent memory cap
-    /// costs one compile per shape, not one per job.
-    plan_sizes: HashMap<Vec<StreamShape>, usize>,
-    /// Max prepared executors kept warm; `None` is unbounded.
-    cap: Option<usize>,
-    /// Monotonic checkout clock driving LRU recency.
-    clock: u64,
-    stats: PoolStats,
+    collect: bool,
+    mem_cap: Option<usize>,
+    /// Jobs sent to each shard and not yet reported.
+    in_flight: Vec<AtomicUsize>,
+    compiles: AtomicU64,
+    recycles: AtomicU64,
+    evictions: AtomicU64,
+    completed: AtomicU64,
+    reports: Sender<PatientReport>,
 }
 
-impl ExecutorPool {
-    /// Creates an empty, uncapped pool; executors are built lazily on
-    /// first use.
-    pub fn new(factory: PipelineFactory, opts: ExecOptions) -> Self {
-        Self::with_cap(factory, opts, None)
-    }
-
-    /// Creates an empty pool that keeps at most `cap` prepared executors
-    /// warm, evicting the least recently used shape beyond that.
-    pub fn with_cap(factory: PipelineFactory, opts: ExecOptions, cap: Option<usize>) -> Self {
-        Self::with_shape_factory(shape_oblivious(factory), opts, cap)
-    }
-
-    /// Like [`with_cap`](Self::with_cap), but the factory receives each
-    /// job's source-shape signature — the shape-adaptive form a mixed
-    /// ward of monitor models needs.
-    pub fn with_shape_factory(
-        factory: ShapeFactory,
-        opts: ExecOptions,
-        cap: Option<usize>,
+impl Jobs {
+    pub(crate) fn new(
+        factory: PipelineFactory,
+        cfg: &ShardedConfig,
+        reports: Sender<PatientReport>,
     ) -> Self {
+        let mut opts = ExecOptions::default();
+        if let Some(t) = cfg.round_ticks {
+            opts = opts.with_round_ticks(t);
+        }
         Self {
             factory,
             opts,
-            slots: HashMap::new(),
-            plan_sizes: HashMap::new(),
-            cap: cap.map(|c| c.max(1)),
-            clock: 0,
-            stats: PoolStats::default(),
+            collect: cfg.collect,
+            mem_cap: cfg.mem_cap_per_worker,
+            in_flight: (0..cfg.workers.max(1))
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+            compiles: AtomicU64::new(0),
+            recycles: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            reports,
         }
     }
 
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
+    /// Claims a slot on the shard with the fewest jobs in flight (the
+    /// lowest index on a tie) and returns that shard.
+    pub(crate) fn route(&self) -> usize {
+        let shard = (0..self.in_flight.len())
+            .min_by_key(|&s| self.in_flight[s].load(Ordering::Relaxed))
+            .expect("at least one shard");
+        self.in_flight[shard].fetch_add(1, Ordering::Relaxed);
+        shard
     }
 
-    /// Number of distinct shape signatures with a prepared executor.
-    pub fn prepared(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Memoizes a shape's static-plan size. The memo itself is bounded
-    /// when the pool is: an adversarial stream of ever-new shapes must
-    /// not grow *any* per-worker map without limit, so at 8x the cap
-    /// (+64) the memo is cleared — costing at most one extra compile per
-    /// forgotten shape, never unbounded memory.
-    fn remember_plan_size(&mut self, key: &[StreamShape], bytes: usize) {
-        if let Some(cap) = self.cap {
-            if self.plan_sizes.len() >= 8 * cap + 64 {
-                self.plan_sizes.clear();
-            }
-        }
-        self.plan_sizes.insert(key.to_vec(), bytes);
-    }
-
-    /// Drops least-recently-used slots until a new insert fits the cap.
-    fn evict_for_insert(&mut self) {
-        let Some(cap) = self.cap else { return };
-        while self.slots.len() + 1 > cap {
-            let Some(oldest) = self
-                .slots
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                return;
-            };
-            self.slots.remove(&oldest);
-            self.stats.evictions += 1;
-        }
-    }
-
-    /// Runs one patient job on a pooled executor: recycle on a warm hit,
-    /// compile on a cold miss. `mem_cap` models the worker's share of the
-    /// machine memory; a plan that exceeds it reports
-    /// [`PoolRun::OutOfMemory`] instead of running (and the offending
-    /// executor is dropped to release its buffers).
-    ///
-    /// # Errors
-    /// Returns the pipeline's own error message when compilation or
-    /// execution fails.
-    pub fn run(
-        &mut self,
-        sources: Vec<SignalData>,
-        collect: bool,
-        mem_cap: Option<usize>,
-    ) -> Result<PoolRun, String> {
-        let key: Vec<StreamShape> = sources.iter().map(SignalData::shape).collect();
-        // Known-over-budget shape: answer from the cached plan size
-        // instead of recompiling just to fail again — and evict any warm
-        // executor for it, honoring the buffers-are-released contract
-        // even when the cap tightened after the compile.
-        if let (Some(&planned), Some(cap)) = (self.plan_sizes.get(&key), mem_cap) {
-            if planned > cap {
-                self.slots.remove(&key);
-                return Ok(PoolRun::OutOfMemory {
-                    planned_bytes: planned,
-                    cap_bytes: cap,
-                });
-            }
-        }
-        self.clock += 1;
-        let now = self.clock;
-        if let Some(slot) = self.slots.get_mut(&key) {
-            slot.exec.recycle(sources).map_err(|e| e.to_string())?;
-            slot.last_used = now;
-            self.stats.recycles += 1;
-        } else {
-            let compiled = (self.factory)(&key).map_err(|e| e.to_string())?;
-            let exec = compiled
-                .executor_with(sources, self.opts)
-                .map_err(|e| e.to_string())?;
-            self.stats.compiles += 1;
-            self.remember_plan_size(&key, exec.planned_bytes());
-            // Reject over-budget plans *before* touching the warm set:
-            // evicting an LRU slot to make room for an executor the cap
-            // is about to discard would cost a spurious recompile.
-            if let Some(cap) = mem_cap {
-                if exec.planned_bytes() > cap {
-                    return Ok(PoolRun::OutOfMemory {
-                        planned_bytes: exec.planned_bytes(),
-                        cap_bytes: cap,
-                    });
-                }
-            }
-            self.evict_for_insert();
-            self.slots.insert(
-                key.clone(),
-                Slot {
-                    exec,
-                    last_used: now,
-                },
-            );
-        }
-        let exec = &mut self.slots.get_mut(&key).expect("just inserted or hit").exec;
-        // Warm-hit guard: a cap that tightened after the compile (and a
-        // cleared size memo) must still evict-and-report, honoring the
-        // buffers-are-released contract.
-        if let Some(cap) = mem_cap {
-            if exec.planned_bytes() > cap {
-                let planned = exec.planned_bytes();
-                self.slots.remove(&key);
-                return Ok(PoolRun::OutOfMemory {
-                    planned_bytes: planned,
-                    cap_bytes: cap,
-                });
-            }
-        }
-        if collect {
-            let mut coll = OutputCollector::new(exec.sink_arity().map_err(|e| e.to_string())?);
-            let stats = exec
-                .run_with(|w| coll.absorb(w))
-                .map_err(|e| e.to_string())?;
-            let collected = coll
-                .iter_times()
-                .zip(coll.values(0).iter().copied())
-                .collect();
-            Ok(PoolRun::Done {
-                stats,
-                collected: Some(collected),
-            })
-        } else {
-            let stats = exec.run().map_err(|e| e.to_string())?;
-            Ok(PoolRun::Done {
-                stats,
-                collected: None,
-            })
+    pub(crate) fn stats(&self) -> RuntimeStats {
+        RuntimeStats {
+            compiles: self.compiles.load(Ordering::Relaxed),
+            recycles: self.recycles.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
         }
     }
 }
 
-impl std::fmt::Debug for ExecutorPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecutorPool")
-            .field("prepared", &self.slots.len())
-            .field("stats", &self.stats)
-            .finish()
+/// One batch job, as it travels on a shard's channel.
+pub(crate) struct Job {
+    pub(crate) patient: PatientId,
+    pub(crate) sources: Vec<SignalData>,
+    /// The shard [`Jobs::route`] picked.
+    pub(crate) shard: usize,
+    pub(crate) jobs: Arc<Jobs>,
+}
+
+impl Job {
+    /// Runs the job on the shard's pool and sends its one report.
+    ///
+    /// Every job must produce exactly one report — the runtime's
+    /// claimed-vs-submitted accounting depends on it — so a panic in user
+    /// code (pipeline factory, kernel closure) is caught and reported as a
+    /// failure rather than killing the shard. The warm executor's state is
+    /// unknowable after an unwind, so the pool is rebuilt.
+    pub(crate) fn run(self, pool: &mut ExecutorPool) {
+        let Job {
+            patient,
+            sources,
+            shard,
+            jobs,
+        } = self;
+        let run =
+            catch_unwind(AssertUnwindSafe(|| pool.run(&jobs, sources))).unwrap_or_else(|payload| {
+                *pool = ExecutorPool::default();
+                Err(JobOutcome::Failed(format!(
+                    "shard worker panicked: {}",
+                    super::panic_msg(payload.as_ref())
+                )))
+            });
+        let (stats, collected, outcome) = match run {
+            Ok((stats, collected)) => (stats, collected, JobOutcome::Ok),
+            Err(outcome) => (RunStats::default(), None, outcome),
+        };
+        // Free the routing slot before the report is out, so a caller who
+        // has the report never sees this job still in flight.
+        jobs.in_flight[shard].fetch_sub(1, Ordering::Relaxed);
+        jobs.completed.fetch_add(1, Ordering::Relaxed);
+        let _ = jobs.reports.send(PatientReport {
+            patient,
+            shard,
+            input_events: stats.input_events,
+            output_events: stats.output_events,
+            collected,
+            outcome,
+        });
+    }
+}
+
+/// What one pooled run produced: its statistics and, when collection was
+/// requested, the sink events `(time, first-field value)`.
+type PoolRun = (RunStats, Option<Vec<(Tick, f32)>>);
+
+/// The one warm executor a shard keeps for batch jobs. Every factory is
+/// shape-oblivious, so one signature is the steady state; a job with
+/// another signature rebuilds the executor and counts an eviction.
+#[derive(Default)]
+pub(crate) struct ExecutorPool {
+    /// The warm executor and the source-shape signature it was built for.
+    warm: Option<(Vec<StreamShape>, Executor)>,
+    /// A signature whose static plan exceeded a memory cap, with the
+    /// plan's size: a persistent cap costs one compile, not one per job.
+    over_budget: Option<(Vec<StreamShape>, usize)>,
+}
+
+impl ExecutorPool {
+    /// Runs one patient job: recycle on a warm hit, compile on a miss.
+    /// `jobs.mem_cap` models the shard's share of the machine memory; a
+    /// plan that exceeds it reports [`JobOutcome::OutOfMemory`] instead of
+    /// running, and the offending executor is dropped to release its
+    /// buffers.
+    ///
+    /// # Errors
+    /// [`JobOutcome::OutOfMemory`], or [`JobOutcome::Failed`] with the
+    /// pipeline's own message when compilation or execution fails.
+    fn run(&mut self, jobs: &Jobs, sources: Vec<SignalData>) -> Result<PoolRun, JobOutcome> {
+        let failed = |e: lifestream_core::error::Error| JobOutcome::Failed(e.to_string());
+        let key: Vec<StreamShape> = sources.iter().map(SignalData::shape).collect();
+        if let (Some((over, planned_bytes)), Some(cap_bytes)) = (&self.over_budget, jobs.mem_cap) {
+            if *over == key && *planned_bytes > cap_bytes {
+                return Err(JobOutcome::OutOfMemory {
+                    planned_bytes: *planned_bytes,
+                    cap_bytes,
+                });
+            }
+        }
+        let exec = match &mut self.warm {
+            Some((warm, exec)) if *warm == key => {
+                exec.recycle(sources).map_err(failed)?;
+                jobs.recycles.fetch_add(1, Ordering::Relaxed);
+                exec
+            }
+            slot => {
+                if slot.take().is_some() {
+                    jobs.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                let exec = (jobs.factory)()
+                    .and_then(|compiled| compiled.executor_with(sources, jobs.opts))
+                    .map_err(failed)?;
+                jobs.compiles.fetch_add(1, Ordering::Relaxed);
+                let planned_bytes = exec.planned_bytes();
+                if let Some(cap_bytes) = jobs.mem_cap.filter(|&cap| planned_bytes > cap) {
+                    self.over_budget = Some((key, planned_bytes));
+                    return Err(JobOutcome::OutOfMemory {
+                        planned_bytes,
+                        cap_bytes,
+                    });
+                }
+                &mut slot.insert((key, exec)).1
+            }
+        };
+        if !jobs.collect {
+            return Ok((exec.run().map_err(failed)?, None));
+        }
+        let mut coll = OutputCollector::new(exec.sink_arity().map_err(failed)?);
+        let stats = exec.run_with(|w| coll.absorb(w)).map_err(failed)?;
+        let collected = coll
+            .iter_times()
+            .zip(coll.values(0).iter().copied())
+            .collect();
+        Ok((stats, Some(collected)))
     }
 }
 
@@ -283,7 +221,6 @@ impl std::fmt::Debug for ExecutorPool {
 mod tests {
     use super::*;
     use lifestream_core::stream::Query;
-    use lifestream_core::time::StreamShape;
 
     fn factory() -> PipelineFactory {
         Arc::new(|| {
@@ -295,93 +232,88 @@ mod tests {
         })
     }
 
+    fn jobs(cfg: ShardedConfig) -> Jobs {
+        Jobs::new(factory(), &cfg.collecting(), std::sync::mpsc::channel().0)
+    }
+
     fn ramp(n: usize) -> SignalData {
         SignalData::dense(StreamShape::new(0, 1), (0..n).map(|i| i as f32).collect())
     }
 
     #[test]
     fn pool_compiles_once_per_shape() {
-        let mut pool = ExecutorPool::new(factory(), ExecOptions::default());
+        let jobs = jobs(ShardedConfig::with_workers(1));
+        let mut pool = ExecutorPool::default();
         for _ in 0..5 {
-            let r = pool.run(vec![ramp(100)], false, None).unwrap();
-            assert!(matches!(r, PoolRun::Done { .. }));
+            pool.run(&jobs, vec![ramp(100)]).unwrap();
         }
-        assert_eq!(pool.stats().compiles, 1);
-        assert_eq!(pool.stats().recycles, 4);
-        assert_eq!(pool.prepared(), 1);
+        let stats = jobs.stats();
+        assert_eq!((stats.compiles, stats.recycles, stats.evictions), (1, 4, 0));
     }
 
     #[test]
     fn recycled_executor_matches_fresh_output() {
-        let mut pool = ExecutorPool::new(factory(), ExecOptions::default());
+        let jobs = jobs(ShardedConfig::with_workers(1));
+        let mut pool = ExecutorPool::default();
         // Warm the pool with one patient, then run a second; the second
         // run must look exactly like a fresh executor's.
-        pool.run(vec![ramp(64)], true, None).unwrap();
-        let warm = match pool.run(vec![ramp(32)], true, None).unwrap() {
-            PoolRun::Done { collected, .. } => collected.unwrap(),
-            other => panic!("unexpected {other:?}"),
-        };
-        let fresh = {
-            let mut p2 = ExecutorPool::new(factory(), ExecOptions::default());
-            match p2.run(vec![ramp(32)], true, None).unwrap() {
-                PoolRun::Done { collected, .. } => collected.unwrap(),
-                other => panic!("unexpected {other:?}"),
-            }
-        };
+        pool.run(&jobs, vec![ramp(64)]).unwrap();
+        let warm = pool.run(&jobs, vec![ramp(32)]).unwrap().1;
+        let fresh = ExecutorPool::default()
+            .run(&jobs, vec![ramp(32)])
+            .unwrap()
+            .1;
         assert_eq!(warm, fresh);
     }
 
-    /// A shape-adaptive factory: the pipeline is built for whatever grid
-    /// the submitted job actually has.
-    fn per_shape_factory() -> ShapeFactory {
-        Arc::new(|shapes: &[StreamShape]| {
-            let q = Query::new();
-            q.source("s", shapes[0])
-                .select(1, |i, o| o[0] = i[0])?
-                .sink();
-            q.compile()
-        })
-    }
-
     #[test]
-    fn lru_cap_evicts_least_recently_used_shape() {
-        let mut pool =
-            ExecutorPool::with_shape_factory(per_shape_factory(), ExecOptions::default(), Some(2));
-        let data = |p: i64| SignalData::dense(StreamShape::new(0, p), vec![1.0; 16]);
-        for p in [1, 2, 4] {
-            assert!(matches!(
-                pool.run(vec![data(p)], false, None).unwrap(),
-                PoolRun::Done { .. }
-            ));
+    fn a_new_shape_evicts_the_warm_executor() {
+        // A factory whose pipeline follows a shared period: each change of
+        // shape rebuilds the one warm executor and counts an eviction.
+        let period = Arc::new(AtomicU64::new(1));
+        let current = Arc::clone(&period);
+        let factory: PipelineFactory = Arc::new(move || {
+            let shape = StreamShape::new(0, current.load(Ordering::Relaxed) as Tick);
+            let q = Query::new();
+            q.source("s", shape).sink();
+            q.compile()
+        });
+        let jobs = Jobs::new(
+            factory,
+            &ShardedConfig::with_workers(1),
+            std::sync::mpsc::channel().0,
+        );
+        let mut pool = ExecutorPool::default();
+        for p in [1, 2, 2, 1] {
+            period.store(p, Ordering::Relaxed);
+            let data = SignalData::dense(StreamShape::new(0, p as Tick), vec![1.0; 16]);
+            pool.run(&jobs, vec![data]).unwrap();
         }
-        // Cap 2: the third distinct shape evicted the least recent (p=1).
-        assert_eq!(pool.prepared(), 2);
-        assert_eq!(pool.stats().evictions, 1);
-        assert_eq!(pool.stats().compiles, 3);
-        // p=2 survived and is still warm.
-        pool.run(vec![data(2)], false, None).unwrap();
-        assert_eq!(pool.stats().recycles, 1);
-        // The evicted shape recompiles, evicting the new LRU (p=4).
-        pool.run(vec![data(1)], false, None).unwrap();
-        assert_eq!(pool.stats().compiles, 4);
-        assert_eq!(pool.stats().evictions, 2);
-        assert_eq!(pool.prepared(), 2);
+        let stats = jobs.stats();
+        assert_eq!((stats.compiles, stats.recycles, stats.evictions), (3, 1, 2));
     }
 
     #[test]
     fn mem_cap_reports_oom() {
-        let mut pool = ExecutorPool::new(factory(), ExecOptions::default());
-        let r = pool.run(vec![ramp(100)], false, Some(1)).unwrap();
-        assert!(matches!(r, PoolRun::OutOfMemory { cap_bytes: 1, .. }));
+        let capped = jobs(ShardedConfig::with_workers(1).mem_cap_per_worker(1));
+        let mut pool = ExecutorPool::default();
+        let r = pool.run(&capped, vec![ramp(100)]);
+        assert!(matches!(
+            r,
+            Err(JobOutcome::OutOfMemory { cap_bytes: 1, .. })
+        ));
         // The over-budget executor was dropped, not kept warm.
-        assert_eq!(pool.prepared(), 0);
+        assert!(pool.warm.is_none());
         // ... but the verdict is cached: repeating the job must not pay
         // another compile.
-        let r2 = pool.run(vec![ramp(100)], false, Some(1)).unwrap();
-        assert!(matches!(r2, PoolRun::OutOfMemory { cap_bytes: 1, .. }));
-        assert_eq!(pool.stats().compiles, 1);
-        // A generous cap still works for the same shape afterwards.
-        let r3 = pool.run(vec![ramp(100)], false, Some(usize::MAX)).unwrap();
-        assert!(matches!(r3, PoolRun::Done { .. }));
+        let r2 = pool.run(&capped, vec![ramp(100)]);
+        assert!(matches!(
+            r2,
+            Err(JobOutcome::OutOfMemory { cap_bytes: 1, .. })
+        ));
+        assert_eq!(capped.stats().compiles, 1);
+        // Without a cap the same shape runs on the same pool.
+        let uncapped = jobs(ShardedConfig::with_workers(1));
+        assert!(pool.run(&uncapped, vec![ramp(100)]).is_ok());
     }
 }

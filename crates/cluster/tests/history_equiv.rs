@@ -22,7 +22,7 @@
 //!   itself (the death is only discovered mid-query).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -183,12 +183,18 @@ fn retrospective_query_matches_cold_run_while_ingest_continues() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A cohort scan fans the patient list across workers and must equal
-/// the per-patient sequential loop, output for output.
+/// A cohort scan runs its passes on the shards that own the patients —
+/// twenty patients on three shards, so every pass splits into several
+/// shares — and must equal the per-patient sequential loop, output for
+/// output, whether the pipeline comes as a factory (one executor per
+/// owning shard) or as one compiled plan (whose shares take turns on it),
+/// while a second thread keeps streaming other patients through the same
+/// shards.
 #[test]
 fn cohort_scan_matches_per_patient_loop() {
     let dir = tmp_dir("cohort");
-    let patients: Vec<u64> = vec![1, 4, 9, 16, 25];
+    let patients: Vec<u64> = (1..=20).map(|p| p * p).collect();
+    let streaming: Vec<u64> = vec![1_000, 1_001, 1_002];
     let ingest = LiveIngest::with_store(
         factory(),
         IngestConfig::new(3, ROUND),
@@ -196,7 +202,7 @@ fn cohort_scan_matches_per_patient_loop() {
     )
     .unwrap();
     let samples = 1_200i64;
-    for &p in &patients {
+    for &p in patients.iter().chain(&streaming) {
         ingest.admit(p).unwrap();
     }
     for k in 0..samples {
@@ -208,28 +214,66 @@ fn cohort_scan_matches_per_patient_loop() {
         }
     }
     ingest.poll();
+    let mut owners: Vec<usize> = patients.iter().map(|&p| ingest.shard_of(p)).collect();
+    owners.sort_unstable();
+    owners.dedup();
+    assert_eq!(owners, [0, 1, 2], "the cohort must span every shard");
 
     let (t0, t1) = (100 * PERIOD, 1_000 * PERIOD);
-    let report = ingest
-        .history(
-            HistoryQuery::new()
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Far above the cohort's range: these patients' segments are
+            // pruned from its scans, but their commands share its shards.
+            let mut k = 0i64;
+            while k < 256 || !stop.load(Ordering::Relaxed) {
+                for &p in &streaming {
+                    ingest.push(p, 0, (100_000 + k) * PERIOD, wave(k, p));
+                }
+                if k % 64 == 0 {
+                    ingest.poll();
+                }
+                k += 1;
+            }
+        });
+        let sequential: Vec<OutputCollector> = patients
+            .iter()
+            .map(|&p| {
+                let seq = ingest
+                    .history(HistoryQuery::new().patient(p).range(t0, t1))
+                    .unwrap()
+                    .into_single()
+                    .unwrap();
+                assert_same(
+                    &format!("patient {p} vs cold"),
+                    &cold_reference(p, samples).clipped(t0, t1),
+                    &seq,
+                );
+                assert!(!seq.is_empty(), "empty comparison proves nothing");
+                seq
+            })
+            .collect();
+        for spec in ["factory", "compiled"] {
+            let query = HistoryQuery::new()
                 .patients(patients.iter().copied())
-                .range(t0, t1),
-        )
-        .unwrap();
-    assert_eq!(report.len(), patients.len());
-    for &p in &patients {
-        let seq = ingest
-            .history(HistoryQuery::new().patient(p).range(t0, t1))
-            .unwrap()
-            .into_single()
-            .unwrap();
-        let fanned = report.output_for(p).expect("patient in report");
-        assert_same(&format!("cohort patient {p}"), &seq, fanned);
-        assert_same(
-            &format!("cohort patient {p} vs cold"),
-            &cold_reference(p, samples).clipped(t0, t1),
-            fanned,
+                .range(t0, t1);
+            let query = match spec {
+                "factory" => query.pipeline_factory(factory()),
+                _ => query.pipeline(factory()().unwrap()),
+            };
+            let report = ingest.history(query).unwrap();
+            assert_eq!(report.len(), patients.len());
+            for (&p, seq) in patients.iter().zip(&sequential) {
+                let fanned = report.output_for(p).expect("patient in report");
+                assert_same(&format!("{spec} cohort patient {p}"), seq, fanned);
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    for &p in &streaming {
+        assert!(
+            !ingest.finish(p).unwrap().is_empty(),
+            "patient {p} streamed"
         );
     }
     ingest.shutdown();

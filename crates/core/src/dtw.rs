@@ -41,10 +41,17 @@ pub fn dtw_distance(a: &[f32], b: &[f32], band: usize) -> f32 {
     let mut cur = vec![inf; m + 1];
     prev[0] = 0.0;
     for i in 1..=n {
-        cur.fill(inf);
         let lo = i.saturating_sub(band).max(1);
         let hi = (i + band).min(m);
-        // Keep the `j == 0` boundary unreachable except at the origin.
+        // Cells outside the band are infinite, but only two of them are
+        // ever read: `cur[lo - 1]` by this row (the `j == 0` boundary is
+        // unreachable except at the origin) and `cur[hi + 1]` by the next,
+        // whose band reaches one further. The rest keep stale values no
+        // row reads, so a row costs `O(band)`, not `O(m)`.
+        cur[lo - 1] = inf;
+        if hi < m {
+            cur[hi + 1] = inf;
+        }
         for j in lo..=hi {
             let d = a[i - 1] - b[j - 1];
             let cost = d * d;
@@ -203,6 +210,51 @@ mod tests {
             .sqrt();
         let dtw = dtw_distance(&a, &b, 2);
         assert!(dtw < euclid, "dtw {dtw} should beat euclidean {euclid}");
+    }
+
+    /// The full `(n + 1) × (m + 1)` DP matrix, every cell outside the
+    /// band set to infinity.
+    fn naive_banded_dtw(a: &[f32], b: &[f32], band: usize) -> f32 {
+        let (n, m) = (a.len(), b.len());
+        let band = band.max(n.abs_diff(m));
+        let mut d = vec![vec![f32::INFINITY; m + 1]; n + 1];
+        d[0][0] = 0.0;
+        for i in 1..=n {
+            for j in 1..=m {
+                if i.abs_diff(j) <= band {
+                    let diff = a[i - 1] - b[j - 1];
+                    let best = d[i - 1][j].min(d[i][j - 1]).min(d[i - 1][j - 1]);
+                    d[i][j] = diff * diff + best;
+                }
+            }
+        }
+        d[n][m].sqrt()
+    }
+
+    #[test]
+    fn banded_rows_match_the_full_matrix_bitwise() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as u32
+        };
+        for _ in 0..60 {
+            let n = 1 + next() as usize % 24;
+            let m = 1 + next() as usize % 24;
+            let mut draw = |len| -> Vec<f32> {
+                (0..len)
+                    .map(|_| (next() % 2000) as f32 / 100.0 - 10.0)
+                    .collect()
+            };
+            let (a, b) = (draw(n), draw(m));
+            for band in 0..=n.max(m) {
+                let fast = dtw_distance(&a, &b, band);
+                let naive = naive_banded_dtw(&a, &b, band);
+                assert_eq!(fast.to_bits(), naive.to_bits(), "n {n} m {m} band {band}");
+            }
+        }
     }
 
     #[test]

@@ -28,8 +28,8 @@
 #![allow(clippy::vec_box)]
 #![warn(rust_2018_idioms)]
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crossbeam::channel;
+use std::sync::mpsc::{sync_channel, SyncSender};
+
 use lifestream_core::source::SignalData;
 use lifestream_core::time::Tick;
 
@@ -124,25 +124,29 @@ pub struct DistribStats {
     pub bytes_encoded: u64,
 }
 
-/// Encodes a batch of events (12 bytes each).
-fn encode(events: &[Box<Event>]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(events.len() * 12);
+/// Encodes a batch of events (12 bytes each: `ts` then `value`, both
+/// little-endian).
+fn encode(events: &[Box<Event>]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(events.len() * 12);
     for e in events {
-        buf.put_i64_le(e.ts);
-        buf.put_f32_le(e.value);
+        buf.extend_from_slice(&e.ts.to_le_bytes());
+        buf.extend_from_slice(&e.value.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a batch into per-event heap allocations (object churn).
-fn decode(mut bytes: Bytes) -> Vec<Box<Event>> {
-    let mut out = Vec::with_capacity(bytes.len() / 12);
-    while bytes.remaining() >= 12 {
-        let ts = bytes.get_i64_le();
-        let value = bytes.get_f32_le();
-        out.push(Box::new(Event { ts, value }));
-    }
-    out
+fn decode(bytes: Vec<u8>) -> Vec<Box<Event>> {
+    bytes
+        .chunks_exact(12)
+        .map(|record| {
+            let (ts, value) = record.split_at(8);
+            Box::new(Event {
+                ts: i64::from_le_bytes(ts.try_into().expect("8-byte ts")),
+                value: f32::from_le_bytes(value.try_into().expect("4-byte value")),
+            })
+        })
+        .collect()
 }
 
 /// One operator hop: `codec_passes` serialize/deserialize round trips.
@@ -166,9 +170,17 @@ fn to_events(data: &SignalData) -> Vec<Box<Event>> {
     out
 }
 
+/// One message to the join task: an encoded micro-batch from one side,
+/// or `None` once that side's stream has ended.
+enum Side {
+    Left(Option<Vec<u8>>),
+    Right(Option<Vec<u8>>),
+}
+
 /// Temporal inner join of two streams on the micro-batch engine: two
-/// ingress tasks feed a join task through channels; the join buffers each
-/// side until the other's watermark passes (per-event hash probing).
+/// ingress tasks feed a join task through one bounded channel; the join
+/// buffers each side until the other's watermark passes (per-event hash
+/// probing).
 pub fn run_join(profile: Profile, left: &SignalData, right: &SignalData) -> DistribStats {
     use std::collections::HashMap;
 
@@ -179,14 +191,13 @@ pub fn run_join(profile: Profile, left: &SignalData, right: &SignalData) -> Dist
     let grid = lifestream_core::time::gcd(left.shape().period(), right.shape().period()).max(1);
     let (l_period, r_period) = (left.shape().period(), right.shape().period());
 
-    let (tx_l, rx_l) = channel::bounded::<Bytes>(16);
-    let (tx_r, rx_r) = channel::bounded::<Bytes>(16);
+    let (tx, rx) = sync_channel::<Side>(32);
     let mb = profile.micro_batch;
     let passes = profile.codec_passes;
 
     // Ingress tasks: per-record bookkeeping, chunk, codec-pass, ship.
     let book_ops = profile.bookkeeping_ops;
-    let ingress = |events: Vec<Box<Event>>, tx: channel::Sender<Bytes>| {
+    let ingress = |events: Vec<Box<Event>>, tx: SyncSender<Side>, side: fn(_) -> Side| {
         std::thread::spawn(move || {
             let mut registry = vec![0u64; BOOKKEEPING_SLOTS];
             let mut local_bytes = 0u64;
@@ -198,16 +209,17 @@ pub fn run_join(profile: Profile, left: &SignalData, right: &SignalData) -> Dist
                 let hopped = hop(chunk.to_vec(), passes.saturating_sub(1), &mut local_bytes);
                 let b = encode(&hopped);
                 local_bytes += b.len() as u64;
-                if tx.send(b).is_err() {
+                if tx.send(side(Some(b))).is_err() {
                     break;
                 }
             }
+            let _ = tx.send(side(None));
             std::hint::black_box(sink);
             local_bytes
         })
     };
-    let hl = ingress(l_events, tx_l);
-    let hr = ingress(r_events, tx_r);
+    let hl = ingress(l_events, tx.clone(), Side::Left);
+    let hr = ingress(r_events, tx, Side::Right);
 
     // Join task: symmetric buffered hash join over grid instants.
     let mut lbuf: Vec<Box<Event>> = Vec::new();
@@ -215,25 +227,21 @@ pub fn run_join(profile: Profile, left: &SignalData, right: &SignalData) -> Dist
     let (mut lw, mut rw) = (Tick::MIN, Tick::MIN);
     let mut emitted_to = Tick::MIN;
     let mut out_count = 0u64;
-    let (mut l_open, mut r_open) = (true, true);
-    while l_open || r_open {
-        channel::select! {
-            recv(rx_l) -> msg => match msg {
-                Ok(b) => {
-                    let evs = decode(b);
-                    if let Some(last) = evs.last() { lw = lw.max(last.ts + 1); }
-                    lbuf.extend(evs);
+    // Ends once both ingress tasks have dropped their senders.
+    for msg in rx.iter() {
+        let (buf, watermark, batch) = match msg {
+            Side::Left(batch) => (&mut lbuf, &mut lw, batch),
+            Side::Right(batch) => (&mut rbuf, &mut rw, batch),
+        };
+        match batch {
+            Some(b) => {
+                let evs = decode(b);
+                if let Some(last) = evs.last() {
+                    *watermark = (*watermark).max(last.ts + 1);
                 }
-                Err(_) => { l_open = false; lw = Tick::MAX; }
-            },
-            recv(rx_r) -> msg => match msg {
-                Ok(b) => {
-                    let evs = decode(b);
-                    if let Some(last) = evs.last() { rw = rw.max(last.ts + 1); }
-                    rbuf.extend(evs);
-                }
-                Err(_) => { r_open = false; rw = Tick::MAX; }
-            },
+                buf.extend(evs);
+            }
+            None => *watermark = Tick::MAX,
         }
         let safe = lw.min(rw);
         if safe > emitted_to && !lbuf.is_empty() && !rbuf.is_empty() {
@@ -277,7 +285,7 @@ pub fn run_upsample(profile: Profile, input: &SignalData, dst_period: Tick) -> D
     stats.input_events = events.len() as u64;
     let src_period = input.shape().period();
 
-    let (tx, rx) = channel::bounded::<Bytes>(16);
+    let (tx, rx) = sync_channel::<Vec<u8>>(16);
     let mb = profile.micro_batch;
     let passes = profile.codec_passes;
     let book_ops = profile.bookkeeping_ops;

@@ -42,11 +42,10 @@ use lifestream_core::source::SignalData;
 use lifestream_core::time::{StreamShape, Tick};
 
 use crate::reader::HistoryReader;
-use crate::segment::SegmentRecord;
 use crate::{ScanStats, SharedStore};
 
-/// Builds a compiled pipeline on demand — the form a parallel cohort
-/// fan-out needs (each worker builds its own executor). Identical to the
+/// Builds a compiled pipeline on demand — the form a cohort spread over
+/// shard threads needs (one executor per owning shard). Identical to the
 /// cluster crate's `PipelineFactory`.
 pub type QueryFactory =
     Arc<dyn Fn() -> lifestream_core::error::Result<CompiledQuery> + Send + Sync>;
@@ -61,7 +60,7 @@ pub enum PipelineSpec {
     /// is no separate retrospective query dialect.
     Compiled(CompiledQuery),
     /// A pipeline factory, for cohort scans that build one executor per
-    /// worker.
+    /// owning shard.
     Factory(QueryFactory),
     /// A pipeline registered on the serving side under a small id — the
     /// only form that travels over the wire. Id `0` always means the
@@ -226,7 +225,7 @@ impl HistoryQuery {
     }
 
     /// Like [`pipeline`](Self::pipeline), but hands a factory so a
-    /// parallel cohort fan-out can build one executor per worker.
+    /// cohort can build one executor per owning shard.
     pub fn pipeline_factory(mut self, factory: QueryFactory) -> Self {
         self.spec = PipelineSpec::Factory(factory);
         self
@@ -294,8 +293,9 @@ impl HistoryQuery {
     /// Executes the query directly against a store, overlaying whatever
     /// live tail `live` supplies for each patient, on one executor and the
     /// calling thread. This is the reference engine: ingest front ends
-    /// hand the same [`run_cohort_on`] one executor per worker lane and
-    /// must match this output byte for byte.
+    /// run the same [`run_cohort_on`] on the shard threads that own the
+    /// patients, one executor per owning shard, and must match this output
+    /// byte for byte.
     ///
     /// Only [`PipelineSpec::Compiled`] and [`PipelineSpec::Factory`] can
     /// be resolved here; `Live`/`Registered` belong to a front end.
@@ -328,7 +328,7 @@ impl HistoryQuery {
         let mut exec = empty_executor(compiled, round_ticks)?;
         let overlays: Vec<Option<LiveOverlay>> = patients.iter().map(|&p| live(p)).collect();
         let (outputs, scan) = run_cohort_on(
-            std::slice::from_mut(&mut exec),
+            &mut exec,
             store,
             &patients,
             &shapes,
@@ -379,26 +379,25 @@ pub fn run_patient_on(
     warmup: Tick,
     live: Option<&LiveOverlay>,
 ) -> Result<OutputCollector, HistoryError> {
-    let lanes = std::slice::from_mut(exec);
-    let (mut outputs, _) = run_cohort_on(lanes, store, &[patient], shapes, range, warmup, &[live])?;
+    let (mut outputs, _) = run_cohort_on(exec, store, &[patient], shapes, range, warmup, &[live])?;
     Ok(outputs.remove(0))
 }
 
 /// Replays a cohort's history: the one loop every retrospective run goes
-/// through. `lanes` are one or more prepared executors of the query's
-/// pipeline (built with empty sources, or recycled from a previous call),
-/// `overlays` the patients' live tails in cohort order; outputs come back
-/// in that order too, with what the store scans cost.
+/// through. `exec` is a prepared executor of the query's pipeline (built
+/// with empty sources, or recycled from a previous call), `overlays` the
+/// patients' live tails in cohort order; outputs come back in that order
+/// too, with what the store scans cost. Everything runs on the calling
+/// thread.
 ///
 /// The read window is `[t0 - back - warmup, t1 + fwd)` where `back`/`fwd`
 /// are the executor's lineage margins. The cohort is served in passes of
-/// at most [`SCAN_PASS_PATIENTS`]: one [`SharedStore::scan`] on the
-/// calling thread reads the window for the whole pass — segment files
-/// outside it skipped by the range index, the others opened once — then
-/// the pass's patients are replayed, spread over the lanes (a single lane
-/// runs on the calling thread; more spawn one scoped thread each). Inputs
-/// are clipped to the window (so round activity inside it matches the
-/// full run exactly) and each collected output to `[t0, t1)`.
+/// at most [`SCAN_PASS_PATIENTS`]: one [`SharedStore::scan`] reads the
+/// window for the whole pass — segment files outside it skipped by the
+/// range index, the others opened once — then the pass's patients are
+/// replayed one after another. Inputs are clipped to the window (so
+/// round activity inside it matches the full run exactly) and each
+/// collected output to `[t0, t1)`.
 ///
 /// # Errors
 /// [`HistoryError::BelowRetention`] when the range ends at or below the
@@ -407,7 +406,7 @@ pub fn run_patient_on(
 /// history nor a live overlay; `Store`/`Execution` for read and replay
 /// failures. The first failure aborts the cohort.
 pub fn run_cohort_on(
-    lanes: &mut [Executor],
+    exec: &mut Executor,
     store: &SharedStore,
     patients: &[u64],
     shapes: &[StreamShape],
@@ -421,7 +420,6 @@ pub fn run_cohort_on(
     let window = if full {
         range
     } else {
-        let exec = &lanes[0];
         let back = exec.history_margins().into_iter().max().unwrap_or(0).max(0);
         let fwd = exec.future_margins().into_iter().max().unwrap_or(0).max(0);
         (
@@ -440,101 +438,36 @@ pub fn run_cohort_on(
         if let Some(earliest) = scan.earliest.filter(|&e| t1 != Tick::MAX && t1 <= e) {
             return Err(HistoryError::BelowRetention { t1, earliest });
         }
-        let replays: Vec<Replay> = pass
-            .iter()
-            .zip(scan.records)
-            .zip(live)
-            .map(|((&patient, records), &live)| Replay {
-                patient,
-                records,
-                // A pipeline with a different source layout than the live
-                // one runs over the durable tiers only — its shapes cannot
-                // absorb the live suffix.
-                live: live.filter(|o| o.shapes.len() == shapes.len()),
-                shapes,
-                range,
-                window,
-            })
-            .collect();
-        outputs.extend(replay_pass(lanes, replays)?);
+        for ((&patient, records), &live) in pass.iter().zip(scan.records).zip(live) {
+            // A pipeline with a different source layout than the live one
+            // runs over the durable tiers only — its shapes cannot absorb
+            // the live suffix.
+            let live = live.filter(|o| o.shapes.len() == shapes.len());
+            if records.is_empty() && live.is_none() {
+                return Err(HistoryError::UnknownPatient(patient));
+            }
+            let mut datasets = HistoryReader::from_records(records)
+                .stitch(patient, shapes, live.map(|o| &o.snapshot))
+                .map_err(HistoryError::Execution)?;
+            if !full {
+                // Clip every source to the same margin-widened window:
+                // presence inside it is then identical to the full-history
+                // run's, so round-skipping decisions (which clear kernel
+                // state) agree too.
+                datasets = datasets
+                    .into_iter()
+                    .map(|d| d.clipped(window.0, window.1))
+                    .collect();
+            }
+            exec.recycle(datasets)
+                .map_err(|e| HistoryError::Execution(e.to_string()))?;
+            let out = catch_unwind(AssertUnwindSafe(|| exec.run_collect()))
+                .map_err(|p| HistoryError::Execution(panic_text(&p)))?
+                .map_err(|e| HistoryError::Execution(e.to_string()))?;
+            outputs.push(if full { out } else { out.clipped(t0, t1) });
+        }
     }
     Ok((outputs, stats))
-}
-
-/// One patient of a pass: its scanned spans and everything a lane needs
-/// to turn them into output.
-struct Replay<'a> {
-    patient: u64,
-    records: Vec<SegmentRecord>,
-    live: Option<&'a LiveOverlay>,
-    shapes: &'a [StreamShape],
-    range: (Tick, Tick),
-    window: (Tick, Tick),
-}
-
-impl Replay<'_> {
-    fn run(self, exec: &mut Executor) -> Result<OutputCollector, HistoryError> {
-        let (t0, t1) = self.range;
-        let full = self.range == (Tick::MIN, Tick::MAX);
-        if self.records.is_empty() && self.live.is_none() {
-            return Err(HistoryError::UnknownPatient(self.patient));
-        }
-        let reader = HistoryReader::from_records(self.records);
-        let mut datasets = reader
-            .stitch(self.patient, self.shapes, self.live.map(|o| &o.snapshot))
-            .map_err(HistoryError::Execution)?;
-        if !full {
-            // Clip every source to the same margin-widened window: presence
-            // inside it is then identical to the full-history run's, so
-            // round-skipping decisions (which clear kernel state) agree too.
-            datasets = datasets
-                .into_iter()
-                .map(|d| d.clipped(self.window.0, self.window.1))
-                .collect();
-        }
-        exec.recycle(datasets)
-            .map_err(|e| HistoryError::Execution(e.to_string()))?;
-        let out = catch_unwind(AssertUnwindSafe(|| exec.run_collect()))
-            .map_err(|p| HistoryError::Execution(panic_text(&p)))?
-            .map_err(|e| HistoryError::Execution(e.to_string()))?;
-        Ok(if full { out } else { out.clipped(t0, t1) })
-    }
-}
-
-/// Replays one pass in pass order, its patients dealt to the lanes in
-/// equal runs. A pass that fits one lane runs on the calling thread;
-/// otherwise every lane with work gets a scoped thread.
-fn replay_pass(
-    lanes: &mut [Executor],
-    replays: Vec<Replay<'_>>,
-) -> Result<Vec<OutputCollector>, HistoryError> {
-    let per_lane = replays.len().div_ceil(lanes.len());
-    if per_lane == replays.len() {
-        let exec = &mut lanes[0];
-        return replays.into_iter().map(|r| r.run(exec)).collect();
-    }
-    let busy = replays.len().div_ceil(per_lane);
-    let mut replays = replays.into_iter();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = lanes
-            .iter_mut()
-            .take(busy)
-            .map(|exec| {
-                let work: Vec<_> = replays.by_ref().take(per_lane).collect();
-                s.spawn(move || work.into_iter().map(|r| r.run(exec)).collect())
-            })
-            .collect();
-        // Join every lane before judging any: the scope would otherwise
-        // re-raise a panic left in an unjoined one.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        let mut outputs = Vec::new();
-        for lane in joined {
-            let done: Result<Vec<_>, _> =
-                lane.unwrap_or_else(|p| Err(HistoryError::Execution(panic_text(&p))));
-            outputs.extend(done?);
-        }
-        Ok(outputs)
-    })
 }
 
 fn panic_text(p: &(dyn std::any::Any + Send)) -> String {

@@ -3,13 +3,14 @@
 //! Two faces of the same service:
 //!
 //! 1. **Batch jobs** — a stream of arriving patients is submitted to a
-//!    fixed pool of shard workers over *bounded* queues (a slow shard
-//!    backpressures `submit` instead of queueing without limit); each
-//!    shard compiles the pipeline once and recycles its warmed executor
-//!    for every later patient.
+//!    fixed set of shard threads over their *bounded* channels (a slow
+//!    shard backpressures `submit` instead of queueing without limit),
+//!    each job to the shard with the fewest in flight; each shard
+//!    compiles the pipeline once and recycles its warmed executor for
+//!    every later patient.
 //! 2. **Live ingest** — per-patient monitor feeds push samples that are
-//!    staged client-side and shipped to the shards in batches over
-//!    bounded channels; sessions compact their buffers as rounds
+//!    staged client-side and shipped to the same kind of shard threads in
+//!    batches over bounded channels; sessions compact their buffers as rounds
 //!    complete, so a feed can run forever in bounded memory.
 //!
 //! Run with `cargo run --release --example sharded_runtime`.
@@ -42,30 +43,23 @@ fn main() {
         Arc::new(move || fig3_pipeline(ecg_shape, abp_shape, 1000)?.compile());
     let rt = ShardedRuntime::new(
         factory,
-        ShardedConfig::with_workers(workers)
-            .round_ticks(60_000)
-            // Bounded per-shard queues: submit blocks (backpressure)
-            // rather than buffering an unbounded patient backlog.
-            .queue_cap(4)
-            // LRU-capped executor pools: distinct pipeline shapes cannot
-            // pin unbounded static plans on a worker.
-            .pool_cap(8),
+        ShardedConfig::with_workers(workers).round_ticks(60_000),
     );
-    println!("submitting {patients} patients to {workers} shards (queue cap 4) ...");
+    println!("submitting {patients} patients to {workers} shards ...");
     for (p, (ecg, abp)) in pairs.iter().enumerate() {
         rt.submit(p as u64, vec![ecg.clone(), abp.clone()]);
     }
     for report in rt.drain(patients) {
         assert!(matches!(report.outcome, JobOutcome::Ok));
         println!(
-            "  patient {:>2} -> shard {} (routed {}): {:>7} events out",
-            report.patient, report.shard, report.routed, report.output_events
+            "  patient {:>2} -> shard {}: {:>7} events out",
+            report.patient, report.shard, report.output_events
         );
     }
     let stats = rt.shutdown();
     println!(
-        "pooling: {} compiles, {} recycles, {} stolen jobs\n",
-        stats.compiles, stats.recycles, stats.stolen
+        "pooling: {} compiles, {} recycles\n",
+        stats.compiles, stats.recycles
     );
 
     // ---------------------------------------------------------------

@@ -804,8 +804,8 @@ impl EnginePipeline for NumLibPrepared {
 
 /// The [`ShardedRuntime`](cluster_harness::sharded::ShardedRuntime)
 /// behind the shared [`Engine`] surface: the same LifeStream engine, but
-/// served by the long-lived multi-patient runtime — hash-routed shard
-/// workers with pooled, recycled executors. A shared-workload run
+/// served by the long-lived multi-patient runtime — shard threads that
+/// each keep one warm, recycled executor. A shared-workload run
 /// submits its inputs as one patient job; the point of carrying it in
 /// [`all_engines`] is that every cross-engine agreement check now also
 /// locks "sharding changes nothing about the answer".
