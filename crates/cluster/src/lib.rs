@@ -15,8 +15,8 @@
 //!   and history cohort passes. [`sharded::LiveIngest`] multiplexes live
 //!   `(patient, source, t, v)` sample streams into the `LiveSession`s of
 //!   the patients hash-routed to each shard, with round-aligned polling;
-//!   [`sharded::ShardedRuntime`] sends each batch job to the shard with
-//!   the fewest jobs in flight, where one warm executor is recycled
+//!   [`sharded::ShardedRuntime`] queues batch jobs for whichever shard
+//!   is free first, where one warm executor is recycled
 //!   across patients (`Executor::recycle`), so locality tracing, memory
 //!   planning, and static allocation run once per shard rather than once
 //!   per patient. This is the architecture the ROADMAP's "heavy traffic"

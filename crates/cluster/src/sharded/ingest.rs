@@ -49,7 +49,7 @@
 //! queueing unboundedly — producers feel backpressure at the ingest edge,
 //! and resident memory stays bounded by `workers × channel_cap × batch`
 //! staged samples plus each session's compacted retained suffix, plus at
-//! most [`SCAN_PASS_PATIENTS`] stitched cohort inputs per history query.
+//! most [`SCAN_PASS_PATIENTS`] patients' scanned spans per history query.
 //!
 //! ## Semantics
 //!
@@ -88,8 +88,8 @@ use std::thread::JoinHandle;
 
 use lifestream_core::exec::{Executor, OutputCollector};
 use lifestream_core::live::{LiveSession, SessionSnapshot};
-use lifestream_core::time::{StreamShape, Tick};
-use lifestream_store::query::{empty_executor, run_cohort_on};
+use lifestream_core::time::Tick;
+use lifestream_store::query::{empty_executor, CohortPass};
 use lifestream_store::{
     CohortReport, HistoryError, HistoryQuery, LiveOverlay, PipelineSpec, ScanStats, SharedStore,
     StoreConfig, SCAN_PASS_PATIENTS,
@@ -437,62 +437,51 @@ enum Cmd {
     },
     /// One batch job of a [`ShardedRuntime`](super::ShardedRuntime).
     Job(Box<Job>),
+    /// Snapshots these patients' live tails for a cohort pass about to
+    /// read the store.
+    Tails(Box<TailsAsk>),
     /// One owning shard's share of a cohort pass.
     Pass(Box<PassShare>),
     Shutdown,
 }
 
-/// One shard's share of a history cohort pass: the patients it owns, in
-/// query order, and the executor it replays them on. The shard
-/// snapshots those patients' live suffixes itself, reads the store once
-/// for the share, and sends the outputs back with the executor.
+/// One shard's share of a history cohort pass: its patients' scanned
+/// spans and live tails, in query order, and the executor it replays them
+/// on, one patient per [`step`](Self::step).
 struct PassShare {
-    patients: Vec<PatientId>,
-    shapes: Vec<StreamShape>,
-    range: (Tick, Tick),
-    warmup: Tick,
+    pass: CohortPass,
+    tails: std::vec::IntoIter<Option<LiveOverlay>>,
+    outputs: Vec<OutputCollector>,
     exec: Executor,
     reply: Sender<PassDone>,
 }
 
-/// A share's outputs in its patients' order, what its store scan cost,
-/// and the executor it borrowed.
-type PassDone = (
-    Result<(Vec<OutputCollector>, ScanStats), HistoryError>,
-    Executor,
-);
+/// The patients whose live tails a pass needs, and where they go.
+type TailsAsk = (Vec<PatientId>, Sender<Vec<Option<LiveOverlay>>>);
+
+/// A share's outputs in its patients' order, and the executor it
+/// borrowed.
+type PassDone = (Result<Vec<OutputCollector>, HistoryError>, Executor);
 
 impl PassShare {
-    fn run(self, sessions: &HashMap<PatientId, Session>, store: Option<&SharedStore>) {
-        let PassShare {
-            patients,
-            shapes,
-            range,
-            warmup,
-            mut exec,
-            reply,
-        } = self;
-        // A patient that is not live here (finished, on another machine,
-        // or poisoned) is served from the durable tiers alone. The shard
-        // retires its own sessions' spans, so none can retire between
-        // these snapshots and the scan below.
-        let overlays: Vec<Option<LiveOverlay>> = patients
-            .iter()
-            .map(|p| match sessions.get(p) {
-                Some(s) if !s.poisoned => Some(LiveOverlay {
-                    snapshot: s.live.export_suffix(),
-                    shapes: s.live.source_shapes(),
-                }),
-                _ => None,
-            })
-            .collect();
-        let overlays: Vec<Option<&LiveOverlay>> = overlays.iter().map(Option::as_ref).collect();
-        let run = store.ok_or(HistoryError::NoStore).and_then(|store| {
-            run_cohort_on(
-                &mut exec, store, &patients, &shapes, range, warmup, &overlays,
-            )
-        });
-        let _ = reply.send((run, exec));
+    /// Replays the share's next patient. Returns the share while patients
+    /// remain; replies, and returns `None`, once all are done or one
+    /// failed.
+    fn step(mut self: Box<Self>) -> Option<Box<Self>> {
+        let tail = self.tails.next().flatten();
+        let run = match self.pass.replay_next(&mut self.exec, tail.as_ref()) {
+            Some(Ok(out)) => {
+                self.outputs.push(out);
+                if !self.pass.is_empty() {
+                    return Some(self);
+                }
+                Ok(self.outputs)
+            }
+            Some(Err(e)) => Err(e),
+            None => Ok(self.outputs),
+        };
+        let _ = self.reply.send((run, self.exec));
+        None
     }
 }
 
@@ -590,7 +579,9 @@ impl LiveIngest {
             let store = store.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("ingest-{me}"))
-                .spawn(move || ingest_loop(rx, factory, cfg.round_ticks, counters, store))
+                .spawn(move || {
+                    ingest_loop(rx, factory, cfg.round_ticks, counters, store, channel_cap)
+                })
                 .expect("spawn ingest worker");
             txs.push(tx);
             handles.push(handle);
@@ -805,17 +796,17 @@ impl LiveIngest {
     /// the segment files whose tick ranges overlap the query.
     ///
     /// The cohort runs in passes of at most [`SCAN_PASS_PATIENTS`], in
-    /// query order, on the shard threads that own its patients. A pass is
-    /// split by owning shard; each share is one command on that shard's
-    /// channel, queued behind the shard's staged samples, and the shard
-    /// snapshots its own sessions' suffixes, reads the store once for the
-    /// share ([`run_cohort_on`]) and replays it on an executor this call
-    /// compiled (one per owning shard; a [`PipelineSpec::Compiled`] plan
-    /// is not cloneable, so its shares take turns on its one executor).
-    /// The next pass is sent only when every share of this one has
-    /// replied, so at most a pass's stitched inputs are in memory and the
-    /// shards serve live commands between passes. With W > 1 owning
-    /// shards a pass does one [`SharedStore::scan`] per shard, not one.
+    /// query order, on the shard threads that own its patients. Each
+    /// owning shard first snapshots its share's live tails (behind its
+    /// staged samples); then this call reads the store once for the whole
+    /// pass ([`CohortPass::scan`]) and sends every owning shard its share
+    /// with an executor this call compiled (one per owning shard; a
+    /// [`PipelineSpec::Compiled`] plan is not cloneable, so its shares
+    /// take turns on its one executor). A shard replays its share one
+    /// patient at a time and serves the live commands waiting on its
+    /// channel between patients. The next pass starts only when every
+    /// share of this one has replied, so at most a pass's scanned spans
+    /// are in memory.
     ///
     /// A patient that has already `finish`ed (or lives on another
     /// machine) is served from segments alone.
@@ -827,9 +818,7 @@ impl LiveIngest {
     /// unknown to both the sessions and the store, and pipeline/store
     /// failures otherwise.
     pub fn history(&self, query: HistoryQuery) -> Result<CohortReport, HistoryError> {
-        if self.store.is_none() {
-            return Err(HistoryError::NoStore);
-        }
+        let store = self.store.as_ref().ok_or(HistoryError::NoStore)?;
         let (range, patients, warmup, spec) = query.into_parts();
         if patients.is_empty() {
             return Err(HistoryError::NoPatients);
@@ -879,9 +868,7 @@ impl LiveIngest {
                 in_flight.pop_front().expect("a share in flight");
             let (run, exec) = done.recv().map_err(|_| gone())?;
             idle.push(exec);
-            let (outs, stats) = run?;
-            scan += stats;
-            for (i, out) in at.into_iter().zip(outs) {
+            for (i, out) in at.into_iter().zip(run?) {
                 outputs[i] = Some(out);
             }
             Ok::<_, HistoryError>(())
@@ -895,17 +882,39 @@ impl LiveIngest {
                     None => shares.push((shard, vec![at])),
                 }
             }
-            for (shard, at) in shares {
+            // Every owning shard snapshots its patients' tails (behind
+            // their staged samples) before the pass's one scan.
+            let mut asks = Vec::with_capacity(shares.len());
+            for (shard, at) in &shares {
+                self.flush_shard(*shard);
+                let (reply, tails) = channel();
+                let ask = (at.iter().map(|&i| patients[i]).collect(), reply);
+                self.txs[*shard]
+                    .send(Cmd::Tails(Box::new(ask)))
+                    .map_err(|_| gone())?;
+                asks.push(tails);
+            }
+            let tails: Vec<Vec<Option<LiveOverlay>>> = asks
+                .into_iter()
+                .map(|tails| tails.recv().map_err(|_| gone()))
+                .collect::<Result<_, _>>()?;
+            let order: Vec<PatientId> = shares
+                .iter()
+                .flat_map(|(_, at)| at)
+                .map(|&i| patients[i])
+                .collect();
+            let (mut pass, stats) =
+                CohortPass::scan(&idle[0], store, &order, &shapes, range, warmup)?;
+            scan += stats;
+            for ((shard, at), tails) in shares.into_iter().zip(tails) {
                 if idle.is_empty() {
                     settle(&mut in_flight, &mut idle)?;
                 }
-                self.flush_shard(shard);
                 let (reply, done) = channel();
                 let share = PassShare {
-                    patients: at.iter().map(|&i| patients[i]).collect(),
-                    shapes: shapes.clone(),
-                    range,
-                    warmup,
+                    pass: pass.split_front(at.len()),
+                    tails: tails.into_iter(),
+                    outputs: Vec::with_capacity(at.len()),
                     exec: idle.pop().expect("an idle executor"),
                     reply,
                 };
@@ -1036,176 +1045,209 @@ fn ingest_loop(
     round_ticks: Tick,
     counters: Arc<Counters>,
     store: Option<SharedStore>,
+    depth: usize,
 ) {
     let mut sessions: HashMap<PatientId, Session> = HashMap::new();
     let mut pool = ExecutorPool::default();
-    for cmd in rx.iter() {
-        match cmd {
-            Cmd::Admit { patient, reply } => {
-                use std::collections::hash_map::Entry;
-                let outcome = match sessions.entry(patient) {
-                    Entry::Occupied(_) => Err(format!("patient {patient} already admitted")),
-                    Entry::Vacant(slot) => {
-                        // The factory is user code: a panic must become
-                        // this admit's error, not the shard's death.
-                        catch_user(|| {
-                            factory().and_then(|compiled| LiveSession::new(compiled, round_ticks))
-                        })
-                        .map_err(UserFailure::into_message)
-                        .and_then(|mut live| {
-                            let meta = session_meta(&live)?;
-                            if let Some(store) = &store {
-                                live.set_retire_sink(store.sink_for(patient));
-                            }
-                            slot.insert(Session {
-                                out: OutputCollector::new(meta.arity),
-                                live,
-                                errors: Vec::new(),
-                                poisoned: false,
-                            });
-                            Ok(meta)
-                        })
-                    }
-                };
-                let _ = reply.send(outcome);
+    let mut shares: VecDeque<Box<PassShare>> = VecDeque::new();
+    'serve: loop {
+        // With a cohort share queued the shard takes the commands already
+        // waiting (at most a channel's depth, so a saturated channel cannot
+        // starve the share), then replays one of the share's patients: a
+        // live command waits behind one patient's replay, not a whole share.
+        let first = if shares.is_empty() {
+            match rx.recv() {
+                Ok(cmd) => Some(cmd),
+                Err(_) => break,
             }
-            Cmd::SampleBatch { batch, reply } => {
-                let dropped = apply_batch(&mut sessions, &batch, &counters);
-                if let Some(reply) = reply {
-                    let _ = reply.send(dropped);
-                }
-            }
-            Cmd::Poll => {
-                for s in sessions.values_mut() {
-                    if s.poisoned {
-                        continue;
-                    }
-                    let Session { live, out, .. } = s;
-                    // Polling runs user kernel closures: one patient's
-                    // panic poisons that session only, never the shard
-                    // (its siblings keep streaming). Ordinary engine
-                    // errors leave the session sound and just defer.
-                    match catch_user(|| live.poll(|w| out.absorb(w))) {
-                        Ok(_) => {}
-                        Err(UserFailure::Error(e)) => s.errors.push(e),
-                        Err(f @ UserFailure::Panic(_)) => {
-                            s.poisoned = true;
-                            s.errors.push(f.into_message());
+        } else {
+            None
+        };
+        for cmd in first.into_iter().chain(rx.try_iter().take(depth)) {
+            match cmd {
+                Cmd::Admit { patient, reply } => {
+                    use std::collections::hash_map::Entry;
+                    let outcome = match sessions.entry(patient) {
+                        Entry::Occupied(_) => Err(format!("patient {patient} already admitted")),
+                        Entry::Vacant(slot) => {
+                            // The factory is user code: a panic must become
+                            // this admit's error, not the shard's death.
+                            catch_user(|| {
+                                factory()
+                                    .and_then(|compiled| LiveSession::new(compiled, round_ticks))
+                            })
+                            .map_err(UserFailure::into_message)
+                            .and_then(|mut live| {
+                                let meta = session_meta(&live)?;
+                                if let Some(store) = &store {
+                                    live.set_retire_sink(store.sink_for(patient));
+                                }
+                                slot.insert(Session {
+                                    out: OutputCollector::new(meta.arity),
+                                    live,
+                                    errors: Vec::new(),
+                                    poisoned: false,
+                                });
+                                Ok(meta)
+                            })
                         }
+                    };
+                    let _ = reply.send(outcome);
+                }
+                Cmd::SampleBatch { batch, reply } => {
+                    let dropped = apply_batch(&mut sessions, &batch, &counters);
+                    if let Some(reply) = reply {
+                        let _ = reply.send(dropped);
                     }
                 }
-            }
-            Cmd::Finish { patient, reply } => {
-                let outcome = match sessions.remove(&patient) {
-                    Some(mut s) => {
-                        if !s.poisoned {
-                            let Session { live, out, .. } = &mut s;
-                            if let Err(f) = catch_user(|| live.finish(|w| out.absorb(w))) {
-                                s.errors.push(f.into_message());
-                            }
+                Cmd::Poll => {
+                    for s in sessions.values_mut() {
+                        if s.poisoned {
+                            continue;
                         }
-                        if s.errors.is_empty() {
-                            Ok(s.out)
-                        } else {
-                            // All deferred errors, not just the first —
-                            // a monitor feed can violate the grid many
-                            // ways in one session.
-                            Err(s.errors.join("; "))
-                        }
-                    }
-                    None => Err(format!("patient {patient} not admitted")),
-                };
-                let _ = reply.send(outcome);
-            }
-            Cmd::Export { patient, reply } => {
-                let outcome = match sessions.remove(&patient) {
-                    Some(mut s) if !s.poisoned => {
-                        // Drain complete rounds so only the margin suffix
-                        // (not unprocessed backlog) crosses the wire.
-                        let drained = {
-                            let Session { live, out, .. } = &mut s;
-                            catch_user(|| live.poll(|w| out.absorb(w)))
-                        };
-                        match drained {
+                        let Session { live, out, .. } = s;
+                        // Polling runs user kernel closures: one patient's
+                        // panic poisons that session only, never the shard
+                        // (its siblings keep streaming). Ordinary engine
+                        // errors leave the session sound and just defer.
+                        match catch_user(|| live.poll(|w| out.absorb(w))) {
+                            Ok(_) => {}
+                            Err(UserFailure::Error(e)) => s.errors.push(e),
                             Err(f @ UserFailure::Panic(_)) => {
-                                // Executor state is unknowable: keep the
-                                // poisoned session here so finish reports.
                                 s.poisoned = true;
                                 s.errors.push(f.into_message());
-                                sessions.insert(patient, s);
-                                Err(format!("patient {patient} poisoned during export"))
-                            }
-                            other => {
-                                if let Err(f) = other {
-                                    s.errors.push(f.into_message());
-                                }
-                                Ok(PatientHandoff {
-                                    snapshot: s.live.export_suffix(),
-                                    output: s.out,
-                                    errors: s.errors,
-                                })
                             }
                         }
                     }
-                    Some(s) => {
-                        let why = s.errors.join("; ");
-                        sessions.insert(patient, s);
-                        Err(format!(
-                            "patient {patient} session is poisoned, cannot hand off: {why}"
-                        ))
-                    }
-                    None => Err(format!("patient {patient} not admitted")),
-                };
-                let _ = reply.send(outcome);
-            }
-            Cmd::Import {
-                patient,
-                state,
-                reply,
-            } => {
-                use std::collections::hash_map::Entry;
-                let outcome = match sessions.entry(patient) {
-                    Entry::Occupied(_) => Err(format!("patient {patient} already admitted")),
-                    Entry::Vacant(slot) => {
-                        let PatientHandoff {
-                            snapshot,
-                            output,
-                            errors,
-                        } = *state;
-                        catch_user(|| {
-                            factory().and_then(|compiled| {
-                                LiveSession::import_suffix(compiled, round_ticks, snapshot)
-                            })
-                        })
-                        .map_err(UserFailure::into_message)
-                        .and_then(|mut live| {
-                            if let Some(store) = &store {
-                                live.set_retire_sink(store.sink_for(patient));
+                }
+                Cmd::Finish { patient, reply } => {
+                    let outcome = match sessions.remove(&patient) {
+                        Some(mut s) => {
+                            if !s.poisoned {
+                                let Session { live, out, .. } = &mut s;
+                                if let Err(f) = catch_user(|| live.finish(|w| out.absorb(w))) {
+                                    s.errors.push(f.into_message());
+                                }
                             }
-                            // A failover peer ships an *empty* collector
-                            // it could not size; align it to the sink so
-                            // the first absorb doesn't panic on arity.
-                            let out = if output.is_empty() {
-                                let arity = live.sink_arity().map_err(|e| e.to_string())?;
-                                OutputCollector::new(arity)
+                            if s.errors.is_empty() {
+                                Ok(s.out)
                             } else {
-                                output
+                                // All deferred errors, not just the first —
+                                // a monitor feed can violate the grid many
+                                // ways in one session.
+                                Err(s.errors.join("; "))
+                            }
+                        }
+                        None => Err(format!("patient {patient} not admitted")),
+                    };
+                    let _ = reply.send(outcome);
+                }
+                Cmd::Export { patient, reply } => {
+                    let outcome = match sessions.remove(&patient) {
+                        Some(mut s) if !s.poisoned => {
+                            // Drain complete rounds so only the margin suffix
+                            // (not unprocessed backlog) crosses the wire.
+                            let drained = {
+                                let Session { live, out, .. } = &mut s;
+                                catch_user(|| live.poll(|w| out.absorb(w)))
                             };
-                            slot.insert(Session {
-                                live,
-                                out,
+                            match drained {
+                                Err(f @ UserFailure::Panic(_)) => {
+                                    // Executor state is unknowable: keep the
+                                    // poisoned session here so finish reports.
+                                    s.poisoned = true;
+                                    s.errors.push(f.into_message());
+                                    sessions.insert(patient, s);
+                                    Err(format!("patient {patient} poisoned during export"))
+                                }
+                                other => {
+                                    if let Err(f) = other {
+                                        s.errors.push(f.into_message());
+                                    }
+                                    Ok(PatientHandoff {
+                                        snapshot: s.live.export_suffix(),
+                                        output: s.out,
+                                        errors: s.errors,
+                                    })
+                                }
+                            }
+                        }
+                        Some(s) => {
+                            let why = s.errors.join("; ");
+                            sessions.insert(patient, s);
+                            Err(format!(
+                                "patient {patient} session is poisoned, cannot hand off: {why}"
+                            ))
+                        }
+                        None => Err(format!("patient {patient} not admitted")),
+                    };
+                    let _ = reply.send(outcome);
+                }
+                Cmd::Import {
+                    patient,
+                    state,
+                    reply,
+                } => {
+                    use std::collections::hash_map::Entry;
+                    let outcome = match sessions.entry(patient) {
+                        Entry::Occupied(_) => Err(format!("patient {patient} already admitted")),
+                        Entry::Vacant(slot) => {
+                            let PatientHandoff {
+                                snapshot,
+                                output,
                                 errors,
-                                poisoned: false,
-                            });
-                            Ok(())
-                        })
-                    }
-                };
-                let _ = reply.send(outcome);
+                            } = *state;
+                            catch_user(|| {
+                                factory().and_then(|compiled| {
+                                    LiveSession::import_suffix(compiled, round_ticks, snapshot)
+                                })
+                            })
+                            .map_err(UserFailure::into_message)
+                            .and_then(|mut live| {
+                                if let Some(store) = &store {
+                                    live.set_retire_sink(store.sink_for(patient));
+                                }
+                                // A failover peer ships an *empty* collector
+                                // it could not size; align it to the sink so
+                                // the first absorb doesn't panic on arity.
+                                let out = if output.is_empty() {
+                                    let arity = live.sink_arity().map_err(|e| e.to_string())?;
+                                    OutputCollector::new(arity)
+                                } else {
+                                    output
+                                };
+                                slot.insert(Session {
+                                    live,
+                                    out,
+                                    errors,
+                                    poisoned: false,
+                                });
+                                Ok(())
+                            })
+                        }
+                    };
+                    let _ = reply.send(outcome);
+                }
+                Cmd::Job(job) => job.run(&mut pool),
+                Cmd::Tails(ask) => {
+                    // A patient not live here (finished, on another machine,
+                    // or poisoned) is served from the durable tiers alone.
+                    let (patients, reply) = *ask;
+                    let tails = patients.iter().map(|p| match sessions.get(p) {
+                        Some(s) if !s.poisoned => Some(LiveOverlay {
+                            snapshot: s.live.export_suffix(),
+                            shapes: s.live.source_shapes(),
+                        }),
+                        _ => None,
+                    });
+                    let _ = reply.send(tails.collect());
+                }
+                Cmd::Pass(share) => shares.push_back(share),
+                Cmd::Shutdown => break 'serve,
             }
-            Cmd::Job(job) => job.run(&mut pool),
-            Cmd::Pass(share) => share.run(&sessions, store.as_ref()),
-            Cmd::Shutdown => break,
+        }
+        if let Some(share) = shares.pop_front().and_then(PassShare::step) {
+            shares.push_front(share);
         }
     }
 }

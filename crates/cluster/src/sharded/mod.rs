@@ -18,9 +18,9 @@
 //!   polling and bounded memory end to end.
 //! * **Batch jobs.** [`ShardedRuntime`] is a facade over a shard set that
 //!   admits no sessions. A job holds no patient state, so
-//!   [`submit`](ShardedRuntime::submit) sends it to the shard with the
-//!   fewest jobs in flight, and the shard's bounded channel is the
-//!   backpressure. Each shard keeps one warm executor, recycled across
+//!   [`submit`](ShardedRuntime::submit) queues it and wakes the shard
+//!   with the fewest wake-ups in flight; a free shard takes the next
+//!   queued job, and the shard's bounded channel is the backpressure. Each shard keeps one warm executor, recycled across
 //!   patients via [`Executor::recycle`], so locality tracing, memory
 //!   planning, and static allocation happen once per shard — not once per
 //!   patient.
@@ -72,7 +72,7 @@ pub use ingest::{
 };
 pub use pool::PipelineFactory;
 
-use pool::{Job, Jobs};
+use pool::Jobs;
 
 /// Patient identity; the live-ingest router hashes it.
 pub type PatientId = u64;
@@ -220,19 +220,16 @@ impl ShardedRuntime {
         self.shards.workers()
     }
 
-    /// Sends one patient job to the shard with the fewest jobs in flight
-    /// (the lowest index on a tie). A job holds no patient state, so any
-    /// shard serves it. Blocks while that shard's bounded channel
-    /// ([`IngestConfig::channel_cap`]) is full: a slow shard exerts
-    /// backpressure on submitters instead of queueing unboundedly.
+    /// Queues one patient job and wakes the shard with the fewest
+    /// wake-ups in flight (the lowest index on a tie). A job holds no
+    /// patient state, so whichever shard is free first takes it: a long
+    /// job holds no shorter one behind it. Blocks while the woken shard's
+    /// bounded channel ([`IngestConfig::channel_cap`]) is full: a slow
+    /// shard exerts backpressure on submitters instead of queueing
+    /// unboundedly.
     pub fn submit(&self, patient: PatientId, sources: Vec<SignalData>) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shards.run_job(Job {
-            patient,
-            sources,
-            shard: self.jobs.route(),
-            jobs: Arc::clone(&self.jobs),
-        });
+        self.shards.run_job(self.jobs.enqueue(patient, sources));
     }
 
     /// Jobs submitted so far.
@@ -311,6 +308,7 @@ mod tests {
     use super::*;
     use lifestream_core::stream::Query;
     use lifestream_core::time::StreamShape;
+    use std::time::Duration;
 
     fn doubler_factory() -> PipelineFactory {
         Arc::new(|| {
@@ -375,9 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn jobs_go_to_the_shard_with_fewest_in_flight() {
-        // The long job holds its shard until the gate opens, so every
-        // short job submitted meanwhile must land on the other shard.
+    fn bulk_submitted_short_jobs_never_wait_behind_a_long_one() {
+        // The long job holds its shard until every short job submitted
+        // with it has been reported: a job bound to a shard when submitted
+        // would wait behind the long one, and the drain below would not end.
         let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
         let held = Arc::clone(&gate);
         let factory: PipelineFactory = Arc::new(move || {
@@ -389,7 +388,11 @@ mod tests {
                         let (open, wake) = &*held;
                         let mut open = open.lock().unwrap();
                         while !*open {
-                            open = wake.wait(open).unwrap();
+                            // A deadlock guard, not a timing assert.
+                            let (next, wait) =
+                                wake.wait_timeout(open, Duration::from_secs(30)).unwrap();
+                            open = next;
+                            *open |= wait.timed_out();
                         }
                     }
                     o[0] = i[0];
@@ -400,30 +403,16 @@ mod tests {
         let rt = ShardedRuntime::new(factory, ShardedConfig::with_workers(2));
         const LONG: PatientId = 999;
         rt.submit(LONG, vec![ramp(10, -1.0)]);
-        let mut early = Vec::new();
-        let long = loop {
-            rt.submit(early.len() as PatientId, vec![ramp(10, 0.0)]);
-            let r = rt.recv().unwrap();
-            if r.patient == LONG {
-                break r;
-            }
-            early.push(r.shard);
-            if early.len() == 3 {
-                *gate.0.lock().unwrap() = true;
-                gate.1.notify_all();
-            }
-        };
-        assert!(
-            !early.is_empty(),
-            "a short job finished before the long one"
-        );
-        assert!(
-            early.iter().all(|&s| s != long.shard),
-            "short jobs {early:?} shared shard {} with the long one",
-            long.shard
-        );
-        rt.drain(1);
-        assert_eq!(rt.shutdown().completed, early.len() as u64 + 2);
+        for p in 0..8 {
+            rt.submit(p, vec![ramp(10, 0.0)]);
+        }
+        let early = rt.drain(8);
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        let long = rt.recv().unwrap();
+        assert_eq!(long.patient, LONG, "a short job waited behind the long one");
+        assert!(early.iter().all(|r| r.shard != long.shard));
+        assert_eq!(rt.shutdown().completed, 9);
     }
 
     #[test]

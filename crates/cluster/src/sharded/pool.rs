@@ -10,10 +10,11 @@
 //! executor. This is the per-worker half of the PGO observation that the
 //! win is in reusing warmed-up execution state on the hot path.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::query::CompiledQuery;
@@ -36,7 +37,10 @@ pub(crate) struct Jobs {
     opts: ExecOptions,
     collect: bool,
     mem_cap: Option<usize>,
-    /// Jobs sent to each shard and not yet reported.
+    /// Submitted jobs no shard has taken yet. A shard takes the next one
+    /// only when it is free, so a long job holds no shorter one behind it.
+    queue: Mutex<VecDeque<(PatientId, Vec<SignalData>)>>,
+    /// Wake-ups sent to each shard and not yet spent.
     in_flight: Vec<AtomicUsize>,
     compiles: AtomicU64,
     recycles: AtomicU64,
@@ -60,6 +64,7 @@ impl Jobs {
             opts,
             collect: cfg.collect,
             mem_cap: cfg.mem_cap_per_worker,
+            queue: Mutex::default(),
             in_flight: (0..cfg.workers.max(1))
                 .map(|_| AtomicUsize::new(0))
                 .collect(),
@@ -71,14 +76,31 @@ impl Jobs {
         }
     }
 
-    /// Claims a slot on the shard with the fewest jobs in flight (the
-    /// lowest index on a tie) and returns that shard.
-    pub(crate) fn route(&self) -> usize {
+    /// Queues a job and returns the wake-up for the shard with the fewest
+    /// wake-ups in flight (the lowest index on a tie), claiming its slot.
+    pub(crate) fn enqueue(self: &Arc<Self>, patient: PatientId, sources: Vec<SignalData>) -> Job {
+        self.queue
+            .lock()
+            .expect("job queue")
+            .push_back((patient, sources));
         let shard = (0..self.in_flight.len())
             .min_by_key(|&s| self.in_flight[s].load(Ordering::Relaxed))
             .expect("at least one shard");
         self.in_flight[shard].fetch_add(1, Ordering::Relaxed);
-        shard
+        Job {
+            shard,
+            jobs: Arc::clone(self),
+        }
+    }
+
+    /// The next queued job; `None`, with `shard`'s slot freed, once the
+    /// queue is empty.
+    fn take(&self, shard: usize) -> Option<(PatientId, Vec<SignalData>)> {
+        let next = self.queue.lock().expect("job queue").pop_front();
+        if next.is_none() {
+            self.in_flight[shard].fetch_sub(1, Ordering::Relaxed);
+        }
+        next
     }
 
     pub(crate) fn stats(&self) -> RuntimeStats {
@@ -91,17 +113,15 @@ impl Jobs {
     }
 }
 
-/// One batch job, as it travels on a shard's channel.
+/// A wake-up for the shard [`Jobs::enqueue`] picked, as it travels on
+/// that shard's channel: the shard runs queued jobs until none is left.
 pub(crate) struct Job {
-    pub(crate) patient: PatientId,
-    pub(crate) sources: Vec<SignalData>,
-    /// The shard [`Jobs::route`] picked.
     pub(crate) shard: usize,
-    pub(crate) jobs: Arc<Jobs>,
+    jobs: Arc<Jobs>,
 }
 
 impl Job {
-    /// Runs the job on the shard's pool and sends its one report.
+    /// Runs queued jobs on the shard's pool, one report each.
     ///
     /// Every job must produce exactly one report — the runtime's
     /// claimed-vs-submitted accounting depends on it — so a panic in user
@@ -109,36 +129,36 @@ impl Job {
     /// failure rather than killing the shard. The warm executor's state is
     /// unknowable after an unwind, so the pool is rebuilt.
     pub(crate) fn run(self, pool: &mut ExecutorPool) {
-        let Job {
-            patient,
-            sources,
-            shard,
-            jobs,
-        } = self;
-        let run =
-            catch_unwind(AssertUnwindSafe(|| pool.run(&jobs, sources))).unwrap_or_else(|payload| {
-                *pool = ExecutorPool::default();
-                Err(JobOutcome::Failed(format!(
-                    "shard worker panicked: {}",
-                    super::panic_msg(payload.as_ref())
-                )))
+        let Job { shard, jobs } = self;
+        let mut next = jobs.take(shard);
+        while let Some((patient, sources)) = next {
+            let run = catch_unwind(AssertUnwindSafe(|| pool.run(&jobs, sources))).unwrap_or_else(
+                |payload| {
+                    *pool = ExecutorPool::default();
+                    Err(JobOutcome::Failed(format!(
+                        "shard worker panicked: {}",
+                        super::panic_msg(payload.as_ref())
+                    )))
+                },
+            );
+            let (stats, collected, outcome) = match run {
+                Ok((stats, collected)) => (stats, collected, JobOutcome::Ok),
+                Err(outcome) => (RunStats::default(), None, outcome),
+            };
+            // Take the next job (or free the slot) before the report is
+            // out, so a caller who has the report never sees this shard
+            // busy with it.
+            next = jobs.take(shard);
+            jobs.completed.fetch_add(1, Ordering::Relaxed);
+            let _ = jobs.reports.send(PatientReport {
+                patient,
+                shard,
+                input_events: stats.input_events,
+                output_events: stats.output_events,
+                collected,
+                outcome,
             });
-        let (stats, collected, outcome) = match run {
-            Ok((stats, collected)) => (stats, collected, JobOutcome::Ok),
-            Err(outcome) => (RunStats::default(), None, outcome),
-        };
-        // Free the routing slot before the report is out, so a caller who
-        // has the report never sees this job still in flight.
-        jobs.in_flight[shard].fetch_sub(1, Ordering::Relaxed);
-        jobs.completed.fetch_add(1, Ordering::Relaxed);
-        let _ = jobs.reports.send(PatientReport {
-            patient,
-            shard,
-            input_events: stats.input_events,
-            output_events: stats.output_events,
-            collected,
-            outcome,
-        });
+        }
     }
 }
 

@@ -23,7 +23,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use cluster_harness::machines::MachineState;
@@ -276,6 +276,77 @@ fn cohort_scan_matches_per_patient_loop() {
             "patient {p} streamed"
         );
     }
+    ingest.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_cohort_share_serves_waiting_commands_between_patients() {
+    // Patient 1's replay holds the shard until a live batch is queued
+    // behind it; patient 2's replay holds it until that batch is
+    // acked. The ack can only come if the shard serves the batch
+    // between the two patients of the share.
+    let phase = Arc::new((Mutex::new(0u8), Condvar::new()));
+    let held = Arc::clone(&phase);
+    let gated: PipelineFactory = Arc::new(move || {
+        let held = Arc::clone(&held);
+        let q = Query::new();
+        q.source("s", StreamShape::new(0, PERIOD))
+            .select(1, move |i, o| {
+                let (at, wake) = &*held;
+                let mut at = at.lock().unwrap();
+                let until = if i[0] > 0.0 { 2 } else { 3 };
+                if i[0] > 0.0 && *at == 0 {
+                    *at = 1;
+                    wake.notify_all();
+                }
+                while *at < until {
+                    // A deadlock guard, not a timing assert: it only
+                    // fires when the batch is stuck behind the share.
+                    let (next, wait) = wake.wait_timeout(at, Duration::from_secs(30)).unwrap();
+                    at = next;
+                    if wait.timed_out() {
+                        *at = 9;
+                    }
+                }
+                o[0] = i[0];
+            })?
+            .sink();
+        q.compile()
+    });
+    let dir = tmp_dir("yield");
+    let ingest = LiveIngest::with_store(
+        select_factory(),
+        IngestConfig::new(1, ROUND),
+        StoreConfig::new(&dir),
+    )
+    .unwrap();
+    for (p, v) in [(1, 1.0), (2, -1.0), (3, 0.0)] {
+        ingest.admit(p).unwrap();
+        for k in 0..100i64 {
+            ingest.push(p, 0, k * PERIOD, v);
+        }
+    }
+    std::thread::scope(|s| {
+        let query = HistoryQuery::new().patients([1, 2]).pipeline_factory(gated);
+        let report = s.spawn(|| ingest.history(query).unwrap());
+        let (at, wake) = &*phase;
+        let mut now = wake.wait_while(at.lock().unwrap(), |p| *p == 0).unwrap();
+        let mut ticket = ingest.ingest_batch(vec![(3, 0, 100 * PERIOD, 0.0)]);
+        *now = 2;
+        wake.notify_all();
+        drop(now);
+        assert_eq!(ticket.wait(), 0);
+        let mut now = at.lock().unwrap();
+        assert_eq!(*now, 2, "the batch waited behind the whole share");
+        *now = 3;
+        wake.notify_all();
+        drop(now);
+        let report = report.join().unwrap();
+        assert_eq!(report.output_for(1).unwrap().len(), 100);
+        assert_eq!(report.output_for(2).unwrap().len(), 100);
+    });
+    assert_eq!(ingest.finish(3).unwrap().len(), 101);
     ingest.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }

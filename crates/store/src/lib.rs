@@ -68,9 +68,7 @@
 //!
 //! Every retrospective read — a one-patient full history, a narrow
 //! range, an eight-patient cohort — is one [`SharedStore::scan`] per
-//! pass of at most [`SCAN_PASS_PATIENTS`] patients (a live ingest that
-//! splits a pass over the shards owning its patients does one scan per
-//! owning shard):
+//! pass of at most [`SCAN_PASS_PATIENTS`] patients:
 //!
 //! * **One listing, one pruning pass.** The directory is listed once.
 //!   Every flushed segment advertises its tick coverage in its name

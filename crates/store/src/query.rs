@@ -32,6 +32,7 @@
 //! (which own a live pipeline factory and a pipeline registry) before
 //! the query reaches [`HistoryQuery::run_with`].
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -42,6 +43,7 @@ use lifestream_core::source::SignalData;
 use lifestream_core::time::{StreamShape, Tick};
 
 use crate::reader::HistoryReader;
+use crate::segment::SegmentRecord;
 use crate::{ScanStats, SharedStore};
 
 /// Builds a compiled pipeline on demand — the form a cohort spread over
@@ -293,7 +295,7 @@ impl HistoryQuery {
     /// Executes the query directly against a store, overlaying whatever
     /// live tail `live` supplies for each patient, on one executor and the
     /// calling thread. This is the reference engine: ingest front ends
-    /// run the same [`run_cohort_on`] on the shard threads that own the
+    /// replay the same [`CohortPass`]es on the shard threads that own the
     /// patients, one executor per owning shard, and must match this output
     /// byte for byte.
     ///
@@ -388,23 +390,12 @@ pub fn run_patient_on(
 /// with empty sources, or recycled from a previous call), `overlays` the
 /// patients' live tails in cohort order; outputs come back in that order
 /// too, with what the store scans cost. Everything runs on the calling
-/// thread.
-///
-/// The read window is `[t0 - back - warmup, t1 + fwd)` where `back`/`fwd`
-/// are the executor's lineage margins. The cohort is served in passes of
-/// at most [`SCAN_PASS_PATIENTS`]: one [`SharedStore::scan`] reads the
-/// window for the whole pass — segment files outside it skipped by the
-/// range index, the others opened once — then the pass's patients are
-/// replayed one after another. Inputs are clipped to the window (so
-/// round activity inside it matches the full run exactly) and each
-/// collected output to `[t0, t1)`.
+/// thread: one [`CohortPass`] of at most [`SCAN_PASS_PATIENTS`] patients
+/// after another.
 ///
 /// # Errors
-/// [`HistoryError::BelowRetention`] when the range ends at or below the
-/// earliest tick the scan's listing shows retained,
-/// [`HistoryError::UnknownPatient`] when a patient has neither stored
-/// history nor a live overlay; `Store`/`Execution` for read and replay
-/// failures. The first failure aborts the cohort.
+/// As [`CohortPass::scan`] and [`CohortPass::replay_next`]. The first
+/// failure aborts the cohort.
 pub fn run_cohort_on(
     exec: &mut Executor,
     store: &SharedStore,
@@ -415,39 +406,129 @@ pub fn run_cohort_on(
     overlays: &[Option<&LiveOverlay>],
 ) -> Result<(Vec<OutputCollector>, ScanStats), HistoryError> {
     assert_eq!(patients.len(), overlays.len(), "one overlay slot a patient");
-    let (t0, t1) = range;
-    let full = range == (Tick::MIN, Tick::MAX);
-    let window = if full {
-        range
-    } else {
-        let back = exec.history_margins().into_iter().max().unwrap_or(0).max(0);
-        let fwd = exec.future_margins().into_iter().max().unwrap_or(0).max(0);
-        (
-            t0.saturating_sub(back).saturating_sub(warmup),
-            t1.saturating_add(fwd),
-        )
-    };
     let mut outputs = Vec::with_capacity(patients.len());
     let mut stats = ScanStats::default();
     for (pass, live) in patients
         .chunks(SCAN_PASS_PATIENTS)
         .zip(overlays.chunks(SCAN_PASS_PATIENTS))
     {
-        let scan = store.scan(pass, window.0, window.1)?;
-        stats += scan.stats;
+        let (mut pass, scan) = CohortPass::scan(exec, store, pass, shapes, range, warmup)?;
+        stats += scan;
+        for &live in live {
+            outputs.push(
+                pass.replay_next(exec, live)
+                    .expect("one span set a patient")?,
+            );
+        }
+    }
+    Ok((outputs, stats))
+}
+
+/// One pass of a cohort: its patients' stored spans over the query's read
+/// window, read by one [`SharedStore::scan`], then replayed one patient at
+/// a time — so a caller can serve other work between patients, or hand
+/// parts of the pass ([`split_front`](Self::split_front)) to the threads
+/// that own those patients.
+///
+/// The read window is `[t0 - back - warmup, t1 + fwd)` where `back`/`fwd`
+/// are the executor's lineage margins: segment files outside it are
+/// skipped by the range index, the others opened once. Inputs are clipped
+/// to the window (so round activity inside it matches the full run
+/// exactly) and each collected output to `[t0, t1)`.
+///
+/// A live tail must be snapshotted *before* the scan: a span retired in
+/// between is then in both, and stitching lets the identical samples
+/// overlap. Snapshotted after, it would be in neither.
+#[derive(Debug)]
+pub struct CohortPass {
+    todo: VecDeque<(u64, Vec<SegmentRecord>)>,
+    shapes: Vec<StreamShape>,
+    range: (Tick, Tick),
+    window: (Tick, Tick),
+}
+
+impl CohortPass {
+    /// Reads the stored spans of `patients` (at most
+    /// [`SCAN_PASS_PATIENTS`]) over the read window of `exec`'s pipeline,
+    /// and what the scan cost.
+    ///
+    /// # Errors
+    /// [`HistoryError::BelowRetention`] when the range ends at or below
+    /// the earliest tick the scan's listing shows retained; `Store` for
+    /// read failures.
+    pub fn scan(
+        exec: &Executor,
+        store: &SharedStore,
+        patients: &[u64],
+        shapes: &[StreamShape],
+        range: (Tick, Tick),
+        warmup: Tick,
+    ) -> Result<(Self, ScanStats), HistoryError> {
+        debug_assert!(patients.len() <= SCAN_PASS_PATIENTS);
+        let (t0, t1) = range;
+        let window = if range == (Tick::MIN, Tick::MAX) {
+            range
+        } else {
+            let back = exec.history_margins().into_iter().max().unwrap_or(0).max(0);
+            let fwd = exec.future_margins().into_iter().max().unwrap_or(0).max(0);
+            (
+                t0.saturating_sub(back).saturating_sub(warmup),
+                t1.saturating_add(fwd),
+            )
+        };
+        let scan = store.scan(patients, window.0, window.1)?;
         if let Some(earliest) = scan.earliest.filter(|&e| t1 != Tick::MAX && t1 <= e) {
             return Err(HistoryError::BelowRetention { t1, earliest });
         }
-        for ((&patient, records), &live) in pass.iter().zip(scan.records).zip(live) {
-            // A pipeline with a different source layout than the live one
-            // runs over the durable tiers only — its shapes cannot absorb
-            // the live suffix.
-            let live = live.filter(|o| o.shapes.len() == shapes.len());
-            if records.is_empty() && live.is_none() {
-                return Err(HistoryError::UnknownPatient(patient));
-            }
+        let pass = Self {
+            todo: patients.iter().copied().zip(scan.records).collect(),
+            shapes: shapes.to_vec(),
+            range,
+            window,
+        };
+        Ok((pass, scan.stats))
+    }
+
+    /// True once every patient has been replayed.
+    pub fn is_empty(&self) -> bool {
+        self.todo.is_empty()
+    }
+
+    /// Takes the next `n` patients off the front into a pass of their own.
+    pub fn split_front(&mut self, n: usize) -> Self {
+        let rest = self.todo.split_off(n.min(self.todo.len()));
+        Self {
+            todo: std::mem::replace(&mut self.todo, rest),
+            shapes: self.shapes.clone(),
+            ..*self
+        }
+    }
+
+    /// Replays the next patient on `exec` with `live`, that patient's
+    /// live tail; `None` once the pass is done.
+    ///
+    /// # Errors
+    /// [`HistoryError::UnknownPatient`] when the patient has neither
+    /// stored history nor a live tail; `Execution` when stitching or the
+    /// replay fails.
+    pub fn replay_next(
+        &mut self,
+        exec: &mut Executor,
+        live: Option<&LiveOverlay>,
+    ) -> Option<Result<OutputCollector, HistoryError>> {
+        let (patient, records) = self.todo.pop_front()?;
+        let (t0, t1) = self.range;
+        let full = self.range == (Tick::MIN, Tick::MAX);
+        // A pipeline with a different source layout than the live one runs
+        // over the durable tiers only — its shapes cannot absorb the live
+        // suffix.
+        let live = live.filter(|o| o.shapes.len() == self.shapes.len());
+        if records.is_empty() && live.is_none() {
+            return Some(Err(HistoryError::UnknownPatient(patient)));
+        }
+        let run = || {
             let mut datasets = HistoryReader::from_records(records)
-                .stitch(patient, shapes, live.map(|o| &o.snapshot))
+                .stitch(patient, &self.shapes, live.map(|o| &o.snapshot))
                 .map_err(HistoryError::Execution)?;
             if !full {
                 // Clip every source to the same margin-widened window:
@@ -456,7 +537,7 @@ pub fn run_cohort_on(
                 // state) agree too.
                 datasets = datasets
                     .into_iter()
-                    .map(|d| d.clipped(window.0, window.1))
+                    .map(|d| d.clipped(self.window.0, self.window.1))
                     .collect();
             }
             exec.recycle(datasets)
@@ -464,10 +545,10 @@ pub fn run_cohort_on(
             let out = catch_unwind(AssertUnwindSafe(|| exec.run_collect()))
                 .map_err(|p| HistoryError::Execution(panic_text(&p)))?
                 .map_err(|e| HistoryError::Execution(e.to_string()))?;
-            outputs.push(if full { out } else { out.clipped(t0, t1) });
-        }
+            Ok(if full { out } else { out.clipped(t0, t1) })
+        };
+        Some(run())
     }
-    Ok((outputs, stats))
 }
 
 fn panic_text(p: &(dyn std::any::Any + Send)) -> String {

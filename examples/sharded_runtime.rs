@@ -5,7 +5,7 @@
 //! 1. **Batch jobs** — a stream of arriving patients is submitted to a
 //!    fixed set of shard threads over their *bounded* channels (a slow
 //!    shard backpressures `submit` instead of queueing without limit),
-//!    each job to the shard with the fewest in flight; each shard
+//!    each job taken by whichever shard is free first; each shard
 //!    compiles the pipeline once and recycles its warmed executor for
 //!    every later patient.
 //! 2. **Live ingest** — per-patient monitor feeds push samples that are
