@@ -10,7 +10,7 @@
 //! OOMs beyond 12; NumLib saturates around 24 threads at 44% below
 //! LifeStream's peak.
 
-use cluster_harness::multicore::{run_scaling, Engine, PatientWorkload};
+use lifestream_bench::multicore::{run_scaling, Engine, PatientWorkload};
 use lifestream_bench::{scaled_minutes, Table};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         let ls = run_scaling(Engine::LifeStream, &workload, th, budget);
         let tr = run_scaling(Engine::Trill, &workload, th, budget);
         let nl = run_scaling(Engine::NumLib, &workload, th, budget);
-        let cell = |p: &cluster_harness::multicore::ScalePoint| {
+        let cell = |p: &lifestream_bench::multicore::ScalePoint| {
             if p.oom {
                 "OOM".to_string()
             } else {

@@ -5,8 +5,8 @@
 //! Paper: LifeStream 473.66 M ev/s on 16 machines — 8.38× Trill's peak
 //! and 1.73× NumLib's.
 
-use cluster_harness::machines::ClusterModel;
-use cluster_harness::multicore::{run_scaling, Engine, PatientWorkload};
+use lifestream_bench::machines::ClusterModel;
+use lifestream_bench::multicore::{run_scaling, Engine, PatientWorkload};
 use lifestream_bench::{scaled_minutes, Table};
 
 fn main() {

@@ -9,12 +9,20 @@
 //! Each paper table/figure has a binary in `src/bin/` that prints the
 //! same rows/series the paper reports.
 //!
+//! The Fig. 10 scaling harnesses are modules here, not in the data
+//! plane: [`multicore`] runs the per-patient workload on real threads
+//! (Fig. 10c) and [`machines`] extrapolates a measured single-machine
+//! peak to a modelled cluster (Fig. 10d).
+//!
 //! All workload sizes scale with the `LS_SCALE` environment variable
 //! (default 1.0) so CI can run quick passes while full runs regenerate
 //! paper-sized workloads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+pub mod machines;
+pub mod multicore;
 
 use std::time::Instant;
 

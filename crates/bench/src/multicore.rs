@@ -1,6 +1,6 @@
 //! Real-thread scale-up (Fig. 10c): per-patient data parallelism.
 //!
-//! The LifeStream arm runs on the [`ShardedRuntime`](crate::sharded):
+//! The LifeStream arm runs on the [`ShardedRuntime`]:
 //! patients are routed to long-lived shard workers whose pooled
 //! executors are compiled once and recycled, so the measured loop is the
 //! steady state of the multi-patient service, not a compile-per-patient
@@ -16,7 +16,7 @@ use lifestream_core::pipeline::fig3_pipeline;
 use lifestream_core::source::SignalData;
 use lifestream_signal::dataset::ecg_abp_pair;
 
-use crate::sharded::{JobOutcome, RuntimeStats, ShardedConfig, ShardedRuntime};
+use cluster_harness::sharded::{JobOutcome, ShardedConfig, ShardedRuntime};
 
 /// Which engine to scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,17 +90,39 @@ pub fn run_scaling(
 ) -> ScalePoint {
     assert!(threads > 0, "need at least one worker");
     let per_worker_cap = mem_budget_bytes / threads;
-    if engine == Engine::LifeStream {
-        return run_scaling_sharded(workload, threads, per_worker_cap);
-    }
-    let oom = Arc::new(AtomicBool::new(false));
-    let processed = Arc::new(AtomicUsize::new(0));
     let start = Instant::now();
+    let (events, oom) = match engine {
+        Engine::LifeStream => run_sharded(workload, threads, per_worker_cap),
+        _ => run_per_patient(engine, workload, threads, per_worker_cap),
+    };
+    let elapsed = start.elapsed().as_secs_f64();
+    ScalePoint {
+        threads,
+        events: if oom { 0 } else { events },
+        elapsed_s: elapsed,
+        mev_per_s: if oom {
+            0.0
+        } else {
+            events as f64 / elapsed / 1e6
+        },
+        oom,
+    }
+}
 
+/// The baselines' arm of [`run_scaling`]: one scoped thread per worker,
+/// each looping over its patients. Returns the present input events
+/// processed and whether a worker ran out of memory.
+fn run_per_patient(
+    engine: Engine,
+    workload: &PatientWorkload,
+    threads: usize,
+    per_worker_cap: usize,
+) -> (u64, bool) {
+    let oom = AtomicBool::new(false);
+    let processed = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let oom = Arc::clone(&oom);
-            let processed = Arc::clone(&processed);
+            let (oom, processed) = (&oom, &processed);
             let patients = &workload.patients;
             scope.spawn(move || {
                 for (ecg, abp) in patients.iter().skip(w).step_by(threads) {
@@ -131,7 +153,7 @@ pub fn run_scaling(
                                 oom.store(true, Ordering::Relaxed);
                                 return;
                             }
-                            numlib_baseline::fig3_numlib(ecg, abp, 1000).expect("numlib run");
+                            lifestream::numlib::fig3_numlib(ecg, abp, 1000).expect("numlib run");
                         }
                     }
                     processed.fetch_add(events, Ordering::Relaxed);
@@ -139,50 +161,29 @@ pub fn run_scaling(
             });
         }
     });
-
-    let elapsed = start.elapsed().as_secs_f64();
-    let failed = oom.load(Ordering::Relaxed);
-    let events = if failed {
-        0
-    } else {
-        processed.load(Ordering::Relaxed) as u64
-    };
-    ScalePoint {
-        threads,
-        events,
-        elapsed_s: elapsed,
-        mev_per_s: if failed {
-            0.0
-        } else {
-            events as f64 / elapsed / 1e6
-        },
-        oom: failed,
-    }
+    (processed.into_inner() as u64, oom.into_inner())
 }
 
-/// Runs the whole patient workload through a [`ShardedRuntime`] built
-/// with `cfg` over the Fig. 3 pipeline, and tallies the reports: total
-/// present input events of the patients that completed, whether any job
-/// failed (OOM or error), and the runtime's final counters. The
-/// LifeStream arm of [`run_scaling`].
-pub fn run_workload_sharded(
-    workload: &PatientWorkload,
-    cfg: ShardedConfig,
-) -> (u64, bool, RuntimeStats) {
+/// The LifeStream arm of [`run_scaling`]: the whole patient workload
+/// through a [`ShardedRuntime`] over the Fig. 3 pipeline. Returns the
+/// present input events of the patients that completed and whether any
+/// job failed (OOM or error). The timed interval includes runtime
+/// construction and the per-shard warm-up compile — the steady state
+/// amortizes it across the patient stream, exactly the effect the
+/// pooled-executor design buys.
+fn run_sharded(workload: &PatientWorkload, threads: usize, per_worker_cap: usize) -> (u64, bool) {
     let Some((ecg_shape, abp_shape)) = workload
         .patients
         .first()
         .map(|(e, a)| (e.shape(), a.shape()))
     else {
-        return (0, false, RuntimeStats::default());
+        return (0, false);
     };
     let factory = Arc::new(move || fig3_pipeline(ecg_shape, abp_shape, 1000)?.compile());
+    let cfg = ShardedConfig::with_workers(threads)
+        .round_ticks(workload.window)
+        .mem_cap_per_worker(per_worker_cap);
     let rt = ShardedRuntime::new(factory, cfg);
-    let per_patient: Vec<u64> = workload
-        .patients
-        .iter()
-        .map(|(e, a)| (e.present_events() + a.present_events()) as u64)
-        .collect();
     for (p, (ecg, abp)) in workload.patients.iter().enumerate() {
         rt.submit(p as u64, vec![ecg.clone(), abp.clone()]);
     }
@@ -190,42 +191,15 @@ pub fn run_workload_sharded(
     let mut failed = false;
     for report in rt.drain(workload.patients.len()) {
         match report.outcome {
-            JobOutcome::Ok => events += per_patient[report.patient as usize],
+            JobOutcome::Ok => {
+                let (ecg, abp) = &workload.patients[report.patient as usize];
+                events += (ecg.present_events() + abp.present_events()) as u64;
+            }
             _ => failed = true,
         }
     }
-    (events, failed, rt.shutdown())
-}
-
-/// The LifeStream arm of [`run_scaling`]: the Fig. 10c workload served by
-/// the [`ShardedRuntime`](crate::sharded). The timed interval includes
-/// runtime construction and the per-shard warm-up compile — the steady
-/// state amortizes it across the patient stream, exactly the effect the
-/// pooled-executor design buys.
-fn run_scaling_sharded(
-    workload: &PatientWorkload,
-    threads: usize,
-    per_worker_cap: usize,
-) -> ScalePoint {
-    let start = Instant::now();
-    let (events, oom, _stats) = run_workload_sharded(
-        workload,
-        ShardedConfig::with_workers(threads)
-            .round_ticks(workload.window)
-            .mem_cap_per_worker(per_worker_cap),
-    );
-    let elapsed = start.elapsed().as_secs_f64();
-    ScalePoint {
-        threads,
-        events: if oom { 0 } else { events },
-        elapsed_s: elapsed,
-        mev_per_s: if oom {
-            0.0
-        } else {
-            events as f64 / elapsed / 1e6
-        },
-        oom,
-    }
+    rt.shutdown();
+    (events, failed)
 }
 
 #[cfg(test)]

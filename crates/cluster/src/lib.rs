@@ -1,14 +1,14 @@
 //! # cluster-harness
 //!
-//! Scale-up and scale-out machinery: the sharded multi-patient runtime,
-//! its cross-machine TCP fabric, and the harnesses behind Figs. 10(c)
-//! and 10(d).
+//! Scale-up and scale-out machinery: the sharded multi-patient runtime
+//! and its cross-machine TCP fabric. (The Fig. 10(c) and 10(d) harnesses
+//! that drive it live in `lifestream_bench`.)
 //!
 //! Physiological pipelines are data-parallel across patients (§8.6):
 //! every patient's signals are processed independently, so scaling is a
 //! matter of partitioning patients over workers — threads first, then
 //! machines. This crate provides that partitioning as a *service* at
-//! both granularities, and as a *benchmark*:
+//! both granularities:
 //!
 //! * [`sharded`] is the service: a fixed set of long-lived worker
 //!   threads (shards), the one worker model for live sessions, batch jobs
@@ -37,32 +37,19 @@
 //!   fault-injection battery that pins both properties). All three
 //!   front ends implement [`sharded::Ingest`], so deployment shape is
 //!   a constructor choice.
-//! * [`multicore`] runs *real threads* on this machine — the Fig. 10c
-//!   experiment. Its LifeStream arm is served by the sharded runtime;
-//!   the baselines keep their per-patient loops, including each one's
-//!   failure mode (the Trill baseline's join-state memory is
-//!   per-process, so thread count multiplies its footprint and it OOMs
-//!   beyond a thread budget; the NumLib baseline's whole-array
-//!   materialization saturates the memory bus).
 //! * [`machines`] owns placement: the live [`machines::PlacementTable`]
-//!   routing patients across endpoints (promoted from model to routing
-//!   table by the wire fabric), and the discrete coordination/straggler
-//!   [`machines::ClusterModel`] behind the Fig. 10d extrapolation. The
-//!   paper's 16 × EC2 m5a.8xlarge cluster is not available here; the
-//!   substitution is documented in DESIGN.md.
+//!   routing patients across endpoints.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod history;
 pub mod machines;
-pub mod multicore;
 pub mod net;
 pub mod sharded;
 
 pub use history::{CohortReport, HistoryError, HistoryQuery, HistoryQueryApi, PipelineSpec};
-pub use machines::{ClusterModel, MachineRun, MachineState, PlacementTable};
-pub use multicore::{run_scaling, Engine, PatientWorkload, ScalePoint};
+pub use machines::{MachineState, PlacementTable};
 pub use net::{
     ClusterHealth, ClusterIngest, MachineHealth, RemoteConfig, RemoteHealth, RemoteIngest,
     ShardServer,

@@ -22,14 +22,15 @@
 //! assert that *any* schedule yields output byte-identical to the
 //! fault-free run.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use super::wire::MAX_FRAME;
+use super::wire::{read_frame, write_frame};
+use crate::sharded::{splitmix64, GOLDEN_GAMMA};
 
 /// One injectable connection fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,20 +83,16 @@ impl FaultPlan {
         if self.faults.is_empty() {
             return None;
         }
-        let mut x = self
+        // The first two outputs of the splitmix64 stream whose state
+        // starts at `x`.
+        let x = self
             .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_mul(GOLDEN_GAMMA)
             .wrapping_add(conn_index.wrapping_add(1));
-        let mut next = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         let span = self.max_frame.saturating_sub(self.min_frame).max(1);
-        let at = self.min_frame + next() % span;
-        let fault = self.faults[(next() % self.faults.len() as u64) as usize];
+        let at = self.min_frame + splitmix64(x) % span;
+        let pick = splitmix64(x.wrapping_add(GOLDEN_GAMMA)) % self.faults.len() as u64;
+        let fault = self.faults[pick as usize];
         Some((at, fault))
     }
 }
@@ -134,8 +131,7 @@ impl ChaosProxy {
             let conns = Arc::clone(&conns);
             let pumps = Arc::clone(&pumps);
             thread::spawn(move || {
-                let mut index = 0u64;
-                for client in listener.incoming() {
+                for (index, client) in (0u64..).zip(listener.incoming()) {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
@@ -143,42 +139,25 @@ impl ChaosProxy {
                     // A redial supersedes the previous connection: sever
                     // whatever is still pumping so exactly one pair is
                     // live, like a real peer whose old socket is gone.
-                    {
-                        let mut held = conns.lock().expect("chaos conns");
-                        for c in held.drain(..) {
-                            let _ = c.shutdown(Shutdown::Both);
-                        }
-                    }
+                    sever_all(&conns);
                     let Ok(server) = TcpStream::connect(upstream) else {
                         let _ = client.shutdown(Shutdown::Both);
-                        index += 1;
                         continue;
                     };
                     let _ = client.set_nodelay(true);
                     let _ = server.set_nodelay(true);
-                    {
-                        let mut held = conns.lock().expect("chaos conns");
-                        if let Ok(c) = client.try_clone() {
-                            held.push(c);
-                        }
-                        if let Ok(s) = server.try_clone() {
-                            held.push(s);
-                        }
-                    }
+                    let clones = [client.try_clone(), server.try_clone()];
+                    conns
+                        .lock()
+                        .expect("chaos conns")
+                        .extend(clones.into_iter().flatten());
                     let fault = plan.draw(index);
-                    index += 1;
-                    let c2s = {
-                        let (from, to) = (
-                            client.try_clone().expect("clone client"),
-                            server.try_clone().expect("clone server"),
-                        );
-                        let hits = Arc::clone(&hits);
-                        thread::spawn(move || pump_frames(from, to, fault, &hits))
-                    };
+                    let from = client.try_clone().expect("clone client");
+                    let to = server.try_clone().expect("clone server");
+                    let pump_hits = Arc::clone(&hits);
+                    let c2s = thread::spawn(move || pump_frames(from, to, fault, &pump_hits));
                     let s2c = thread::spawn(move || pump_raw(server, client));
-                    let mut held = pumps.lock().expect("chaos pumps");
-                    held.push(c2s);
-                    held.push(s2c);
+                    pumps.lock().expect("chaos pumps").extend([c2s, s2c]);
                 }
             })
         };
@@ -213,12 +192,7 @@ impl ChaosProxy {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the accept loop with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        {
-            let mut held = self.conns.lock().expect("chaos conns");
-            for c in held.drain(..) {
-                let _ = c.shutdown(Shutdown::Both);
-            }
-        }
+        sever_all(&self.conns);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -246,6 +220,13 @@ impl std::fmt::Debug for ChaosProxy {
     }
 }
 
+/// Shuts down every held socket (both directions) and forgets it.
+fn sever_all(conns: &Mutex<Vec<TcpStream>>) {
+    for c in conns.lock().expect("chaos conns").drain(..) {
+        let _ = c.shutdown(Shutdown::Both);
+    }
+}
+
 /// Client-to-server pump: forwards whole frames so the fault lands on a
 /// frame boundary, never mid-frame on the *upstream* side (mid-frame
 /// loss toward the client is exercised by severing the other pump).
@@ -257,7 +238,8 @@ fn pump_frames(
 ) {
     let mut frame_index = 0u64;
     let mut swallow = false;
-    while let Some(frame) = read_one_frame(&mut from) {
+    let mut frame = Vec::new();
+    while let Ok(Some(payload)) = read_frame(&mut from) {
         if let Some((at, f)) = fault {
             if frame_index == at {
                 hits.fetch_add(1, Ordering::SeqCst);
@@ -276,7 +258,10 @@ fn pump_frames(
         if swallow {
             continue;
         }
-        if to.write_all(&frame).is_err() {
+        // One write of prefix + payload, so the upstream byte stream
+        // keeps the client's frame shape.
+        frame.clear();
+        if write_frame(&mut frame, &payload).is_err() || to.write_all(&frame).is_err() {
             break;
         }
     }
@@ -287,43 +272,7 @@ fn pump_frames(
 /// Server-to-client pump: a raw byte copy — replies need no frame
 /// awareness because faults are only scheduled on client frames.
 fn pump_raw(mut from: TcpStream, mut to: TcpStream) {
-    let mut buf = [0u8; 8192];
-    loop {
-        match from.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => {
-                if to.write_all(&buf[..n]).is_err() {
-                    break;
-                }
-            }
-        }
-    }
+    let _ = io::copy(&mut from, &mut to);
     let _ = from.shutdown(Shutdown::Both);
     let _ = to.shutdown(Shutdown::Both);
-}
-
-/// Reads one length-prefixed frame (prefix included in the returned
-/// bytes); `None` on EOF, error, or a hostile length.
-fn read_one_frame(r: &mut TcpStream) -> Option<Vec<u8>> {
-    let mut len = [0u8; 4];
-    read_exact(r, &mut len)?;
-    let n = u32::from_le_bytes(len) as usize;
-    if n > MAX_FRAME {
-        return None;
-    }
-    let mut frame = vec![0u8; 4 + n];
-    frame[..4].copy_from_slice(&len);
-    read_exact(r, &mut frame[4..])?;
-    Some(frame)
-}
-
-fn read_exact(r: &mut TcpStream, buf: &mut [u8]) -> Option<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => filled += n,
-        }
-    }
-    Some(())
 }

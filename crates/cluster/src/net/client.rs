@@ -15,7 +15,9 @@ use lifestream_core::time::Tick;
 use crate::history::{
     history_over_wire, CohortReport, HistoryError, HistoryQuery, HistoryQueryApi,
 };
-use crate::sharded::{Ingest, IngestStats, PatientHandoff, PatientId, Sample, SessionMeta};
+use crate::sharded::{
+    splitmix64, Ingest, IngestStats, PatientHandoff, PatientId, Sample, SessionMeta, GOLDEN_GAMMA,
+};
 
 use super::wire::{self, WireCmd, WireReply};
 use super::SOCKET_BUF;
@@ -186,22 +188,13 @@ enum RetryFail {
 
 static SESSION_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn fresh_session_id() -> u64 {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| u64::from(d.subsec_nanos()))
         .unwrap_or(0);
     let n = SESSION_COUNTER.fetch_add(1, Ordering::Relaxed);
-    splitmix64(
-        n.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (nanos << 32) ^ u64::from(std::process::id()),
-    )
+    splitmix64(n.wrapping_mul(GOLDEN_GAMMA) ^ (nanos << 32) ^ u64::from(std::process::id()))
 }
 
 fn not_connected() -> io::Error {

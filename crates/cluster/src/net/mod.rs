@@ -383,14 +383,12 @@ mod tests {
 
     #[test]
     fn malformed_frame_gets_an_error_reply_not_a_hang() {
-        use std::io::{Read, Write};
+        use std::io::Read;
         let (server, addr) = serve();
         let mut sock = std::net::TcpStream::connect(addr).unwrap();
         // A well-framed payload with a bogus version byte.
         let payload = [9u8, 0x01, 0, 0, 0, 0, 0, 0, 0, 0];
-        sock.write_all(&(payload.len() as u32).to_le_bytes())
-            .unwrap();
-        sock.write_all(&payload).unwrap();
+        wire::write_frame(&mut sock, &payload).unwrap();
         let mut reply = Vec::new();
         sock.read_to_end(&mut reply).unwrap();
         // 4-byte length + version + opcode 0x82 (Err) + message.
@@ -409,7 +407,7 @@ mod tests {
         use std::time::Instant;
 
         use super::wire::{decode_reply, encode_cmd, read_frame, write_frame, WireCmd, WireReply};
-        use crate::sharded::hash_patient;
+        use crate::sharded::splitmix64;
 
         // A kernel that waits for one token per negative sample it meets:
         // each negative sample stalls its shard inside a poll until the
@@ -437,7 +435,7 @@ mod tests {
         )
         .unwrap();
         // One patient per shard, and a stranger routed like the second.
-        let on = |shard: u64| (0u64..).filter(move |&p| hash_patient(p) % 2 == shard);
+        let on = |shard: u64| (0u64..).filter(move |&p| splitmix64(p) % 2 == shard);
         let stalled = on(0).next().unwrap();
         let (free, unknown) = {
             let mut ids = on(1);

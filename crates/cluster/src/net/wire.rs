@@ -70,11 +70,15 @@
 //!   session's round, sink arity, and per-source shape + history margin
 //!   — the exact facts a failover peer needs to size replay buffers.
 //!
-//! Every `vec`/`str` count is validated against the bytes actually left
-//! in its frame before anything is allocated (and a collector's arity —
-//! whose columns can be zero bytes long — against [`MAX_WIRE_ARITY`]),
-//! so a corrupt or hostile frame is refused, never amplified into an
-//! allocation.
+//! The bytes are written and read by [`lifestream_core::codec`], the
+//! codec the segment store shares (DESIGN.md, "the one-codec rule"): the
+//! `suffix`'s `values ranges` tail is its span body, and every
+//! `vec`/`str` count is validated against the bytes actually left in its
+//! frame before anything is allocated. A collector's arity — whose
+//! columns can be zero bytes long — is checked against
+//! [`MAX_WIRE_ARITY`] here. So a corrupt or hostile frame is refused,
+//! never amplified into an allocation. Opcodes, the version byte and the
+//! framing are this module's.
 //!
 //! The layout is locked by golden-byte fixtures in
 //! `crates/cluster/tests/wire_codec.rs`: changing any of the above
@@ -83,6 +87,9 @@
 
 use std::io::{self, Read, Write};
 
+use lifestream_core::codec::{
+    put_f32, put_i64, put_span, put_str, put_u32, put_u64, CodecError, Reader,
+};
 use lifestream_core::exec::OutputCollector;
 use lifestream_core::live::{SessionSnapshot, SourceSuffix};
 
@@ -297,27 +304,6 @@ pub fn retryable_io(e: &io::Error) -> bool {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
 fn put_samples(buf: &mut Vec<u8>, samples: &[Sample]) {
     put_u32(buf, samples.len() as u32);
     for &(patient, source, t, v) in samples {
@@ -352,15 +338,7 @@ fn put_handoff(buf: &mut Vec<u8>, h: &PatientHandoff) {
     for s in &h.snapshot.sources {
         put_u64(buf, s.base_slot);
         put_i64(buf, s.watermark);
-        put_u32(buf, s.values.len() as u32);
-        for &v in &s.values {
-            put_f32(buf, v);
-        }
-        put_u32(buf, s.ranges.len() as u32);
-        for &(a, b) in &s.ranges {
-            put_i64(buf, a);
-            put_i64(buf, b);
-        }
+        put_span(buf, &s.values, &s.ranges);
     }
     put_collector(buf, &h.output);
     put_u32(buf, h.errors.len() as u32);
@@ -382,35 +360,25 @@ fn put_meta(buf: &mut Vec<u8>, m: &SessionMeta) {
 
 /// Encodes a command as a v2 payload (version + opcode + seq + body).
 pub fn encode_cmd(seq: u64, cmd: &WireCmd) -> Vec<u8> {
-    let mut buf = vec![WIRE_VERSION];
+    let opcode = match cmd {
+        WireCmd::Admit { .. } => 0x01,
+        WireCmd::Batch(_) => 0x02,
+        WireCmd::Poll => 0x03,
+        WireCmd::Finish { .. } => 0x04,
+        WireCmd::Export { .. } => 0x05,
+        WireCmd::Import { .. } => 0x06,
+        WireCmd::Hello { .. } => 0x07,
+        WireCmd::HistoryQuery { .. } => 0x08,
+    };
+    let mut buf = vec![WIRE_VERSION, opcode];
+    put_u64(&mut buf, seq);
     match cmd {
-        WireCmd::Admit { patient } => {
-            buf.push(0x01);
-            put_u64(&mut buf, seq);
+        WireCmd::Admit { patient } | WireCmd::Finish { patient } | WireCmd::Export { patient } => {
             put_u64(&mut buf, *patient);
         }
-        WireCmd::Batch(samples) => {
-            buf.push(0x02);
-            put_u64(&mut buf, seq);
-            put_samples(&mut buf, samples);
-        }
-        WireCmd::Poll => {
-            buf.push(0x03);
-            put_u64(&mut buf, seq);
-        }
-        WireCmd::Finish { patient } => {
-            buf.push(0x04);
-            put_u64(&mut buf, seq);
-            put_u64(&mut buf, *patient);
-        }
-        WireCmd::Export { patient } => {
-            buf.push(0x05);
-            put_u64(&mut buf, seq);
-            put_u64(&mut buf, *patient);
-        }
+        WireCmd::Batch(samples) => put_samples(&mut buf, samples),
+        WireCmd::Poll => {}
         WireCmd::Import { patient, state } => {
-            buf.push(0x06);
-            put_u64(&mut buf, seq);
             put_u64(&mut buf, *patient);
             put_handoff(&mut buf, state);
         }
@@ -419,8 +387,6 @@ pub fn encode_cmd(seq: u64, cmd: &WireCmd) -> Vec<u8> {
             epoch,
             last_acked_seq,
         } => {
-            buf.push(0x07);
-            put_u64(&mut buf, seq);
             put_u64(&mut buf, *session);
             put_u64(&mut buf, *epoch);
             put_u64(&mut buf, *last_acked_seq);
@@ -432,8 +398,6 @@ pub fn encode_cmd(seq: u64, cmd: &WireCmd) -> Vec<u8> {
             warmup,
             pipeline,
         } => {
-            buf.push(0x08);
-            put_u64(&mut buf, seq);
             put_u64(&mut buf, *patient);
             put_i64(&mut buf, *t0);
             put_i64(&mut buf, *t1);
@@ -493,204 +457,114 @@ pub fn encode_reply(reply: &WireReply) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => WireError::Truncated,
+            CodecError::TooLarge(n) => WireError::TooLarge(n),
+            CodecError::Trailing(n) => WireError::Trailing(n),
+            CodecError::Utf8 => WireError::Utf8,
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.at < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
+fn samples(r: &mut Reader<'_>) -> Result<Vec<Sample>, WireError> {
+    let n = r.count(24)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push((r.u64()?, r.u32()? as usize, r.i64()?, r.f32()?));
     }
+    Ok(out)
+}
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+/// A collector's arity, or a meta's: the one count whose elements may
+/// occupy zero payload bytes (a zero-length collector), so the
+/// remaining-bytes rule cannot bound it and [`MAX_WIRE_ARITY`] does.
+fn arity(r: &mut Reader<'_>) -> Result<usize, WireError> {
+    match r.u32()? as usize {
+        n if n > MAX_WIRE_ARITY => Err(WireError::TooLarge(n)),
+        n => Ok(n),
     }
+}
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+fn collector(r: &mut Reader<'_>) -> Result<OutputCollector, WireError> {
+    let arity = arity(r)?;
+    // Each event row occupies 16 bytes of times+durations (plus
+    // 4 × arity of field values the column takes enforce).
+    let len = r.count(16)?;
+    let mut times = Reader::new(r.take(len * 8)?);
+    let mut durations = Reader::new(r.take(len * 8)?);
+    let mut columns = (0..arity)
+        .map(|_| r.take(len * 4).map(Reader::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut c = OutputCollector::new(arity);
+    let mut row = vec![0.0f32; arity];
+    for _ in 0..len {
+        for (slot, column) in row.iter_mut().zip(&mut columns) {
+            *slot = column.f32()?;
+        }
+        c.push(times.i64()?, durations.i64()?, &row);
     }
+    Ok(c)
+}
 
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+fn handoff(r: &mut Reader<'_>) -> Result<PatientHandoff, WireError> {
+    let next_round = r.i64()?;
+    // A source suffix is at least base_slot + watermark + two counts.
+    let nsources = r.count(24)?;
+    let mut sources = Vec::with_capacity(nsources);
+    for _ in 0..nsources {
+        let (base_slot, watermark, span) = (r.u64()?, r.i64()?, r.span()?);
+        sources.push(SourceSuffix {
+            base_slot,
+            watermark,
+            values: span.values().collect(),
+            ranges: span.ranges().collect(),
+        });
     }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    let output = collector(r)?;
+    let nerrors = r.count(4)?;
+    let mut errors = Vec::with_capacity(nerrors);
+    for _ in 0..nerrors {
+        errors.push(r.str()?.to_owned());
     }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(u32::from_le_bytes(
-            self.take(4)?.try_into().unwrap(),
-        )))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    /// A declared element count, refused outright unless the rest of the
-    /// payload is long enough to hold `n` elements of `min_elem_bytes`
-    /// each — a corrupt or hostile count can never make the decoder
-    /// allocate beyond (a small multiple of) the frame it rode in on.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(WireError::TooLarge(n));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.count(1)?;
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_owned)
-            .map_err(|_| WireError::Utf8)
-    }
-
-    fn samples(&mut self) -> Result<Vec<Sample>, WireError> {
-        let n = self.count(24)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let patient = self.u64()?;
-            let source = self.u32()? as usize;
-            let t = self.i64()?;
-            let v = self.f32()?;
-            out.push((patient, source, t, v));
-        }
-        Ok(out)
-    }
-
-    fn collector(&mut self) -> Result<OutputCollector, WireError> {
-        // Arity elements occupy no bytes when `len` is zero, so the
-        // remaining-bytes rule cannot bound them; use the explicit cap.
-        let arity = self.u32()? as usize;
-        if arity > MAX_WIRE_ARITY {
-            return Err(WireError::TooLarge(arity));
-        }
-        // Each event row occupies 16 bytes of times+durations (plus
-        // 4 × arity of field values the per-column reads enforce).
-        let len = self.count(16)?;
-        let mut times = Vec::with_capacity(len);
-        for _ in 0..len {
-            times.push(self.i64()?);
-        }
-        let mut durations = Vec::with_capacity(len);
-        for _ in 0..len {
-            durations.push(self.i64()?);
-        }
-        let mut fields = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let mut col = Vec::with_capacity(len);
-            for _ in 0..len {
-                col.push(self.f32()?);
-            }
-            fields.push(col);
-        }
-        let mut c = OutputCollector::new(arity);
-        let mut row = vec![0.0f32; arity];
-        for i in 0..len {
-            for (f, slot) in row.iter_mut().enumerate() {
-                *slot = fields[f][i];
-            }
-            c.push(times[i], durations[i], &row);
-        }
-        Ok(c)
-    }
-
-    fn handoff(&mut self) -> Result<PatientHandoff, WireError> {
-        let next_round = self.i64()?;
-        // A source suffix is at least base_slot + watermark + two counts.
-        let nsources = self.count(24)?;
-        let mut sources = Vec::with_capacity(nsources);
-        for _ in 0..nsources {
-            let base_slot = self.u64()?;
-            let watermark = self.i64()?;
-            let nvals = self.count(4)?;
-            let mut values = Vec::with_capacity(nvals);
-            for _ in 0..nvals {
-                values.push(self.f32()?);
-            }
-            let nranges = self.count(16)?;
-            let mut ranges = Vec::with_capacity(nranges);
-            for _ in 0..nranges {
-                let a = self.i64()?;
-                let b = self.i64()?;
-                ranges.push((a, b));
-            }
-            sources.push(SourceSuffix {
-                base_slot,
-                watermark,
-                values,
-                ranges,
-            });
-        }
-        let output = self.collector()?;
-        let nerrors = self.count(4)?;
-        let mut errors = Vec::with_capacity(nerrors);
-        for _ in 0..nerrors {
-            errors.push(self.str()?);
-        }
-        Ok(PatientHandoff {
-            snapshot: SessionSnapshot {
-                next_round,
-                sources,
-            },
-            output,
-            errors,
-        })
-    }
-
-    fn meta(&mut self) -> Result<SessionMeta, WireError> {
-        let round = self.i64()?;
-        let arity = self.u32()? as usize;
-        if arity > MAX_WIRE_ARITY {
-            return Err(WireError::TooLarge(arity));
-        }
-        let nsources = self.count(24)?;
-        let mut sources = Vec::with_capacity(nsources);
-        for _ in 0..nsources {
-            let offset = self.i64()?;
-            let period = self.i64()?;
-            let margin = self.i64()?;
-            sources.push(SourceMeta {
-                offset,
-                period,
-                margin,
-            });
-        }
-        Ok(SessionMeta {
-            round,
-            arity,
+    Ok(PatientHandoff {
+        snapshot: SessionSnapshot {
+            next_round,
             sources,
-        })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        let rest = self.buf.len() - self.at;
-        if rest != 0 {
-            return Err(WireError::Trailing(rest));
-        }
-        Ok(())
-    }
+        },
+        output,
+        errors,
+    })
 }
 
-fn open(payload: &[u8]) -> Result<(Cursor<'_>, u8), WireError> {
-    let mut cur = Cursor {
-        buf: payload,
-        at: 0,
-    };
-    let version = cur.u8()?;
+fn meta(r: &mut Reader<'_>) -> Result<SessionMeta, WireError> {
+    let round = r.i64()?;
+    let arity = arity(r)?;
+    let nsources = r.count(24)?;
+    let mut sources = Vec::with_capacity(nsources);
+    for _ in 0..nsources {
+        sources.push(SourceMeta {
+            offset: r.i64()?,
+            period: r.i64()?,
+            margin: r.i64()?,
+        });
+    }
+    Ok(SessionMeta {
+        round,
+        arity,
+        sources,
+    })
+}
+
+fn open(payload: &[u8]) -> Result<(Reader<'_>, u8), WireError> {
+    let mut r = Reader::new(payload);
+    let version = r.u8()?;
     if version != WIRE_VERSION {
         return Err(WireError::Version(version));
     }
-    let opcode = cur.u8()?;
-    Ok((cur, opcode))
+    let opcode = r.u8()?;
+    Ok((r, opcode))
 }
 
 /// Decodes a command payload into its session seq and command.
@@ -699,39 +573,33 @@ fn open(payload: &[u8]) -> Result<(Cursor<'_>, u8), WireError> {
 /// Returns a [`WireError`] on any structural mismatch — wrong version,
 /// unknown opcode, short or over-long body.
 pub fn decode_cmd(payload: &[u8]) -> Result<(u64, WireCmd), WireError> {
-    let (mut cur, opcode) = open(payload)?;
-    let seq = cur.u64()?;
+    let (mut r, opcode) = open(payload)?;
+    let seq = r.u64()?;
     let cmd = match opcode {
-        0x01 => WireCmd::Admit {
-            patient: cur.u64()?,
-        },
-        0x02 => WireCmd::Batch(cur.samples()?),
+        0x01 => WireCmd::Admit { patient: r.u64()? },
+        0x02 => WireCmd::Batch(samples(&mut r)?),
         0x03 => WireCmd::Poll,
-        0x04 => WireCmd::Finish {
-            patient: cur.u64()?,
-        },
-        0x05 => WireCmd::Export {
-            patient: cur.u64()?,
-        },
+        0x04 => WireCmd::Finish { patient: r.u64()? },
+        0x05 => WireCmd::Export { patient: r.u64()? },
         0x06 => WireCmd::Import {
-            patient: cur.u64()?,
-            state: Box::new(cur.handoff()?),
+            patient: r.u64()?,
+            state: Box::new(handoff(&mut r)?),
         },
         0x07 => WireCmd::Hello {
-            session: cur.u64()?,
-            epoch: cur.u64()?,
-            last_acked_seq: cur.u64()?,
+            session: r.u64()?,
+            epoch: r.u64()?,
+            last_acked_seq: r.u64()?,
         },
         0x08 => WireCmd::HistoryQuery {
-            patient: cur.u64()?,
-            t0: cur.i64()?,
-            t1: cur.i64()?,
-            warmup: cur.i64()?,
-            pipeline: cur.u32()?,
+            patient: r.u64()?,
+            t0: r.i64()?,
+            t1: r.i64()?,
+            warmup: r.i64()?,
+            pipeline: r.u32()?,
         },
         op => return Err(WireError::Opcode(op)),
     };
-    cur.finish()?;
+    r.finish()?;
     Ok((seq, cmd))
 }
 
@@ -740,26 +608,28 @@ pub fn decode_cmd(payload: &[u8]) -> Result<(u64, WireCmd), WireError> {
 /// # Errors
 /// Returns a [`WireError`] on any structural mismatch.
 pub fn decode_reply(payload: &[u8]) -> Result<WireReply, WireError> {
-    let (mut cur, opcode) = open(payload)?;
+    let (mut r, opcode) = open(payload)?;
     let reply = match opcode {
         0x81 => WireReply::Ok,
-        0x82 => WireReply::Err(cur.str()?),
+        0x82 => WireReply::Err(r.str()?.to_owned()),
         0x83 => WireReply::Ack {
-            seq: cur.u64()?,
-            cum_samples: cur.u64()?,
-            cum_dropped: cur.u64()?,
+            seq: r.u64()?,
+            cum_samples: r.u64()?,
+            cum_dropped: r.u64()?,
         },
-        0x84 => WireReply::Output(cur.collector()?),
-        0x85 => WireReply::Handoff(Box::new(cur.handoff()?)),
+        0x84 => WireReply::Output(collector(&mut r)?),
+        0x85 => WireReply::Handoff(Box::new(handoff(&mut r)?)),
         0x86 => WireReply::Resume {
-            last_applied_seq: cur.u64()?,
-            cum_samples: cur.u64()?,
-            cum_dropped: cur.u64()?,
+            last_applied_seq: r.u64()?,
+            cum_samples: r.u64()?,
+            cum_dropped: r.u64()?,
         },
-        0x87 => WireReply::Admitted { meta: cur.meta()? },
+        0x87 => WireReply::Admitted {
+            meta: meta(&mut r)?,
+        },
         op => return Err(WireError::Opcode(op)),
     };
-    cur.finish()?;
+    r.finish()?;
     Ok(reply)
 }
 
@@ -786,6 +656,20 @@ fn lost() -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, WireError::ConnectionLost)
 }
 
+/// Reads until `buf` is full or the stream ends; returns the bytes read.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    let mut at = 0;
+    while at < buf.len() {
+        match r.read(&mut buf[at..]) {
+            Ok(0) => break,
+            Ok(n) => at += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(at)
+}
+
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
 /// a frame boundary (the peer closed the stream between frames); EOF
 /// mid-frame — inside the length prefix or the payload — surfaces as
@@ -797,15 +681,10 @@ fn lost() -> io::Error {
 /// Propagates I/O errors; refuses length prefixes over [`MAX_FRAME`].
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    let mut at = 0;
-    while at < 4 {
-        match r.read(&mut len[at..]) {
-            Ok(0) if at == 0 => return Ok(None),
-            Ok(0) => return Err(lost()),
-            Ok(n) => at += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    match fill(r, &mut len)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(lost()),
     }
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME {
@@ -815,14 +694,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
         ));
     }
     let mut payload = vec![0u8; len];
-    let mut at = 0;
-    while at < len {
-        match r.read(&mut payload[at..]) {
-            Ok(0) => return Err(lost()),
-            Ok(n) => at += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    if fill(r, &mut payload)? < len {
+        return Err(lost());
     }
     Ok(Some(payload))
 }

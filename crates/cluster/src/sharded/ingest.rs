@@ -86,6 +86,7 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRe
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use lifestream_core::error::panic_text;
 use lifestream_core::exec::{Executor, OutputCollector};
 use lifestream_core::live::{LiveSession, SessionSnapshot};
 use lifestream_core::time::Tick;
@@ -635,7 +636,7 @@ impl LiveIngest {
 
     /// The shard a patient's events route to.
     pub fn shard_of(&self, patient: PatientId) -> usize {
-        (super::hash_patient(patient) % self.txs.len() as u64) as usize
+        (super::splitmix64(patient) % self.txs.len() as u64) as usize
     }
 
     /// Front-end counters so far.
@@ -1313,7 +1314,7 @@ fn apply_batch(
 enum UserFailure {
     /// The engine returned an ordinary error.
     Error(String),
-    /// User code panicked (payload rendered by [`super::panic_msg`]).
+    /// User code panicked (the payload's text).
     Panic(String),
 }
 
@@ -1327,11 +1328,14 @@ impl UserFailure {
 }
 
 /// Runs user-adjacent code, catching both `Err` and panics (same payload
-/// policy as batch jobs, via [`super::panic_msg`]).
+/// policy as batch jobs, via [`panic_text`]).
 fn catch_user<R>(f: impl FnOnce() -> lifestream_core::error::Result<R>) -> Result<R, UserFailure> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => r.map_err(|e| UserFailure::Error(e.to_string())),
-        Err(payload) => Err(UserFailure::Panic(super::panic_msg(payload.as_ref()))),
+        Err(payload) => {
+            let text = panic_text(&*payload).unwrap_or("non-string panic payload");
+            Err(UserFailure::Panic(text.to_owned()))
+        }
     }
 }
 

@@ -280,24 +280,21 @@ impl std::fmt::Debug for ShardedRuntime {
     }
 }
 
-/// Renders a caught panic payload as a message, shared by batch jobs and
-/// live sessions so the policy cannot diverge.
-pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
+/// The splitmix64 increment (2^64 / golden ratio).
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// splitmix64 — patient ids are often sequential; a real mix keeps the
-/// shard assignment balanced anyway. The cross-machine placement table
-/// ([`crate::machines::PlacementTable`]) applies this mix *twice* so the
-/// machine level is decorrelated from the shard level (same-hash levels
-/// with correlated moduli would funnel each machine's patients onto a
-/// subset of its shards).
-pub(crate) fn hash_patient(p: PatientId) -> u64 {
-    let mut z = p.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// splitmix64's output mix of `x + GOLDEN_GAMMA`: the crate's one
+/// integer hash — shard routing, machine placement, session ids, retry
+/// jitter and chaos fault schedules all draw from it.
+///
+/// Patient ids are often sequential; a real mix keeps the shard
+/// assignment (`splitmix64(patient) % shards`) balanced anyway. The
+/// cross-machine placement table ([`crate::machines::PlacementTable`])
+/// applies it *twice* so the machine level is decorrelated from the
+/// shard level (same-hash levels with correlated moduli would funnel
+/// each machine's patients onto a subset of its shards).
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
+use lifestream_core::error::panic_text;
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::query::CompiledQuery;
 use lifestream_core::source::SignalData;
@@ -137,7 +138,7 @@ impl Job {
                     *pool = ExecutorPool::default();
                     Err(JobOutcome::Failed(format!(
                         "shard worker panicked: {}",
-                        super::panic_msg(payload.as_ref())
+                        panic_text(&*payload).unwrap_or("non-string panic payload")
                     )))
                 },
             );

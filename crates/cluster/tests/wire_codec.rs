@@ -1,6 +1,6 @@
 //! Wire-format contract tests.
 //!
-//! Two layers of protection against format drift:
+//! Three layers of protection against format drift and hostile peers:
 //!
 //! * **Round-trip properties** — arbitrary command/reply values survive
 //!   `encode → decode → encode` with bit-identical bytes (floats travel
@@ -8,6 +8,9 @@
 //! * **Golden-byte fixtures** — the v2 layout of every opcode is written
 //!   out by hand. Any codec change that moves a byte fails here first,
 //!   instead of on a live peer speaking yesterday's build.
+//! * **Hostile bytes** — every cut and every single-byte flip of every
+//!   golden payload, and arbitrary bytes behind a valid header, decode or
+//!   are refused with a typed [`WireError`]; none panics.
 
 use cluster_harness::net::wire::{
     decode_cmd, decode_reply, encode_cmd, encode_reply, read_frame, retryable_io, write_frame,
@@ -623,4 +626,126 @@ fn mid_frame_eof_is_connection_lost_and_retryable() {
     assert!(!retryable_io(&std::io::Error::from(
         std::io::ErrorKind::InvalidData
     )));
+}
+
+// ---------------------------------------------------------------------
+// Hostile bytes: cut, flipped and arbitrary payloads
+// ---------------------------------------------------------------------
+
+/// Every golden payload above, rebuilt from the same values (each fixture
+/// test pins these encodings byte for byte): commands, then replies.
+fn golden_payloads() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let raw_source = ((5, 110), vec![0xBF80_0000], vec![(10, 100)]);
+    let state = Box::new(handoff_from(100, &[raw_source], &[], vec!["x".into()]));
+    let admit = WireCmd::Admit {
+        patient: 0x0102_0304_0506_0708,
+    };
+    let import = WireCmd::Import {
+        patient: 9,
+        state: state.clone(),
+    };
+    let history = WireCmd::HistoryQuery {
+        patient: 7,
+        t0: 100,
+        t1: 300,
+        warmup: 40,
+        pipeline: 2,
+    };
+    let hello = WireCmd::Hello {
+        session: 0xAABB,
+        epoch: 3,
+        last_acked_seq: 17,
+    };
+    let cmds = vec![
+        encode_cmd(0x1122_3344_5566_7788, &admit),
+        encode_cmd(9, &WireCmd::Batch(vec![(1, 2, 3, 1.5)])),
+        encode_cmd(2, &WireCmd::Poll),
+        encode_cmd(3, &WireCmd::Finish { patient: 7 }),
+        encode_cmd(4, &WireCmd::Export { patient: 7 }),
+        encode_cmd(5, &history),
+        encode_cmd(0, &hello),
+        encode_cmd(6, &import),
+    ];
+    let mut c = OutputCollector::new(1);
+    c.push(7, 2, &[2.5]);
+    let meta = SessionMeta {
+        round: 100,
+        arity: 1,
+        sources: vec![SourceMeta {
+            offset: 0,
+            period: 2,
+            margin: 40,
+        }],
+    };
+    let replies = [
+        WireReply::Ok,
+        WireReply::Err("no".into()),
+        WireReply::Ack {
+            seq: 9,
+            cum_samples: 5,
+            cum_dropped: 2,
+        },
+        WireReply::Output(c),
+        WireReply::Handoff(state),
+        WireReply::Resume {
+            last_applied_seq: 12,
+            cum_samples: 300,
+            cum_dropped: 1,
+        },
+        WireReply::Admitted { meta },
+    ];
+    (cmds, replies.iter().map(encode_reply).collect())
+}
+
+/// A decode of hostile bytes returned (it did not panic), and an error,
+/// if any, is a structural one: only a socket can lose a connection.
+fn typed<T>(decoded: Result<T, WireError>) -> bool {
+    decoded.map_or_else(|e| !e.is_retryable(), |_| true)
+}
+
+/// Every strict prefix of a good payload is refused; every single-byte
+/// flip of it decodes or is refused with a typed error.
+fn cut_and_flip<T>(payload: &[u8], decode: fn(&[u8]) -> Result<T, WireError>) {
+    assert!(decode(payload).is_ok());
+    for len in 0..payload.len() {
+        assert!(
+            decode(&payload[..len]).is_err(),
+            "{payload:02x?} cut to {len}"
+        );
+    }
+    let mut bad = payload.to_vec();
+    for at in 0..payload.len() {
+        for xor in 1..=255u8 {
+            bad[at] ^= xor;
+            assert!(typed(decode(&bad)), "{payload:02x?} byte {at} ^ {xor:#04x}");
+            bad[at] ^= xor;
+        }
+    }
+}
+
+#[test]
+fn every_cut_and_flip_of_a_golden_payload_is_refused_or_typed() {
+    let (cmds, replies) = golden_payloads();
+    for p in &cmds {
+        cut_and_flip(p, decode_cmd);
+    }
+    for p in &replies {
+        cut_and_flip(p, decode_reply);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoders(
+        raw in prop::collection::vec(0u32..256, 0..256),
+        cmd_op in 1u32..9,
+        reply_op in 0x81u32..0x88,
+    ) {
+        let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+        let behind = |op: u32| [&[WIRE_VERSION, op as u8][..], &bytes].concat();
+        prop_assert!(typed(decode_cmd(&bytes)) && typed(decode_cmd(&behind(cmd_op))));
+        prop_assert!(typed(decode_reply(&bytes)) && typed(decode_reply(&behind(reply_op))));
+    }
 }

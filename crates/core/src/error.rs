@@ -116,6 +116,17 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// The text a caught panic carried — the `&str` or `String` given to
+/// `panic!` — or `None` for any other payload type. Pass the payload
+/// itself (`&*boxed`): a `&Box<dyn Any + Send>` would coerce to the box,
+/// which downcasts to nothing.
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,6 +165,16 @@ mod tests {
             assert!(!s.is_empty());
             assert!(s.chars().next().unwrap().is_lowercase() || s.starts_with("query"));
         }
+    }
+
+    #[test]
+    fn panic_text_reads_str_and_string_payloads() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).unwrap_err();
+        assert_eq!(panic_text(&*caught(|| panic!("boom"))), Some("boom"));
+        assert_eq!(panic_text(&*caught(|| panic!("n = {}", 3))), Some("n = 3"));
+        let other = caught(|| std::panic::panic_any(7u32));
+        assert_eq!(panic_text(&*other), None);
+        assert_eq!(panic_text(&other), None, "the box itself is no payload");
     }
 
     #[test]

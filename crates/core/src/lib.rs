@@ -62,6 +62,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bitvec;
+pub mod codec;
 pub mod dtw;
 pub mod error;
 pub mod exec;

@@ -259,7 +259,14 @@ pub fn run_join(profile: Profile, left: &SignalData, right: &SignalData) -> Dist
                 if e.ts >= safe {
                     continue;
                 }
-                let mut t = e.ts;
+                // A left event kept past an earlier emission has already
+                // probed its points below `emitted_to`: resume at the
+                // first point on its grid at or above it.
+                let mut t = if e.ts >= emitted_to {
+                    e.ts
+                } else {
+                    e.ts + (emitted_to - e.ts + grid - 1) / grid * grid
+                };
                 while t < (e.ts + l_period).min(safe) {
                     if probe.contains_key(&t) {
                         out_count += 1;
@@ -358,12 +365,26 @@ mod tests {
 
     #[test]
     fn join_counts_overlapping_grid_points() {
+        // Left period 3 over a gcd grid of 1, right period 2, both
+        // gapped: a left event outlives emissions (Storm's per-event
+        // batches emit after every event) and must not count its points
+        // again. The coverage is [0, 600) ∪ [1200, 1800) ∪ [2400, 3000).
+        let mut gl = ramp(StreamShape::new(0, 3), 1000);
+        let mut gr = ramp(StreamShape::new(0, 2), 1500);
+        gl.punch_gap(600, 1200);
+        gr.punch_gap(1800, 2400);
         for profile in [Profile::spark(), Profile::storm(), Profile::flink()] {
             let l = ramp(StreamShape::new(0, 1), 1000);
             let r = ramp(StreamShape::new(0, 2), 500);
             let stats = run_join(profile, &l, &r);
             assert_eq!(stats.output_events, 1000, "profile {}", profile.name);
             assert!(stats.bytes_encoded > 0);
+            let stats = run_join(profile, &gl, &gr);
+            assert_eq!(
+                stats.output_events, 1800,
+                "gapped, profile {}",
+                profile.name
+            );
         }
     }
 

@@ -36,6 +36,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use lifestream_core::error::panic_text;
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::live::SessionSnapshot;
 use lifestream_core::query::CompiledQuery;
@@ -543,21 +544,16 @@ impl CohortPass {
             exec.recycle(datasets)
                 .map_err(|e| HistoryError::Execution(e.to_string()))?;
             let out = catch_unwind(AssertUnwindSafe(|| exec.run_collect()))
-                .map_err(|p| HistoryError::Execution(panic_text(&p)))?
+                .map_err(|p| {
+                    HistoryError::Execution(match panic_text(&*p) {
+                        Some(s) => format!("history pipeline panicked: {s}"),
+                        None => "history pipeline panicked".into(),
+                    })
+                })?
                 .map_err(|e| HistoryError::Execution(e.to_string()))?;
             Ok(if full { out } else { out.clipped(t0, t1) })
         };
         Some(run())
-    }
-}
-
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        format!("history pipeline panicked: {s}")
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        format!("history pipeline panicked: {s}")
-    } else {
-        "history pipeline panicked".into()
     }
 }
 

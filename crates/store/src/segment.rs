@@ -2,10 +2,14 @@
 //!
 //! A segment is an append-only, immutable file holding one or more
 //! *records*, each a retired `(patient, source, time-range)` sample span.
-//! Like the cluster wire codec, everything is length-prefixed
-//! little-endian, hostile-input-guarded, and locked by golden-byte
-//! fixtures (`tests/golden.rs`) — the format is a compatibility surface,
-//! not an implementation detail.
+//! Everything is length-prefixed little-endian, hostile-input-guarded,
+//! and locked by golden-byte fixtures (`tests/golden.rs`) — the format is
+//! a compatibility surface, not an implementation detail. The bytes are
+//! written and read by [`lifestream_core::codec`], the codec the cluster
+//! wire shares (DESIGN.md, "the one-codec rule"): a record's
+//! `n_values … n_ranges …` tail is its span body. The magic, version,
+//! length prefix, checksum and the period and range checks are this
+//! module's.
 //!
 //! ```text
 //! file    := magic "LSSG" | version u8 (=1) | record*
@@ -55,6 +59,7 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
+use lifestream_core::codec::{put_i64, put_span, put_u32, put_u64, CodecError, Reader, Span};
 use lifestream_core::time::{StreamShape, Tick};
 
 /// File magic: first four bytes of every segment.
@@ -174,92 +179,30 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Encodes one record as its length-prefixed on-disk form.
 pub fn encode_record(r: &SegmentRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(44 + r.values.len() * 4 + r.ranges.len() * 16);
-    put_u64(&mut payload, r.patient);
-    put_u32(&mut payload, r.source);
-    put_i64(&mut payload, r.shape.offset());
-    put_i64(&mut payload, r.shape.period());
-    put_u64(&mut payload, r.base_slot);
-    put_u32(&mut payload, r.values.len() as u32);
-    for &v in &r.values {
-        put_u32(&mut payload, v.to_bits());
-    }
-    put_u32(&mut payload, r.ranges.len() as u32);
-    for &(s, e) in &r.ranges {
-        put_i64(&mut payload, s);
-        put_i64(&mut payload, e);
-    }
-    let crc = crc32(&payload);
-    put_u32(&mut payload, crc);
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(52 + r.values.len() * 4 + r.ranges.len() * 16);
+    put_u32(&mut out, 0); // the length, patched below
+    put_u64(&mut out, r.patient);
+    put_u32(&mut out, r.source);
+    put_i64(&mut out, r.shape.offset());
+    put_i64(&mut out, r.shape.period());
+    put_u64(&mut out, r.base_slot);
+    put_span(&mut out, &r.values, &r.ranges);
+    let crc = crc32(&out[4..]);
+    put_u32(&mut out, crc);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
     out
 }
 
-/// Bounds-checked little-endian reader over a record payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() - self.pos < n {
-            return Err("segment record truncated".into());
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Hostile-count guard: a claimed element count must fit in the bytes
-    /// actually remaining, or a forged prefix could demand a huge
-    /// allocation before the decode fails.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        if n.checked_mul(min_elem_bytes)
-            .is_none_or(|b| b > self.buf.len() - self.pos)
-        {
-            return Err(format!(
-                "segment record claims {n} elements but is too short"
-            ));
-        }
-        Ok(n)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+/// The segment reader's message for a codec failure inside a record
+/// payload; callers and tests match on these words.
+fn record_error(e: CodecError) -> String {
+    match e {
+        CodecError::TooLarge(n) => format!("segment record claims {n} elements but is too short"),
+        CodecError::Trailing(_) => "segment record has trailing bytes".into(),
+        CodecError::Truncated | CodecError::Utf8 => "segment record truncated".into(),
     }
 }
 
@@ -280,18 +223,8 @@ pub struct RecordView<'a> {
     /// `[start, end)` coverage — [`SegmentRecord::start_tick`] /
     /// [`SegmentRecord::end_tick`] of the materialised record.
     coverage: (Tick, Tick),
-    /// `f32` bit patterns, 4 bytes each.
-    values: &'a [u8],
-    /// `(i64, i64)` pairs, 16 bytes each, every one validated non-empty.
-    ranges: &'a [u8],
-}
-
-fn range_at(pair: &[u8]) -> (Tick, Tick) {
-    let (s, e) = pair.split_at(8);
-    (
-        Tick::from_le_bytes(s.try_into().expect("8-byte half of a range pair")),
-        Tick::from_le_bytes(e.try_into().expect("8-byte half of a range pair")),
-    )
+    /// Values and presence ranges, every range validated non-empty.
+    span: Span<'a>,
 }
 
 impl<'a> RecordView<'a> {
@@ -309,21 +242,17 @@ impl<'a> RecordView<'a> {
                 "segment record checksum mismatch (stored {want:#010x}, computed {got:#010x})"
             ));
         }
-        let mut c = Cursor::new(body);
-        let patient = c.u64()?;
-        let source = c.u32()?;
-        let offset = c.i64()?;
-        let period = c.i64()?;
+        let mut r = Reader::new(body);
+        let (patient, source, offset, period) =
+            (|| Ok::<_, CodecError>((r.u64()?, r.u32()?, r.i64()?, r.i64()?)))()
+                .map_err(record_error)?;
         if period <= 0 {
             return Err(format!("segment record has non-positive period {period}"));
         }
-        let base_slot = c.u64()?;
-        let n_values = c.count(4)?;
-        let values = c.take(n_values * 4)?;
-        let n_ranges = c.count(16)?;
-        let ranges = c.take(n_ranges * 16)?;
+        let (base_slot, span) =
+            (|| Ok::<_, CodecError>((r.u64()?, r.span()?)))().map_err(record_error)?;
         let mut coverage = (Tick::MAX, Tick::MIN);
-        for (s, e) in ranges.chunks_exact(16).map(range_at) {
+        for (s, e) in span.ranges() {
             if e <= s {
                 return Err(format!(
                     "segment record has empty presence range [{s}, {e})"
@@ -331,20 +260,17 @@ impl<'a> RecordView<'a> {
             }
             coverage = (coverage.0.min(s), coverage.1.max(e));
         }
-        if ranges.is_empty() {
+        if span.ranges().len() == 0 {
             coverage = (offset, offset);
         }
-        if !c.done() {
-            return Err("segment record has trailing bytes".into());
-        }
+        r.finish().map_err(record_error)?;
         Ok(Self {
             patient,
             source,
             shape: StreamShape::new(offset, period),
             base_slot,
             coverage,
-            values,
-            ranges,
+            span,
         })
     }
 
@@ -366,12 +292,8 @@ impl<'a> RecordView<'a> {
             source: self.source,
             shape: self.shape,
             base_slot: self.base_slot,
-            values: self
-                .values
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                .collect(),
-            ranges: self.ranges.chunks_exact(16).map(range_at).collect(),
+            values: self.span.values().collect(),
+            ranges: self.span.ranges().collect(),
         }
     }
 }
@@ -454,23 +376,19 @@ pub fn scan_segment<'a>(
     if bytes[4] != SEGMENT_VERSION {
         return Err(format!("unsupported segment version {}", bytes[4]));
     }
-    let mut rest = &bytes[5..];
-    while !rest.is_empty() {
-        let Some((len, tail)) = rest.split_first_chunk::<4>() else {
-            return Err("trailing bytes where a record length was expected".into());
-        };
-        let len = u32::from_le_bytes(*len) as usize;
+    let mut r = Reader::new(&bytes[5..]);
+    while r.remaining() > 0 {
+        let len = r
+            .u32()
+            .map_err(|_| "trailing bytes where a record length was expected")?
+            as usize;
         if len > MAX_RECORD {
             return Err(format!(
                 "record length {len} exceeds the {MAX_RECORD}-byte cap"
             ));
         }
-        if tail.len() < len {
-            return Err("segment ends mid-record".into());
-        }
-        let (payload, next) = tail.split_at(len);
+        let payload = r.take(len).map_err(|_| "segment ends mid-record")?;
         visit(RecordView::parse(payload)?);
-        rest = next;
     }
     Ok(())
 }

@@ -12,7 +12,8 @@
 //!   `pyvm` interpreter for pure-Python stages).
 //! * [`distrib`] — Spark/Storm/Flink-like micro-batch engine profiles.
 //! * [`cache_sim`] — the set-associative LLC model behind Table 5.
-//! * [`cluster`] — scale-up/scale-out harness behind Fig. 10(c,d).
+//! * [`cluster`] — the sharded multi-patient runtime and its TCP ingest
+//!   fabric.
 //! * [`engine`] — the cross-engine layer: a [`Workload`](engine::Workload)
 //!   described once runs on every engine through the
 //!   [`Engine`](engine::Engine) trait.

@@ -176,19 +176,3 @@ fn cache_model_reproduces_table5_shape() {
     lifestream_normalize_trace(events, 30_000, 4, 16).replay(&mut ls);
     assert!(ls.misses() * 10 < misses[2], "lifestream stays flat & low");
 }
-
-#[test]
-fn cluster_model_matches_measured_single_machine() {
-    use lifestream::cluster::machines::ClusterModel;
-    use lifestream::cluster::multicore::{run_scaling, Engine, PatientWorkload};
-    let w = PatientWorkload::synthesize(4, 2, 21);
-    let p = run_scaling(Engine::LifeStream, &w, 1, 8 << 30);
-    assert!(!p.oom && p.mev_per_s > 0.0);
-    let model = ClusterModel::default();
-    let sweep = model.sweep(p.mev_per_s, 16);
-    assert_eq!(sweep.len(), 16);
-    assert!(
-        sweep[15].mev_per_s > sweep[0].mev_per_s * 12.0,
-        "near-linear scale-out"
-    );
-}
