@@ -8,7 +8,9 @@
 //! ratios `e2e_bench`'s layer probes report on every traced workload are
 //! gated ([`GATED`]): fused vs staged kernels, store spill vs store-less
 //! ingest, the TCP hop vs in-process ingest, and the cluster router vs
-//! one remote peer. Range pruning needs no ratio: `history_query_mix`
+//! one remote peer. One more ratio is derived here from two rates every
+//! traced line reports ([`DERIVED`]): the temporal join's kernel rate over
+//! the select kernel's. Range pruning needs no ratio: `history_query_mix`
 //! voids a run whose narrow queries skip no segment.
 //!
 //! Usage: `bench_gate <baseline.json> <current.json>`, each file holding
@@ -29,6 +31,14 @@ const GATED: [&str; 4] = [
     "net.cluster_vs_remote_ratio",
 ];
 
+/// Ratios derived from two reported metrics, as `(name, numerator,
+/// denominator)`; gated like [`GATED`].
+const DERIVED: [(&str, &str, &str); 1] = [(
+    "core.ops.join_vs_select",
+    "core.ops.join_mev_s",
+    "core.ops.select_mev_s",
+)];
+
 /// Allowed fractional regression: a ratio may fall to 75 % of baseline.
 const TOLERANCE: f64 = 0.25;
 
@@ -45,6 +55,17 @@ fn metric(line: &str, name: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// The value of gated ratio `name` in a result line: reported, or
+/// derived from its two rates.
+fn ratio(line: &str, name: &str) -> Option<f64> {
+    match DERIVED.iter().find(|d| d.0 == name) {
+        Some(&(_, numerator, denominator)) => {
+            Some(metric(line, numerator)? / metric(line, denominator)?)
+        }
+        None => metric(line, name),
+    }
 }
 
 /// Whether a result line reports `"correct": true`.
@@ -65,8 +86,8 @@ fn gate(baseline: &str, current: &str) -> Result<Vec<String>, String> {
     }
     let mut report = Vec::new();
     let mut regressed = false;
-    for name in GATED {
-        let (Some(base), Some(got)) = (metric(baseline, name), metric(current, name)) else {
+    for name in GATED.into_iter().chain(DERIVED.map(|d| d.0)) {
+        let (Some(base), Some(got)) = (ratio(baseline, name), ratio(current, name)) else {
             return Err(format!("metric {name} missing from a result line"));
         };
         let floor = base * (1.0 - TOLERANCE);
@@ -147,7 +168,7 @@ mod tests {
             assert!(v > 0.0, "{name} = {v}");
         }
         assert!(correct(LINE));
-        assert_eq!(gate(LINE, LINE).unwrap().len(), GATED.len());
+        assert_eq!(gate(LINE, LINE).unwrap().len(), GATED.len() + DERIVED.len());
     }
 
     #[test]
@@ -163,6 +184,33 @@ mod tests {
     fn a_ratio_above_its_baseline_passes() {
         for name in GATED {
             assert!(gate(LINE, &scaled(name, 1.5)).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn the_join_ratio_is_derived_from_two_reported_rates() {
+        let want = metric(LINE, "core.ops.join_mev_s").unwrap()
+            / metric(LINE, "core.ops.select_mev_s").unwrap();
+        assert_eq!(ratio(LINE, "core.ops.join_vs_select"), Some(want));
+    }
+
+    #[test]
+    fn a_derived_ratio_missing_either_rate_fails() {
+        for (name, numerator, denominator) in DERIVED {
+            for missing in [numerator, denominator] {
+                let line = LINE.replace(&format!("\"{missing}\""), "\"renamed\"");
+                let err = gate(LINE, &line).unwrap_err();
+                assert!(err.contains(name), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_derived_ratio_thirty_percent_low_fails() {
+        for (name, numerator, _) in DERIVED {
+            let err = gate(LINE, &scaled(numerator, 0.7)).unwrap_err();
+            assert!(err.contains(&format!("{name} = ")), "{err}");
+            assert!(err.contains("REGRESSION"), "{err}");
         }
     }
 

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use crate::fwindow::{FWindow, MAX_ARITY};
 use crate::ops::Kernel;
-use crate::time::{align_up, Tick};
+use crate::time::{align_up, lcm, Tick};
 
 /// `Shift(k)`: moves every event's sync time forward by `k` ticks.
 ///
@@ -190,16 +190,29 @@ impl AlterPeriodKernel {
 }
 
 impl Kernel for AlterPeriodKernel {
+    /// Visits only present input slots that lie on the output grid: the
+    /// two grids meet every `lcm` ticks, so from the first shared point on
+    /// every `stride_in`-th input slot lands on every `stride_out`-th
+    /// output slot.
     fn process(&mut self, inputs: &[&FWindow], out: &mut FWindow) {
         let input = inputs[0];
+        let (p_in, p_out) = (input.shape().period(), out.shape().period());
+        let shared = lcm(p_in, p_out);
+        let (stride_in, stride_out) = ((shared / p_in) as usize, (shared / p_out) as usize);
+        let Some((first, j_first)) =
+            (0..input.len()).find_map(|i| Some((i, out.slot_of(input.slot_time(i))?)))
+        else {
+            return;
+        };
         let mut buf = [0.0; MAX_ARITY];
-        for j in 0..out.len() {
-            let t = out.slot_time(j);
-            if let Some(i) = input.slot_of(t) {
-                if input.is_present(i) {
-                    input.read(i, &mut buf[..self.arity]);
-                    out.write(j, &buf[..self.arity], out.shape().period());
-                }
+        for (lo, hi) in input.presence().iter_runs() {
+            let steps = lo.saturating_sub(first).div_ceil(stride_in);
+            let (mut i, mut j) = (first + steps * stride_in, j_first + steps * stride_out);
+            while i < hi && j < out.len() {
+                input.read(i, &mut buf[..self.arity]);
+                out.write(j, &buf[..self.arity], p_out);
+                i += stride_in;
+                j += stride_out;
             }
         }
     }
@@ -236,6 +249,7 @@ mod tests {
     use super::*;
     use crate::ops::testutil::{empty, events, filled};
     use crate::time::StreamShape;
+    use proptest::prelude::*;
 
     #[test]
     fn shift_moves_events_forward_fig5b() {
@@ -348,6 +362,64 @@ mod tests {
         let mut k = AlterPeriodKernel::new(1);
         k.process(&[&input], &mut out);
         assert_eq!(events(&out), vec![(0, 1.0), (4, 3.0)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Walking present input runs writes exactly what visiting every
+        /// output slot and looking up its input slot wrote: up, down and
+        /// sideways (neither period divides the other), any offset and
+        /// presence, over consecutive rounds.
+        #[test]
+        fn alter_period_equals_per_output_slot_lookup(
+            periods in (
+                prop::sample::select(vec![1i64, 2, 3, 4, 6, 8]),
+                prop::sample::select(vec![1i64, 2, 3, 4, 6, 8]),
+                0i64..10,
+            ),
+            dims in (1i64..=3, 2usize..=4),
+            seed in 1u64..u64::MAX,
+        ) {
+            let (p_in, p_out, offset) = periods;
+            let (m, rounds) = dims;
+            let mut s = seed;
+            let mut next = |n: u64| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s % n
+            };
+            let (s_in, s_out) = (StreamShape::new(offset, p_in), StreamShape::new(offset, p_out));
+            let dim = lcm(p_in, p_out) * m;
+            let mut input = FWindow::new(s_in, dim, 2);
+            let (mut got, mut want) = (FWindow::new(s_out, dim, 2), FWindow::new(s_out, dim, 2));
+            let mut k = AlterPeriodKernel::new(2);
+            for r in 0..rounds as Tick {
+                input.slide_to(r * dim);
+                let density = 2 + next(9);
+                for i in 0..input.len() {
+                    if next(10) < density {
+                        input.write(i, &[i as f32, (r * 100) as f32], p_in * (1 + next(3) as Tick));
+                    }
+                }
+                got.slide_to(r * dim);
+                want.slide_to(r * dim);
+                k.process(&[&input], &mut got);
+                for j in 0..want.len() {
+                    if let Some(i) = input.slot_of(want.slot_time(j)) {
+                        if input.is_present(i) {
+                            want.write(j, &[input.field(0)[i], input.field(1)[i]], p_out);
+                        }
+                    }
+                }
+                prop_assert_eq!(got.presence(), want.presence());
+                for f in 0..2 {
+                    prop_assert_eq!(got.field(f), want.field(f));
+                }
+                prop_assert_eq!(got.durations(), want.durations());
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! escape hatch that lets third-party numeric code (FIR filters,
 //! interpolation, imputation) run inside the streaming pipeline (§6.1).
 
-use crate::fuse::{FusedStage, StageIo};
+use crate::fuse::{for_each_run, FusedStage, StageIo};
 use crate::fwindow::FWindow;
 use crate::ops::Kernel;
 use crate::time::Tick;
@@ -70,30 +70,27 @@ impl Kernel for TransformKernel {
         let period = input.shape().period();
         let sub = (self.window / period) as usize;
         debug_assert!(sub > 0);
+        input.presence().unpack_into(&mut self.in_flags);
         let mut start = 0usize;
         while start < input.len() {
             let end = (start + sub).min(input.len());
             let n = end - start;
-            for i in 0..n {
-                self.in_flags[i] = input.is_present(start + i);
-                self.out_flags[i] = false;
-                self.out_vals[i] = 0.0;
-            }
+            // Closures that set presence without writing must see 0.0.
+            self.out_vals[..n].fill(0.0);
+            self.out_flags[..n].fill(false);
             (self.f)(TransformCtx {
                 base: input.slot_time(start),
                 period,
                 fresh: self.fresh,
                 input: &input.field(0)[start..end],
-                present: &self.in_flags[..n],
+                present: &self.in_flags[start..end],
                 output: &mut self.out_vals[..n],
                 out_present: &mut self.out_flags[..n],
             });
             self.fresh = false;
-            for i in 0..n {
-                if self.out_flags[i] {
-                    out.write(start + i, &[self.out_vals[i]], period);
-                }
-            }
+            for_each_run(&self.out_flags[..n], |lo, hi| {
+                out.fill_from_slice(start + lo, &self.out_vals[lo..hi], period)
+            });
             start = end;
         }
     }

@@ -105,7 +105,10 @@ proptest! {
     }
 
     /// The engine's join agrees with a brute-force reference join on
-    /// arbitrary gap layouts.
+    /// arbitrary gap layouts, for every kind (Inner `pa && pb`, Left `pa`,
+    /// Outer `pa || pb`), with both sides' events one period long and with
+    /// the right side's stretched to three periods, so events overlap and
+    /// carries cross rounds.
     #[test]
     fn join_matches_reference(
         gaps_a in gaps_strategy(4_000),
@@ -118,32 +121,47 @@ proptest! {
         apply_gaps(&mut a, &gaps_a);
         apply_gaps(&mut b, &gaps_b);
 
-        // Reference: joint grid gcd(2,5)=1; output at t iff the covering
-        // events of both sides are present.
-        let mut expected = 0u64;
-        for t in 0..4_000i64 {
-            let ta = (t / 2) * 2;
-            let tb = (t / 5) * 5;
-            let pa = a.value_at(ta).is_some();
-            let pb = b.value_at(tb).is_some();
-            if pa && pb && ta + 2 > t && tb + 5 > t {
-                expected += 1;
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Outer] {
+            for b_periods in [1i64, 3] {
+                // Reference: joint grid gcd(2,5)=1; `t` is covered by an
+                // `a` event when the one starting at or before it on a's
+                // grid is present, and by a `b` event when one of the
+                // `b_periods` starting at or before it on b's grid is.
+                let mut expected = 0u64;
+                for t in 0..4_000 + 5 * b_periods {
+                    let pa = a.value_at((t / 2) * 2).is_some();
+                    let pb = (0..b_periods)
+                        .map(|k| (t / 5 - k) * 5)
+                        .any(|tb| tb >= 0 && b.value_at(tb).is_some());
+                    let emit = match kind {
+                        JoinKind::Inner => pa && pb,
+                        JoinKind::Left => pa,
+                        JoinKind::Outer => pa || pb,
+                    };
+                    expected += u64::from(emit);
+                }
+
+                let q = Query::new();
+                let sa = q.source("a", s_a);
+                let mut sb = q.source("b", s_b);
+                if b_periods > 1 {
+                    sb = sb.alter_duration(b_periods * 5).unwrap();
+                }
+                sa.join(sb, kind).unwrap().sink();
+                let got = q
+                    .compile()
+                    .unwrap()
+                    .executor_with(
+                        vec![a.clone(), b.clone()],
+                        ExecOptions::default().with_round_ticks(500),
+                    )
+                    .unwrap()
+                    .run()
+                    .unwrap()
+                    .output_events;
+                prop_assert_eq!(got, expected, "{:?}, b lasting {} periods", kind, b_periods);
             }
         }
-
-        let q = Query::new();
-        let sa = q.source("a", s_a);
-        let sb = q.source("b", s_b);
-        sa.join(sb, JoinKind::Inner).unwrap().sink();
-        let got = q
-            .compile()
-            .unwrap()
-            .executor_with(vec![a, b], ExecOptions::default().with_round_ticks(500))
-            .unwrap()
-            .run()
-            .unwrap()
-            .output_events;
-        prop_assert_eq!(got, expected);
     }
 
     /// Locality tracing always yields one uniform dimension that is a
