@@ -452,11 +452,6 @@ impl RemoteIngest {
         self.conn.lock().expect("conn lock").dead.clone()
     }
 
-    /// The peer this client dials.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Flushes, drains outstanding acks, and closes the connection.
     /// Never errors — a dead peer cannot make cleanup fail. Equivalent
     /// to dropping the client; kept for explicit call sites.

@@ -12,7 +12,7 @@ use std::sync::{Mutex, RwLock};
 use lifestream_core::exec::OutputCollector;
 use lifestream_core::live::SessionBuffer;
 use lifestream_core::time::{StreamShape, Tick};
-use lifestream_store::HistoryReader;
+use lifestream_store::{HistoryReader, SharedStore, StoreConfig, SCAN_PASS_PATIENTS};
 
 use crate::history::{
     history_over_wire, CohortReport, HistoryError, HistoryQuery, HistoryQueryApi,
@@ -126,6 +126,34 @@ impl PatientState {
     }
 }
 
+/// Builds the failover handoffs of one pass of mirrors (at most
+/// [`SCAN_PASS_PATIENTS`]), each healed from the shared store. The pass is
+/// one [`SharedStore::scan`] of its patients over `[lowest retained base,
+/// Tick::MAX)`: what lies below every mirror's base would be dropped as
+/// retired, so the pruning changes no handoff. A failed scan — a corrupt
+/// segment in the window, say — leaves every mirror of the pass alone.
+fn rebuild(
+    store: Option<&SharedStore>,
+    pass: &[(PatientId, &PatientState)],
+) -> Vec<(PatientId, PatientHandoff)> {
+    let ids: Vec<PatientId> = pass.iter().map(|&(p, _)| p).collect();
+    let sources = pass.iter().flat_map(|(_, state)| state.buf.sources());
+    let from = sources.map(|src| src.base_time()).min();
+    let scan = store
+        .zip(from)
+        .and_then(|(s, from)| s.scan(&ids, from, Tick::MAX).ok());
+    let Some(scan) = scan else {
+        return pass.iter().map(|&(p, s)| (p, s.handoff(None))).collect();
+    };
+    pass.iter()
+        .zip(scan.records)
+        .map(|(&(p, state), records)| {
+            let reader = HistoryReader::from_records(records);
+            (p, state.handoff(Some((&reader, p))))
+        })
+        .collect()
+}
+
 /// Hash-partitions patients across a fleet of
 /// [`ShardServer`](super::ShardServer)s and routes every ingest call to
 /// the owning machine — the cross-machine face of the same [`Ingest`]
@@ -157,15 +185,20 @@ impl PatientState {
 /// ([`connect_with_store`](Self::connect_with_store)), failover prefers
 /// **segment rebuild** over the mirror alone: each re-admitted source
 /// suffix is the durable segments the dead machine spilled, overlaid
-/// with the mirror — a mirror that lost samples is healed from disk —
-/// and [`history`](HistoryQueryApi::history) re-runs any patient's
-/// pipeline over its full durable history on whichever machine currently
-/// owns it.
+/// with the mirror — a mirror that lost samples is healed from disk.
+/// The rebuild reads through the same [`SharedStore::scan`] as every
+/// history query: only the failed machine's patients, in passes of at
+/// most [`SCAN_PASS_PATIENTS`], and only from the lowest base their
+/// mirrors retain — not the whole directory. A pass whose scan fails
+/// re-admits its patients from the mirrors alone.
+/// [`history`](HistoryQueryApi::history) re-runs any patient's pipeline
+/// over its full durable history on whichever machine currently owns it.
 pub struct ClusterIngest {
     endpoints: Vec<RemoteIngest>,
-    /// Shared tiered-store directory, when every machine spills to the
-    /// same storage; read at failover to rebuild sessions from segments.
-    store_dir: Option<PathBuf>,
+    /// The shared tiered store, when every machine spills to the same
+    /// directory; scanned at failover to rebuild sessions from segments.
+    /// The client never spills, so it never writes there.
+    store: Option<SharedStore>,
     /// The routing table. Readers (push/admit/finish) share the lock so
     /// endpoints ingest in parallel; a handoff or failover takes the
     /// write lock, so a concurrent push cannot race a patient to its old
@@ -195,25 +228,27 @@ impl ClusterIngest {
 
     /// Like [`connect`](Self::connect), for a fleet whose machines all
     /// spill to the tiered store at `store_dir` (shared storage). The
-    /// path enables segment-preferred failover rebuilds; retrospective
-    /// queries ([`history`](HistoryQueryApi::history)) work either way,
-    /// since they run server-side.
+    /// client opens a [`SharedStore`] over it for segment-preferred
+    /// failover rebuilds; retrospective queries
+    /// ([`history`](HistoryQueryApi::history)) work either way, since
+    /// they run server-side.
     ///
     /// # Errors
-    /// Propagates the first connection failure; requires at least one
-    /// endpoint.
+    /// Fails when the store directory cannot be created; propagates the
+    /// first connection failure; requires at least one endpoint.
     pub fn connect_with_store<A: ToSocketAddrs>(
         addrs: &[A],
         cfg: RemoteConfig,
         store_dir: impl Into<PathBuf>,
     ) -> io::Result<Self> {
-        Self::connect_inner(addrs, cfg, Some(store_dir.into()))
+        let store = SharedStore::open(StoreConfig::new(store_dir))?;
+        Self::connect_inner(addrs, cfg, Some(store))
     }
 
     fn connect_inner<A: ToSocketAddrs>(
         addrs: &[A],
         cfg: RemoteConfig,
-        store_dir: Option<PathBuf>,
+        store: Option<SharedStore>,
     ) -> io::Result<Self> {
         if addrs.is_empty() {
             return Err(io::Error::new(
@@ -228,7 +263,7 @@ impl ClusterIngest {
         let table = RwLock::new(PlacementTable::new(endpoints.len()));
         Ok(Self {
             endpoints,
-            store_dir,
+            store,
             table,
             patients: RwLock::new(HashMap::new()),
             samples_pushed: AtomicU64::new(0),
@@ -515,18 +550,13 @@ impl ClusterIngest {
 
     /// Declares a dead machine [`MachineState::Down`] and re-admits
     /// every patient it owned onto survivors from the client-side
-    /// mirrors. If a survivor dies during the re-admission it cascades:
-    /// that machine is downed too and its patients (plus the ones still
-    /// in flight) re-home onto whatever remains. With no live machine
-    /// left, remaining patients are counted lost and every subsequent
-    /// call surfaces the transport error.
+    /// mirrors, healed from the shared store ([`rebuild`]) pass by pass.
+    /// If a survivor dies during the re-admission it cascades: that
+    /// machine is downed too and its patients (plus the ones still in
+    /// flight) re-home onto whatever remains. With no live machine left,
+    /// remaining patients are counted lost and every subsequent call
+    /// surfaces the transport error.
     fn failover_locked(&self, table: &mut PlacementTable, machine: usize) {
-        // Fresh view of the shared segments: everything the dead machine
-        // flushed is durable and preferred over the mirrors.
-        let reader = self
-            .store_dir
-            .as_ref()
-            .and_then(|d| HistoryReader::open(d).ok());
         let mut pending: Vec<PatientId> = Vec::new();
         let mut to_down = vec![machine];
         while let Some(m) = to_down.pop() {
@@ -546,40 +576,45 @@ impl ClusterIngest {
             }
             table.set_state(m, MachineState::Down);
             self.failovers.fetch_add(1, Ordering::Relaxed);
+            if table.live_machines() == 0 {
+                let lost = std::mem::take(&mut pending).len();
+                self.patients_lost.fetch_add(lost as u64, Ordering::Relaxed);
+                continue;
+            }
 
             let mut still_pending = Vec::new();
-            for p in pending.drain(..) {
-                if table.live_machines() == 0 {
-                    self.patients_lost.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let handoff = {
-                    let patients = self.patients.read().expect("patients lock");
-                    match patients.get(&p) {
-                        Some(ps) => ps
-                            .lock()
-                            .expect("patient state")
-                            .handoff(reader.as_ref().map(|r| (r, p))),
-                        None => continue,
-                    }
-                };
-                let target = table.place(p);
-                match self.endpoints[target].import_patient(p, handoff) {
-                    Ok(()) => {
-                        table.assign(p, target);
-                        self.patients_failed_over.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) if self.endpoints[target].is_dead() => {
-                        to_down.push(target);
-                        still_pending.push(p);
-                    }
-                    Err(_) => {
-                        self.patients_lost.fetch_add(1, Ordering::Relaxed);
+            for pass in pending.chunks(SCAN_PASS_PATIENTS) {
+                for (p, handoff) in self.handoffs(pass) {
+                    let target = table.place(p);
+                    match self.endpoints[target].import_patient(p, handoff) {
+                        Ok(()) => {
+                            table.assign(p, target);
+                            self.patients_failed_over.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(_) if self.endpoints[target].is_dead() => {
+                            to_down.push(target);
+                            still_pending.push(p);
+                        }
+                        Err(_) => {
+                            self.patients_lost.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
             }
             pending = still_pending;
         }
+    }
+
+    /// The [`rebuild`] handoffs of the patients of `pass` that are still
+    /// mirrored (a concurrent `finish` may have dropped one).
+    fn handoffs(&self, pass: &[PatientId]) -> Vec<(PatientId, PatientHandoff)> {
+        let patients = self.patients.read().expect("patients lock");
+        let held: Vec<_> = pass
+            .iter()
+            .filter_map(|p| Some((*p, patients.get(p)?.lock().expect("patient state"))))
+            .collect();
+        let mirrors: Vec<_> = held.iter().map(|(p, state)| (*p, &**state)).collect();
+        rebuild(self.store.as_ref(), &mirrors)
     }
 
     /// Marks endpoints that have survived at least one reconnect as
@@ -759,6 +794,49 @@ mod tests {
         let s = healed(state, &store_with(10, StreamShape::new(0, 2))); // t < 20
         assert!(s.values.is_empty() && s.ranges.is_empty());
         assert_eq!(s.base_slot, 45);
+    }
+
+    #[test]
+    fn failover_heals_from_segments_past_a_corrupt_file_below_the_window() {
+        let dir = std::env::temp_dir().join(format!("lss-failover-{}", std::process::id()));
+        let writer = SharedStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
+        let durable = store_with(50, StreamShape::new(0, 2));
+        let mut sink = writer.sink_for(PATIENT);
+        sink(lifestream_core::live::RetiredSpan {
+            source: 0,
+            shape: StreamShape::new(0, 2),
+            base_slot: 0,
+            values: (0..50).map(|i| i as f32).collect(),
+            ranges: vec![(0, 100)],
+        });
+        // A corrupt file whose name says it covers `[lo, hi)`.
+        let garbage = |seq: u64, lo: Tick, hi: Tick| {
+            let name = format!("seg-{:016x}-{seq:08}-{lo:016x}-{hi:016x}.lss", 1);
+            std::fs::write(dir.join(name), b"not a segment").unwrap();
+        };
+        // Wholly below the mirror's retained base (t = 90): the scan never
+        // opens it.
+        garbage(0, 0, 20);
+
+        let state = mirror_holding(96, &[-1.0, -2.0, -3.0]);
+        let store = SharedStore::open(StoreConfig::new(&dir)).unwrap();
+        let (p, handoff) = rebuild(Some(&store), &[(PATIENT, &state)]).remove(0);
+        assert_eq!(p, PATIENT);
+        assert_eq!(
+            handoff.snapshot,
+            state.handoff(Some((&durable, PATIENT))).snapshot
+        );
+        assert_eq!(
+            handoff.snapshot.sources[0].values,
+            vec![45.0, 46.0, 47.0, -1.0, -2.0, -3.0]
+        );
+
+        // The same garbage inside the window fails the pass's scan, which
+        // leaves the mirror alone.
+        garbage(1, 80, 120);
+        let (_, handoff) = rebuild(Some(&store), &[(PATIENT, &state)]).remove(0);
+        assert_eq!(handoff.snapshot, state.handoff(None).snapshot);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

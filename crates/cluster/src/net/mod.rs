@@ -124,13 +124,17 @@
 //!   while ingest continues. Several servers may share one directory
 //!   (writer-nonced segment names never collide) — that shared
 //!   directory is what makes cross-machine rebuild possible.
-//! * **Client side** — [`ClusterIngest::connect_with_store`] points the
-//!   coordinator at the same directory. On failover it prefers
-//!   *segment rebuild* over tail replay: the dead machine's durable
-//!   history is merged under the client margin tail (the tail wins on
-//!   overlap), so the survivor's warm-up suffix is complete even where
-//!   the tail was truncated, and a history query on the survivor still
-//!   reconstructs the patient's entire feed. The "output rounds below
+//! * **Client side** — [`ClusterIngest::connect_with_store`] opens a
+//!   read-only `SharedStore` over the same directory (the client never
+//!   spills). On failover it prefers *segment rebuild* over tail replay:
+//!   one `SharedStore::scan` per pass of the dead machine's patients,
+//!   from the lowest base their margin tails retain — the same
+//!   name-indexed read every history query makes, never the whole
+//!   directory — and each patient's durable spans are merged under its
+//!   client margin tail (the tail wins on overlap), so the survivor's
+//!   warm-up suffix is complete even where the tail was truncated, and a
+//!   history query on the survivor still reconstructs the patient's
+//!   entire feed. A scan that fails leaves that pass to the tails alone. The "output rounds below
 //!   the failover frontier" caveat disappears: they are recomputable on
 //!   demand.
 //!

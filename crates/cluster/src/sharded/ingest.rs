@@ -557,16 +557,6 @@ impl LiveIngest {
         ))
     }
 
-    /// Like [`with_store`](Self::with_store) but sharing an already-open
-    /// store handle (e.g. several ingests spilling to one directory).
-    pub fn with_shared_store(
-        factory: PipelineFactory,
-        cfg: IngestConfig,
-        store: SharedStore,
-    ) -> Self {
-        Self::spawn(factory, cfg, Some(store))
-    }
-
     fn spawn(factory: PipelineFactory, cfg: IngestConfig, store: Option<SharedStore>) -> Self {
         let workers = cfg.workers.max(1);
         let channel_cap = cfg.channel_cap.max(1);
@@ -667,13 +657,7 @@ impl LiveIngest {
     /// Returns the compile error message, or a complaint when the patient
     /// is already admitted.
     pub fn admit_meta(&self, patient: PatientId) -> Result<SessionMeta, String> {
-        let shard = self.shard_of(patient);
-        // Flush staged samples first so a re-admission after finish sees
-        // commands in push order.
-        self.flush_shard(shard);
-        let (reply, ack) = channel();
-        let _ = self.txs[shard].send(Cmd::Admit { patient, reply });
-        ack.recv().map_err(|_| "ingest shard gone".to_string())?
+        self.call(patient, |reply| Cmd::Admit { patient, reply })
     }
 
     /// Stages one sample; ships a batch once the routed shard's staging
@@ -712,10 +696,23 @@ impl LiveIngest {
     /// Returns every deferred push/poll error for the patient (joined
     /// with `"; "`), or a complaint for an unknown patient.
     pub fn finish(&self, patient: PatientId) -> Result<OutputCollector, String> {
+        self.call(patient, |reply| Cmd::Finish { patient, reply })
+    }
+
+    /// One synchronous command to `patient`'s shard: flushes the shard's
+    /// staged samples first, so the command lands behind every sample
+    /// pushed before it (a re-admission after `finish` sees commands in
+    /// push order), then sends what `cmd` builds around the reply channel
+    /// and waits for the answer.
+    fn call<T>(
+        &self,
+        patient: PatientId,
+        cmd: impl FnOnce(Sender<Result<T, String>>) -> Cmd,
+    ) -> Result<T, String> {
         let shard = self.shard_of(patient);
         self.flush_shard(shard);
         let (reply, ack) = channel();
-        let _ = self.txs[shard].send(Cmd::Finish { patient, reply });
+        let _ = self.txs[shard].send(cmd(reply));
         ack.recv().map_err(|_| "ingest shard gone".to_string())?
     }
 
@@ -760,11 +757,7 @@ impl LiveIngest {
     /// Returns a message for an unknown patient or a poisoned session
     /// (whose executor state cannot be transferred).
     pub fn export_patient(&self, patient: PatientId) -> Result<PatientHandoff, String> {
-        let shard = self.shard_of(patient);
-        self.flush_shard(shard);
-        let (reply, ack) = channel();
-        let _ = self.txs[shard].send(Cmd::Export { patient, reply });
-        ack.recv().map_err(|_| "ingest shard gone".to_string())?
+        self.call(patient, |reply| Cmd::Export { patient, reply })
     }
 
     /// Re-creates a patient session from handoff state exported by
@@ -776,15 +769,11 @@ impl LiveIngest {
     /// Returns the compile/import error message, or a complaint when the
     /// patient is already admitted.
     pub fn import_patient(&self, patient: PatientId, state: PatientHandoff) -> Result<(), String> {
-        let shard = self.shard_of(patient);
-        self.flush_shard(shard);
-        let (reply, ack) = channel();
-        let _ = self.txs[shard].send(Cmd::Import {
+        self.call(patient, |reply| Cmd::Import {
             patient,
             state: Box::new(state),
             reply,
-        });
-        ack.recv().map_err(|_| "ingest shard gone".to_string())?
+        })
     }
 
     /// Answers a retrospective [`HistoryQuery`] — durable segments, the

@@ -337,11 +337,6 @@ impl FusedKernel {
             pass_through_durations: pass_through,
         }
     }
-
-    /// Number of stages in the chain.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
 }
 
 impl Kernel for FusedKernel {

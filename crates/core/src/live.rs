@@ -771,12 +771,6 @@ impl LiveSession {
         self.retire_sink = Some(sink);
     }
 
-    /// Detaches the retire sink, if any; subsequent compactions discard
-    /// retired spans again.
-    pub fn clear_retire_sink(&mut self) -> Option<RetireSink> {
-        self.retire_sink.take()
-    }
-
     /// The processing-window length in effect.
     pub fn round_dim(&self) -> Tick {
         self.buf.round

@@ -66,9 +66,12 @@
 //!
 //! # The read path: one scan per query
 //!
-//! Every retrospective read — a one-patient full history, a narrow
-//! range, an eight-patient cohort — is one [`SharedStore::scan`] per
-//! pass of at most [`SCAN_PASS_PATIENTS`] patients:
+//! Every read of the segment tier — a one-patient full history, a narrow
+//! range, an eight-patient cohort, a cluster failover rebuilding a dead
+//! machine's sessions — is one [`SharedStore::scan`] per pass of at most
+//! [`SCAN_PASS_PATIENTS`] patients; [`HistoryReader`] only stitches the
+//! records a scan returned. Failover scans from the lowest base its
+//! client-side mirrors retain, since anything below it is retired:
 //!
 //! * **One listing, one pruning pass.** The directory is listed once.
 //!   Every flushed segment advertises its tick coverage in its name
@@ -201,7 +204,7 @@ pub struct StoreStats {
     /// Segment files deleted by retention pruning.
     pub segments_pruned: u64,
     /// Segment files scans skipped without opening, thanks to the
-    /// file-name range index — once per [`SegmentStore::scan`] pass,
+    /// file-name range index — once per [`SharedStore::scan`] pass,
     /// however many patients the pass served.
     pub segments_skipped: u64,
     /// Segment files scans opened, read and checksummed (same unit).
@@ -216,7 +219,7 @@ pub struct StoreStats {
     pub io_errors: u64,
 }
 
-/// What one or more [`SegmentStore::scan`] passes cost. A cohort query
+/// What one or more [`SharedStore::scan`] passes cost. A cohort query
 /// sums its passes into [`CohortReport::scan_stats`]; the store sums every
 /// pass into the [`StoreStats`] fields of the same names.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -237,7 +240,7 @@ impl std::ops::AddAssign for ScanStats {
     }
 }
 
-/// The result of one [`SegmentStore::scan`] pass.
+/// The result of one [`SharedStore::scan`] pass.
 #[derive(Debug, Default)]
 pub struct Scan {
     /// One entry per patient asked for, in that order: its spans
@@ -341,8 +344,8 @@ static WRITER_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// per-writer sequence, then the records' combined `[min, max)` tick
 /// coverage as fixed-width hex (i64 bit patterns, so negative ticks
 /// round-trip). The range trails the sequence, keeping lexicographic
-/// order == write order per writer, which `HistoryReader::open` and
-/// stitching rely on.
+/// order == write order per writer, which a scan's oldest-file-first
+/// records and so stitching (later spans win) rely on.
 fn segment_name(writer: u64, seq: u64, records: &[SegmentRecord]) -> String {
     let lo = records
         .iter()
@@ -513,28 +516,6 @@ impl SegmentStore {
         Ok(names.iter().map(|n| self.cfg.dir.join(n)).collect())
     }
 
-    /// The one read of the segment tier: every durable + pending span of
-    /// each of `patients` whose coverage overlaps `[t0, t1)`, from one
-    /// directory listing and one pass over the files. The file-name range
-    /// index skips non-overlapping files *without opening them*; every
-    /// other file is opened once, every record in it checksummed, and its
-    /// spans demultiplexed to the patients that want them — only those are
-    /// materialised. Pass `(Tick::MIN, Tick::MAX)` for an unpruned read.
-    ///
-    /// Callers bound `patients` ([`SCAN_PASS_PATIENTS`]): a pass
-    /// holds all of its patients' spans at once.
-    ///
-    /// # Errors
-    /// Propagates read failures; a corrupt record in an opened file —
-    /// wanted or not — fails the whole scan rather than silently dropping
-    /// history. A listed file that disappears (concurrent compaction or
-    /// retention) restarts the scan once from a new listing.
-    pub fn scan(&mut self, patients: &[u64], t0: Tick, t1: Tick) -> io::Result<Scan> {
-        let scan = scan_relisting(|| self.plan_scan(patients, t0, t1))?;
-        self.count_scan(scan.stats);
-        Ok(scan)
-    }
-
     fn plan_scan(&self, patients: &[u64], t0: Tick, t1: Tick) -> io::Result<ScanPlan> {
         let mut plan = ScanPlan {
             patients: patients.to_vec(),
@@ -572,54 +553,6 @@ impl SegmentStore {
         self.stats.segments_opened += scan.segments_opened;
         self.stats.segments_skipped += scan.segments_skipped;
         self.stats.bytes_read += scan.bytes_read;
-    }
-
-    /// Every durable + pending span for `patient`: a one-patient,
-    /// full-range [`scan`](Self::scan).
-    ///
-    /// # Errors
-    /// As [`scan`](Self::scan).
-    pub fn records_for(&mut self, patient: u64) -> io::Result<Vec<SegmentRecord>> {
-        self.records_for_range(patient, Tick::MIN, Tick::MAX)
-    }
-
-    /// Every durable + pending span for `patient` whose coverage overlaps
-    /// `[t0, t1)`: a one-patient [`scan`](Self::scan).
-    ///
-    /// # Errors
-    /// As [`scan`](Self::scan).
-    pub fn records_for_range(
-        &mut self,
-        patient: u64,
-        t0: Tick,
-        t1: Tick,
-    ) -> io::Result<Vec<SegmentRecord>> {
-        Ok(self.scan(&[patient], t0, t1)?.records.remove(0))
-    }
-
-    /// The earliest tick any retained span (durable or pending) covers,
-    /// or `None` when the store holds nothing. This is the retention
-    /// floor a range query is validated against.
-    ///
-    /// # Errors
-    /// Propagates read failures on pre-index files (indexed names answer
-    /// from the name alone).
-    pub fn earliest_tick(&self) -> io::Result<Option<Tick>> {
-        let mut earliest = None;
-        for path in self.segment_paths()? {
-            match parse_segment_range(&path) {
-                Some((lo, _)) => see(&mut earliest, lo),
-                None => {
-                    for r in segment::read_segment(&path)? {
-                        see(&mut earliest, r.start_tick());
-                    }
-                }
-            }
-        }
-        for r in &self.pending {
-            see(&mut earliest, r.start_tick());
-        }
-        Ok(earliest)
     }
 
     /// Merges every durable segment file into one, returning how many
@@ -718,26 +651,30 @@ impl SharedStore {
         self.with(SegmentStore::flush)
     }
 
-    /// One scan pass for `patients` over `[t0, t1)`. See
-    /// [`SegmentStore::scan`]. The store is locked for the directory
-    /// listing and the write-buffer snapshot only; files are opened, read,
-    /// checksummed and decoded with the lock released, so a long scan
-    /// stalls neither the shards' retire sinks nor other scans.
+    /// The one read of the segment tier: every durable + pending span of
+    /// each of `patients` whose coverage overlaps `[t0, t1)`, from one
+    /// directory listing and one pass over the files. The file-name range
+    /// index skips non-overlapping files *without opening them*; every
+    /// other file is opened once, every record in it checksummed, and its
+    /// spans demultiplexed to the patients that want them — only those are
+    /// materialised. Pass `(Tick::MIN, Tick::MAX)` for an unpruned read.
+    ///
+    /// The store is locked for the directory listing and the write-buffer
+    /// snapshot only; files are opened, read, checksummed and decoded
+    /// with the lock released, so a long scan stalls neither the shards'
+    /// retire sinks nor other scans. Callers bound `patients`
+    /// ([`SCAN_PASS_PATIENTS`]): a pass holds all of its patients' spans
+    /// at once.
     ///
     /// # Errors
-    /// As [`SegmentStore::scan`].
+    /// Propagates read failures; a corrupt record in an opened file —
+    /// wanted or not — fails the whole scan rather than silently dropping
+    /// history. A listed file that disappears (concurrent compaction or
+    /// retention) restarts the scan once from a new listing.
     pub fn scan(&self, patients: &[u64], t0: Tick, t1: Tick) -> io::Result<Scan> {
         let scan = scan_relisting(|| self.with(|s| s.plan_scan(patients, t0, t1)))?;
         self.with(|s| s.count_scan(scan.stats));
         Ok(scan)
-    }
-
-    /// Every durable + pending span for `patient`.
-    ///
-    /// # Errors
-    /// As [`scan`](Self::scan).
-    pub fn records_for(&self, patient: u64) -> io::Result<Vec<SegmentRecord>> {
-        self.records_for_range(patient, Tick::MIN, Tick::MAX)
     }
 
     /// Every durable + pending span for `patient` overlapping `[t0, t1)`.
@@ -751,14 +688,6 @@ impl SharedStore {
         t1: Tick,
     ) -> io::Result<Vec<SegmentRecord>> {
         Ok(self.scan(&[patient], t0, t1)?.records.remove(0))
-    }
-
-    /// The earliest retained tick. See [`SegmentStore::earliest_tick`].
-    ///
-    /// # Errors
-    /// Propagates read failures.
-    pub fn earliest_tick(&self) -> io::Result<Option<Tick>> {
-        self.with(|s| s.earliest_tick())
     }
 
     /// Merges all durable segments into one. See [`SegmentStore::compact`].
@@ -786,6 +715,10 @@ mod tests {
         d
     }
 
+    fn open(cfg: StoreConfig) -> SharedStore {
+        SharedStore::open(cfg).unwrap()
+    }
+
     fn span(base_slot: u64, values: Vec<f32>, ranges: Vec<(Tick, Tick)>) -> RetiredSpan {
         RetiredSpan {
             source: 0,
@@ -796,17 +729,37 @@ mod tests {
         }
     }
 
+    fn spill(store: &SharedStore, patient: u64, span: RetiredSpan) {
+        store.with(|s| s.spill(patient, span));
+    }
+
+    /// Every durable + pending span of `patient`: an unpruned scan.
+    fn all(store: &SharedStore, patient: u64) -> Vec<SegmentRecord> {
+        store
+            .records_for_range(patient, Tick::MIN, Tick::MAX)
+            .unwrap()
+    }
+
+    /// The retention floor a scan reports.
+    fn earliest(store: &SharedStore) -> Option<Tick> {
+        store.scan(&[], Tick::MIN, Tick::MAX).unwrap().earliest
+    }
+
+    fn paths(store: &SharedStore) -> Vec<PathBuf> {
+        store.with(|s| s.segment_paths()).unwrap()
+    }
+
     #[test]
     fn spill_flush_reopen() {
         let dir = tmp_dir("reopen");
-        let mut store = SegmentStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
-        store.spill(1, span(0, vec![1.0, 2.0], vec![(0, 2)]));
-        store.spill(2, span(0, vec![9.0], vec![(0, 1)]));
+        let store = open(StoreConfig::new(&dir).flush_batch(0));
+        spill(&store, 1, span(0, vec![1.0, 2.0], vec![(0, 2)]));
+        spill(&store, 2, span(0, vec![9.0], vec![(0, 1)]));
         assert_eq!(store.stats().segments_written, 2);
         drop(store);
         // A fresh store (new writer nonce) sees the durable spans.
-        let mut store = SegmentStore::open(StoreConfig::new(&dir)).unwrap();
-        let got = store.records_for(1).unwrap();
+        let store = open(StoreConfig::new(&dir));
+        let got = all(&store, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].values, vec![1.0, 2.0]);
         fs::remove_dir_all(&dir).unwrap();
@@ -815,30 +768,29 @@ mod tests {
     #[test]
     fn batched_flush_and_pending_visibility() {
         let dir = tmp_dir("batch");
-        let mut store = SegmentStore::open(StoreConfig::new(&dir).flush_batch(100)).unwrap();
-        store.spill(1, span(0, vec![1.0; 10], vec![(0, 10)]));
+        let store = open(StoreConfig::new(&dir).flush_batch(100));
+        spill(&store, 1, span(0, vec![1.0; 10], vec![(0, 10)]));
         assert_eq!(store.stats().segments_written, 0, "below the batch");
         // Queries still see the pending span.
-        assert_eq!(store.records_for(1).unwrap().len(), 1);
-        store.spill(1, span(10, vec![2.0; 95], vec![(10, 105)]));
+        assert_eq!(all(&store, 1).len(), 1);
+        spill(&store, 1, span(10, vec![2.0; 95], vec![(10, 105)]));
         assert_eq!(store.stats().segments_written, 1, "batch crossed");
-        assert_eq!(store.pending_samples(), 0);
+        assert_eq!(store.with(|s| s.pending_samples()), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn retention_prunes_old_segments() {
         let dir = tmp_dir("retain");
-        let mut store =
-            SegmentStore::open(StoreConfig::new(&dir).flush_batch(0).retention(100)).unwrap();
-        store.spill(1, span(0, vec![1.0; 50], vec![(0, 50)]));
-        store.spill(1, span(50, vec![2.0; 50], vec![(50, 100)]));
+        let store = open(StoreConfig::new(&dir).flush_batch(0).retention(100));
+        spill(&store, 1, span(0, vec![1.0; 50], vec![(0, 50)]));
+        spill(&store, 1, span(50, vec![2.0; 50], vec![(50, 100)]));
         // Frontier 100: nothing is >100 ticks old yet.
         assert_eq!(store.stats().segments_pruned, 0);
-        store.spill(1, span(200, vec![3.0; 50], vec![(200, 250)]));
+        spill(&store, 1, span(200, vec![3.0; 50], vec![(200, 250)]));
         // Frontier 250, cutoff 150: both early segments are wholly older.
         assert_eq!(store.stats().segments_pruned, 2);
-        let got = store.records_for(1).unwrap();
+        let got = all(&store, 1);
         assert_eq!(got.len(), 1);
         assert!(got.iter().all(|r| r.end_tick() > 150));
         fs::remove_dir_all(&dir).unwrap();
@@ -847,10 +799,10 @@ mod tests {
     #[test]
     fn range_reads_skip_nonoverlapping_files_by_name() {
         let dir = tmp_dir("range");
-        let mut store = SegmentStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
-        store.spill(1, span(0, vec![1.0; 50], vec![(0, 50)]));
-        store.spill(1, span(50, vec![2.0; 50], vec![(50, 100)]));
-        store.spill(1, span(100, vec![3.0; 50], vec![(100, 150)]));
+        let store = open(StoreConfig::new(&dir).flush_batch(0));
+        spill(&store, 1, span(0, vec![1.0; 50], vec![(0, 50)]));
+        spill(&store, 1, span(50, vec![2.0; 50], vec![(50, 100)]));
+        spill(&store, 1, span(100, vec![3.0; 50], vec![(100, 150)]));
         let got = store.records_for_range(1, 60, 90).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].values, vec![2.0; 50]);
@@ -865,11 +817,11 @@ mod tests {
     #[test]
     fn legacy_file_names_fall_back_to_reads() {
         let dir = tmp_dir("legacy");
-        let mut store = SegmentStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
-        store.spill(1, span(0, vec![1.0; 10], vec![(0, 10)]));
+        let store = open(StoreConfig::new(&dir).flush_batch(0));
+        spill(&store, 1, span(0, vec![1.0; 10], vec![(0, 10)]));
         // Strip the range suffix off the file, as a pre-index writer
         // would have named it.
-        let path = store.segment_paths().unwrap().remove(0);
+        let path = paths(&store).remove(0);
         let stem = path.file_stem().unwrap().to_str().unwrap();
         let legacy: String = stem.split('-').take(3).collect::<Vec<_>>().join("-");
         fs::rename(&path, dir.join(format!("{legacy}.lss"))).unwrap();
@@ -879,41 +831,44 @@ mod tests {
         assert!(got.is_empty());
         assert_eq!(store.stats().segments_skipped, 0);
         // And its coverage is still discoverable the slow way.
-        assert_eq!(store.earliest_tick().unwrap(), Some(0));
+        assert_eq!(earliest(&store), Some(0));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn earliest_tick_tracks_retention() {
         let dir = tmp_dir("earliest");
-        let mut store =
-            SegmentStore::open(StoreConfig::new(&dir).flush_batch(0).retention(100)).unwrap();
-        assert_eq!(store.earliest_tick().unwrap(), None);
-        store.spill(1, span(0, vec![1.0; 50], vec![(0, 50)]));
-        assert_eq!(store.earliest_tick().unwrap(), Some(0));
-        store.spill(1, span(200, vec![3.0; 50], vec![(200, 250)]));
+        let store = open(StoreConfig::new(&dir).flush_batch(0).retention(100));
+        assert_eq!(earliest(&store), None);
+        spill(&store, 1, span(0, vec![1.0; 50], vec![(0, 50)]));
+        assert_eq!(earliest(&store), Some(0));
+        spill(&store, 1, span(200, vec![3.0; 50], vec![(200, 250)]));
         // The first segment is wholly below the cutoff and was pruned.
         assert_eq!(store.stats().segments_pruned, 1);
-        assert_eq!(store.earliest_tick().unwrap(), Some(200));
+        assert_eq!(earliest(&store), Some(200));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_merges_files_and_preserves_records() {
         let dir = tmp_dir("compact");
-        let mut store = SegmentStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
+        let store = open(StoreConfig::new(&dir).flush_batch(0));
         for i in 0..5u64 {
             let t = i as Tick * 10;
-            store.spill(1, span(i * 10, vec![i as f32; 10], vec![(t, t + 10)]));
+            spill(
+                &store,
+                1,
+                span(i * 10, vec![i as f32; 10], vec![(t, t + 10)]),
+            );
         }
-        let before = store.records_for(1).unwrap();
-        assert_eq!(store.segment_paths().unwrap().len(), 5);
+        let before = all(&store, 1);
+        assert_eq!(paths(&store).len(), 5);
         assert_eq!(store.compact().unwrap(), 5);
-        assert_eq!(store.segment_paths().unwrap().len(), 1);
+        assert_eq!(paths(&store).len(), 1);
         assert_eq!(store.stats().segments_compacted, 5);
-        assert_eq!(store.records_for(1).unwrap(), before, "byte-identical");
+        assert_eq!(all(&store, 1), before, "byte-identical");
         // The merged file carries the combined range index.
-        let merged = store.segment_paths().unwrap().remove(0);
+        let merged = paths(&store).remove(0);
         assert_eq!(parse_segment_range(&merged), Some((0, 50)));
         // Nothing left to merge.
         assert_eq!(store.compact().unwrap(), 0);
@@ -923,13 +878,13 @@ mod tests {
     #[test]
     fn concurrent_writers_do_not_collide() {
         let dir = tmp_dir("multi");
-        let a = SharedStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
-        let b = SharedStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
+        let a = open(StoreConfig::new(&dir).flush_batch(0));
+        let b = open(StoreConfig::new(&dir).flush_batch(0));
         let mut sink_a = a.sink_for(1);
         let mut sink_b = b.sink_for(1);
         sink_a(span(0, vec![1.0], vec![(0, 1)]));
         sink_b(span(1, vec![2.0], vec![(1, 2)]));
-        let got = a.records_for(1).unwrap();
+        let got = all(&a, 1);
         assert_eq!(got.len(), 2, "both writers' segments visible");
         fs::remove_dir_all(&dir).unwrap();
     }

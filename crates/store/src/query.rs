@@ -617,11 +617,6 @@ impl CohortReport {
             .map(|(_, o)| o)
     }
 
-    /// Consumes the report into its outputs.
-    pub fn into_outputs(self) -> Vec<(u64, OutputCollector)> {
-        self.outputs
-    }
-
     /// Consumes a single-patient report into its one output.
     ///
     /// # Errors

@@ -1,82 +1,34 @@
-//! Retrospective reads: stitching segments back into executor-ready data.
+//! Retrospective reads: stitching scanned spans back into executor-ready
+//! data.
 //!
-//! [`HistoryReader`] is the query half of the tiered store. It loads every
-//! span relevant to a patient — durable segments plus, optionally, the
-//! live session's exported suffix — and densifies them into one
-//! [`SignalData`] per source, from the lowest slot any of them holds: the
-//! presence, and so the output, of a cold batch run over the original
+//! [`HistoryReader`] is the query half of the tiered store. It reads no
+//! file: it wraps the records a [`SharedStore::scan`](crate::SharedStore::scan)
+//! returned — durable segments plus the unflushed write buffer — and,
+//! optionally with the live session's exported suffix, densifies them into
+//! one [`SignalData`] per source, from the lowest slot any of them holds:
+//! the presence, and so the output, of a cold batch run over the original
 //! feed. Any compiled pipeline
 //! can then execute over the result: retrospective queries need no special
 //! engine, just reconstructed inputs.
-
-use std::io;
-use std::path::Path;
 
 use lifestream_core::live::{LiveSource, SessionSnapshot};
 use lifestream_core::time::StreamShape;
 use lifestream_core::SignalData;
 
-use crate::segment::{read_segment, SegmentRecord};
+use crate::segment::SegmentRecord;
 
-/// A loaded view over a set of segment records.
+/// A view over a set of scanned segment records.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryReader {
     records: Vec<SegmentRecord>,
 }
 
 impl HistoryReader {
-    /// Loads every segment in `dir` (non-recursive, `*.lss`).
-    ///
-    /// # Errors
-    /// Propagates I/O failures; a corrupt segment rejects the whole load.
-    pub fn open(dir: &Path) -> io::Result<Self> {
-        let mut paths: Vec<_> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "lss"))
-            .collect();
-        paths.sort();
-        let mut records = Vec::new();
-        for p in paths {
-            records.extend(read_segment(&p)?);
-        }
-        Ok(Self { records })
-    }
-
-    /// Wraps records already in memory (e.g. from
-    /// [`SegmentStore::records_for`](crate::SegmentStore::records_for),
+    /// Wraps records already read (e.g. from
+    /// [`SharedStore::records_for_range`](crate::SharedStore::records_for_range),
     /// which includes the unflushed write buffer).
     pub fn from_records(records: Vec<SegmentRecord>) -> Self {
         Self { records }
-    }
-
-    /// Number of loaded spans.
-    pub fn span_count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Patients with at least one span, ascending.
-    pub fn patients(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.records.iter().map(|r| r.patient).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Source shapes recorded for `patient` (indexed by source), or `None`
-    /// when the patient has no spans or its source indices have holes.
-    pub fn shapes_for(&self, patient: u64) -> Option<Vec<StreamShape>> {
-        let max = self
-            .records
-            .iter()
-            .filter(|r| r.patient == patient)
-            .map(|r| r.source)
-            .max()?;
-        let mut shapes: Vec<Option<StreamShape>> = vec![None; max as usize + 1];
-        for r in self.records.iter().filter(|r| r.patient == patient) {
-            shapes[r.source as usize] = Some(r.shape);
-        }
-        shapes.into_iter().collect()
     }
 
     /// `patient`'s spans of source `source`, in record order.
@@ -207,14 +159,5 @@ mod tests {
             .stitch(1, &[StreamShape::new(0, 4)], None)
             .unwrap_err();
         assert!(err.contains("expects"), "err: {err}");
-    }
-
-    #[test]
-    fn shapes_for_requires_contiguous_sources() {
-        let mut r1 = rec(1, 0, 0, vec![1.0], vec![(0, 2)]);
-        r1.source = 1; // hole at source 0
-        let reader = HistoryReader::from_records(vec![r1]);
-        assert!(reader.shapes_for(1).is_none());
-        assert!(reader.shapes_for(2).is_none());
     }
 }

@@ -5,7 +5,7 @@
 //! record and a known file image; any codec change that re-arranges bytes
 //! breaks them loudly instead of silently orphaning old stores.
 
-use lifestream_core::time::StreamShape;
+use lifestream_core::time::{StreamShape, Tick};
 use lifestream_store::segment::{
     crc32, encode_record, parse_segment, scan_segment, SegmentRecord, MAX_RECORD,
 };
@@ -149,7 +149,10 @@ fn corrupt_unwanted_record_fails_the_filtered_store_scan() {
 
     std::fs::write(&file, golden_image()).unwrap();
     assert_eq!(store.scan(&[2], 0, 4).unwrap().records, vec![Vec::new()]);
-    assert_eq!(store.records_for(1).unwrap(), vec![golden_record()]);
+    assert_eq!(
+        store.records_for_range(1, Tick::MIN, Tick::MAX).unwrap(),
+        vec![golden_record()]
+    );
 
     let mut bad = golden_image();
     bad[5 + 4] ^= 0x02; // patient 1 -> 3, seal untouched

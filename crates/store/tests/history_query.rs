@@ -356,8 +356,9 @@ fn range_below_retention_is_a_named_error_with_locked_message() {
     let store = SharedStore::open(StoreConfig::new(&dir).flush_batch(0)).unwrap();
     let overlay = spill(&store, PATIENT, &factory, &recorded(shape, 1_500, 9), 97);
     let earliest = store
-        .earliest_tick()
+        .scan(&[PATIENT], Tick::MIN, Tick::MAX)
         .unwrap()
+        .earliest
         .expect("segments were written");
 
     let err = HistoryQuery::new()

@@ -103,7 +103,11 @@ fn assert_spill_reconstructs(
     // Reconstruct: durable spans (disk + write buffer) ∪ live suffix.
     let snapshot = session.export_suffix();
     let shapes = session.source_shapes();
-    let reader = HistoryReader::from_records(store.records_for(PATIENT).unwrap());
+    let reader = HistoryReader::from_records(
+        store
+            .records_for_range(PATIENT, Tick::MIN, Tick::MAX)
+            .unwrap(),
+    );
     let datasets = reader.stitch(PATIENT, &shapes, Some(&snapshot)).unwrap();
     let mut exec = build()
         .executor_with(datasets, ExecOptions::default().with_round_ticks(ROUND))
@@ -120,8 +124,9 @@ fn assert_spill_reconstructs(
 
 #[test]
 fn durable_path_round_trips_through_real_segments() {
-    // Force the pure-disk path: flush everything, then load with
-    // `HistoryReader::open` so only segment files feed the re-run.
+    // Force the pure-disk path: flush everything, then scan through a
+    // fresh store (empty write buffer) so only segment files feed the
+    // re-run.
     let dir = tmp_dir("disk");
     let shape = StreamShape::new(0, 2);
     let data = recorded(shape, 5_000, 91);
@@ -158,7 +163,11 @@ fn durable_path_round_trips_through_real_segments() {
     // session has retired everything: disk alone must reconstruct, with
     // the (empty-or-marginal) suffix still stitched for completeness.
     let snapshot = session.export_suffix();
-    let reader = HistoryReader::open(&dir).unwrap();
+    let disk = SharedStore::open(StoreConfig::new(&dir)).unwrap();
+    let reader = HistoryReader::from_records(
+        disk.records_for_range(PATIENT, Tick::MIN, Tick::MAX)
+            .unwrap(),
+    );
     let datasets = reader
         .stitch(PATIENT, &session.source_shapes(), Some(&snapshot))
         .unwrap();
