@@ -9,6 +9,13 @@
 //! and, behind [`ShardedRuntime`](super::ShardedRuntime), batch jobs: they
 //! are the crate's one worker model.
 //!
+//! This file is the front end: the public API, client-side staging, run
+//! grouping and the cohort-pass orchestration. What a shard thread owns
+//! and does — its sessions, its warm executor, its task queue and the
+//! loop over its channel — lives in `shard.rs`. Every synchronous request
+//! (admit, finish, export, import, a pass's tails) travels as one closure
+//! that calls a shard method, so the reply plumbing exists once.
+//!
 //! ## Batched ingest, by run
 //!
 //! A per-sample channel send costs more than the sample's processing, so
@@ -72,13 +79,17 @@
 //! trait; bounded in-process channels are merely this module's
 //! *transport*. [`crate::net`] implements the same trait over TCP
 //! ([`RemoteIngest`](crate::net::RemoteIngest) /
-//! [`ClusterIngest`](crate::net::ClusterIngest)), reusing this module's
+//! [`ClusterIngest`](crate::net::ClusterIngest)), reusing the same
 //! shard loop via the acked entry point
 //! ([`ingest_batch`](LiveIngest::ingest_batch) enqueues a batch and
 //! returns a [`BatchTicket`] that resolves to its drop count once it is
 //! applied, so a wire ack can carry it) and moving whole sessions
 //! between machines with [`export_patient`](LiveIngest::export_patient) /
 //! [`import_patient`](LiveIngest::import_patient) ([`PatientHandoff`]).
+//!
+//! [`LiveSession`]: lifestream_core::live::LiveSession
+//! [`LiveSession::push_run`]: lifestream_core::live::LiveSession::push_run
+//! [`LiveSession::push`]: lifestream_core::live::LiveSession::push
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,9 +97,8 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRe
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use lifestream_core::error::panic_text;
-use lifestream_core::exec::{Executor, OutputCollector};
-use lifestream_core::live::{LiveSession, SessionSnapshot};
+use lifestream_core::exec::OutputCollector;
+use lifestream_core::live::SessionSnapshot;
 use lifestream_core::time::Tick;
 use lifestream_store::query::{empty_executor, CohortPass};
 use lifestream_store::{
@@ -98,7 +108,8 @@ use lifestream_store::{
 
 use crate::history::HistoryQueryApi;
 
-use super::pool::{ExecutorPool, Job, PipelineFactory};
+use super::pool::{Job, PipelineFactory};
+use super::shard::{catch_panic, ingest_loop, Cmd, PassDone, PassShare, Shard, Task};
 use super::PatientId;
 
 /// One pushed sample: `(patient, source index, sync time, value)`.
@@ -107,21 +118,21 @@ pub type Sample = (PatientId, usize, Tick, f32);
 /// One periodic run inside a [`RunBatch`]: `n` samples of one
 /// `(patient, source)` at ticks `t0, t0 + dt, …`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct RunHeader {
-    patient: PatientId,
-    source: usize,
-    t0: Tick,
+pub(super) struct RunHeader {
+    pub(super) patient: PatientId,
+    pub(super) source: usize,
+    pub(super) t0: Tick,
     /// The run's first step; `0` for a single-sample run.
-    dt: Tick,
-    n: usize,
+    pub(super) dt: Tick,
+    pub(super) n: usize,
 }
 
 /// The one batch form on a shard channel: run headers plus one flat value
 /// column holding the runs' values back to back, in header order.
 #[derive(Debug, Default, PartialEq)]
-struct RunBatch {
-    runs: Vec<RunHeader>,
-    values: Vec<f32>,
+pub(super) struct RunBatch {
+    pub(super) runs: Vec<RunHeader>,
+    pub(super) values: Vec<f32>,
 }
 
 /// Groups a tuple batch into per-shard [`RunBatch`]es, the only place
@@ -136,7 +147,9 @@ struct RunBatch {
 /// runs are emitted in the order they were opened. Whether a run is
 /// *valid* is not decided here: [`LiveSession::push_run`] falls back to
 /// per-sample pushes for whatever is not a clean append.
-fn group_runs(
+///
+/// [`LiveSession::push_run`]: lifestream_core::live::LiveSession::push_run
+pub(super) fn group_runs(
     samples: &[Sample],
     shards: usize,
     shard_of: impl Fn(PatientId) -> usize,
@@ -401,104 +414,15 @@ pub struct IngestStats {
 
 /// Counters shared between the front end and the shard threads.
 #[derive(Default)]
-struct Counters {
+pub(super) struct Counters {
     samples_pushed: AtomicU64,
     batches_flushed: AtomicU64,
-    dropped_unknown: AtomicU64,
-}
-
-enum Cmd {
-    Admit {
-        patient: PatientId,
-        reply: Sender<Result<SessionMeta, String>>,
-    },
-    /// One shard's share of a batch, grouped into runs and applied in run
-    /// order. An acked transport asks for a reply: the number of samples
-    /// dropped for unknown patients, sent once the batch is applied.
-    SampleBatch {
-        batch: RunBatch,
-        reply: Option<Sender<u64>>,
-    },
-    Poll,
-    Finish {
-        patient: PatientId,
-        reply: Sender<Result<OutputCollector, String>>,
-    },
-    /// Removes the patient's session and returns its handoff state
-    /// (drains complete rounds first, so only the margin suffix moves).
-    Export {
-        patient: PatientId,
-        reply: Sender<Result<PatientHandoff, String>>,
-    },
-    /// Re-creates a patient session from handoff state.
-    Import {
-        patient: PatientId,
-        state: Box<PatientHandoff>,
-        reply: Sender<Result<(), String>>,
-    },
-    /// One batch job of a [`ShardedRuntime`](super::ShardedRuntime).
-    Job(Box<Job>),
-    /// Snapshots these patients' live tails for a cohort pass about to
-    /// read the store.
-    Tails(Box<TailsAsk>),
-    /// One owning shard's share of a cohort pass.
-    Pass(Box<PassShare>),
-    Shutdown,
-}
-
-/// One shard's share of a history cohort pass: its patients' scanned
-/// spans and live tails, in query order, and the executor it replays them
-/// on, one patient per [`step`](Self::step).
-struct PassShare {
-    pass: CohortPass,
-    tails: std::vec::IntoIter<Option<LiveOverlay>>,
-    outputs: Vec<OutputCollector>,
-    exec: Executor,
-    reply: Sender<PassDone>,
-}
-
-/// The patients whose live tails a pass needs, and where they go.
-type TailsAsk = (Vec<PatientId>, Sender<Vec<Option<LiveOverlay>>>);
-
-/// A share's outputs in its patients' order, and the executor it
-/// borrowed.
-type PassDone = (Result<Vec<OutputCollector>, HistoryError>, Executor);
-
-impl PassShare {
-    /// Replays the share's next patient. Returns the share while patients
-    /// remain; replies, and returns `None`, once all are done or one
-    /// failed.
-    fn step(mut self: Box<Self>) -> Option<Box<Self>> {
-        let tail = self.tails.next().flatten();
-        let run = match self.pass.replay_next(&mut self.exec, tail.as_ref()) {
-            Some(Ok(out)) => {
-                self.outputs.push(out);
-                if !self.pass.is_empty() {
-                    return Some(self);
-                }
-                Ok(self.outputs)
-            }
-            Some(Err(e)) => Err(e),
-            None => Ok(self.outputs),
-        };
-        let _ = self.reply.send((run, self.exec));
-        None
-    }
-}
-
-struct Session {
-    live: LiveSession,
-    out: OutputCollector,
-    /// Push/poll errors deferred to `finish` (pushes don't round-trip).
-    errors: Vec<String>,
-    /// Set when user code panicked inside this session's kernels; the
-    /// executor state is unknowable after an unwind, so the session stops
-    /// processing and `finish` reports the panic instead.
-    poisoned: bool,
+    pub(super) dropped_unknown: AtomicU64,
 }
 
 /// Multiplexes live per-patient sample streams onto sharded
-/// [`LiveSession`] workers. See the module docs.
+/// [`LiveSession`](lifestream_core::live::LiveSession) workers. See the
+/// module docs.
 pub struct LiveIngest {
     txs: Vec<SyncSender<Cmd>>,
     handles: Vec<JoinHandle<()>>,
@@ -524,8 +448,10 @@ pub struct LiveIngest {
 
 impl LiveIngest {
     /// Spawns `workers` ingest shards with default batching. Each
-    /// admitted patient gets a [`LiveSession`] compiled from `factory` on
-    /// its routed shard, with `round_ticks` processing windows.
+    /// admitted patient gets a
+    /// [`LiveSession`](lifestream_core::live::LiveSession) compiled from
+    /// `factory` on its routed shard, with `round_ticks` processing
+    /// windows.
     pub fn new(factory: PipelineFactory, workers: usize, round_ticks: Tick) -> Self {
         Self::with_config(factory, IngestConfig::new(workers, round_ticks))
     }
@@ -565,14 +491,15 @@ impl LiveIngest {
         let mut handles = Vec::with_capacity(workers);
         for me in 0..workers {
             let (tx, rx) = sync_channel::<Cmd>(channel_cap);
-            let factory = PipelineFactory::clone(&factory);
-            let counters = Arc::clone(&counters);
-            let store = store.clone();
+            let shard = Shard::new(
+                PipelineFactory::clone(&factory),
+                cfg.round_ticks,
+                Arc::clone(&counters),
+                store.clone(),
+            );
             let handle = std::thread::Builder::new()
                 .name(format!("ingest-{me}"))
-                .spawn(move || {
-                    ingest_loop(rx, factory, cfg.round_ticks, counters, store, channel_cap)
-                })
+                .spawn(move || ingest_loop(rx, shard, channel_cap))
                 .expect("spawn ingest worker");
             txs.push(tx);
             handles.push(handle);
@@ -611,11 +538,6 @@ impl LiveIngest {
     /// The attached history store, if any.
     pub fn store(&self) -> Option<&SharedStore> {
         self.store.as_ref()
-    }
-
-    /// Ingest shard count.
-    pub fn workers(&self) -> usize {
-        self.txs.len()
     }
 
     /// Depth of each shard's bounded command channel
@@ -657,7 +579,7 @@ impl LiveIngest {
     /// Returns the compile error message, or a complaint when the patient
     /// is already admitted.
     pub fn admit_meta(&self, patient: PatientId) -> Result<SessionMeta, String> {
-        self.call(patient, |reply| Cmd::Admit { patient, reply })
+        self.call(patient, move |shard| shard.admit(patient))
     }
 
     /// Stages one sample; ships a batch once the routed shard's staging
@@ -696,24 +618,37 @@ impl LiveIngest {
     /// Returns every deferred push/poll error for the patient (joined
     /// with `"; "`), or a complaint for an unknown patient.
     pub fn finish(&self, patient: PatientId) -> Result<OutputCollector, String> {
-        self.call(patient, |reply| Cmd::Finish { patient, reply })
+        self.call(patient, move |shard| shard.finish(patient))
     }
 
-    /// One synchronous command to `patient`'s shard: flushes the shard's
-    /// staged samples first, so the command lands behind every sample
-    /// pushed before it (a re-admission after `finish` sees commands in
-    /// push order), then sends what `cmd` builds around the reply channel
-    /// and waits for the answer.
-    fn call<T>(
+    /// One synchronous request to `patient`'s shard: runs `f` there (see
+    /// [`ask`](Self::ask)) and waits for its answer.
+    fn call<T: Send + 'static>(
         &self,
         patient: PatientId,
-        cmd: impl FnOnce(Sender<Result<T, String>>) -> Cmd,
+        f: impl FnOnce(&mut Shard) -> Result<T, String> + Send + 'static,
     ) -> Result<T, String> {
-        let shard = self.shard_of(patient);
+        let answer = self.ask(self.shard_of(patient), f);
+        answer.recv().map_err(|_| "ingest shard gone".to_string())?
+    }
+
+    /// Runs `f` on a shard and returns, at once, where its answer will
+    /// arrive. The shard's staged samples are flushed first, so `f` lands
+    /// behind every sample pushed before it (a re-admission after `finish`
+    /// sees commands in push order). The answer never arrives when the
+    /// shard is gone.
+    fn ask<T: Send + 'static>(
+        &self,
+        shard: usize,
+        f: impl FnOnce(&mut Shard) -> T + Send + 'static,
+    ) -> Receiver<T> {
         self.flush_shard(shard);
-        let (reply, ack) = channel();
-        let _ = self.txs[shard].send(cmd(reply));
-        ack.recv().map_err(|_| "ingest shard gone".to_string())?
+        let (reply, answer) = channel();
+        let call = move |on: &mut Shard| {
+            let _ = reply.send(f(on));
+        };
+        let _ = self.txs[shard].send(Cmd::Call(Box::new(call)));
+        answer
     }
 
     /// Enqueues an already-assembled batch: groups it into runs
@@ -757,7 +692,7 @@ impl LiveIngest {
     /// Returns a message for an unknown patient or a poisoned session
     /// (whose executor state cannot be transferred).
     pub fn export_patient(&self, patient: PatientId) -> Result<PatientHandoff, String> {
-        self.call(patient, |reply| Cmd::Export { patient, reply })
+        self.call(patient, move |shard| shard.export(patient))
     }
 
     /// Re-creates a patient session from handoff state exported by
@@ -767,13 +702,10 @@ impl LiveIngest {
     ///
     /// # Errors
     /// Returns the compile/import error message, or a complaint when the
-    /// patient is already admitted.
+    /// patient is already admitted or when the handoff's output does not
+    /// have the sink's arity.
     pub fn import_patient(&self, patient: PatientId, state: PatientHandoff) -> Result<(), String> {
-        self.call(patient, |reply| Cmd::Import {
-            patient,
-            state: Box::new(state),
-            reply,
-        })
+        self.call(patient, move |shard| shard.import(patient, state))
     }
 
     /// Answers a retrospective [`HistoryQuery`] — durable segments, the
@@ -821,7 +753,9 @@ impl LiveIngest {
         let compile_lanes = |factory: PipelineFactory| {
             (0..lanes)
                 .map(|_| {
-                    catch_user(|| factory()).map_err(|f| HistoryError::Pipeline(f.into_message()))
+                    catch_panic(|| factory())
+                        .and_then(|compiled| compiled.map_err(|e| e.to_string()))
+                        .map_err(HistoryError::Pipeline)
                 })
                 .collect::<Result<Vec<_>, _>>()
         };
@@ -872,18 +806,16 @@ impl LiveIngest {
                     None => shares.push((shard, vec![at])),
                 }
             }
-            // Every owning shard snapshots its patients' tails (behind
-            // their staged samples) before the pass's one scan.
-            let mut asks = Vec::with_capacity(shares.len());
-            for (shard, at) in &shares {
-                self.flush_shard(*shard);
-                let (reply, tails) = channel();
-                let ask = (at.iter().map(|&i| patients[i]).collect(), reply);
-                self.txs[*shard]
-                    .send(Cmd::Tails(Box::new(ask)))
-                    .map_err(|_| gone())?;
-                asks.push(tails);
-            }
+            // Every owning shard is asked for its patients' tails (behind
+            // their staged samples) before any answer is awaited, and all
+            // before the pass's one scan.
+            let asks: Vec<_> = shares
+                .iter()
+                .map(|(shard, at)| {
+                    let mine: Vec<PatientId> = at.iter().map(|&i| patients[i]).collect();
+                    self.ask(*shard, move |on| on.tails(&mine))
+                })
+                .collect();
             let tails: Vec<Vec<Option<LiveOverlay>>> = asks
                 .into_iter()
                 .map(|tails| tails.recv().map_err(|_| gone()))
@@ -909,7 +841,7 @@ impl LiveIngest {
                     reply,
                 };
                 self.txs[shard]
-                    .send(Cmd::Pass(Box::new(share)))
+                    .send(Cmd::Task(Task::Pass(Box::new(share))))
                     .map_err(|_| gone())?;
                 in_flight.push_back((at, done));
             }
@@ -929,7 +861,7 @@ impl LiveIngest {
     /// that shard's bounded channel is full (backpressure).
     pub(super) fn run_job(&self, job: Job) {
         let shard = job.shard;
-        let _ = self.txs[shard].send(Cmd::Job(Box::new(job)));
+        let _ = self.txs[shard].send(Cmd::Task(Task::Job(job)));
     }
 
     /// Closes every session and joins the shard threads. Equivalent to
@@ -962,9 +894,7 @@ impl LiveIngest {
         self.counters
             .batches_flushed
             .fetch_add(1, Ordering::Relaxed);
-        self.txs[shard]
-            .send(Cmd::SampleBatch { batch, reply })
-            .is_ok()
+        self.txs[shard].send(Cmd::Batch { batch, reply }).is_ok()
     }
 
     /// Shared teardown for [`shutdown`](Self::shutdown) and `Drop`:
@@ -1026,305 +956,6 @@ impl std::fmt::Debug for LiveIngest {
             .field("workers", &self.txs.len())
             .field("batch", &self.batch)
             .finish()
-    }
-}
-
-fn ingest_loop(
-    rx: Receiver<Cmd>,
-    factory: PipelineFactory,
-    round_ticks: Tick,
-    counters: Arc<Counters>,
-    store: Option<SharedStore>,
-    depth: usize,
-) {
-    let mut sessions: HashMap<PatientId, Session> = HashMap::new();
-    let mut pool = ExecutorPool::default();
-    let mut shares: VecDeque<Box<PassShare>> = VecDeque::new();
-    'serve: loop {
-        // With a cohort share queued the shard takes the commands already
-        // waiting (at most a channel's depth, so a saturated channel cannot
-        // starve the share), then replays one of the share's patients: a
-        // live command waits behind one patient's replay, not a whole share.
-        let first = if shares.is_empty() {
-            match rx.recv() {
-                Ok(cmd) => Some(cmd),
-                Err(_) => break,
-            }
-        } else {
-            None
-        };
-        for cmd in first.into_iter().chain(rx.try_iter().take(depth)) {
-            match cmd {
-                Cmd::Admit { patient, reply } => {
-                    use std::collections::hash_map::Entry;
-                    let outcome = match sessions.entry(patient) {
-                        Entry::Occupied(_) => Err(format!("patient {patient} already admitted")),
-                        Entry::Vacant(slot) => {
-                            // The factory is user code: a panic must become
-                            // this admit's error, not the shard's death.
-                            catch_user(|| {
-                                factory()
-                                    .and_then(|compiled| LiveSession::new(compiled, round_ticks))
-                            })
-                            .map_err(UserFailure::into_message)
-                            .and_then(|mut live| {
-                                let meta = session_meta(&live)?;
-                                if let Some(store) = &store {
-                                    live.set_retire_sink(store.sink_for(patient));
-                                }
-                                slot.insert(Session {
-                                    out: OutputCollector::new(meta.arity),
-                                    live,
-                                    errors: Vec::new(),
-                                    poisoned: false,
-                                });
-                                Ok(meta)
-                            })
-                        }
-                    };
-                    let _ = reply.send(outcome);
-                }
-                Cmd::SampleBatch { batch, reply } => {
-                    let dropped = apply_batch(&mut sessions, &batch, &counters);
-                    if let Some(reply) = reply {
-                        let _ = reply.send(dropped);
-                    }
-                }
-                Cmd::Poll => {
-                    for s in sessions.values_mut() {
-                        if s.poisoned {
-                            continue;
-                        }
-                        let Session { live, out, .. } = s;
-                        // Polling runs user kernel closures: one patient's
-                        // panic poisons that session only, never the shard
-                        // (its siblings keep streaming). Ordinary engine
-                        // errors leave the session sound and just defer.
-                        match catch_user(|| live.poll(|w| out.absorb(w))) {
-                            Ok(_) => {}
-                            Err(UserFailure::Error(e)) => s.errors.push(e),
-                            Err(f @ UserFailure::Panic(_)) => {
-                                s.poisoned = true;
-                                s.errors.push(f.into_message());
-                            }
-                        }
-                    }
-                }
-                Cmd::Finish { patient, reply } => {
-                    let outcome = match sessions.remove(&patient) {
-                        Some(mut s) => {
-                            if !s.poisoned {
-                                let Session { live, out, .. } = &mut s;
-                                if let Err(f) = catch_user(|| live.finish(|w| out.absorb(w))) {
-                                    s.errors.push(f.into_message());
-                                }
-                            }
-                            if s.errors.is_empty() {
-                                Ok(s.out)
-                            } else {
-                                // All deferred errors, not just the first —
-                                // a monitor feed can violate the grid many
-                                // ways in one session.
-                                Err(s.errors.join("; "))
-                            }
-                        }
-                        None => Err(format!("patient {patient} not admitted")),
-                    };
-                    let _ = reply.send(outcome);
-                }
-                Cmd::Export { patient, reply } => {
-                    let outcome = match sessions.remove(&patient) {
-                        Some(mut s) if !s.poisoned => {
-                            // Drain complete rounds so only the margin suffix
-                            // (not unprocessed backlog) crosses the wire.
-                            let drained = {
-                                let Session { live, out, .. } = &mut s;
-                                catch_user(|| live.poll(|w| out.absorb(w)))
-                            };
-                            match drained {
-                                Err(f @ UserFailure::Panic(_)) => {
-                                    // Executor state is unknowable: keep the
-                                    // poisoned session here so finish reports.
-                                    s.poisoned = true;
-                                    s.errors.push(f.into_message());
-                                    sessions.insert(patient, s);
-                                    Err(format!("patient {patient} poisoned during export"))
-                                }
-                                other => {
-                                    if let Err(f) = other {
-                                        s.errors.push(f.into_message());
-                                    }
-                                    Ok(PatientHandoff {
-                                        snapshot: s.live.export_suffix(),
-                                        output: s.out,
-                                        errors: s.errors,
-                                    })
-                                }
-                            }
-                        }
-                        Some(s) => {
-                            let why = s.errors.join("; ");
-                            sessions.insert(patient, s);
-                            Err(format!(
-                                "patient {patient} session is poisoned, cannot hand off: {why}"
-                            ))
-                        }
-                        None => Err(format!("patient {patient} not admitted")),
-                    };
-                    let _ = reply.send(outcome);
-                }
-                Cmd::Import {
-                    patient,
-                    state,
-                    reply,
-                } => {
-                    use std::collections::hash_map::Entry;
-                    let outcome = match sessions.entry(patient) {
-                        Entry::Occupied(_) => Err(format!("patient {patient} already admitted")),
-                        Entry::Vacant(slot) => {
-                            let PatientHandoff {
-                                snapshot,
-                                output,
-                                errors,
-                            } = *state;
-                            catch_user(|| {
-                                factory().and_then(|compiled| {
-                                    LiveSession::import_suffix(compiled, round_ticks, snapshot)
-                                })
-                            })
-                            .map_err(UserFailure::into_message)
-                            .and_then(|mut live| {
-                                if let Some(store) = &store {
-                                    live.set_retire_sink(store.sink_for(patient));
-                                }
-                                // A failover peer ships an *empty* collector
-                                // it could not size; align it to the sink so
-                                // the first absorb doesn't panic on arity.
-                                let out = if output.is_empty() {
-                                    let arity = live.sink_arity().map_err(|e| e.to_string())?;
-                                    OutputCollector::new(arity)
-                                } else {
-                                    output
-                                };
-                                slot.insert(Session {
-                                    live,
-                                    out,
-                                    errors,
-                                    poisoned: false,
-                                });
-                                Ok(())
-                            })
-                        }
-                    };
-                    let _ = reply.send(outcome);
-                }
-                Cmd::Job(job) => job.run(&mut pool),
-                Cmd::Tails(ask) => {
-                    // A patient not live here (finished, on another machine,
-                    // or poisoned) is served from the durable tiers alone.
-                    let (patients, reply) = *ask;
-                    let tails = patients.iter().map(|p| match sessions.get(p) {
-                        Some(s) if !s.poisoned => Some(LiveOverlay {
-                            snapshot: s.live.export_suffix(),
-                            shapes: s.live.source_shapes(),
-                        }),
-                        _ => None,
-                    });
-                    let _ = reply.send(tails.collect());
-                }
-                Cmd::Pass(share) => shares.push_back(share),
-                Cmd::Shutdown => break 'serve,
-            }
-        }
-        if let Some(share) = shares.pop_front().and_then(PassShare::step) {
-            shares.push_front(share);
-        }
-    }
-}
-
-/// Extracts the shape facts of a freshly opened session for the admit
-/// reply.
-fn session_meta(live: &LiveSession) -> Result<SessionMeta, String> {
-    let arity = live.sink_arity().map_err(|e| e.to_string())?;
-    let sources = live
-        .source_shapes()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            Ok(SourceMeta {
-                offset: s.offset(),
-                period: s.period(),
-                margin: live.history_margin(i).map_err(|e| e.to_string())?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(SessionMeta {
-        round: live.round_dim(),
-        arity,
-        sources,
-    })
-}
-
-/// Applies one batch of runs to a shard's sessions — one session lookup
-/// and one [`LiveSession::push_run`] per run — counting drops (unknown
-/// patients) both into the shared counters and the return value.
-fn apply_batch(
-    sessions: &mut HashMap<PatientId, Session>,
-    batch: &RunBatch,
-    counters: &Counters,
-) -> u64 {
-    let mut dropped = 0u64;
-    let mut at = 0;
-    for run in &batch.runs {
-        let values = &batch.values[at..at + run.n];
-        at += run.n;
-        match sessions.get_mut(&run.patient) {
-            Some(s) if !s.poisoned => {
-                let Session { live, errors, .. } = s;
-                live.push_run(run.source, run.t0, run.dt, values, |e| {
-                    errors.push(e.to_string());
-                });
-            }
-            Some(_) => { /* poisoned: finish will report why */ }
-            None => dropped += run.n as u64,
-        }
-    }
-    if dropped > 0 {
-        counters
-            .dropped_unknown
-            .fetch_add(dropped, Ordering::Relaxed);
-    }
-    dropped
-}
-
-/// Why a user-code invocation failed — the distinction matters: an
-/// ordinary engine error leaves the session sound, a panic leaves its
-/// executor state unknowable (so the caller poisons it).
-enum UserFailure {
-    /// The engine returned an ordinary error.
-    Error(String),
-    /// User code panicked (the payload's text).
-    Panic(String),
-}
-
-impl UserFailure {
-    fn into_message(self) -> String {
-        match self {
-            UserFailure::Error(m) => m,
-            UserFailure::Panic(m) => format!("ingest worker panicked: {m}"),
-        }
-    }
-}
-
-/// Runs user-adjacent code, catching both `Err` and panics (same payload
-/// policy as batch jobs, via [`panic_text`]).
-fn catch_user<R>(f: impl FnOnce() -> lifestream_core::error::Result<R>) -> Result<R, UserFailure> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => r.map_err(|e| UserFailure::Error(e.to_string())),
-        Err(payload) => {
-            let text = panic_text(&*payload).unwrap_or("non-string panic payload");
-            Err(UserFailure::Panic(text.to_owned()))
-        }
     }
 }
 

@@ -7,26 +7,32 @@
 //! borrowing the shape of Timely Dataflow's workers — data is routed to
 //! long-lived workers rather than work being spawned per input.
 //!
-//! There is one worker model: the shard threads of a
-//! [`LiveIngest`], each fed by one bounded command
-//! channel. A shard runs three kinds of work, in channel order:
+//! There is one worker model: the shard threads of a [`LiveIngest`],
+//! each fed by one bounded command channel. Each thread owns one shard —
+//! its sessions, one warm executor and one queue of tasks (`shard.rs`) —
+//! and runs three kinds of work:
 //!
 //! * **Live sessions.** [`LiveIngest`] stages pushed
 //!   `(patient, source, t, v)` events client-side and ships them in
 //!   batches into the [`LiveSession`](lifestream_core::live::LiveSession)s
 //!   of the patients hash-routed to each shard, with round-aligned
-//!   polling and bounded memory end to end.
+//!   polling and bounded memory end to end. These commands are served in
+//!   channel order.
 //! * **Batch jobs.** [`ShardedRuntime`] is a facade over a shard set that
 //!   admits no sessions. A job holds no patient state, so
 //!   [`submit`](ShardedRuntime::submit) queues it and wakes the shard
 //!   with the fewest wake-ups in flight; a free shard takes the next
-//!   queued job, and the shard's bounded channel is the backpressure. Each shard keeps one warm executor, recycled across
-//!   patients via [`Executor::recycle`], so locality tracing, memory
-//!   planning, and static allocation happen once per shard — not once per
-//!   patient.
-//! * **History cohort passes.** [`LiveIngest::history`]
-//!   splits each pass of a cohort query by owning shard; each shard
-//!   snapshots its own sessions and replays its share of the pass.
+//!   queued job. The shard's bounded channel is the backpressure.
+//! * **History cohort passes.** [`LiveIngest::history`] splits each pass
+//!   of a cohort query by owning shard; each shard snapshots its own
+//!   sessions and replays its share of the pass.
+//!
+//! A woken job and a pass share are tasks in the shard's queue, and each
+//! advances one patient per step, with the waiting commands served in
+//! between. Shutting down runs the queued tasks to the end. Each shard
+//! keeps one warm executor for its jobs, recycled across patients via
+//! [`Executor::recycle`], so locality tracing, memory planning, and
+//! static allocation happen once per shard — not once per patient.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -58,6 +64,7 @@
 
 pub mod ingest;
 mod pool;
+mod shard;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -215,11 +222,6 @@ impl ShardedRuntime {
         }
     }
 
-    /// Shard count.
-    pub fn workers(&self) -> usize {
-        self.shards.workers()
-    }
-
     /// Queues one patient job and wakes the shard with the fewest
     /// wake-ups in flight (the lowest index on a tie). A job holds no
     /// patient state, so whichever shard is free first takes it: a long
@@ -230,11 +232,6 @@ impl ShardedRuntime {
     pub fn submit(&self, patient: PatientId, sources: Vec<SignalData>) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.shards.run_job(self.jobs.enqueue(patient, sources));
-    }
-
-    /// Jobs submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
     }
 
     /// Blocks until the next completed job's report arrives. Returns
@@ -274,7 +271,7 @@ impl ShardedRuntime {
 impl std::fmt::Debug for ShardedRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRuntime")
-            .field("workers", &self.workers())
+            .field("shards", &self.shards)
             .field("submitted", &self.submitted)
             .finish()
     }
@@ -427,6 +424,18 @@ mod tests {
         assert!(reports.iter().all(|r| r.outcome == JobOutcome::Ok));
         let stats = rt.shutdown();
         assert_eq!(stats.completed, jobs);
+    }
+
+    #[test]
+    fn shutdown_finishes_every_queued_job() {
+        // Three channels' worth of jobs on one shard, none received:
+        // shutdown must still run every one of them to its report.
+        let rt = ShardedRuntime::new(doubler_factory(), ShardedConfig::with_workers(1));
+        let jobs = 3 * IngestConfig::new(1, 1).channel_cap as u64;
+        for p in 0..jobs {
+            rt.submit(p, vec![ramp(200, p as f32)]);
+        }
+        assert_eq!(rt.shutdown().completed, jobs);
     }
 
     #[test]

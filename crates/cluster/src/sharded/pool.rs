@@ -11,18 +11,17 @@
 //! win is in reusing warmed-up execution state on the hot path.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
-use lifestream_core::error::panic_text;
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::query::CompiledQuery;
 use lifestream_core::source::SignalData;
 use lifestream_core::stats::RunStats;
 use lifestream_core::time::{StreamShape, Tick};
 
+use super::shard::catch_panic;
 use super::{JobOutcome, PatientId, PatientReport, RuntimeStats, ShardedConfig};
 
 /// Builds a compiled query. A shard invokes this on its first batch job
@@ -91,6 +90,7 @@ impl Jobs {
         Job {
             shard,
             jobs: Arc::clone(self),
+            next: None,
         }
     }
 
@@ -115,51 +115,53 @@ impl Jobs {
 }
 
 /// A wake-up for the shard [`Jobs::enqueue`] picked, as it travels on
-/// that shard's channel: the shard runs queued jobs until none is left.
+/// that shard's channel and then waits in its task queue: each step runs
+/// one queued job, until none is left.
 pub(crate) struct Job {
     pub(crate) shard: usize,
     jobs: Arc<Jobs>,
+    /// The job this wake-up runs next, taken off the queue before the
+    /// last report went out.
+    next: Option<(PatientId, Vec<SignalData>)>,
 }
 
 impl Job {
-    /// Runs queued jobs on the shard's pool, one report each.
+    /// Runs the next queued job on the shard's pool, with one report.
+    /// Returns whether the wake-up has a job left; once it has not, the
+    /// shard's slot is free.
     ///
     /// Every job must produce exactly one report — the runtime's
     /// claimed-vs-submitted accounting depends on it — so a panic in user
     /// code (pipeline factory, kernel closure) is caught and reported as a
     /// failure rather than killing the shard. The warm executor's state is
     /// unknowable after an unwind, so the pool is rebuilt.
-    pub(crate) fn run(self, pool: &mut ExecutorPool) {
-        let Job { shard, jobs } = self;
-        let mut next = jobs.take(shard);
-        while let Some((patient, sources)) = next {
-            let run = catch_unwind(AssertUnwindSafe(|| pool.run(&jobs, sources))).unwrap_or_else(
-                |payload| {
-                    *pool = ExecutorPool::default();
-                    Err(JobOutcome::Failed(format!(
-                        "shard worker panicked: {}",
-                        panic_text(&*payload).unwrap_or("non-string panic payload")
-                    )))
-                },
-            );
-            let (stats, collected, outcome) = match run {
-                Ok((stats, collected)) => (stats, collected, JobOutcome::Ok),
-                Err(outcome) => (RunStats::default(), None, outcome),
-            };
-            // Take the next job (or free the slot) before the report is
-            // out, so a caller who has the report never sees this shard
-            // busy with it.
-            next = jobs.take(shard);
-            jobs.completed.fetch_add(1, Ordering::Relaxed);
-            let _ = jobs.reports.send(PatientReport {
-                patient,
-                shard,
-                input_events: stats.input_events,
-                output_events: stats.output_events,
-                collected,
-                outcome,
-            });
-        }
+    pub(crate) fn step(&mut self, pool: &mut ExecutorPool) -> bool {
+        let Some((patient, sources)) = self.next.take().or_else(|| self.jobs.take(self.shard))
+        else {
+            return false;
+        };
+        let run = catch_panic(|| pool.run(&self.jobs, sources)).unwrap_or_else(|panic| {
+            *pool = ExecutorPool::default();
+            Err(JobOutcome::Failed(panic))
+        });
+        let (stats, collected, outcome) = match run {
+            Ok((stats, collected)) => (stats, collected, JobOutcome::Ok),
+            Err(outcome) => (RunStats::default(), None, outcome),
+        };
+        // Take the next job (or free the slot) before the report is out,
+        // so a caller who has the report never sees this shard busy with
+        // it.
+        self.next = self.jobs.take(self.shard);
+        self.jobs.completed.fetch_add(1, Ordering::Relaxed);
+        let _ = self.jobs.reports.send(PatientReport {
+            patient,
+            shard: self.shard,
+            input_events: stats.input_events,
+            output_events: stats.output_events,
+            collected,
+            outcome,
+        });
+        self.next.is_some()
     }
 }
 
