@@ -857,8 +857,8 @@ impl LiveIngest {
         Ok(CohortReport::new(range, outputs).with_scan(scan))
     }
 
-    /// Sends one batch job to the shard [`Job::shard`] names. Blocks while
-    /// that shard's bounded channel is full (backpressure).
+    /// Sends one batch job's wake-up to the shard [`Job::shard`] names.
+    /// Blocks while that shard's bounded channel is full.
     pub(super) fn run_job(&self, job: Job) {
         let shard = job.shard;
         let _ = self.txs[shard].send(Cmd::Task(Task::Job(job)));

@@ -22,7 +22,8 @@
 //!   admits no sessions. A job holds no patient state, so
 //!   [`submit`](ShardedRuntime::submit) queues it and wakes the shard
 //!   with the fewest wake-ups in flight; a free shard takes the next
-//!   queued job. The shard's bounded channel is the backpressure.
+//!   queued job. The queue holds a channel's depth of jobs a shard; a
+//!   full one is the backpressure.
 //! * **History cohort passes.** [`LiveIngest::history`] splits each pass
 //!   of a cohort query by owning shard; each shard snapshots its own
 //!   sessions and replays its share of the pass.
@@ -211,11 +212,12 @@ impl ShardedRuntime {
     /// first job.
     pub fn new(factory: PipelineFactory, cfg: ShardedConfig) -> Self {
         let (tx, rx) = channel();
-        let jobs = Arc::new(Jobs::new(PipelineFactory::clone(&factory), &cfg, tx));
         // The session round length is never used: no session is admitted.
         let round = cfg.round_ticks.unwrap_or(1);
+        let shards = LiveIngest::new(PipelineFactory::clone(&factory), cfg.workers, round);
+        let jobs = Arc::new(Jobs::new(factory, &cfg, shards.channel_cap(), tx));
         Self {
-            shards: LiveIngest::new(factory, cfg.workers, round),
+            shards,
             jobs,
             results: Mutex::new((rx, 0)),
             submitted: AtomicU64::new(0),
@@ -225,9 +227,9 @@ impl ShardedRuntime {
     /// Queues one patient job and wakes the shard with the fewest
     /// wake-ups in flight (the lowest index on a tie). A job holds no
     /// patient state, so whichever shard is free first takes it: a long
-    /// job holds no shorter one behind it. Blocks while the woken shard's
-    /// bounded channel ([`IngestConfig::channel_cap`]) is full: a slow
-    /// shard exerts backpressure on submitters instead of queueing
+    /// job holds no shorter one behind it. Blocks while `workers ×`
+    /// [`IngestConfig::channel_cap`] submitted jobs wait for a shard: slow
+    /// shards exert backpressure on submitters instead of queueing
     /// unboundedly.
     pub fn submit(&self, patient: PatientId, sources: Vec<SignalData>) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
@@ -424,6 +426,79 @@ mod tests {
         assert!(reports.iter().all(|r| r.outcome == JobOutcome::Ok));
         let stats = rt.shutdown();
         assert_eq!(stats.completed, jobs);
+    }
+
+    #[test]
+    fn a_slow_shard_holds_submit_back_at_the_queue_bound() {
+        // A job whose first sample is -k stalls until gate k opens. A
+        // shard serves its channel between jobs, so the channel alone does
+        // not bound the queue: submit must wait once one channel's depth
+        // of jobs (one shard) is queued.
+        let cap = IngestConfig::new(1, 1).channel_cap;
+        let gate = Arc::new((Mutex::new(0u32), std::sync::Condvar::new()));
+        let held = Arc::clone(&gate);
+        let (entered, stalled) = channel::<u32>();
+        let factory: PipelineFactory = Arc::new(move || {
+            let (held, entered) = (Arc::clone(&held), entered.clone());
+            let q = Query::new();
+            q.source("s", StreamShape::new(0, 1))
+                .select(1, move |i, o| {
+                    if i[0] < 0.0 {
+                        let k = -i[0] as u32;
+                        let _ = entered.send(k);
+                        let (open, wake) = &*held;
+                        let mut open = open.lock().unwrap();
+                        // A deadlock guard, not a timing assert.
+                        let guard = Duration::from_secs(30);
+                        open = wake.wait_timeout_while(open, guard, |o| *o < k).unwrap().0;
+                        drop(open);
+                    }
+                    o[0] = i[0];
+                })?
+                .sink();
+            q.compile()
+        });
+        let stall = |k: u32| {
+            let values = std::iter::once(-(k as f32)).chain((1..10).map(|v| v as f32));
+            vec![SignalData::dense(StreamShape::new(0, 1), values.collect())]
+        };
+        let open = |k: u32| {
+            *gate.0.lock().unwrap() = k;
+            gate.1.notify_all();
+        };
+        let guard = Duration::from_secs(30);
+        let rt = ShardedRuntime::new(factory, ShardedConfig::with_workers(1));
+        rt.submit(0, stall(1));
+        assert_eq!(stalled.recv_timeout(guard).unwrap(), 1);
+        // The queue fills to its bound behind the stalled job.
+        rt.submit(1, stall(2));
+        for p in 2..=cap as u64 {
+            rt.submit(p, vec![ramp(10, 0.0)]);
+        }
+        // The shard finishes job 0, reads its whole channel, and stalls in
+        // job 1: one place in the queue is free, the channel is empty.
+        open(1);
+        assert_eq!(stalled.recv_timeout(guard).unwrap(), 2);
+        let late = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for p in 0..cap as u64 {
+                    rt.submit(1000 + p, vec![ramp(10, 0.0)]);
+                    late.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            let start = std::time::Instant::now();
+            while late.load(Ordering::SeqCst) == 0 && start.elapsed() < guard {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(200));
+            let before_room = late.load(Ordering::SeqCst);
+            open(2);
+            assert_eq!(before_room, 1, "submit queued past the bound");
+        });
+        let total = 2 * cap + 1;
+        assert_eq!(rt.drain(total).len(), total);
+        assert_eq!(rt.shutdown().completed, total as u64);
     }
 
     #[test]

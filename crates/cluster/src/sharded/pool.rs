@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::query::CompiledQuery;
@@ -37,10 +37,15 @@ pub(crate) struct Jobs {
     opts: ExecOptions,
     collect: bool,
     mem_cap: Option<usize>,
-    /// Submitted jobs no shard has taken yet. A shard takes the next one
-    /// only when it is free, so a long job holds no shorter one behind it.
+    /// Submitted jobs no shard has taken yet. A shard takes one only as
+    /// it starts to run it, so a long job holds no shorter one behind it.
     queue: Mutex<VecDeque<(PatientId, Vec<SignalData>)>>,
-    /// Wake-ups sent to each shard and not yet spent.
+    /// The most jobs `queue` holds: [`enqueue`](Self::enqueue) waits on
+    /// `taken` while it is full, so slow shards hold submitters back.
+    bound: usize,
+    taken: Condvar,
+    /// Wake-ups sent to each shard and not yet spent: each live [`Job`]
+    /// holds one until it is dropped.
     in_flight: Vec<AtomicUsize>,
     compiles: AtomicU64,
     recycles: AtomicU64,
@@ -50,11 +55,15 @@ pub(crate) struct Jobs {
 }
 
 impl Jobs {
+    /// Jobs for `cfg.workers` shards whose queue holds at most
+    /// `channel_cap` jobs a shard.
     pub(crate) fn new(
         factory: PipelineFactory,
         cfg: &ShardedConfig,
+        channel_cap: usize,
         reports: Sender<PatientReport>,
     ) -> Self {
+        let workers = cfg.workers.max(1);
         let mut opts = ExecOptions::default();
         if let Some(t) = cfg.round_ticks {
             opts = opts.with_round_ticks(t);
@@ -65,9 +74,9 @@ impl Jobs {
             collect: cfg.collect,
             mem_cap: cfg.mem_cap_per_worker,
             queue: Mutex::default(),
-            in_flight: (0..cfg.workers.max(1))
-                .map(|_| AtomicUsize::new(0))
-                .collect(),
+            bound: workers * channel_cap.max(1),
+            taken: Condvar::new(),
+            in_flight: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             compiles: AtomicU64::new(0),
             recycles: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -76,13 +85,16 @@ impl Jobs {
         }
     }
 
-    /// Queues a job and returns the wake-up for the shard with the fewest
-    /// wake-ups in flight (the lowest index on a tie), claiming its slot.
+    /// Queues a job, once the queue has room, and returns the wake-up for
+    /// the shard with the fewest wake-ups in flight (the lowest index on a
+    /// tie), claiming its slot.
     pub(crate) fn enqueue(self: &Arc<Self>, patient: PatientId, sources: Vec<SignalData>) -> Job {
-        self.queue
-            .lock()
-            .expect("job queue")
-            .push_back((patient, sources));
+        let queue = self.queue.lock().expect("job queue");
+        let mut queue = (self.taken)
+            .wait_while(queue, |q| q.len() >= self.bound)
+            .expect("job queue");
+        queue.push_back((patient, sources));
+        drop(queue);
         let shard = (0..self.in_flight.len())
             .min_by_key(|&s| self.in_flight[s].load(Ordering::Relaxed))
             .expect("at least one shard");
@@ -90,17 +102,13 @@ impl Jobs {
         Job {
             shard,
             jobs: Arc::clone(self),
-            next: None,
         }
     }
 
-    /// The next queued job; `None`, with `shard`'s slot freed, once the
-    /// queue is empty.
-    fn take(&self, shard: usize) -> Option<(PatientId, Vec<SignalData>)> {
+    /// The next queued job, making room for a waiting submitter.
+    fn take(&self) -> Option<(PatientId, Vec<SignalData>)> {
         let next = self.queue.lock().expect("job queue").pop_front();
-        if next.is_none() {
-            self.in_flight[shard].fetch_sub(1, Ordering::Relaxed);
-        }
+        self.taken.notify_one();
         next
     }
 
@@ -115,31 +123,27 @@ impl Jobs {
 }
 
 /// A wake-up for the shard [`Jobs::enqueue`] picked, as it travels on
-/// that shard's channel and then waits in its task queue: each step runs
-/// one queued job, until none is left.
+/// that shard's channel and then waits in its task queue: each step takes
+/// one queued job and runs it, until none is left. Dropping it frees the
+/// shard's slot, so a shard that already keeps one drops the next.
 pub(crate) struct Job {
     pub(crate) shard: usize,
     jobs: Arc<Jobs>,
-    /// The job this wake-up runs next, taken off the queue before the
-    /// last report went out.
-    next: Option<(PatientId, Vec<SignalData>)>,
 }
 
 impl Job {
-    /// Runs the next queued job on the shard's pool, with one report.
-    /// Returns whether the wake-up has a job left; once it has not, the
-    /// shard's slot is free.
+    /// Takes the next queued job and runs it on the shard's pool, with one
+    /// report. Returns the wake-up while a job is left; once none is, it is
+    /// dropped. Between steps the wake-up holds no job, so a job waits for
+    /// whichever shard is free first.
     ///
     /// Every job must produce exactly one report — the runtime's
     /// claimed-vs-submitted accounting depends on it — so a panic in user
     /// code (pipeline factory, kernel closure) is caught and reported as a
     /// failure rather than killing the shard. The warm executor's state is
     /// unknowable after an unwind, so the pool is rebuilt.
-    pub(crate) fn step(&mut self, pool: &mut ExecutorPool) -> bool {
-        let Some((patient, sources)) = self.next.take().or_else(|| self.jobs.take(self.shard))
-        else {
-            return false;
-        };
+    pub(crate) fn step(self, pool: &mut ExecutorPool) -> Option<Self> {
+        let (patient, sources) = self.jobs.take()?;
         let run = catch_panic(|| pool.run(&self.jobs, sources)).unwrap_or_else(|panic| {
             *pool = ExecutorPool::default();
             Err(JobOutcome::Failed(panic))
@@ -148,20 +152,27 @@ impl Job {
             Ok((stats, collected)) => (stats, collected, JobOutcome::Ok),
             Err(outcome) => (RunStats::default(), None, outcome),
         };
-        // Take the next job (or free the slot) before the report is out,
-        // so a caller who has the report never sees this shard busy with
-        // it.
-        self.next = self.jobs.take(self.shard);
-        self.jobs.completed.fetch_add(1, Ordering::Relaxed);
-        let _ = self.jobs.reports.send(PatientReport {
+        let (jobs, shard) = (Arc::clone(&self.jobs), self.shard);
+        // Free the slot, when no job is left, before the report is out, so
+        // a caller who has the report never sees this shard busy with it.
+        let more = !jobs.queue.lock().expect("job queue").is_empty();
+        let next = more.then_some(self);
+        jobs.completed.fetch_add(1, Ordering::Relaxed);
+        let _ = jobs.reports.send(PatientReport {
             patient,
-            shard: self.shard,
+            shard,
             input_events: stats.input_events,
             output_events: stats.output_events,
             collected,
             outcome,
         });
-        self.next.is_some()
+        next
+    }
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        self.jobs.in_flight[self.shard].fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -255,8 +266,22 @@ mod tests {
         })
     }
 
+    impl Jobs {
+        /// Jobs no shard has taken, and wake-ups not yet spent.
+        pub(crate) fn backlog(&self) -> (usize, usize) {
+            let queued = self.queue.lock().expect("job queue").len();
+            let woken = self.in_flight.iter().map(|n| n.load(Ordering::Relaxed));
+            (queued, woken.sum())
+        }
+    }
+
     fn jobs(cfg: ShardedConfig) -> Jobs {
-        Jobs::new(factory(), &cfg.collecting(), std::sync::mpsc::channel().0)
+        Jobs::new(
+            factory(),
+            &cfg.collecting(),
+            1,
+            std::sync::mpsc::channel().0,
+        )
     }
 
     fn ramp(n: usize) -> SignalData {
@@ -304,6 +329,7 @@ mod tests {
         let jobs = Jobs::new(
             factory,
             &ShardedConfig::with_workers(1),
+            1,
             std::sync::mpsc::channel().0,
         );
         let mut pool = ExecutorPool::default();

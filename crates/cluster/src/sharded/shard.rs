@@ -5,9 +5,11 @@
 //! the one warm [`ExecutorPool`] it keeps for batch jobs, and one queue
 //! of [`Task`]s — long work that advances one patient per
 //! [`step`](Shard::step): a [`ShardedRuntime`](super::ShardedRuntime)'s
-//! batch jobs, or this shard's share of a history cohort pass. Every
-//! request is a plain method, so a unit test drives a shard with no
-//! thread and no channel.
+//! batch jobs, or this shard's share of a history cohort pass. A shard
+//! keeps at most one job task, and it takes a job off the runtime's
+//! shared queue only as it starts to run it, so no job waits on a busy
+//! shard while another is free. Every request is a plain method, so a
+//! unit test drives a shard with no thread and no channel.
 //!
 //! The thread loop ([`ingest_loop`]) blocks only when no task is queued.
 //! It takes the commands already waiting — at most a channel's depth, so
@@ -329,12 +331,21 @@ impl Shard {
         }
     }
 
+    /// Queues `task` behind the others. One job task takes every queued
+    /// job in turn, so a wake-up that finds one here is dropped at once.
+    pub(super) fn queue(&mut self, task: Task) {
+        match task {
+            Task::Job(_) if self.tasks.iter().any(|t| matches!(t, Task::Job(_))) => {}
+            task => self.tasks.push_back(task),
+        }
+    }
+
     /// Advances the first queued task by one patient; a task with
     /// patients left goes to the back of the queue. Returns whether any
     /// task is queued.
     pub(super) fn step(&mut self) -> bool {
         let left = match self.tasks.pop_front() {
-            Some(Task::Job(mut job)) => job.step(&mut self.pool).then_some(Task::Job(job)),
+            Some(Task::Job(job)) => job.step(&mut self.pool).map(Task::Job),
             Some(Task::Pass(share)) => share.step().map(Task::Pass),
             None => None,
         };
@@ -431,7 +442,7 @@ pub(super) fn ingest_loop(rx: Receiver<Cmd>, mut shard: Shard, depth: usize) {
                 }
                 Cmd::Poll => shard.poll(),
                 Cmd::Call(call) => call(&mut shard),
-                Cmd::Task(task) => shard.tasks.push_back(task),
+                Cmd::Task(task) => shard.queue(task),
                 Cmd::Shutdown => {
                     while shard.step() {}
                     return;
@@ -584,12 +595,13 @@ mod tests {
         let jobs = Arc::new(Jobs::new(
             factory(),
             &ShardedConfig::with_workers(1),
+            8,
             reports,
         ));
         let ramp = || SignalData::dense(StreamShape::new(0, 2), vec![1.0; 50]);
         let job = jobs.enqueue(10, vec![ramp()]);
         jobs.enqueue(11, vec![ramp()]);
-        shard.tasks.push_back(Task::Job(job));
+        shard.queue(Task::Job(job));
         let compiled = factory()().unwrap();
         let shapes = compiled.source_shapes();
         let exec = empty_executor(compiled, ROUND).unwrap();
@@ -625,5 +637,40 @@ mod tests {
         assert_eq!(outputs.len(), 2);
         assert!(outputs.iter().all(|o| o.len() == 100));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_job_task_takes_each_job_only_as_it_runs_it() {
+        let mut shard = shard();
+        let (reports, reported) = std::sync::mpsc::channel();
+        let jobs = Arc::new(Jobs::new(
+            factory(),
+            &ShardedConfig::with_workers(1),
+            8,
+            reports,
+        ));
+        let ramp = || SignalData::dense(StreamShape::new(0, 2), vec![1.0; 50]);
+        // Three jobs, three wake-ups: the first becomes the shard's job
+        // task, the other two are spent on arrival.
+        for p in 0..3 {
+            shard.queue(Task::Job(jobs.enqueue(p, vec![ramp()])));
+        }
+        assert_eq!(shard.tasks.len(), 1);
+        assert_eq!(jobs.backlog(), (3, 1));
+        // (task left, jobs queued, wake-ups in flight, jobs reported) after
+        // each step: every job is either queued or reported, never held.
+        let mut progress = Vec::new();
+        let mut reports = 0;
+        let mut left = true;
+        while left {
+            left = shard.step();
+            reports += reported.try_iter().count();
+            let (queued, woken) = jobs.backlog();
+            progress.push((left, queued, woken, reports));
+        }
+        assert_eq!(
+            progress,
+            [(true, 2, 1, 1), (true, 1, 1, 2), (false, 0, 0, 3)]
+        );
     }
 }

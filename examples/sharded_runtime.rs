@@ -3,8 +3,8 @@
 //! Two faces of the same service:
 //!
 //! 1. **Batch jobs** — a stream of arriving patients is submitted to a
-//!    fixed set of shard threads over their *bounded* channels (a slow
-//!    shard backpressures `submit` instead of queueing without limit),
+//!    fixed set of shard threads through a *bounded* job queue (slow
+//!    shards backpressure `submit` instead of queueing without limit),
 //!    each job taken by whichever shard is free first; each shard
 //!    compiles the pipeline once and recycles its warmed executor for
 //!    every later patient.
