@@ -42,6 +42,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The crates reachable from a socket or the disk never `unwrap`: a
+// failure there is an error value, not a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod history;
 pub mod machines;

@@ -125,8 +125,6 @@ pub struct RemoteHealth {
     pub reconnects: u64,
     /// Window frames re-sent across all reconnects.
     pub frames_replayed: u64,
-    /// Failed dial/handshake attempts since the last success.
-    pub consecutive_failures: u64,
 }
 
 /// What kind of reply an un-acked in-flight frame owes us.
@@ -156,6 +154,85 @@ struct Wire {
     writer: BufWriter<TcpStream>,
 }
 
+impl Wire {
+    /// The one dial: connects to `addr` and opens connection `epoch` of
+    /// `session` with `Hello`. `connect` dials epoch 0; every redial
+    /// dials the next epoch. Returns the wire and the server's `Resume`:
+    /// `(last_applied_seq, cum_samples, cum_dropped)`.
+    fn dial(
+        addr: &SocketAddr,
+        cfg: &RemoteConfig,
+        session: u64,
+        epoch: u64,
+        last_acked_seq: u64,
+    ) -> io::Result<(Self, (u64, u64, u64))> {
+        let sock = TcpStream::connect_timeout(addr, cfg.connect_timeout)?;
+        sock.set_nodelay(true)?;
+        sock.set_read_timeout(cfg.read_timeout)?;
+        sock.set_write_timeout(cfg.write_timeout)?;
+        let mut wire = Self {
+            reader: BufReader::with_capacity(SOCKET_BUF, sock.try_clone()?),
+            writer: BufWriter::with_capacity(SOCKET_BUF, sock),
+        };
+        let hello = WireCmd::Hello {
+            session,
+            epoch,
+            last_acked_seq,
+        };
+        wire::write_frame(&mut wire.writer, &wire::encode_cmd(0, &hello))?;
+        match wire.reply()? {
+            WireReply::Resume {
+                last_applied_seq,
+                cum_samples,
+                cum_dropped,
+            } => Ok((wire, (last_applied_seq, cum_samples, cum_dropped))),
+            WireReply::Err(e) => Err(fatal(format!("server refused resume: {e}"))),
+            _ => Err(fatal("unexpected reply to Hello")),
+        }
+    }
+
+    /// The one reply reader. It first sends whatever is still buffered
+    /// when the read may block (the rule on both ends: flush before
+    /// blocking on a read), then reads and decodes one reply. A broken
+    /// socket, a timeout or a clean close by the server is retryable
+    /// ([`wire::retryable_io`]); a reply that does not decode is fatal.
+    fn reply(&mut self) -> io::Result<WireReply> {
+        if self.reader.buffer().is_empty() {
+            self.writer.flush()?;
+        }
+        let payload = wire::read_frame(&mut self.reader)?.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "server closed the connection",
+            )
+        })?;
+        wire::decode_reply(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+}
+
+/// A protocol failure no redial can clear: the peer sent what the
+/// protocol forbids, or lost the session. Like a reply that does not
+/// decode, it is `InvalidData`, which [`wire::retryable_io`] refuses.
+fn fatal(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Whether a failure is the protocol's ([`fatal`], or a reply that does
+/// not decode) rather than the transport's.
+fn is_protocol(e: &io::Error) -> bool {
+    e.kind() == io::ErrorKind::InvalidData
+}
+
+/// How a failure that ends the session reads in
+/// [`RemoteIngest::last_error`].
+fn describe(e: &io::Error) -> String {
+    if is_protocol(e) {
+        format!("protocol: {e}")
+    } else {
+        format!("transport: {e}")
+    }
+}
+
 struct Conn {
     /// `None` only while disconnected mid-reconnect.
     wire: Option<Wire>,
@@ -179,11 +256,19 @@ struct Conn {
     closing: bool,
 }
 
-/// Whether a redial round failed softly (try again) or fatally (the
-/// session is unrecoverable: state lost, protocol violated).
-enum RetryFail {
-    Again(String),
-    Fatal(String),
+impl Conn {
+    fn wire(&mut self) -> io::Result<&mut Wire> {
+        self.wire
+            .as_mut()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))
+    }
+
+    /// Whether a reply has already arrived, so reading it cannot block.
+    fn reply_waiting(&self) -> bool {
+        self.wire
+            .as_ref()
+            .is_some_and(|w| !w.reader.buffer().is_empty())
+    }
 }
 
 static SESSION_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -195,10 +280,6 @@ fn fresh_session_id() -> u64 {
         .unwrap_or(0);
     let n = SESSION_COUNTER.fetch_add(1, Ordering::Relaxed);
     splitmix64(n.wrapping_mul(GOLDEN_GAMMA) ^ (nanos << 32) ^ u64::from(std::process::id()))
-}
-
-fn not_connected() -> io::Error {
-    io::Error::new(io::ErrorKind::NotConnected, "not connected")
 }
 
 /// A [`LiveIngest`](crate::sharded::LiveIngest)-shaped front end whose
@@ -226,6 +307,11 @@ fn not_connected() -> io::Error {
 /// stream is byte-identical to an uninterrupted one. Only when every
 /// redial fails is the session declared dead ([`is_dead`](Self::is_dead));
 /// cleanup ([`shutdown`](Self::shutdown)/`Drop`) never errors either way.
+///
+/// Each step of that protocol has one home: one dial (`Wire::dial`), one
+/// reply reader (`Wire::reply`), one settle per ack (`settle`), and one
+/// recovery rule (`recover`) that every windowed send, ack drain and
+/// synchronous call hands its failures to.
 pub struct RemoteIngest {
     conn: Mutex<Conn>,
     cfg: RemoteConfig,
@@ -236,30 +322,30 @@ pub struct RemoteIngest {
 }
 
 impl RemoteIngest {
-    /// Connects to a shard server and performs the session handshake.
+    /// Connects to a shard server and performs the session handshake,
+    /// trying each address `addr` resolves to until one answers.
     ///
     /// # Errors
     /// Propagates connection/handshake failures.
     pub fn connect<A: ToSocketAddrs>(addr: A, cfg: RemoteConfig) -> io::Result<Self> {
-        let mut last: Option<io::Error> = None;
-        let mut dialed: Option<(SocketAddr, TcpStream)> = None;
+        let session = fresh_session_id();
+        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to");
+        let mut dialed = None;
         for a in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&a, cfg.connect_timeout) {
-                Ok(sock) => {
-                    dialed = Some((a, sock));
+            match Wire::dial(&a, &cfg, session, 0, 0) {
+                Ok((wire, _)) => {
+                    dialed = Some((a, wire));
                     break;
                 }
-                Err(e) => last = Some(e),
+                Err(e) => last = e,
             }
         }
-        let Some((addr, sock)) = dialed else {
-            return Err(last.unwrap_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to")
-            }));
+        let Some((addr, wire)) = dialed else {
+            return Err(last);
         };
-        let client = Self {
+        Ok(Self {
             conn: Mutex::new(Conn {
-                wire: None,
+                wire: Some(wire),
                 staged: Vec::new(),
                 window: VecDeque::new(),
                 next_seq: 1,
@@ -273,16 +359,9 @@ impl RemoteIngest {
             }),
             cfg,
             addr,
-            session: fresh_session_id(),
+            session,
             dead_flag: AtomicBool::new(false),
-        };
-        let mut wire = client.open_wire(sock)?;
-        match client.hello_exchange(&mut wire, 0, 0) {
-            Ok(_) => {}
-            Err(RetryFail::Again(e)) | Err(RetryFail::Fatal(e)) => return Err(io::Error::other(e)),
-        }
-        client.conn.lock().expect("conn lock").wire = Some(wire);
-        Ok(client)
+        })
     }
 
     /// Admits a patient on the server (synchronous round trip).
@@ -302,12 +381,10 @@ impl RemoteIngest {
     /// Returns the server's compile/duplicate error, or the transport
     /// error that killed the connection.
     pub fn admit_meta(&self, patient: PatientId) -> Result<SessionMeta, String> {
-        let mut c = self.conn.lock().expect("conn lock");
-        match self.roundtrip(&mut c, &WireCmd::Admit { patient })? {
-            WireReply::Admitted { meta } => Ok(meta),
-            WireReply::Err(e) => Err(e),
-            _ => Err(self.poison(&mut c, "protocol: unexpected reply to Admit")),
-        }
+        self.request(&WireCmd::Admit { patient }, |reply| match reply {
+            WireReply::Admitted { meta } => Some(meta),
+            _ => None,
+        })
     }
 
     /// Stages one sample; ships a batch frame at the configured batch
@@ -336,7 +413,10 @@ impl RemoteIngest {
         }
         let _ = self.ship_staged(&mut c);
         let _ = self.send_windowed(&mut c, &WireCmd::Poll, Pending::Poll);
-        let _ = self.flush_wire(&mut c);
+        if c.dead.is_none() {
+            let sent = c.wire().and_then(|w| w.writer.flush());
+            let _ = sent.or_else(|e| self.recover(&mut c, e, true));
+        }
     }
 
     /// Ends a patient's stream and returns everything it emitted.
@@ -345,12 +425,10 @@ impl RemoteIngest {
     /// Returns the server's deferred errors, or the transport error that
     /// killed the connection.
     pub fn finish(&self, patient: PatientId) -> Result<OutputCollector, String> {
-        let mut c = self.conn.lock().expect("conn lock");
-        match self.roundtrip(&mut c, &WireCmd::Finish { patient })? {
-            WireReply::Output(out) => Ok(out),
-            WireReply::Err(e) => Err(e),
-            _ => Err(self.poison(&mut c, "protocol: unexpected reply to Finish")),
-        }
+        self.request(&WireCmd::Finish { patient }, |reply| match reply {
+            WireReply::Output(out) => Some(out),
+            _ => None,
+        })
     }
 
     /// Exports a patient's session for handoff (synchronous; drains the
@@ -360,12 +438,10 @@ impl RemoteIngest {
     /// Returns the server's error for unknown/poisoned patients, or the
     /// transport error.
     pub fn export_patient(&self, patient: PatientId) -> Result<PatientHandoff, String> {
-        let mut c = self.conn.lock().expect("conn lock");
-        match self.roundtrip(&mut c, &WireCmd::Export { patient })? {
-            WireReply::Handoff(state) => Ok(*state),
-            WireReply::Err(e) => Err(e),
-            _ => Err(self.poison(&mut c, "protocol: unexpected reply to Export")),
-        }
+        self.request(&WireCmd::Export { patient }, |reply| match reply {
+            WireReply::Handoff(state) => Some(*state),
+            _ => None,
+        })
     }
 
     /// Imports a patient session exported elsewhere onto this server.
@@ -374,16 +450,11 @@ impl RemoteIngest {
     /// Returns the server's compile/duplicate error, or the transport
     /// error.
     pub fn import_patient(&self, patient: PatientId, state: PatientHandoff) -> Result<(), String> {
-        let mut c = self.conn.lock().expect("conn lock");
         let cmd = WireCmd::Import {
             patient,
             state: Box::new(state),
         };
-        match self.roundtrip(&mut c, &cmd)? {
-            WireReply::Ok => Ok(()),
-            WireReply::Err(e) => Err(e),
-            _ => Err(self.poison(&mut c, "protocol: unexpected reply to Import")),
-        }
+        self.request(&cmd, |reply| matches!(reply, WireReply::Ok).then_some(()))
     }
 
     /// One patient's retrospective roundtrip: re-runs the server-side
@@ -400,7 +471,6 @@ impl RemoteIngest {
         warmup: Tick,
         pipeline: u32,
     ) -> Result<OutputCollector, String> {
-        let mut c = self.conn.lock().expect("conn lock");
         let cmd = WireCmd::HistoryQuery {
             patient,
             t0,
@@ -408,11 +478,10 @@ impl RemoteIngest {
             warmup,
             pipeline,
         };
-        match self.roundtrip(&mut c, &cmd)? {
-            WireReply::Output(out) => Ok(out),
-            WireReply::Err(e) => Err(e),
-            _ => Err(self.poison(&mut c, "protocol: unexpected reply to HistoryQuery")),
-        }
+        self.request(&cmd, |reply| match reply {
+            WireReply::Output(out) => Some(out),
+            _ => None,
+        })
     }
 
     /// Synchronization point: flushes staged samples and waits for every
@@ -434,8 +503,7 @@ impl RemoteIngest {
         self.conn.lock().expect("conn lock").stats
     }
 
-    /// Recovery counters: reconnects, frames replayed, consecutive
-    /// dial failures.
+    /// Recovery counters: reconnects and frames replayed.
     pub fn health(&self) -> RemoteHealth {
         self.conn.lock().expect("conn lock").health
     }
@@ -484,77 +552,34 @@ impl RemoteIngest {
         c.dead.clone().expect("just set")
     }
 
-    fn open_wire(&self, sock: TcpStream) -> io::Result<Wire> {
-        sock.set_nodelay(true)?;
-        sock.set_read_timeout(self.cfg.read_timeout)?;
-        sock.set_write_timeout(self.cfg.write_timeout)?;
-        Ok(Wire {
-            reader: BufReader::with_capacity(SOCKET_BUF, sock.try_clone()?),
-            writer: BufWriter::with_capacity(SOCKET_BUF, sock),
-        })
-    }
-
-    /// Sends `Hello` on a fresh wire and reads the server's answer.
-    /// Returns the server's `(last_applied_seq, cum_samples, cum_dropped)`.
-    fn hello_exchange(
-        &self,
-        wire: &mut Wire,
-        epoch: u64,
-        last_acked: u64,
-    ) -> Result<(u64, u64, u64), RetryFail> {
-        let hello = wire::encode_cmd(
-            0,
-            &WireCmd::Hello {
-                session: self.session,
-                epoch,
-                last_acked_seq: last_acked,
-            },
-        );
-        wire::write_frame(&mut wire.writer, &hello)
-            .and_then(|()| wire.writer.flush())
-            .map_err(|e| RetryFail::Again(format!("handshake send: {e}")))?;
-        let payload = match wire::read_frame(&mut wire.reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return Err(RetryFail::Again("handshake: server closed".into())),
-            Err(e) if wire::retryable_io(&e) => {
-                return Err(RetryFail::Again(format!("handshake read: {e}")))
-            }
-            Err(e) => return Err(RetryFail::Fatal(format!("handshake read: {e}"))),
-        };
-        match wire::decode_reply(&payload) {
-            Ok(WireReply::Resume {
-                last_applied_seq,
-                cum_samples,
-                cum_dropped,
-            }) => Ok((last_applied_seq, cum_samples, cum_dropped)),
-            Ok(WireReply::Err(e)) => Err(RetryFail::Fatal(format!("server refused resume: {e}"))),
-            Ok(_) => Err(RetryFail::Fatal(
-                "protocol: unexpected reply to Hello".into(),
-            )),
-            Err(e) => Err(RetryFail::Fatal(format!("protocol: {e}"))),
+    /// The one recovery rule. A retryable failure, while `redial` is
+    /// allowed and the client is not closing, redials and replays the
+    /// window ([`reconnect`](Self::reconnect)); anything else kills the
+    /// session.
+    fn recover(&self, c: &mut Conn, e: io::Error, redial: bool) -> Result<(), String> {
+        if redial && wire::retryable_io(&e) && !c.closing {
+            self.reconnect(c, &e.to_string())
+        } else {
+            Err(self.poison(c, &describe(&e)))
         }
     }
 
-    /// Redials with exponential backoff + jitter, resumes the session,
-    /// and replays + drains the un-acked window. On return the window is
-    /// empty and the connection is live; on error the session is dead.
+    /// One redial round: up to [`RemoteConfig::retries`] attempts with
+    /// exponential backoff + jitter. Any transport failure of an attempt,
+    /// the dial's included, costs one attempt; a protocol failure ends
+    /// the round. On return the window is empty and the connection is
+    /// live; on error the session is dead.
     fn reconnect(&self, c: &mut Conn, why: &str) -> Result<(), String> {
-        if c.closing {
-            return Err(self.poison(c, &format!("transport: {why} (while closing)")));
-        }
         let attempts = self.cfg.retries.max(1);
         let mut last = why.to_string();
         for attempt in 0..attempts {
             if attempt > 0 {
                 std::thread::sleep(self.backoff_delay(c.epoch, attempt));
             }
-            match self.try_resume(c) {
+            match self.resume(c) {
                 Ok(()) => return Ok(()),
-                Err(RetryFail::Fatal(e)) => return Err(self.poison(c, &e)),
-                Err(RetryFail::Again(e)) => {
-                    c.health.consecutive_failures += 1;
-                    last = e;
-                }
+                Err(e) if !is_protocol(&e) => last = e.to_string(),
+                Err(e) => return Err(self.poison(c, &describe(&e))),
             }
         }
         Err(self.poison(
@@ -565,73 +590,42 @@ impl RemoteIngest {
         ))
     }
 
-    /// One redial + resume + window replay attempt.
-    fn try_resume(&self, c: &mut Conn) -> Result<(), RetryFail> {
+    /// One redial attempt: dial the next epoch, check the server kept
+    /// the session, then replay the un-acked window and settle its
+    /// replies one by one through the reply reader, as `drain_all` does.
+    fn resume(&self, c: &mut Conn) -> io::Result<()> {
         c.wire = None;
         let epoch = c.epoch + 1;
-        let sock = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)
-            .map_err(|e| RetryFail::Again(format!("redial: {e}")))?;
-        let mut wire = self
-            .open_wire(sock)
-            .map_err(|e| RetryFail::Again(format!("redial: {e}")))?;
-        let (last_applied, cum_s, cum_d) = self.hello_exchange(&mut wire, epoch, c.last_acked)?;
+        let (wire, (last_applied, cum_s, cum_d)) =
+            Wire::dial(&self.addr, &self.cfg, self.session, epoch, c.last_acked)?;
         if last_applied < c.last_acked {
-            return Err(RetryFail::Fatal(format!(
+            return Err(fatal(format!(
                 "server lost session state: resumed at seq {last_applied}, \
                  client already saw seq {} acked",
                 c.last_acked
             )));
         }
         if cum_s < c.acked.0 || cum_d < c.acked.1 {
-            return Err(RetryFail::Fatal(
-                "server lost session state: cumulative counters went backwards".into(),
+            return Err(fatal(
+                "server lost session state: cumulative counters went backwards",
             ));
         }
         c.epoch = epoch;
-        c.wire = Some(wire);
         c.health.reconnects += 1;
-        c.health.consecutive_failures = 0;
-        // Frames the server applied but whose acks died with the old
-        // socket: their replayed acks may lump several deltas together.
-        for e in c.window.iter_mut() {
-            if e.seq <= last_applied {
-                e.maybe_applied = true;
-            }
-        }
-        // Replay the whole un-acked window in order, then collect its
+        c.health.frames_replayed += c.window.len() as u64;
+        // Replay the whole un-acked window in order, then settle its
         // replies (one per frame, strictly ordered). The server applies
         // each frame exactly once — duplicates are answered from the
         // session record — so the resumed stream is byte-identical.
-        if !c.window.is_empty() {
-            c.health.frames_replayed += c.window.len() as u64;
-            {
-                let Conn { wire, window, .. } = &mut *c;
-                let w = wire.as_mut().expect("just connected");
-                for e in window.iter() {
-                    wire::write_frame(&mut w.writer, &e.payload)
-                        .map_err(|e2| RetryFail::Again(format!("replay send: {e2}")))?;
-                }
-                w.writer
-                    .flush()
-                    .map_err(|e2| RetryFail::Again(format!("replay send: {e2}")))?;
-            }
-            while !c.window.is_empty() {
-                let payload = {
-                    let w = c.wire.as_mut().expect("just connected");
-                    match wire::read_frame(&mut w.reader) {
-                        Ok(Some(p)) => p,
-                        Ok(None) => return Err(RetryFail::Again("replay: server closed".into())),
-                        Err(e2) if wire::retryable_io(&e2) => {
-                            return Err(RetryFail::Again(format!("replay read: {e2}")))
-                        }
-                        Err(e2) => return Err(RetryFail::Fatal(format!("replay read: {e2}"))),
-                    }
-                };
-                let reply = wire::decode_reply(&payload)
-                    .map_err(|e2| RetryFail::Fatal(format!("protocol: {e2}")))?;
-                let entry = c.window.pop_front().expect("non-empty");
-                self.settle(c, &entry, reply).map_err(RetryFail::Fatal)?;
-            }
+        let w = c.wire.insert(wire);
+        for e in c.window.iter_mut() {
+            // The server applied this frame but its ack died with the old
+            // socket: the replayed ack may lump several deltas together.
+            e.maybe_applied |= e.seq <= last_applied;
+            wire::write_frame(&mut w.writer, &e.payload)?;
+        }
+        while !c.window.is_empty() {
+            self.settle_next(c)?;
         }
         Ok(())
     }
@@ -660,126 +654,99 @@ impl RemoteIngest {
     /// Writes an async-acked frame into the window (buffered — the flush
     /// comes with the next blocking read), then blocks while the window is
     /// over-full — acks are the transport's backpressure — and takes every
-    /// further ack that has already arrived. A retryable send failure
-    /// triggers a reconnect, which replays the window (including this
-    /// frame).
+    /// further ack that has already arrived. A failure goes to the
+    /// recovery rule; a reconnect replays the window, this frame included.
     fn send_windowed(&self, c: &mut Conn, cmd: &WireCmd, kind: Pending) -> Result<(), String> {
         if let Some(e) = &c.dead {
             return Err(e.clone());
         }
         let seq = c.next_seq;
         c.next_seq += 1;
+        let payload = wire::encode_cmd(seq, cmd);
+        let sent = c
+            .wire()
+            .and_then(|w| wire::write_frame(&mut w.writer, &payload));
         c.window.push_back(InFlight {
             seq,
-            payload: wire::encode_cmd(seq, cmd),
+            payload,
             kind,
             maybe_applied: false,
         });
-        let sent = {
-            let Conn { wire, window, .. } = &mut *c;
-            let payload = &window.back().expect("just pushed").payload;
-            wire.as_mut()
-                .ok_or_else(not_connected)
-                .and_then(|w| wire::write_frame(&mut w.writer, payload))
-        };
-        self.sent_or_reconnect(c, sent)?;
-        while c.window.len() > self.cfg.window
-            || (!c.window.is_empty()
-                && c.wire
-                    .as_ref()
-                    .is_some_and(|w| !w.reader.buffer().is_empty()))
-        {
-            self.drain_one(c)?;
-        }
-        Ok(())
-    }
-
-    /// A failed window write reconnects (and replays the window) when the
-    /// failure is retryable, and kills the session otherwise.
-    fn sent_or_reconnect(&self, c: &mut Conn, sent: io::Result<()>) -> Result<(), String> {
-        match sent {
-            Ok(()) => Ok(()),
-            Err(e) if wire::retryable_io(&e) && !c.closing => {
-                self.reconnect(c, &format!("send: {e}"))
+        sent.and_then(|()| {
+            while c.window.len() > self.cfg.window || (!c.window.is_empty() && c.reply_waiting()) {
+                self.settle_next(c)?;
             }
-            Err(e) => Err(self.poison(c, &format!("transport: {e}"))),
-        }
+            Ok(())
+        })
+        .or_else(|e| self.recover(c, e, true))
     }
 
-    /// Sends everything buffered so far.
-    fn flush_wire(&self, c: &mut Conn) -> Result<(), String> {
-        if c.dead.is_some() {
-            return Ok(());
-        }
-        let sent = c
-            .wire
-            .as_mut()
-            .ok_or_else(not_connected)
-            .and_then(|w| w.writer.flush());
-        self.sent_or_reconnect(c, sent)
-    }
-
-    fn write_payload(&self, c: &mut Conn, payload: &[u8]) -> io::Result<()> {
-        let w = c.wire.as_mut().ok_or_else(not_connected)?;
-        wire::write_frame(&mut w.writer, payload)?;
-        w.writer.flush()
-    }
-
-    /// Reads one reply frame, first sending whatever is still buffered
-    /// when the read may sleep (the rule on both ends: flush before
-    /// blocking on a read). A clean server close surfaces as a retryable
-    /// error (the machine may be back in a moment).
-    fn read_reply_frame(&self, c: &mut Conn) -> io::Result<Vec<u8>> {
-        let w = c.wire.as_mut().ok_or_else(not_connected)?;
-        if w.reader.buffer().is_empty() {
-            w.writer.flush()?;
-        }
-        match wire::read_frame(&mut w.reader)? {
-            Some(p) => Ok(p),
-            None => Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "server closed the connection",
-            )),
-        }
-    }
-
-    /// Synchronous command: flush staged data, drain every outstanding
-    /// ack (replies are strictly ordered), send, read our reply. A
-    /// retryable failure reconnects and re-sends; the server's
-    /// sync-reply cache deduplicates, so the command still runs once.
-    fn roundtrip(&self, c: &mut Conn, cmd: &WireCmd) -> Result<WireReply, String> {
-        self.ship_staged(c)?;
-        self.drain_all(c)?;
+    /// The synchronous call behind `admit`, `finish`, the handoffs and
+    /// history queries: ships staged samples, settles every outstanding
+    /// ack (replies are strictly ordered), then sends `cmd` and reads its
+    /// reply. A server `Err` passes through; `pick` takes the reply `cmd`
+    /// expects, and any other reply is a protocol error. A failure goes
+    /// to the recovery rule, at most [`RemoteConfig::retries`] redial
+    /// rounds; each re-sends `cmd`, and the server's sync-reply cache
+    /// makes it run once.
+    fn request<T>(
+        &self,
+        cmd: &WireCmd,
+        pick: impl FnOnce(WireReply) -> Option<T>,
+    ) -> Result<T, String> {
+        let mut c = self.conn.lock().expect("conn lock");
+        self.ship_staged(&mut c)?;
+        self.drain_all(&mut c)?;
         if let Some(e) = &c.dead {
             return Err(e.clone());
         }
         let seq = c.next_seq;
         c.next_seq += 1;
         let payload = wire::encode_cmd(seq, cmd);
-        let mut tries = 0;
-        loop {
-            let res = self
-                .write_payload(c, &payload)
-                .and_then(|()| self.read_reply_frame(c));
+        let mut rounds = 0;
+        let reply = loop {
+            let res = c.wire().and_then(|w| {
+                wire::write_frame(&mut w.writer, &payload)?;
+                w.reply()
+            });
             match res {
-                Ok(bytes) => {
-                    let reply = wire::decode_reply(&bytes)
-                        .map_err(|e| self.poison(c, &format!("protocol: {e}")))?;
-                    c.last_acked = seq;
-                    return Ok(reply);
-                }
-                Err(e) if wire::retryable_io(&e) && !c.closing && tries < self.cfg.retries => {
-                    tries += 1;
-                    self.reconnect(c, &format!("sync command: {e}"))?;
-                }
-                Err(e) => return Err(self.poison(c, &format!("transport: {e}"))),
+                Ok(reply) => break reply,
+                Err(e) => self.recover(&mut c, e, rounds < self.cfg.retries)?,
             }
-        }
+            rounds += 1;
+        };
+        c.last_acked = seq;
+        let reply = match reply {
+            WireReply::Err(e) => return Err(e),
+            reply => pick(reply),
+        };
+        reply.ok_or_else(|| {
+            let name = match cmd {
+                WireCmd::Admit { .. } => "Admit",
+                WireCmd::Finish { .. } => "Finish",
+                WireCmd::Export { .. } => "Export",
+                WireCmd::Import { .. } => "Import",
+                WireCmd::HistoryQuery { .. } => "HistoryQuery",
+                _ => "the command",
+            };
+            self.poison(&mut c, &format!("protocol: unexpected reply to {name}"))
+        })
     }
 
-    /// Reconciles one ack against its window entry. Does not poison;
-    /// callers decide how a failure propagates.
-    fn settle(&self, c: &mut Conn, entry: &InFlight, reply: WireReply) -> Result<(), String> {
+    /// Reads the reply the oldest in-flight frame owes and settles it.
+    /// The frame leaves the window only once its reply has arrived.
+    fn settle_next(&self, c: &mut Conn) -> io::Result<()> {
+        let reply = c.wire()?.reply()?;
+        let entry = c
+            .window
+            .pop_front()
+            .expect("a reply settles an in-flight frame");
+        self.settle(c, &entry, reply)
+    }
+
+    /// Reconciles one ack against its window entry; any mismatch is
+    /// fatal.
+    fn settle(&self, c: &mut Conn, entry: &InFlight, reply: WireReply) -> io::Result<()> {
         match reply {
             WireReply::Ack {
                 seq,
@@ -787,13 +754,13 @@ impl RemoteIngest {
                 cum_dropped,
             } => {
                 if seq != entry.seq {
-                    return Err(format!(
-                        "protocol: ack for seq {seq}, expected seq {}",
+                    return Err(fatal(format!(
+                        "ack for seq {seq}, expected seq {}",
                         entry.seq
-                    ));
+                    )));
                 }
                 if cum_samples < c.acked.0 || cum_dropped < c.acked.1 {
-                    return Err("protocol: cumulative ack counters went backwards".into());
+                    return Err(fatal("cumulative ack counters went backwards"));
                 }
                 let ds = cum_samples - c.acked.0;
                 let dd = cum_dropped - c.acked.1;
@@ -804,41 +771,25 @@ impl RemoteIngest {
                     // A maybe-applied replay can lump several frames'
                     // deltas into one ack; only fresh acks are exact.
                     if !entry.maybe_applied && ds + dd != sent {
-                        return Err(format!(
-                            "protocol: batch of {sent} acked as {ds} applied + {dd} dropped"
-                        ));
+                        return Err(fatal(format!(
+                            "batch of {sent} acked as {ds} applied + {dd} dropped"
+                        )));
                     }
                 }
                 Ok(())
             }
-            WireReply::Err(e) => Err(format!("server: {e}")),
-            _ => Err("protocol: reply does not match the in-flight command".into()),
+            WireReply::Err(e) => Err(fatal(format!("error reply: {e}"))),
+            _ => Err(fatal("reply does not match the in-flight command")),
         }
     }
 
-    fn drain_one(&self, c: &mut Conn) -> Result<(), String> {
-        if c.window.is_empty() {
-            return Ok(());
-        }
-        match self.read_reply_frame(c) {
-            Ok(bytes) => {
-                let reply = wire::decode_reply(&bytes)
-                    .map_err(|e| self.poison(c, &format!("protocol: {e}")))?;
-                let entry = c.window.pop_front().expect("non-empty");
-                self.settle(c, &entry, reply)
-                    .map_err(|e| self.poison(c, &e))
-            }
-            Err(e) if wire::retryable_io(&e) && !c.closing => {
-                // The reconnect replays and drains the whole window.
-                self.reconnect(c, &format!("ack read: {e}"))
-            }
-            Err(e) => Err(self.poison(c, &format!("transport: {e}"))),
-        }
-    }
-
+    /// Settles every outstanding ack; a failure goes to the recovery
+    /// rule, whose reconnect settles the rest.
     fn drain_all(&self, c: &mut Conn) -> Result<(), String> {
         while !c.window.is_empty() {
-            self.drain_one(c)?;
+            if let Err(e) = self.settle_next(c) {
+                return self.recover(c, e, true);
+            }
         }
         Ok(())
     }

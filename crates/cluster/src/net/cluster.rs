@@ -498,15 +498,19 @@ impl ClusterIngest {
     /// dead, fails over and finishes on the survivor (output below the
     /// failover frontier was only on the dead machine and is gone).
     ///
+    /// Whatever the answer, the patient's mirror is dropped: a server
+    /// ends the session on `Err` too (deferred errors are its last
+    /// output), so a later failover must not bring the patient back.
+    ///
     /// # Errors
     /// Returns the owning server's deferred errors.
     pub fn finish(&self, patient: PatientId) -> Result<OutputCollector, String> {
-        let out = self.on_owner(patient, |e| e.finish(patient), |e| e)?;
+        let out = self.on_owner(patient, |e| e.finish(patient), |e| e);
         self.patients
             .write()
             .expect("patients lock")
             .remove(&patient);
-        Ok(out)
+        out
     }
 
     /// The router's one retry rule: runs `call` on the machine owning

@@ -61,6 +61,11 @@
 //!   (`admit`, `finish`, `barrier`, a handoff, a history query, `close`)
 //!   — and at every `poll`, so a producer that then goes quiet has been
 //!   heard. When it does read, it takes every ack that has arrived.
+//!   Every reply it reads, the `Hello` answer included, goes through one
+//!   reader that flushes first if the read may block, and every failure
+//!   meets one recovery rule: retryable ([`wire::retryable_io`]) and not
+//!   closing means redial, resume and replay; anything else ends the
+//!   session ([`RemoteIngest::is_dead`]).
 //!
 //! Neither side can therefore sleep in `read` holding bytes the other is
 //! waiting for, and a burst of frames costs a handful of system calls
@@ -612,6 +617,101 @@ mod tests {
         assert!(remote.last_error().is_some());
         // Drop/shutdown with the peer gone must stay silent.
         remote.shutdown();
+    }
+
+    /// A bare listener plays the server: it answers `Hello` with
+    /// `Resume`, then the first command with the payload `answer` gives
+    /// for it, then waits for the client to hang up.
+    fn scripted_peer(
+        answer: impl FnOnce(u64, wire::WireCmd) -> Vec<u8> + Send + 'static,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        use std::io::Read;
+
+        use super::wire::{decode_cmd, encode_reply, read_frame, write_frame, WireCmd, WireReply};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let next = |sock: &mut std::net::TcpStream| {
+                decode_cmd(&read_frame(sock).unwrap().unwrap()).unwrap()
+            };
+            assert!(matches!(next(&mut sock), (0, WireCmd::Hello { .. })));
+            let resume = WireReply::Resume {
+                last_applied_seq: 0,
+                cum_samples: 0,
+                cum_dropped: 0,
+            };
+            write_frame(&mut sock, &encode_reply(&resume)).unwrap();
+            let (seq, cmd) = next(&mut sock);
+            write_frame(&mut sock, &answer(seq, cmd)).unwrap();
+            let _ = sock.read_to_end(&mut Vec::new());
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn a_peer_that_breaks_the_protocol_poisons_the_client() {
+        use super::wire::{encode_reply, WireCmd, WireReply};
+
+        fn ack(seq: u64) -> Vec<u8> {
+            encode_reply(&WireReply::Ack {
+                seq,
+                cum_samples: 1,
+                cum_dropped: 0,
+            })
+        }
+        fn admit(remote: &RemoteIngest) -> Result<(), String> {
+            remote.admit(1)
+        }
+        fn push(remote: &RemoteIngest) -> Result<(), String> {
+            remote.push(1, 0, 0, 1.0);
+            remote.barrier()
+        }
+        // Each peer breaks the protocol once; the client must stop there.
+        type Answer = fn(u64, WireCmd) -> Vec<u8>;
+        type Call = fn(&RemoteIngest) -> Result<(), String>;
+        let cases: [(&str, Call, Answer, &str); 3] = [
+            (
+                "Admit answered by an Ack",
+                admit,
+                |seq, _| ack(seq),
+                "unexpected reply to Admit",
+            ),
+            (
+                "an ack for the wrong seq",
+                push,
+                |seq, _| ack(seq + 8),
+                "ack for seq 9, expected seq 1",
+            ),
+            (
+                "a reply that does not decode",
+                push,
+                |_, _| vec![wire::WIRE_VERSION, 0xff],
+                "opcode",
+            ),
+        ];
+        for (what, call, answer, expect) in cases {
+            let (addr, peer) = scripted_peer(answer);
+            // A timeout turns a hang into a failure (it would redial).
+            let remote = RemoteIngest::connect(
+                addr,
+                RemoteConfig::default()
+                    .batch(1)
+                    .retries(1)
+                    .read_timeout(Duration::from_secs(10)),
+            )
+            .unwrap();
+            let err = call(&remote).unwrap_err();
+            assert!(remote.is_dead(), "{what}");
+            assert_eq!(remote.last_error().as_ref(), Some(&err), "{what}");
+            assert!(
+                err.starts_with("protocol:") && err.contains(expect),
+                "{what}: {err}"
+            );
+            drop(remote);
+            peer.join().unwrap();
+        }
     }
 
     #[test]

@@ -724,3 +724,69 @@ fn hostile_import_frames_are_refused_and_admit_nothing() {
     remote.shutdown();
     server.shutdown();
 }
+
+/// A `finish` answered with `Err` (here, a deferred off-grid tick) still
+/// ends the session on the server, so the router must forget the patient
+/// too: a later failover of its machine re-homes only the patient still
+/// open, and the finished id can be admitted afresh.
+#[test]
+fn a_patient_finished_with_an_error_stays_finished_across_a_failover() {
+    let pipe = Pipe::Select;
+    let bind = || {
+        ShardServer::bind(factory(pipe), IngestConfig::new(2, ROUND), "127.0.0.1:0").expect("bind")
+    };
+    let (mut server_a, server_b) = (Some(bind()), bind());
+    let addrs = [
+        server_a.as_ref().expect("alive").local_addr(),
+        server_b.local_addr(),
+    ];
+    let cluster = ClusterIngest::connect(
+        &addrs,
+        RemoteConfig::default()
+            .batch(8)
+            .window(4)
+            .retries(2)
+            .backoff(Duration::from_millis(1), Duration::from_millis(5)),
+    )
+    .expect("connect");
+    let on_a: Vec<u64> = (0u64..)
+        .filter(|&p| cluster.machine_of(p) == 0)
+        .take(2)
+        .collect();
+    let (finished, open) = (on_a[0], on_a[1]);
+    for p in [finished, open] {
+        cluster.admit(p).expect("admit");
+    }
+    for k in 0..50i64 {
+        for p in [finished, open] {
+            cluster.push(p, 0, k * PERIOD, wave(k, p));
+        }
+    }
+    cluster.push(finished, 0, 101, 1.0); // off the period-2 grid
+    let err = cluster
+        .finish(finished)
+        .expect_err("the off-grid tick is a deferred error");
+    assert!(err.contains("101"), "err: {err}");
+
+    server_a.take().expect("alive").kill();
+    // Keep feeding the open patient until the router finds machine 0 dead.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut k = 50i64;
+    while cluster.health().failovers == 0 {
+        assert!(Instant::now() < deadline, "machine 0 never failed over");
+        cluster.push(open, 0, k * PERIOD, wave(k, open));
+        cluster.poll();
+        k += 1;
+    }
+    let health = cluster.health();
+    assert_eq!(health.machines[0].state, MachineState::Down);
+    assert_eq!(health.patients_failed_over, 1, "only the open patient");
+    assert_eq!(cluster.machine_of(open), 1);
+    cluster
+        .admit(finished)
+        .expect("a finished id admits afresh");
+    cluster.finish(finished).expect("finish the new session");
+    cluster.finish(open).expect("the open patient survived");
+    cluster.shutdown();
+    server_b.shutdown();
+}

@@ -134,6 +134,9 @@
 //!   interrupt at any point.
 
 #![warn(missing_docs)]
+// The crates reachable from a socket or the disk never `unwrap`: a
+// failure there is an error value, not a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod query;
 pub mod reader;
