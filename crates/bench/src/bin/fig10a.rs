@@ -6,6 +6,7 @@
 //! targeted processing skips all work in non-overlapping regions while
 //! the eager engine transforms everything.
 
+use lifestream::engine::{EngineOptions, TrillEngine};
 use lifestream_bench::*;
 use lifestream_signal::dataset::ecg_abp_with_overlap;
 
@@ -19,9 +20,10 @@ fn main() {
         "speedup",
         "LS skipped rounds",
     ]);
+    let uncapped = EngineOptions::default().with_memory_cap(usize::MAX);
     for overlap in [1.0, 0.8, 0.6, 0.4, 0.2, 0.1] {
         let (ecg, abp) = ecg_abp_with_overlap(minutes, overlap, 9);
-        let (_, tr) = time(|| trill_e2e(&ecg, &abp, usize::MAX).expect("trill"));
+        let (_, tr) = time(|| run(&TrillEngine, &e2e_workload(), &[&ecg, &abp], uncapped));
         // Run LifeStream and capture skip stats.
         let (stats, ls) = time(|| {
             let qb = lifestream_core::pipeline::fig3_pipeline(ecg.shape(), abp.shape(), 1000)

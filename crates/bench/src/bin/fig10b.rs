@@ -5,6 +5,7 @@
 //! Paper: LifeStream's advantage holds across the sweep (Trill ~90–150 s,
 //! LifeStream flat and far below).
 
+use lifestream::engine::{EngineOptions, LifeStreamEngine, TrillEngine};
 use lifestream_bench::*;
 use lifestream_signal::dataset::{DatasetBuilder, SignalKind};
 
@@ -20,11 +21,14 @@ fn main() {
 
     // Trill has no window knob (its batch size is events, not time); the
     // paper plots it as a near-flat reference.
-    let (_, trill_s) = time(|| trill_e2e(&ecg, &abp, usize::MAX).expect("trill"));
+    let w = e2e_workload();
+    let uncapped = EngineOptions::default().with_memory_cap(usize::MAX);
+    let (_, trill_s) = time(|| run(&TrillEngine, &w, &[&ecg, &abp], uncapped));
 
     let mut t = Table::new(&["window (min)", "Trill (s)", "LifeStream (s)", "speedup"]);
     for wmin in [1i64, 5, 10, 20, 30, 60] {
-        let (_, ls) = time(|| lifestream_e2e(&ecg, &abp, wmin * 60_000));
+        let rounds = EngineOptions::default().with_round_ticks(wmin * 60_000);
+        let (_, ls) = time(|| run(&LifeStreamEngine, &w, &[&ecg, &abp], rounds));
         t.row(&[
             wmin.to_string(),
             format!("{trill_s:.2}"),

@@ -10,8 +10,9 @@
 //! OOMs beyond 12; NumLib saturates around 24 threads at 44% below
 //! LifeStream's peak.
 
-use lifestream_bench::multicore::{run_scaling, Engine, PatientWorkload};
-use lifestream_bench::{scaled_minutes, Table};
+use lifestream::engine::{NumLibEngine, TrillEngine};
+use lifestream_bench::multicore::{run_baseline, run_lifestream, PatientWorkload, ScalePoint};
+use lifestream_bench::{knobs, scaled_minutes, Table};
 
 fn main() {
     let cores = std::thread::available_parallelism()
@@ -30,10 +31,7 @@ fn main() {
 
     // Machine memory budget, shared by the workers (paper machine: 128 GB;
     // we scale to the workload so Trill's failure point is visible).
-    let budget: usize = std::env::var("LS_MEM_BUDGET")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(512 << 20);
+    let budget = knobs().mem_budget;
 
     let mut threads = vec![1usize, 2, 4];
     let mut n = 8;
@@ -44,10 +42,10 @@ fn main() {
 
     let mut t = Table::new(&["threads", "LifeStream Mev/s", "Trill Mev/s", "NumLib Mev/s"]);
     for &th in &threads {
-        let ls = run_scaling(Engine::LifeStream, &workload, th, budget);
-        let tr = run_scaling(Engine::Trill, &workload, th, budget);
-        let nl = run_scaling(Engine::NumLib, &workload, th, budget);
-        let cell = |p: &lifestream_bench::multicore::ScalePoint| {
+        let ls = run_lifestream(&workload, th, budget);
+        let tr = run_baseline(&TrillEngine, &workload, th, budget);
+        let nl = run_baseline(&NumLibEngine, &workload, th, budget);
+        let cell = |p: &ScalePoint| {
             if p.oom {
                 "OOM".to_string()
             } else {

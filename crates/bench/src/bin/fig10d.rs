@@ -5,8 +5,9 @@
 //! Paper: LifeStream 473.66 M ev/s on 16 machines — 8.38× Trill's peak
 //! and 1.73× NumLib's.
 
+use lifestream::engine::{NumLibEngine, TrillEngine};
 use lifestream_bench::machines::ClusterModel;
-use lifestream_bench::multicore::{run_scaling, Engine, PatientWorkload};
+use lifestream_bench::multicore::{run_baseline, run_lifestream, PatientWorkload, ScalePoint};
 use lifestream_bench::{scaled_minutes, Table};
 
 fn main() {
@@ -21,19 +22,19 @@ fn main() {
 
     // Measure each engine's single-machine peak at its best thread count
     // (the paper uses 12 / 24 / 32 for Trill / NumLib / LifeStream).
-    let peak = |engine: Engine, budget: usize| -> f64 {
+    let peak = |arm: &dyn Fn(usize) -> ScalePoint| -> f64 {
         let mut best = 0.0f64;
         for th in [1, 2, 4, cores.min(8), cores] {
-            let p = run_scaling(engine, &workload, th, budget);
+            let p = arm(th);
             if !p.oom {
                 best = best.max(p.mev_per_s);
             }
         }
         best
     };
-    let ls_peak = peak(Engine::LifeStream, budget);
-    let tr_peak = peak(Engine::Trill, budget);
-    let nl_peak = peak(Engine::NumLib, budget);
+    let ls_peak = peak(&|th| run_lifestream(&workload, th, budget));
+    let tr_peak = peak(&|th| run_baseline(&TrillEngine, &workload, th, budget));
+    let nl_peak = peak(&|th| run_baseline(&NumLibEngine, &workload, th, budget));
     println!(
         "single-machine peaks (Mev/s): lifestream {ls_peak:.2}, trill {tr_peak:.2}, numlib {nl_peak:.2}\n"
     );

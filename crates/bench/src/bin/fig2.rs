@@ -17,6 +17,9 @@ fn shade(f: f64) -> char {
 }
 
 fn main() {
+    // The coverage map has a fixed size, but a malformed bench knob must
+    // still stop this bin like every other one.
+    lifestream_bench::knobs();
     let months = 6usize;
     let span = months as i64 * 30 * DAY;
     let ecg = GapModel::icu_default().generate(span, 2019);

@@ -6,6 +6,7 @@
 //! Where 4.36/4.58, Aggregate 4.04/1.85, Chop 3.94/1.98,
 //! ClipJoin 11.77/2.20, Join 20.15/3.03 (Trill/LifeStream).
 
+use lifestream::engine::{LifeStreamEngine, TrillEngine};
 use lifestream_bench::*;
 
 fn main() {
@@ -16,9 +17,10 @@ fn main() {
 
     let mut t = Table::new(&["primitive", "Trill (s)", "LifeStream (s)", "speedup"]);
     for p in Primitive::all() {
-        let side = matches!(p, Primitive::ClipJoin | Primitive::Join).then_some(&side_join);
-        let (_, tr) = time(|| trill_primitive(p, &data, side));
-        let (_, ls) = time(|| lifestream_primitive(p, &data, side));
+        let w = p.workload();
+        let inputs = &[&data, &side_join][..w.arity()];
+        let (_, tr) = time(|| run(&TrillEngine, &w, inputs, minute_rounds()));
+        let (_, ls) = time(|| run(&LifeStreamEngine, &w, inputs, minute_rounds()));
         t.row(&[
             p.name().into(),
             format!("{tr:.2}"),

@@ -6,6 +6,7 @@
 //! FillMean 145.0/7.6/13.6, Resample 183.1/8.4/16.3
 //! (Trill/NumLib/LifeStream).
 
+use lifestream::engine::{LifeStreamEngine, NumLibEngine, TrillEngine};
 use lifestream_bench::*;
 
 fn main() {
@@ -23,9 +24,10 @@ fn main() {
         "LS vs NumLib",
     ]);
     for op in Operation::all() {
-        let (_, tr) = time(|| trill_operation(op, &data));
-        let (_, nl) = time(|| numlib_operation(op, &data));
-        let (_, ls) = time(|| lifestream_operation(op, &data));
+        let w = op.workload(data.shape().period());
+        let (_, tr) = time(|| run(&TrillEngine, &w, &[&data], minute_rounds()));
+        let (_, nl) = time(|| run(&NumLibEngine, &w, &[&data], minute_rounds()));
+        let (_, ls) = time(|| run(&LifeStreamEngine, &w, &[&data], minute_rounds()));
         t.row(&[
             op.name().into(),
             format!("{tr:.2}"),

@@ -6,6 +6,9 @@
 //! Trill goes out of memory at 200 M events because the gap structure
 //! diverges the two join inputs.
 
+use lifestream::engine::{
+    Engine, EngineError, EngineOptions, LifeStreamEngine, NumLibEngine, TrillEngine,
+};
 use lifestream_bench::*;
 use lifestream_signal::dataset::ecg_abp_pair;
 
@@ -15,10 +18,8 @@ fn main() {
 
     // Cap the Trill join buffering the way the paper's 16 GB machine did,
     // scaled to our workload sizes.
-    let trill_cap: usize = std::env::var("LS_TRILL_CAP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256 << 20);
+    let trill_opts = EngineOptions::default().with_memory_cap(knobs().trill_cap);
+    let w = e2e_workload();
 
     let mut t = Table::new(&[
         "events (M)",
@@ -33,13 +34,15 @@ fn main() {
         let (ecg, abp) = ecg_abp_pair(minutes, 42);
         let events = (ecg.present_events() + abp.present_events()) as f64 / 1e6;
 
-        let (tr_res, tr) = time(|| trill_e2e(&ecg, &abp, trill_cap));
+        let (tr_res, tr) =
+            time(|| TrillEngine.run(&w, vec![ecg.clone(), abp.clone()], &trill_opts));
         let trill_cell = match tr_res {
             Ok(_) => format!("{tr:.2}"),
-            Err(_) => "OOM".to_string(),
+            Err(EngineError::OutOfMemory { .. }) => "OOM".to_string(),
+            Err(e) => panic!("Trill on {}: {e}", w.name()),
         };
-        let (_, nl) = time(|| numlib_e2e(&ecg, &abp));
-        let (_, ls) = time(|| lifestream_e2e(&ecg, &abp, WINDOW_1MIN));
+        let (_, nl) = time(|| run(&NumLibEngine, &w, &[&ecg, &abp], minute_rounds()));
+        let (_, ls) = time(|| run(&LifeStreamEngine, &w, &[&ecg, &abp], minute_rounds()));
 
         t.row(&[
             format!("{events:.1}"),

@@ -6,72 +6,52 @@
 //! Trill 0.80; Upsampling — Trill 0.69, SciPy 15.06.
 
 use distrib_baseline::{run_join, run_upsample, Profile};
+use lifestream::engine::{Engine, LifeStreamEngine, NumLibEngine, TrillEngine, Workload};
 use lifestream_bench::*;
 
 fn main() {
     let minutes = scaled_minutes(30);
     println!("Table 1 — temporal join & upsampling throughput ({minutes} min workloads)\n");
 
+    let mut t = Table::new(&["benchmark", "engine", "Mev/s", "out events"]);
+    let mut row = |bench: &str, engine: &str, events: f64, (out, s): (u64, f64)| {
+        t.row(&[
+            bench.into(),
+            engine.into(),
+            format!("{:.3}", events / s / 1e6),
+            out.to_string(),
+        ]);
+    };
+    let profiles = [Profile::spark(), Profile::storm(), Profile::flink()];
+
     let (l, r) = table1_join_pair(minutes, 1);
     let join_events = (l.present_events() + r.present_events()) as f64;
-
-    let mut t = Table::new(&["benchmark", "engine", "Mev/s", "out events"]);
-
-    for profile in [Profile::spark(), Profile::storm(), Profile::flink()] {
-        let (stats, s) = time(|| run_join(profile, &l, &r));
-        t.row(&[
-            "Temporal Join".into(),
-            profile.name.into(),
-            format!("{:.3}", join_events / s / 1e6),
-            stats.output_events.to_string(),
-        ]);
+    for profile in profiles {
+        let timed = time(|| run_join(profile, &l, &r).output_events);
+        row("Temporal Join", profile.name, join_events, timed);
     }
-    let (out, s) = time(|| trill_join(&l, &r));
-    t.row(&[
-        "Temporal Join".into(),
-        "trill".into(),
-        format!("{:.3}", join_events / s / 1e6),
-        out.to_string(),
-    ]);
-    let (out, s) = time(|| lifestream_join(&l, &r));
-    t.row(&[
-        "Temporal Join".into(),
-        "lifestream".into(),
-        format!("{:.3}", join_events / s / 1e6),
-        out.to_string(),
-    ]);
+    let engines: [(&str, &dyn Engine); 2] =
+        [("trill", &TrillEngine), ("lifestream", &LifeStreamEngine)];
+    for (name, engine) in engines {
+        let timed = time(|| run(engine, &Workload::Join, &[&l, &r], minute_rounds()));
+        row("Temporal Join", name, join_events, timed);
+    }
 
     let abp = abp_125hz(minutes, 2);
     let up_events = abp.present_events() as f64;
-    let (out, s) = time(|| trill_upsample(&abp));
-    t.row(&[
-        "Upsampling".into(),
-        "trill".into(),
-        format!("{:.3}", up_events / s / 1e6),
-        out.to_string(),
-    ]);
-    let (out, s) = time(|| numlib_upsample(&abp));
-    t.row(&[
-        "Upsampling".into(),
-        "scipy(numlib)".into(),
-        format!("{:.3}", up_events / s / 1e6),
-        out.to_string(),
-    ]);
-    let (out, s) = time(|| lifestream_upsample(&abp));
-    t.row(&[
-        "Upsampling".into(),
-        "lifestream".into(),
-        format!("{:.3}", up_events / s / 1e6),
-        out.to_string(),
-    ]);
-    for profile in [Profile::spark(), Profile::storm(), Profile::flink()] {
-        let (stats, s) = time(|| run_upsample(profile, &abp, 2));
-        t.row(&[
-            "Upsampling".into(),
-            profile.name.into(),
-            format!("{:.3}", up_events / s / 1e6),
-            stats.output_events.to_string(),
-        ]);
+    let up = upsample_workload();
+    let engines: [(&str, &dyn Engine); 3] = [
+        ("trill", &TrillEngine),
+        ("scipy(numlib)", &NumLibEngine),
+        ("lifestream", &LifeStreamEngine),
+    ];
+    for (name, engine) in engines {
+        let timed = time(|| run(engine, &up, &[&abp], minute_rounds()));
+        row("Upsampling", name, up_events, timed);
+    }
+    for profile in profiles {
+        let timed = time(|| run_upsample(profile, &abp, 2).output_events);
+        row("Upsampling", profile.name, up_events, timed);
     }
 
     println!("{}", t.render());

@@ -1,11 +1,10 @@
 //! # lifestream-bench
 //!
 //! Shared machinery for the benchmark harness: dataset construction,
-//! timing, table rendering, and workload runners. Every benchmarked
-//! query is defined exactly once as a
-//! [`Workload`] — the per-engine runner
-//! functions are thin wrappers that dispatch the shared definition
-//! through the [`Engine`] trait.
+//! timing, table rendering, the bench knobs, and [`run`], the call the
+//! cross-engine rows time. Every benchmarked query is defined exactly
+//! once as a [`Workload`], and `run` hands it to whichever [`Engine`] the
+//! bin passes in (`&LifeStreamEngine`, `&TrillEngine`, `&NumLibEngine`).
 //! Each paper table/figure has a binary in `src/bin/` that prints the
 //! same rows/series the paper reports.
 //!
@@ -16,7 +15,8 @@
 //!
 //! All workload sizes scale with the `LS_SCALE` environment variable
 //! (default 1.0) so CI can run quick passes while full runs regenerate
-//! paper-sized workloads.
+//! paper-sized workloads; [`knobs`] reads it with the other two
+//! variables and refuses a value that does not parse.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -24,12 +24,11 @@
 pub mod machines;
 pub mod multicore;
 
+use std::str::FromStr;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use lifestream::engine::{
-    Engine, EngineError, EngineOptions, LifeStreamEngine, NumLibEngine, TableOp, TrillEngine,
-    Workload,
-};
+use lifestream::engine::{Engine, EngineOptions, TableOp, Workload};
 use lifestream_core::ops::aggregate::AggKind;
 use lifestream_core::pipeline as lspipe;
 use lifestream_core::source::SignalData;
@@ -43,12 +42,68 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, start.elapsed().as_secs_f64())
 }
 
-/// Workload scale factor from `LS_SCALE` (default 1.0).
+/// The bench knobs: the environment variables the paper bins read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Knobs {
+    /// `LS_SCALE`: workload scale factor (default 1.0, the paper's size).
+    pub scale: f64,
+    /// `LS_TRILL_CAP`: Trill's join-state cap in bytes in Fig. 9(c)
+    /// (default 256 MiB).
+    pub trill_cap: usize,
+    /// `LS_MEM_BUDGET`: the modelled machine's memory in bytes in
+    /// Fig. 10(c), shared by its workers (default 512 MiB).
+    pub mem_budget: usize,
+}
+
+impl Knobs {
+    /// Parses the knobs, looking each variable up with `var`; an unset
+    /// variable keeps its default.
+    ///
+    /// # Errors
+    /// A message naming the variable whose value does not parse, or
+    /// whose `LS_SCALE` is negative or not finite.
+    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Knobs, String> {
+        fn read<T: FromStr>(
+            var: &dyn Fn(&str) -> Option<String>,
+            name: &str,
+            default: T,
+        ) -> Result<T, String> {
+            match var(name) {
+                None => Ok(default),
+                Some(raw) => raw
+                    .parse()
+                    .map_err(|_| format!("{name}={raw:?} does not parse")),
+            }
+        }
+        let scale: f64 = read(&var, "LS_SCALE", 1.0)?;
+        if !(scale.is_finite() && scale >= 0.0) {
+            return Err(format!("LS_SCALE={scale} is not a finite number >= 0"));
+        }
+        Ok(Knobs {
+            scale,
+            trill_cap: read(&var, "LS_TRILL_CAP", 256 << 20)?,
+            mem_budget: read(&var, "LS_MEM_BUDGET", 512 << 20)?,
+        })
+    }
+}
+
+/// The process's [`Knobs`], parsed from the environment on first use.
+/// A bad value ends the process with exit code 2 and a message naming
+/// the variable: a typo must not silently run the paper-sized workload.
+pub fn knobs() -> Knobs {
+    static KNOBS: OnceLock<Knobs> = OnceLock::new();
+    *KNOBS.get_or_init(|| {
+        Knobs::parse(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            })
+    })
+}
+
+/// Workload scale factor, `LS_SCALE` (see [`knobs`]).
 pub fn scale() -> f64 {
-    std::env::var("LS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    knobs().scale
 }
 
 /// Scales a minute count by [`scale`], with a floor of 1.
@@ -139,6 +194,32 @@ pub fn abp_125hz(minutes: i64, seed: u64) -> SignalData {
 /// Default processing window (the paper's 1-minute benchmark default).
 pub const WINDOW_1MIN: Tick = 60_000;
 
+/// The benchmark defaults: 1-minute LifeStream processing rounds.
+pub fn minute_rounds() -> EngineOptions {
+    EngineOptions::default().with_round_ticks(WINDOW_1MIN)
+}
+
+/// Runs `workload` on `engine` over copies of `inputs` and returns the
+/// output events: the call the cross-engine rows time, construction
+/// included. The copies share their sample buffers, so they are cheap.
+///
+/// # Panics
+/// On any engine error, naming the engine and the workload. The bins
+/// size every workload to succeed; Fig. 9(c)'s capped Trill arm, whose
+/// out-of-memory result is a paper finding, calls [`Engine::run`] itself.
+pub fn run(
+    engine: &dyn Engine,
+    workload: &Workload,
+    inputs: &[&SignalData],
+    opts: EngineOptions,
+) -> u64 {
+    let inputs = inputs.iter().map(|&d| d.clone()).collect();
+    engine
+        .run(workload, inputs, &opts)
+        .unwrap_or_else(|e| panic!("{} on {}: {e}", engine.name(), workload.name()))
+        .output_events
+}
+
 /// Which primitive micro-benchmark to run (Fig. 9a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Primitive {
@@ -196,44 +277,6 @@ impl Primitive {
     }
 }
 
-/// Runs a shared workload on one engine with the benchmark defaults
-/// (1-minute processing rounds); returns output events. Takes the
-/// inputs by value so timed benchmark loops pay exactly one dataset
-/// copy.
-fn run_workload(engine: &dyn Engine, workload: &Workload, inputs: Vec<SignalData>) -> u64 {
-    engine
-        .run(
-            workload,
-            inputs,
-            &EngineOptions::default().with_round_ticks(WINDOW_1MIN),
-        )
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", engine.name(), workload.name()))
-        .output_events
-}
-
-fn primitive_inputs(p: Primitive, data: &SignalData, side: Option<&SignalData>) -> Vec<SignalData> {
-    match p {
-        Primitive::ClipJoin | Primitive::Join => {
-            vec![data.clone(), side.expect("side stream").clone()]
-        }
-        _ => vec![data.clone()],
-    }
-}
-
-/// Runs one primitive on LifeStream; returns output events.
-pub fn lifestream_primitive(p: Primitive, data: &SignalData, side: Option<&SignalData>) -> u64 {
-    run_workload(
-        &LifeStreamEngine,
-        &p.workload(),
-        primitive_inputs(p, data, side),
-    )
-}
-
-/// Runs one primitive on the Trill baseline; returns output events.
-pub fn trill_primitive(p: Primitive, data: &SignalData, side: Option<&SignalData>) -> u64 {
-    run_workload(&TrillEngine, &p.workload(), primitive_inputs(p, data, side))
-}
-
 /// Which Table 3 operation to run (Fig. 9b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operation {
@@ -261,15 +304,10 @@ impl Operation {
         ]
     }
 
-    /// Display name.
+    /// Display name — delegated to the shared workload definition, like
+    /// [`Primitive::name`] (the period does not affect the name).
     pub fn name(&self) -> &'static str {
-        match self {
-            Operation::Normalize => "Normalize",
-            Operation::PassFilter => "PassFilter",
-            Operation::FillConst => "FillConst",
-            Operation::FillMean => "FillMean",
-            Operation::Resample => "Resample",
-        }
+        self.workload(1).name()
     }
 
     /// The shared [`Workload`] this operation benchmarks over a stream
@@ -294,77 +332,10 @@ fn bench_taps() -> Vec<f32> {
     lspipe::fir_lowpass(31, 0.1)
 }
 
-/// Runs one Table 3 operation on LifeStream; returns output events.
-pub fn lifestream_operation(op: Operation, data: &SignalData) -> u64 {
-    run_workload(
-        &LifeStreamEngine,
-        &op.workload(data.shape().period()),
-        vec![data.clone()],
-    )
-}
-
-/// Runs one Table 3 operation on the Trill baseline; returns output
-/// events.
-pub fn trill_operation(op: Operation, data: &SignalData) -> u64 {
-    run_workload(
-        &TrillEngine,
-        &op.workload(data.shape().period()),
-        vec![data.clone()],
-    )
-}
-
-/// Runs one Table 3 operation on the NumLib baseline; returns output
-/// samples (whole-array accounting, NaN slots included).
-pub fn numlib_operation(op: Operation, data: &SignalData) -> u64 {
-    run_workload(
-        &NumLibEngine,
-        &op.workload(data.shape().period()),
-        vec![data.clone()],
-    )
-}
-
-/// The Fig. 3 end-to-end workload (1-second processing windows).
-fn e2e_workload() -> Workload {
+/// The Fig. 3 end-to-end workload (1-second processing windows) that
+/// Fig. 9(c), Fig. 10 and the multi-core harness run.
+pub fn e2e_workload() -> Workload {
     Workload::Fig3 { window: 1000 }
-}
-
-/// Runs the Fig. 3 end-to-end pipeline on LifeStream.
-///
-/// Returns `(output_events, input_events)`.
-pub fn lifestream_e2e(ecg: &SignalData, abp: &SignalData, round: Tick) -> (u64, u64) {
-    let out = LifeStreamEngine
-        .run(
-            &e2e_workload(),
-            vec![ecg.clone(), abp.clone()],
-            &EngineOptions::default().with_round_ticks(round),
-        )
-        .expect("lifestream e2e");
-    (out.output_events, out.input_events)
-}
-
-/// Runs the Fig. 3 end-to-end pipeline on the Trill baseline.
-///
-/// Returns `Ok(output_events)` or the OOM error.
-pub fn trill_e2e(ecg: &SignalData, abp: &SignalData, cap_bytes: usize) -> Result<u64, EngineError> {
-    TrillEngine
-        .run(
-            &e2e_workload(),
-            vec![ecg.clone(), abp.clone()],
-            &EngineOptions::default().with_memory_cap(cap_bytes),
-        )
-        .map(|o| o.output_events)
-}
-
-/// Runs the Fig. 3 end-to-end pipeline on the NumLib baseline.
-pub fn numlib_e2e(ecg: &SignalData, abp: &SignalData) -> u64 {
-    NumLibEngine
-        .run(
-            &e2e_workload(),
-            vec![ecg.clone(), abp.clone()],
-            &EngineOptions::default(),
-        )
-        .expect("numlib e2e")
-        .output_events
 }
 
 /// Builds the Listing-1 style join pair used by Table 1: 500 Hz and
@@ -381,45 +352,17 @@ pub fn table1_join_pair(minutes: i64, seed: u64) -> (SignalData, SignalData) {
 
 /// The Table 1 upsample workload: linear-interpolation resample onto a
 /// 500 Hz (period-2) grid.
-fn upsample_workload() -> Workload {
+pub fn upsample_workload() -> Workload {
     Workload::Operation {
         op: TableOp::Resample { new_period: 2 },
         window: 1000,
     }
 }
 
-/// LifeStream temporal join for Table 1; returns output events.
-pub fn lifestream_join(l: &SignalData, r: &SignalData) -> u64 {
-    run_workload(
-        &LifeStreamEngine,
-        &Workload::Join,
-        vec![l.clone(), r.clone()],
-    )
-}
-
-/// LifeStream upsample (125 Hz → 500 Hz) for Table 1.
-pub fn lifestream_upsample(data: &SignalData) -> u64 {
-    run_workload(&LifeStreamEngine, &upsample_workload(), vec![data.clone()])
-}
-
-/// Trill temporal join for Table 1.
-pub fn trill_join(l: &SignalData, r: &SignalData) -> u64 {
-    run_workload(&TrillEngine, &Workload::Join, vec![l.clone(), r.clone()])
-}
-
-/// Trill upsample for Table 1.
-pub fn trill_upsample(data: &SignalData) -> u64 {
-    run_workload(&TrillEngine, &upsample_workload(), vec![data.clone()])
-}
-
-/// SciPy-style upsample for Table 1 (whole-array linear interpolation).
-pub fn numlib_upsample(data: &SignalData) -> u64 {
-    run_workload(&NumLibEngine, &upsample_workload(), vec![data.clone()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifestream::engine::{LifeStreamEngine, NumLibEngine, TrillEngine};
 
     #[test]
     fn table_renders_aligned() {
@@ -431,13 +374,61 @@ mod tests {
         assert!(s.lines().count() == 4);
     }
 
+    fn parse(vars: &[(&str, &str)]) -> Result<Knobs, String> {
+        Knobs::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn unset_knobs_keep_their_defaults() {
+        let k = parse(&[]).unwrap();
+        assert_eq!(
+            k,
+            Knobs {
+                scale: 1.0,
+                trill_cap: 256 << 20,
+                mem_budget: 512 << 20,
+            }
+        );
+        let k = parse(&[
+            ("LS_SCALE", "0.05"),
+            ("LS_TRILL_CAP", "1024"),
+            ("LS_MEM_BUDGET", "0"),
+        ])
+        .unwrap();
+        assert_eq!((k.scale, k.trill_cap, k.mem_budget), (0.05, 1024, 0));
+        assert_eq!(parse(&[("LS_SCALE", "0")]).unwrap().scale, 0.0);
+    }
+
+    #[test]
+    fn a_bad_knob_is_refused_by_name() {
+        for (name, raw) in [
+            ("LS_SCALE", "abc"),
+            ("LS_SCALE", ""),
+            ("LS_SCALE", "-0.5"),
+            ("LS_SCALE", "NaN"),
+            ("LS_SCALE", "inf"),
+            ("LS_TRILL_CAP", "256M"),
+            ("LS_TRILL_CAP", "-1"),
+            ("LS_MEM_BUDGET", "1.5"),
+        ] {
+            let err = parse(&[(name, raw)]).unwrap_err();
+            assert!(err.starts_with(&format!("{name}=")), "{name}={raw}: {err}");
+        }
+    }
+
     #[test]
     fn primitives_run_on_both_engines() {
         let data = synthetic_1khz(1, 1);
         let side = synthetic_500hz(1, 2);
         for p in Primitive::all() {
-            let ls = lifestream_primitive(p, &data, Some(&side));
-            let tr = trill_primitive(p, &data, Some(&side));
+            let w = p.workload();
+            let inputs = &[&data, &side][..w.arity()];
+            let ls = run(&LifeStreamEngine, &w, inputs, minute_rounds());
+            let tr = run(&TrillEngine, &w, inputs, minute_rounds());
             assert!(ls > 0, "{} lifestream empty", p.name());
             assert!(tr > 0, "{} trill empty", p.name());
         }
@@ -447,18 +438,25 @@ mod tests {
     fn join_primitive_agrees_across_engines() {
         let data = synthetic_1khz(1, 1);
         let side = synthetic_500hz(1, 2);
-        let ls = lifestream_primitive(Primitive::Join, &data, Some(&side));
-        let tr = trill_primitive(Primitive::Join, &data, Some(&side));
+        let w = Primitive::Join.workload();
+        let ls = run(&LifeStreamEngine, &w, &[&data, &side], minute_rounds());
+        let tr = run(&TrillEngine, &w, &[&data, &side], minute_rounds());
         assert_eq!(ls, tr);
     }
 
     #[test]
     fn operations_run_on_all_engines() {
         let data = ecg_500hz(1, 3);
+        let w = |op: Operation| op.workload(data.shape().period());
         for op in Operation::all() {
-            assert!(lifestream_operation(op, &data) > 0, "{}", op.name());
-            assert!(trill_operation(op, &data) > 0, "{}", op.name());
-            assert!(numlib_operation(op, &data) > 0, "{}", op.name());
+            for engine in [
+                &LifeStreamEngine as &dyn Engine,
+                &TrillEngine,
+                &NumLibEngine,
+            ] {
+                let out = run(engine, &w(op), &[&data], minute_rounds());
+                assert!(out > 0, "{} on {}", op.name(), engine.name());
+            }
         }
     }
 
@@ -466,9 +464,11 @@ mod tests {
     fn e2e_runs_on_all_engines() {
         let ecg = ecg_500hz(2, 5);
         let abp = abp_125hz(2, 6);
-        let (ls, _) = lifestream_e2e(&ecg, &abp, WINDOW_1MIN);
-        let tr = trill_e2e(&ecg, &abp, 1 << 30).expect("trill e2e");
-        let nl = numlib_e2e(&ecg, &abp);
+        let w = e2e_workload();
+        let ls = run(&LifeStreamEngine, &w, &[&ecg, &abp], minute_rounds());
+        let capped = EngineOptions::default().with_memory_cap(1 << 30);
+        let tr = run(&TrillEngine, &w, &[&ecg, &abp], capped);
+        let nl = run(&NumLibEngine, &w, &[&ecg, &abp], EngineOptions::default());
         assert!(ls > 0 && tr > 0 && nl > 0);
         // Engines implement the same pipeline; outputs agree within a few
         // percent (boundary semantics differ slightly at window edges).
@@ -480,11 +480,22 @@ mod tests {
     #[test]
     fn table1_runners_produce_output() {
         let (l, r) = table1_join_pair(1, 7);
-        assert!(lifestream_join(&l, &r) > 0);
-        assert!(trill_join(&l, &r) > 0);
+        assert!(
+            run(
+                &LifeStreamEngine,
+                &Workload::Join,
+                &[&l, &r],
+                minute_rounds()
+            ) > 0
+        );
+        assert!(run(&TrillEngine, &Workload::Join, &[&l, &r], minute_rounds()) > 0);
         let abp = abp_125hz(1, 8);
-        assert!(lifestream_upsample(&abp) > 0);
-        assert!(trill_upsample(&abp) > 0);
-        assert!(numlib_upsample(&abp) > 0);
+        for engine in [
+            &LifeStreamEngine as &dyn Engine,
+            &TrillEngine,
+            &NumLibEngine,
+        ] {
+            assert!(run(engine, &upsample_workload(), &[&abp], minute_rounds()) > 0);
+        }
     }
 }

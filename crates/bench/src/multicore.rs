@@ -1,33 +1,26 @@
 //! Real-thread scale-up (Fig. 10c): per-patient data parallelism.
 //!
-//! The LifeStream arm runs on the [`ShardedRuntime`]:
+//! Each arm runs the Fig. 3 workload ([`crate::e2e_workload`]) over every
+//! patient with `threads` workers, and each worker gets an equal share of
+//! the machine's memory budget as its [`EngineOptions::memory_cap`].
+//! [`run_lifestream`] serves the patients from the [`ShardedRuntime`]:
 //! patients are routed to long-lived shard workers whose pooled
 //! executors are compiled once and recycled, so the measured loop is the
 //! steady state of the multi-patient service, not a compile-per-patient
-//! benchmark. The Trill and NumLib arms keep their per-patient loops —
-//! those baselines have no warm state worth pooling, which is part of
-//! the comparison.
+//! benchmark. [`run_baseline`] calls [`Engine::run`] once per patient on
+//! scoped threads — the Trill and NumLib baselines have no warm state
+//! worth pooling, which is part of the comparison.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use lifestream::engine::{Engine, EngineError, EngineOptions};
 use lifestream_core::pipeline::fig3_pipeline;
 use lifestream_core::source::SignalData;
 use lifestream_signal::dataset::ecg_abp_pair;
 
 use cluster_harness::sharded::{JobOutcome, ShardedConfig, ShardedRuntime};
-
-/// Which engine to scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// LifeStream (this repo's core engine).
-    LifeStream,
-    /// The Trill-architecture baseline.
-    Trill,
-    /// The NumPy/SciPy-style baseline.
-    NumLib,
-}
 
 /// A per-patient workload: every patient contributes an ECG+ABP pair.
 #[derive(Debug, Clone)]
@@ -64,12 +57,8 @@ impl PatientWorkload {
 /// One measured scaling point.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalePoint {
-    /// Worker thread count.
-    pub threads: usize,
-    /// Input events processed (0 when the engine crashed).
+    /// Input events processed (0 when the engine ran out of memory).
     pub events: u64,
-    /// Wall-clock seconds.
-    pub elapsed_s: f64,
     /// Throughput in million events per second.
     pub mev_per_s: f64,
     /// True when the engine ran out of memory (Trill beyond its thread
@@ -77,134 +66,124 @@ pub struct ScalePoint {
     pub oom: bool,
 }
 
-/// Runs the Fig. 3 pipeline over the workload with `threads` workers,
-/// patients partitioned round-robin. `mem_budget_bytes` models the
-/// machine's memory: each worker gets an equal share, and an engine whose
-/// buffering exceeds its share fails the run with OOM (the Trill failure
-/// mode beyond 12 threads in §8.6).
-pub fn run_scaling(
-    engine: Engine,
+/// Times `arm`, which returns the input events it processed or `None`
+/// when a worker ran out of memory.
+fn measure(arm: impl FnOnce() -> Option<u64>) -> ScalePoint {
+    let start = Instant::now();
+    let events = arm();
+    let elapsed = start.elapsed().as_secs_f64();
+    match events {
+        Some(events) => ScalePoint {
+            events,
+            mev_per_s: events as f64 / elapsed / 1e6,
+            oom: false,
+        },
+        None => ScalePoint {
+            events: 0,
+            mev_per_s: 0.0,
+            oom: true,
+        },
+    }
+}
+
+/// Runs a baseline `engine` over the workload with `threads` workers,
+/// patients partitioned round-robin, one [`Engine::run`] per patient.
+/// `mem_budget_bytes` models the machine's memory: each worker gets an
+/// equal share as its memory cap, and a patient that exceeds it ends the
+/// run with OOM (the Trill failure mode beyond 12 threads in §8.6).
+///
+/// # Panics
+/// On any engine error other than [`EngineError::OutOfMemory`].
+pub fn run_baseline(
+    engine: &(dyn Engine + Sync),
+    workload: &PatientWorkload,
+    threads: usize,
+    mem_budget_bytes: usize,
+) -> ScalePoint {
+    assert!(threads > 0, "need at least one worker");
+    let opts = EngineOptions::default().with_memory_cap(mem_budget_bytes / threads);
+    let fig3 = crate::e2e_workload();
+    measure(|| {
+        let oom = AtomicBool::new(false);
+        let processed = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..threads {
+                let (oom, processed, opts, fig3) = (&oom, &processed, &opts, &fig3);
+                let patients = &workload.patients;
+                scope.spawn(move || {
+                    for (ecg, abp) in patients.iter().skip(w).step_by(threads) {
+                        if oom.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        match engine.run(fig3, vec![ecg.clone(), abp.clone()], opts) {
+                            Ok(out) => {
+                                processed.fetch_add(out.input_events, Ordering::Relaxed);
+                            }
+                            Err(EngineError::OutOfMemory { .. }) => {
+                                oom.store(true, Ordering::Relaxed);
+                                return;
+                            }
+                            Err(e) => panic!("{} on {}: {e}", engine.name(), fig3.name()),
+                        }
+                    }
+                });
+            }
+        });
+        (!oom.into_inner()).then(|| processed.into_inner())
+    })
+}
+
+/// Runs the LifeStream arm: the whole patient workload through a
+/// [`ShardedRuntime`] with `threads` shard workers over the Fig. 3
+/// pipeline, each worker's static plan capped at an equal share of
+/// `mem_budget_bytes`. Reports OOM when any job's plan exceeds its cap.
+/// The timed interval includes runtime construction and the per-shard
+/// warm-up compile — the steady state amortizes it across the patient
+/// stream, exactly the effect the pooled-executor design buys.
+///
+/// # Panics
+/// When a job fails for any reason other than memory.
+pub fn run_lifestream(
     workload: &PatientWorkload,
     threads: usize,
     mem_budget_bytes: usize,
 ) -> ScalePoint {
     assert!(threads > 0, "need at least one worker");
     let per_worker_cap = mem_budget_bytes / threads;
-    let start = Instant::now();
-    let (events, oom) = match engine {
-        Engine::LifeStream => run_sharded(workload, threads, per_worker_cap),
-        _ => run_per_patient(engine, workload, threads, per_worker_cap),
-    };
-    let elapsed = start.elapsed().as_secs_f64();
-    ScalePoint {
-        threads,
-        events: if oom { 0 } else { events },
-        elapsed_s: elapsed,
-        mev_per_s: if oom {
-            0.0
-        } else {
-            events as f64 / elapsed / 1e6
-        },
-        oom,
-    }
-}
-
-/// The baselines' arm of [`run_scaling`]: one scoped thread per worker,
-/// each looping over its patients. Returns the present input events
-/// processed and whether a worker ran out of memory.
-fn run_per_patient(
-    engine: Engine,
-    workload: &PatientWorkload,
-    threads: usize,
-    per_worker_cap: usize,
-) -> (u64, bool) {
-    let oom = AtomicBool::new(false);
-    let processed = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (oom, processed) = (&oom, &processed);
-            let patients = &workload.patients;
-            scope.spawn(move || {
-                for (ecg, abp) in patients.iter().skip(w).step_by(threads) {
-                    if oom.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let events = ecg.present_events() + abp.present_events();
-                    match engine {
-                        Engine::LifeStream => unreachable!("handled by the sharded runtime"),
-                        Engine::Trill => {
-                            let mut p = trill_baseline::pipelines::fig3_pipeline(
-                                ecg.shape(),
-                                abp.shape(),
-                                1000,
-                            )
-                            .with_memory_cap(per_worker_cap);
-                            if p.run(vec![ecg.clone(), abp.clone()]).is_err() {
-                                oom.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                        Engine::NumLib => {
-                            // Whole-array materialization: ~10 arrays of
-                            // the signal length in flight (see
-                            // NumLibStats::arrays_materialized).
-                            let approx = (ecg.len() + abp.len()) * 4 * 10;
-                            if approx > per_worker_cap {
-                                oom.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            lifestream::numlib::fig3_numlib(ecg, abp, 1000).expect("numlib run");
-                        }
-                    }
-                    processed.fetch_add(events, Ordering::Relaxed);
-                }
-            });
+    measure(|| {
+        let Some((ecg_shape, abp_shape)) = workload
+            .patients
+            .first()
+            .map(|(e, a)| (e.shape(), a.shape()))
+        else {
+            return Some(0);
+        };
+        let factory = Arc::new(move || fig3_pipeline(ecg_shape, abp_shape, 1000)?.compile());
+        let cfg = ShardedConfig::with_workers(threads)
+            .round_ticks(workload.window)
+            .mem_cap_per_worker(per_worker_cap);
+        let rt = ShardedRuntime::new(factory, cfg);
+        for (p, (ecg, abp)) in workload.patients.iter().enumerate() {
+            rt.submit(p as u64, vec![ecg.clone(), abp.clone()]);
         }
-    });
-    (processed.into_inner() as u64, oom.into_inner())
-}
-
-/// The LifeStream arm of [`run_scaling`]: the whole patient workload
-/// through a [`ShardedRuntime`] over the Fig. 3 pipeline. Returns the
-/// present input events of the patients that completed and whether any
-/// job failed (OOM or error). The timed interval includes runtime
-/// construction and the per-shard warm-up compile — the steady state
-/// amortizes it across the patient stream, exactly the effect the
-/// pooled-executor design buys.
-fn run_sharded(workload: &PatientWorkload, threads: usize, per_worker_cap: usize) -> (u64, bool) {
-    let Some((ecg_shape, abp_shape)) = workload
-        .patients
-        .first()
-        .map(|(e, a)| (e.shape(), a.shape()))
-    else {
-        return (0, false);
-    };
-    let factory = Arc::new(move || fig3_pipeline(ecg_shape, abp_shape, 1000)?.compile());
-    let cfg = ShardedConfig::with_workers(threads)
-        .round_ticks(workload.window)
-        .mem_cap_per_worker(per_worker_cap);
-    let rt = ShardedRuntime::new(factory, cfg);
-    for (p, (ecg, abp)) in workload.patients.iter().enumerate() {
-        rt.submit(p as u64, vec![ecg.clone(), abp.clone()]);
-    }
-    let mut events = 0u64;
-    let mut failed = false;
-    for report in rt.drain(workload.patients.len()) {
-        match report.outcome {
-            JobOutcome::Ok => {
-                let (ecg, abp) = &workload.patients[report.patient as usize];
-                events += (ecg.present_events() + abp.present_events()) as u64;
+        let mut events = 0u64;
+        let mut oom = false;
+        for report in rt.drain(workload.patients.len()) {
+            match report.outcome {
+                JobOutcome::Ok => events += report.input_events,
+                JobOutcome::OutOfMemory { .. } => oom = true,
+                JobOutcome::Failed(m) => panic!("patient {}: {m}", report.patient),
             }
-            _ => failed = true,
         }
-    }
-    rt.shutdown();
-    (events, failed)
+        rt.shutdown();
+        (!oom).then_some(events)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifestream::engine::{NumLibEngine, TrillEngine};
 
     fn tiny_workload() -> PatientWorkload {
         PatientWorkload::synthesize(4, 2, 42)
@@ -213,8 +192,8 @@ mod tests {
     #[test]
     fn lifestream_scales_without_oom() {
         let w = tiny_workload();
-        let p1 = run_scaling(Engine::LifeStream, &w, 1, 8 << 30);
-        let p2 = run_scaling(Engine::LifeStream, &w, 2, 8 << 30);
+        let p1 = run_lifestream(&w, 1, 8 << 30);
+        let p2 = run_lifestream(&w, 2, 8 << 30);
         assert!(!p1.oom && !p2.oom);
         assert_eq!(p1.events, p2.events);
         assert!(p1.events > 0);
@@ -224,10 +203,10 @@ mod tests {
     fn trill_ooms_when_per_worker_share_shrinks() {
         let w = tiny_workload();
         // Generous budget: fine.
-        let ok = run_scaling(Engine::Trill, &w, 1, 8 << 30);
+        let ok = run_baseline(&TrillEngine, &w, 1, 8 << 30);
         assert!(!ok.oom);
         // Budget so small the per-worker join cap is untenable.
-        let bad = run_scaling(Engine::Trill, &w, 4, 4 << 20);
+        let bad = run_baseline(&TrillEngine, &w, 4, 4 << 20);
         assert!(bad.oom);
         assert_eq!(bad.events, 0);
     }
@@ -235,15 +214,24 @@ mod tests {
     #[test]
     fn numlib_runs_within_budget() {
         let w = tiny_workload();
-        let p = run_scaling(Engine::NumLib, &w, 2, 8 << 30);
+        let p = run_baseline(&NumLibEngine, &w, 2, 8 << 30);
         assert!(!p.oom);
         assert!(p.events > 0);
     }
 
     #[test]
-    fn workload_event_count_is_stable() {
+    fn every_arm_processes_every_input_event_at_one_thread() {
         let w = tiny_workload();
-        assert_eq!(w.total_events(), w.total_events());
-        assert!(w.total_events() > 0);
+        let total = w.total_events();
+        assert!(total > 0);
+        let arms = [
+            ("LifeStream", run_lifestream(&w, 1, 8 << 30)),
+            ("Trill", run_baseline(&TrillEngine, &w, 1, 8 << 30)),
+            ("NumLib", run_baseline(&NumLibEngine, &w, 1, 8 << 30)),
+        ];
+        for (name, p) in arms {
+            assert!(!p.oom, "{name} ran out of memory");
+            assert_eq!(p.events, total, "{name} events");
+        }
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! Each case draws an operator, window sizes, and a gap pattern, builds
 //! the shared [`Workload`] once, and runs it through every engine in
-//! [`all_engines`] — LifeStream, Trill, NumLib, and the sharded runtime.
+//! [`all_engines`] — LifeStream, Trill, NumLib, the sharded runtime and
+//! staged (unfused) LifeStream.
 //! Collected events are poured into an [`OutputCollector`] per engine and
 //! compared by the order-sensitive checksum, so agreement is bit-for-bit
 //! on both times and payload values.

@@ -12,7 +12,9 @@
 //!
 //! * [`LifeStreamEngine`] builds a [`Query`] chain in the query language
 //!   of [`lifestream_core::stream`], compiles it, and executes with the
-//!   static memory plan.
+//!   static memory plan; [`StagedLifeStreamEngine`] does the same with
+//!   operator fusion off.
+//! * [`ShardedEngine`] serves the same query from a [`ShardedRuntime`].
 //! * [`TrillEngine`] builds the eager push-dataflow pipeline.
 //! * [`NumLibEngine`] interprets the workload over materialized arrays;
 //!   workloads without an array-library analogue (interval chopping,
@@ -20,21 +22,24 @@
 //!   semantics — mirroring the paper's observation that temporal
 //!   operators are missing from array libraries.
 //!
-//! [`Engine::prepare`] returns a boxed [`EnginePipeline`], so harnesses
-//! can separate (untimed) query construction from (timed) execution and
-//! iterate over `Vec<Box<dyn Engine>>` — see [`all_engines`] and
-//! `tests/cross_engine.rs`.
+//! [`Engine::run`] is the whole surface: one call translates, executes
+//! and reports. Tests iterate over `Vec<Box<dyn Engine>>` (see
+//! [`all_engines`] and `tests/cross_engine.rs`), and the paper bins in
+//! `crates/bench` time that call, construction included, for their
+//! engine rows.
 
+use std::sync::Arc;
+
+use cluster_harness::sharded::{JobOutcome, ShardedConfig, ShardedRuntime};
 use lifestream_core::exec::{ExecOptions, OutputCollector};
 use lifestream_core::ops::aggregate::AggKind;
 use lifestream_core::ops::join::JoinKind;
 use lifestream_core::pipeline as lspipe;
-use lifestream_core::query::CompiledQuery;
 use lifestream_core::source::SignalData;
 use lifestream_core::stream::Query;
 use lifestream_core::time::{StreamShape, Tick};
 use trill_baseline::pipelines as tpipe;
-use trill_baseline::TrillPipeline;
+use trill_baseline::{TrillError, TrillPipeline};
 
 /// A Table-3 operation, parameterized so each engine can instantiate it.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,8 +165,11 @@ pub struct EngineOptions {
     /// [`RunOutcome::collected`]. Engines that cannot collect values for
     /// a workload leave it `None`.
     pub collect: bool,
-    /// Join-state memory cap in bytes (Trill only; models the paper's
-    /// observed OOM behaviour).
+    /// Memory cap in bytes; a run that would exceed it fails with
+    /// [`EngineError::OutOfMemory`]. Trill caps its join state, the
+    /// sharded runtime each worker's static memory plan, and NumLib its
+    /// whole-array estimate for [`Workload::Fig3`]; the direct LifeStream
+    /// engines ignore it.
     pub memory_cap: Option<usize>,
 }
 
@@ -178,7 +186,7 @@ impl EngineOptions {
         self
     }
 
-    /// Caps Trill join-state memory.
+    /// Sets the memory cap (see [`EngineOptions::memory_cap`]).
     pub fn with_memory_cap(mut self, bytes: usize) -> Self {
         self.memory_cap = Some(bytes);
         self
@@ -202,7 +210,7 @@ pub struct RunOutcome {
     pub collected: Option<Vec<(Tick, f32)>>,
 }
 
-/// Errors from preparing or running a workload.
+/// Errors from running a workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The engine has no implementation for this workload (e.g. temporal
@@ -213,8 +221,16 @@ pub enum EngineError {
         /// The workload's display name.
         workload: &'static str,
     },
+    /// The run needed more memory than [`EngineOptions::memory_cap`]
+    /// allows — the paper's Trill crash in Fig. 9(c) and 10(c).
+    OutOfMemory {
+        /// Bytes the engine needed when it hit the cap.
+        needed: usize,
+        /// The cap it exceeded.
+        cap: usize,
+    },
     /// Construction or execution failed; the message preserves the
-    /// underlying engine error (including Trill's out-of-memory report).
+    /// underlying engine error.
     Failed(String),
 }
 
@@ -223,6 +239,9 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::Unsupported { engine, workload } => {
                 write!(f, "engine {engine} does not support workload {workload}")
+            }
+            EngineError::OutOfMemory { needed, cap } => {
+                write!(f, "out of memory: needs {needed} B, cap {cap} B")
             }
             EngineError::Failed(m) => write!(f, "{m}"),
         }
@@ -247,72 +266,34 @@ fn require_arity(engine: &'static str, w: &Workload, supplied: usize) -> Result<
     }
 }
 
-/// Checks the datasets handed to [`EnginePipeline::run`] against the
-/// shapes the pipeline was prepared for (engines bake shape parameters
-/// into their operators at prepare time).
-fn require_shapes(
-    engine: &'static str,
-    expected: &[StreamShape],
-    inputs: &[SignalData],
-) -> Result<(), EngineError> {
-    let got: Vec<StreamShape> = inputs.iter().map(SignalData::shape).collect();
-    if got == expected {
-        Ok(())
-    } else {
-        Err(EngineError::Failed(format!(
-            "engine {engine}: inputs shaped {got:?} do not match prepared shapes {expected:?}"
-        )))
-    }
+fn shapes_of(inputs: &[SignalData]) -> Vec<StreamShape> {
+    inputs.iter().map(SignalData::shape).collect()
 }
 
-/// A query engine that can translate a [`Workload`] into an executable
-/// pipeline on its own architecture.
+/// A query engine that can run a [`Workload`] on its own architecture.
 pub trait Engine {
     /// Engine display name.
     fn name(&self) -> &'static str;
 
-    /// Whether [`Engine::prepare`] can translate this workload.
+    /// Whether [`Engine::run`] can translate this workload.
     fn supports(&self, workload: &Workload) -> bool;
 
-    /// Builds (but does not run) a pipeline for `workload` over sources
-    /// with the given shapes.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Unsupported`] for workloads outside the
-    /// engine's vocabulary, or [`EngineError::Failed`] for invalid
-    /// parameters.
-    fn prepare(
-        &self,
-        workload: &Workload,
-        shapes: &[StreamShape],
-        opts: &EngineOptions,
-    ) -> Result<Box<dyn EnginePipeline>, EngineError>;
-
-    /// Convenience: prepare for the inputs' shapes, then run. Takes the
+    /// Translates `workload` onto this engine for the inputs' shapes,
+    /// runs it over `inputs` and reports what it produced. Takes the
     /// inputs by value so single-shot callers (benchmark loops in
     /// particular) pay no extra dataset copy.
     ///
     /// # Errors
-    /// Propagates [`Engine::prepare`] and [`EnginePipeline::run`] errors.
+    /// Returns [`EngineError::Unsupported`] for workloads outside the
+    /// engine's vocabulary, [`EngineError::OutOfMemory`] when the run
+    /// exceeds [`EngineOptions::memory_cap`], or [`EngineError::Failed`]
+    /// for a wrong input count, invalid parameters or an execution error.
     fn run(
         &self,
         workload: &Workload,
         inputs: Vec<SignalData>,
         opts: &EngineOptions,
-    ) -> Result<RunOutcome, EngineError> {
-        let shapes: Vec<StreamShape> = inputs.iter().map(SignalData::shape).collect();
-        self.prepare(workload, &shapes, opts)?.run(inputs)
-    }
-}
-
-/// A prepared, single-shot pipeline returned by [`Engine::prepare`].
-pub trait EnginePipeline {
-    /// Feeds the inputs through the pipeline.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Failed`] on execution errors (including a
-    /// second `run` call on an already-consumed pipeline).
-    fn run(&mut self, inputs: Vec<SignalData>) -> Result<RunOutcome, EngineError>;
+    ) -> Result<RunOutcome, EngineError>;
 }
 
 /// All engines that implement the shared [`Engine`] surface: the paper's
@@ -389,32 +370,44 @@ pub struct LifeStreamEngine;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StagedLifeStreamEngine;
 
-struct LifeStreamPrepared {
-    compiled: Option<CompiledQuery>,
-    shapes: Vec<StreamShape>,
-    exec_opts: ExecOptions,
-    collect: bool,
-}
-
-fn prepare_lifestream(
+/// Compiles `workload` for the inputs' shapes and executes it directly
+/// on the calling thread with `exec_opts`.
+fn run_lifestream(
     engine_name: &'static str,
     workload: &Workload,
-    shapes: &[StreamShape],
+    inputs: Vec<SignalData>,
     opts: &EngineOptions,
     exec_opts: ExecOptions,
-) -> Result<Box<dyn EnginePipeline>, EngineError> {
-    require_arity(engine_name, workload, shapes.len())?;
-    let q = lifestream_query(workload, shapes).map_err(fail)?;
-    let mut exec_opts = exec_opts;
-    if let Some(t) = opts.round_ticks {
-        exec_opts = exec_opts.with_round_ticks(t);
+) -> Result<RunOutcome, EngineError> {
+    require_arity(engine_name, workload, inputs.len())?;
+    let compiled = lifestream_query(workload, &shapes_of(&inputs))
+        .and_then(|q| q.compile())
+        .map_err(fail)?;
+    let exec_opts = match opts.round_ticks {
+        Some(t) => exec_opts.with_round_ticks(t),
+        None => exec_opts,
+    };
+    let mut exec = compiled.executor_with(inputs, exec_opts).map_err(fail)?;
+    if opts.collect {
+        let mut coll = OutputCollector::new(exec.sink_arity().map_err(fail)?);
+        let stats = exec.run_with(|w| coll.absorb(w)).map_err(fail)?;
+        let collected = coll
+            .iter_times()
+            .zip(coll.values(0).iter().copied())
+            .collect();
+        Ok(RunOutcome {
+            input_events: stats.input_events,
+            output_events: stats.output_events,
+            collected: Some(collected),
+        })
+    } else {
+        let stats = exec.run().map_err(fail)?;
+        Ok(RunOutcome {
+            input_events: stats.input_events,
+            output_events: stats.output_events,
+            collected: None,
+        })
     }
-    Ok(Box::new(LifeStreamPrepared {
-        compiled: Some(q.compile().map_err(fail)?),
-        shapes: shapes.to_vec(),
-        exec_opts,
-        collect: opts.collect,
-    }))
 }
 
 impl Engine for LifeStreamEngine {
@@ -426,13 +419,13 @@ impl Engine for LifeStreamEngine {
         true
     }
 
-    fn prepare(
+    fn run(
         &self,
         workload: &Workload,
-        shapes: &[StreamShape],
+        inputs: Vec<SignalData>,
         opts: &EngineOptions,
-    ) -> Result<Box<dyn EnginePipeline>, EngineError> {
-        prepare_lifestream(self.name(), workload, shapes, opts, ExecOptions::default())
+    ) -> Result<RunOutcome, EngineError> {
+        run_lifestream(self.name(), workload, inputs, opts, ExecOptions::default())
     }
 }
 
@@ -445,54 +438,19 @@ impl Engine for StagedLifeStreamEngine {
         true
     }
 
-    fn prepare(
+    fn run(
         &self,
         workload: &Workload,
-        shapes: &[StreamShape],
+        inputs: Vec<SignalData>,
         opts: &EngineOptions,
-    ) -> Result<Box<dyn EnginePipeline>, EngineError> {
-        prepare_lifestream(
+    ) -> Result<RunOutcome, EngineError> {
+        run_lifestream(
             self.name(),
             workload,
-            shapes,
+            inputs,
             opts,
             ExecOptions::default().without_fusion(),
         )
-    }
-}
-
-impl EnginePipeline for LifeStreamPrepared {
-    fn run(&mut self, inputs: Vec<SignalData>) -> Result<RunOutcome, EngineError> {
-        // Validate before consuming: a rejected call must not poison the
-        // single-shot pipeline.
-        require_shapes("LifeStream", &self.shapes, &inputs)?;
-        let compiled = self
-            .compiled
-            .take()
-            .ok_or_else(|| EngineError::Failed("pipeline already consumed".into()))?;
-        let mut exec = compiled
-            .executor_with(inputs, self.exec_opts)
-            .map_err(fail)?;
-        if self.collect {
-            let mut coll = OutputCollector::new(exec.sink_arity().map_err(fail)?);
-            let stats = exec.run_with(|w| coll.absorb(w)).map_err(fail)?;
-            let collected = coll
-                .iter_times()
-                .zip(coll.values(0).iter().copied())
-                .collect();
-            Ok(RunOutcome {
-                input_events: stats.input_events,
-                output_events: stats.output_events,
-                collected: Some(collected),
-            })
-        } else {
-            let stats = exec.run().map_err(fail)?;
-            Ok(RunOutcome {
-                input_events: stats.input_events,
-                output_events: stats.output_events,
-                collected: None,
-            })
-        }
     }
 }
 
@@ -504,13 +462,52 @@ impl EnginePipeline for LifeStreamPrepared {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrillEngine;
 
-struct TrillPrepared {
-    // `None` once run: TrillPipeline operator state (join buffers,
-    // filter history, collected events) is not reset between runs, so a
-    // second run would silently produce wrong results.
-    pipeline: Option<TrillPipeline>,
-    shapes: Vec<StreamShape>,
-    collect: bool,
+/// Translates a supported [`Workload`] into a Trill push-dataflow
+/// pipeline over sources of the given shapes.
+fn trill_pipeline(workload: &Workload, shapes: &[StreamShape]) -> TrillPipeline {
+    if let Workload::Fig3 { window } = workload {
+        return tpipe::fig3_pipeline(shapes[0], shapes[1], *window);
+    }
+    let mut tp = TrillPipeline::new();
+    let src = tp.source(shapes[0]);
+    let out = match workload.clone() {
+        Workload::Select { mul, add } => tp.select(src, 1, move |i, o| o[0] = i[0] * mul + add),
+        Workload::WhereGt { threshold } => tp.where_(src, move |v| v[0] > threshold),
+        Workload::Aggregate {
+            kind,
+            window,
+            stride,
+        } => tp.aggregate(src, kind, window, stride),
+        Workload::Chop { boundary, .. } => {
+            // Trill chops payload-passthrough batches; event lifetimes
+            // are implicit in its batch layout.
+            let pass = tp.select(src, 1, |i, o| o[0] = i[0]);
+            tp.chop(pass, boundary)
+        }
+        Workload::Join => {
+            let other = tp.source(shapes[1]);
+            tp.join(src, other)
+        }
+        Workload::ClipJoin => {
+            let other = tp.source(shapes[1]);
+            tp.clip_join(src, other)
+        }
+        Workload::Operation { op, window } => {
+            let p = shapes[0].period();
+            match op {
+                TableOp::Normalize => tpipe::normalize(&mut tp, src, window),
+                TableOp::PassFilter { taps } => tpipe::pass_filter(&mut tp, src, window, taps),
+                TableOp::FillConst { value } => tpipe::fill_const(&mut tp, src, window, p, value),
+                TableOp::FillMean => tpipe::fill_mean(&mut tp, src, window, p),
+                TableOp::Resample { new_period } => {
+                    tpipe::resample(&mut tp, src, window, new_period)
+                }
+            }
+        }
+        Workload::Fig3 { .. } => unreachable!("handled above"),
+    };
+    tp.sink(out);
+    tp
 }
 
 impl Engine for TrillEngine {
@@ -528,96 +525,40 @@ impl Engine for TrillEngine {
         }
     }
 
-    fn prepare(
+    fn run(
         &self,
         workload: &Workload,
-        shapes: &[StreamShape],
+        inputs: Vec<SignalData>,
         opts: &EngineOptions,
-    ) -> Result<Box<dyn EnginePipeline>, EngineError> {
+    ) -> Result<RunOutcome, EngineError> {
         if !self.supports(workload) {
             return Err(EngineError::Unsupported {
                 engine: self.name(),
                 workload: workload.name(),
             });
         }
-        require_arity(self.name(), workload, shapes.len())?;
-        let mut tp = match workload {
-            Workload::Fig3 { window } => tpipe::fig3_pipeline(shapes[0], shapes[1], *window),
-            _ => {
-                let mut tp = TrillPipeline::new();
-                let src = tp.source(shapes[0]);
-                let out = match workload.clone() {
-                    Workload::Select { mul, add } => {
-                        tp.select(src, 1, move |i, o| o[0] = i[0] * mul + add)
-                    }
-                    Workload::WhereGt { threshold } => tp.where_(src, move |v| v[0] > threshold),
-                    Workload::Aggregate {
-                        kind,
-                        window,
-                        stride,
-                    } => tp.aggregate(src, kind, window, stride),
-                    Workload::Chop { boundary, .. } => {
-                        // Trill chops payload-passthrough batches; event
-                        // lifetimes are implicit in its batch layout.
-                        let pass = tp.select(src, 1, |i, o| o[0] = i[0]);
-                        tp.chop(pass, boundary)
-                    }
-                    Workload::Join => {
-                        let other = tp.source(shapes[1]);
-                        tp.join(src, other)
-                    }
-                    Workload::ClipJoin => {
-                        let other = tp.source(shapes[1]);
-                        tp.clip_join(src, other)
-                    }
-                    Workload::Operation { op, window } => {
-                        let p = shapes[0].period();
-                        match op {
-                            TableOp::Normalize => tpipe::normalize(&mut tp, src, window),
-                            TableOp::PassFilter { taps } => {
-                                tpipe::pass_filter(&mut tp, src, window, taps)
-                            }
-                            TableOp::FillConst { value } => {
-                                tpipe::fill_const(&mut tp, src, window, p, value)
-                            }
-                            TableOp::FillMean => tpipe::fill_mean(&mut tp, src, window, p),
-                            TableOp::Resample { new_period } => {
-                                tpipe::resample(&mut tp, src, window, new_period)
-                            }
-                        }
-                    }
-                    Workload::Fig3 { .. } => unreachable!("handled above"),
-                };
-                tp.sink(out);
-                tp
-            }
-        };
+        require_arity(self.name(), workload, inputs.len())?;
+        let mut tp = trill_pipeline(workload, &shapes_of(&inputs));
         if let Some(cap) = opts.memory_cap {
             tp = tp.with_memory_cap(cap);
         }
         if opts.collect {
             tp = tp.with_collection();
         }
-        Ok(Box::new(TrillPrepared {
-            pipeline: Some(tp),
-            shapes: shapes.to_vec(),
-            collect: opts.collect,
-        }))
-    }
-}
-
-impl EnginePipeline for TrillPrepared {
-    fn run(&mut self, inputs: Vec<SignalData>) -> Result<RunOutcome, EngineError> {
-        require_shapes("Trill", &self.shapes, &inputs)?;
-        let mut pipeline = self
-            .pipeline
-            .take()
-            .ok_or_else(|| EngineError::Failed("pipeline already consumed".into()))?;
-        let stats = pipeline.run(inputs).map_err(fail)?;
+        let stats = tp.run(inputs).map_err(|e| match e {
+            TrillError::OutOfMemory {
+                buffered_bytes,
+                cap_bytes,
+            } => EngineError::OutOfMemory {
+                needed: buffered_bytes,
+                cap: cap_bytes,
+            },
+            e => fail(e),
+        })?;
         Ok(RunOutcome {
             input_events: stats.input_events,
             output_events: stats.output_events,
-            collected: self.collect.then(|| pipeline.collected().to_vec()),
+            collected: opts.collect.then(|| tp.collected().to_vec()),
         })
     }
 }
@@ -634,13 +575,6 @@ impl EnginePipeline for TrillPrepared {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NumLibEngine;
 
-struct NumLibPrepared {
-    // `None` once run, matching the single-shot EnginePipeline contract.
-    workload: Option<Workload>,
-    shapes: Vec<StreamShape>,
-    collect: bool,
-}
-
 impl Engine for NumLibEngine {
     fn name(&self) -> &'static str {
         "NumLib"
@@ -650,48 +584,31 @@ impl Engine for NumLibEngine {
         !matches!(workload, Workload::Chop { .. } | Workload::ClipJoin)
     }
 
-    fn prepare(
+    fn run(
         &self,
         workload: &Workload,
-        shapes: &[StreamShape],
+        inputs: Vec<SignalData>,
         opts: &EngineOptions,
-    ) -> Result<Box<dyn EnginePipeline>, EngineError> {
+    ) -> Result<RunOutcome, EngineError> {
+        use numlib_baseline::ops as nops;
+        use numlib_baseline::pipeline::dense_to_events;
+
         if !self.supports(workload) {
             return Err(EngineError::Unsupported {
                 engine: self.name(),
                 workload: workload.name(),
             });
         }
-        require_arity(self.name(), workload, shapes.len())?;
-        Ok(Box::new(NumLibPrepared {
-            workload: Some(workload.clone()),
-            shapes: shapes.to_vec(),
-            collect: opts.collect,
-        }))
-    }
-}
-
-impl EnginePipeline for NumLibPrepared {
-    fn run(&mut self, inputs: Vec<SignalData>) -> Result<RunOutcome, EngineError> {
-        use numlib_baseline::ops as nops;
-        use numlib_baseline::pipeline::dense_to_events;
-
-        // Validate before consuming: a rejected call must not poison the
-        // single-shot pipeline.
-        require_shapes("NumLib", &self.shapes, &inputs)?;
-        let workload = self
-            .workload
-            .take()
-            .ok_or_else(|| EngineError::Failed("pipeline already consumed".into()))?;
+        require_arity(self.name(), workload, inputs.len())?;
 
         let input_events: u64 = inputs.iter().map(|d| d.present_events() as u64).sum();
-        let outcome = |events: Vec<(Tick, f32)>, collect: bool| RunOutcome {
+        let outcome = |events: Vec<(Tick, f32)>| RunOutcome {
             input_events,
             output_events: events.len() as u64,
-            collected: collect.then_some(events),
+            collected: opts.collect.then_some(events),
         };
 
-        match &workload {
+        match workload {
             Workload::Select { mul, add } => {
                 let d = &inputs[0];
                 let mut arr = nops::to_nan_array(d);
@@ -699,7 +616,7 @@ impl EnginePipeline for NumLibPrepared {
                     *v = *v * mul + add;
                 }
                 let (ts, vs) = dense_to_events(&arr, d.shape().offset(), d.shape().period());
-                Ok(outcome(ts.into_iter().zip(vs).collect(), self.collect))
+                Ok(outcome(ts.into_iter().zip(vs).collect()))
             }
             Workload::WhereGt { threshold } => {
                 let d = &inputs[0];
@@ -712,7 +629,7 @@ impl EnginePipeline for NumLibPrepared {
                     }
                 }
                 let (ts, vs) = dense_to_events(&arr, d.shape().offset(), d.shape().period());
-                Ok(outcome(ts.into_iter().zip(vs).collect(), self.collect))
+                Ok(outcome(ts.into_iter().zip(vs).collect()))
             }
             Workload::Aggregate {
                 kind,
@@ -735,7 +652,7 @@ impl EnginePipeline for NumLibPrepared {
                     }
                     start += s;
                 }
-                Ok(outcome(events, self.collect))
+                Ok(outcome(events))
             }
             Workload::Join => {
                 let (l, r) = (&inputs[0], &inputs[1]);
@@ -746,7 +663,7 @@ impl EnginePipeline for NumLibPrepared {
                 let (ts, ls, _rs) =
                     numlib_baseline::pyvm::py_temporal_join(&lt, &lv, &rt, &rv, r.shape().period())
                         .map_err(fail)?;
-                Ok(outcome(ts.into_iter().zip(ls).collect(), self.collect))
+                Ok(outcome(ts.into_iter().zip(ls).collect()))
             }
             Workload::Operation { op, window } => {
                 let d = &inputs[0];
@@ -770,7 +687,7 @@ impl EnginePipeline for NumLibPrepared {
                 // Match the whole-array accounting the paper's baseline
                 // reports: every output slot counts, NaN or not.
                 let n = out.len() as u64;
-                let events: Vec<(Tick, f32)> = if self.collect {
+                let events: Vec<(Tick, f32)> = if opts.collect {
                     let (ts, vs) = dense_to_events(&out, offset, period);
                     ts.into_iter().zip(vs).collect()
                 } else {
@@ -779,10 +696,19 @@ impl EnginePipeline for NumLibPrepared {
                 Ok(RunOutcome {
                     input_events,
                     output_events: n,
-                    collected: self.collect.then_some(events),
+                    collected: opts.collect.then_some(events),
                 })
             }
             Workload::Fig3 { window } => {
+                if let Some(cap) = opts.memory_cap {
+                    // Whole-array materialization: about ten arrays of
+                    // the inputs' slot count in flight at 4 B a slot (see
+                    // NumLibStats::arrays_materialized).
+                    let needed = (inputs[0].len() + inputs[1].len()) * 4 * 10;
+                    if needed > cap {
+                        return Err(EngineError::OutOfMemory { needed, cap });
+                    }
+                }
                 let stats =
                     numlib_baseline::fig3_numlib(&inputs[0], &inputs[1], *window).map_err(fail)?;
                 Ok(RunOutcome {
@@ -792,7 +718,7 @@ impl EnginePipeline for NumLibPrepared {
                 })
             }
             Workload::Chop { .. } | Workload::ClipJoin => {
-                unreachable!("rejected by NumLibEngine::prepare")
+                unreachable!("refused by the supports check above")
             }
         }
     }
@@ -802,16 +728,16 @@ impl EnginePipeline for NumLibPrepared {
 // Sharded runtime
 // ---------------------------------------------------------------------
 
-/// The [`ShardedRuntime`](cluster_harness::sharded::ShardedRuntime)
-/// behind the shared [`Engine`] surface: the same LifeStream engine, but
-/// served by the long-lived multi-patient runtime — shard threads that
-/// each keep one warm, recycled executor. A shared-workload run
-/// submits its inputs as one patient job; the point of carrying it in
-/// [`all_engines`] is that every cross-engine agreement check now also
-/// locks "sharding changes nothing about the answer".
+/// The [`ShardedRuntime`] behind the shared [`Engine`] surface: the same
+/// LifeStream engine, but served by the long-lived multi-patient runtime
+/// — shard threads that each keep one warm, recycled executor. A run
+/// starts a runtime, submits its inputs as one patient job and shuts the
+/// runtime down; the point of carrying it in [`all_engines`] is that
+/// every cross-engine agreement check now also locks "sharding changes
+/// nothing about the answer".
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedEngine {
-    /// Shard (worker thread) count for prepared runtimes.
+    /// Shard (worker thread) count of each run's runtime.
     pub workers: usize,
 }
 
@@ -832,13 +758,6 @@ impl ShardedEngine {
     }
 }
 
-struct ShardedPrepared {
-    // `None` once run, matching the single-shot EnginePipeline contract;
-    // the runtime is shut down after its one job.
-    runtime: Option<cluster_harness::sharded::ShardedRuntime>,
-    shapes: Vec<StreamShape>,
-}
-
 impl Engine for ShardedEngine {
     fn name(&self) -> &'static str {
         "Sharded"
@@ -848,20 +767,19 @@ impl Engine for ShardedEngine {
         true // serves the LifeStream engine, which supports everything
     }
 
-    fn prepare(
+    fn run(
         &self,
         workload: &Workload,
-        shapes: &[StreamShape],
+        inputs: Vec<SignalData>,
         opts: &EngineOptions,
-    ) -> Result<Box<dyn EnginePipeline>, EngineError> {
-        use cluster_harness::sharded::{ShardedConfig, ShardedRuntime};
-        require_arity(self.name(), workload, shapes.len())?;
-        // Validate the translation once up front so bad parameters fail
-        // in prepare (like every other engine), not inside a worker.
-        lifestream_query(workload, shapes).map_err(fail)?;
-        let (workload, shapes_owned) = (workload.clone(), shapes.to_vec());
-        let factory =
-            std::sync::Arc::new(move || lifestream_query(&workload, &shapes_owned)?.compile());
+    ) -> Result<RunOutcome, EngineError> {
+        require_arity(self.name(), workload, inputs.len())?;
+        let shapes = shapes_of(&inputs);
+        // Validate the translation up front so bad parameters fail here,
+        // as on every other engine, not inside a worker.
+        lifestream_query(workload, &shapes).map_err(fail)?;
+        let workload = workload.clone();
+        let factory = Arc::new(move || lifestream_query(&workload, &shapes)?.compile());
         let mut cfg = ShardedConfig::with_workers(self.workers);
         if let Some(t) = opts.round_ticks {
             cfg = cfg.round_ticks(t);
@@ -872,28 +790,12 @@ impl Engine for ShardedEngine {
         if opts.collect {
             cfg = cfg.collecting();
         }
-        Ok(Box::new(ShardedPrepared {
-            runtime: Some(ShardedRuntime::new(factory, cfg)),
-            shapes: shapes.to_vec(),
-        }))
-    }
-}
-
-impl EnginePipeline for ShardedPrepared {
-    fn run(&mut self, inputs: Vec<SignalData>) -> Result<RunOutcome, EngineError> {
-        use cluster_harness::sharded::JobOutcome;
-        // Validate before consuming: a rejected call must not poison the
-        // single-shot pipeline.
-        require_shapes("Sharded", &self.shapes, &inputs)?;
-        let runtime = self
-            .runtime
-            .take()
-            .ok_or_else(|| EngineError::Failed("pipeline already consumed".into()))?;
+        let runtime = ShardedRuntime::new(factory, cfg);
         runtime.submit(0, inputs);
-        let report = runtime
-            .recv()
-            .ok_or_else(|| EngineError::Failed("sharded runtime returned no report".into()))?;
+        let report = runtime.recv();
         runtime.shutdown();
+        let report = report
+            .ok_or_else(|| EngineError::Failed("sharded runtime returned no report".into()))?;
         match report.outcome {
             JobOutcome::Ok => Ok(RunOutcome {
                 input_events: report.input_events,
@@ -903,9 +805,10 @@ impl EnginePipeline for ShardedPrepared {
             JobOutcome::OutOfMemory {
                 planned_bytes,
                 cap_bytes,
-            } => Err(EngineError::Failed(format!(
-                "sharded worker out of memory: static plan {planned_bytes} B exceeds cap {cap_bytes} B"
-            ))),
+            } => Err(EngineError::OutOfMemory {
+                needed: planned_bytes,
+                cap: cap_bytes,
+            }),
             JobOutcome::Failed(m) => Err(EngineError::Failed(m)),
         }
     }

@@ -15,8 +15,8 @@
 //! * [`cluster`] — the sharded multi-patient runtime and its TCP ingest
 //!   fabric.
 //! * [`engine`] — the cross-engine layer: a [`Workload`](engine::Workload)
-//!   described once runs on every engine through the
-//!   [`Engine`](engine::Engine) trait.
+//!   described once runs on every engine through one call,
+//!   [`Engine::run`](engine::Engine::run).
 //!
 //! ## The query language
 //!
@@ -31,7 +31,10 @@
 //!
 //! Baseline engines plug in *underneath* the query language via the
 //! [`engine::Engine`] trait, so comparisons (tests, benches, paper
-//! figures) define each workload exactly once.
+//! figures) define each workload exactly once and run it with
+//! [`Engine::run`](engine::Engine::run); an engine that exceeds its
+//! memory cap says so with a typed
+//! [`EngineError::OutOfMemory`](engine::EngineError::OutOfMemory).
 //!
 //! See `examples/` for runnable walkthroughs and `crates/bench/src/bin/`
 //! for one binary per paper table/figure.

@@ -8,8 +8,8 @@
 use lifestream::core::ops::aggregate::AggKind;
 use lifestream::core::prelude::*;
 use lifestream::engine::{
-    all_engines, Engine, EngineError, EngineOptions, LifeStreamEngine, RunOutcome, ShardedEngine,
-    StagedLifeStreamEngine, TableOp, TrillEngine, Workload,
+    all_engines, Engine, EngineError, EngineOptions, LifeStreamEngine, NumLibEngine, RunOutcome,
+    ShardedEngine, StagedLifeStreamEngine, TableOp, TrillEngine, Workload,
 };
 use lifestream::signal::dataset::{DatasetBuilder, SignalKind};
 
@@ -177,33 +177,6 @@ fn engines_run_as_trait_objects_and_report_support() {
 }
 
 #[test]
-fn prepare_separates_construction_from_execution() {
-    let shape = StreamShape::new(0, 2);
-    let data = ramp(shape, 1_000);
-    let workload = Workload::WhereGt { threshold: 500.0 };
-    let mut prepared = LifeStreamEngine
-        .prepare(&workload, &[shape], &EngineOptions::default().collecting())
-        .unwrap();
-    let out = prepared.run(vec![data.clone()]).unwrap();
-    let collected = out.collected.unwrap();
-    assert!(!collected.is_empty());
-    assert!(collected.iter().all(|&(_, v)| v > 500.0));
-    // A prepared pipeline is single-shot — on every engine.
-    assert!(prepared.run(vec![data.clone()]).is_err());
-    for engine in all_engines() {
-        let mut p = engine
-            .prepare(&workload, &[shape], &EngineOptions::default())
-            .unwrap();
-        p.run(vec![data.clone()]).unwrap();
-        assert!(
-            p.run(vec![data.clone()]).is_err(),
-            "{} re-run must fail",
-            engine.name()
-        );
-    }
-}
-
-#[test]
 fn trill_rejects_unrepresentable_chop() {
     let shape = StreamShape::new(0, 2);
     let stretched = Workload::Chop {
@@ -212,7 +185,11 @@ fn trill_rejects_unrepresentable_chop() {
     };
     assert!(!TrillEngine.supports(&stretched));
     assert!(matches!(
-        TrillEngine.prepare(&stretched, &[shape], &EngineOptions::default()),
+        TrillEngine.run(
+            &stretched,
+            vec![ramp(shape, 1_000)],
+            &EngineOptions::default()
+        ),
         Err(EngineError::Unsupported { .. })
     ));
     // The representable form still runs.
@@ -228,50 +205,20 @@ fn trill_rejects_unrepresentable_chop() {
 }
 
 #[test]
-fn run_validates_input_shapes() {
-    let prepared_shape = StreamShape::new(0, 2);
-    let wrong = ramp(StreamShape::new(0, 8), 500);
-    // Datasets whose shapes differ from the prepared ones must error,
-    // not silently run with baked-in parameters, on every engine.
-    for engine in all_engines() {
-        let mut p = engine
-            .prepare(
-                &Workload::Aggregate {
-                    kind: AggKind::Mean,
-                    window: 100,
-                    stride: 100,
-                },
-                &[prepared_shape],
-                &EngineOptions::default(),
-            )
-            .unwrap();
-        let run = p.run(vec![wrong.clone()]);
-        assert!(run.is_err(), "{} accepted mismatched shape", engine.name());
-        // A rejected call must not poison the pipeline: correct inputs
-        // still run afterwards.
-        let good = ramp(prepared_shape, 500);
-        assert!(
-            p.run(vec![good]).is_ok(),
-            "{} poisoned by rejected inputs",
-            engine.name()
-        );
-    }
-}
-
-#[test]
 fn run_validates_input_count() {
     let shape = StreamShape::new(0, 2);
     let data = ramp(shape, 500);
-    // Join needs two sources; running a prepared pipeline with one must
-    // error, not panic, on every engine.
+    // Join needs two sources; running it with one must error, not
+    // panic, on every engine.
     for engine in all_engines() {
         if !engine.supports(&Workload::Join) {
             continue;
         }
-        let mut p = engine
-            .prepare(&Workload::Join, &[shape, shape], &EngineOptions::default())
-            .unwrap();
-        let run = p.run(vec![data.clone()]);
+        let run = engine.run(
+            &Workload::Join,
+            vec![data.clone()],
+            &EngineOptions::default(),
+        );
         assert!(run.is_err(), "{} accepted missing input", engine.name());
     }
 }
@@ -384,18 +331,49 @@ fn fused_and_staged_lifestream_agree_bitwise() {
     }
 }
 
+/// Runs `workload` on `engine` under a `tiny` and then a generous memory
+/// cap: the first must fail with a typed [`EngineError::OutOfMemory`]
+/// that names the cap, the second must succeed on the same inputs.
+fn assert_oom_only_under_tiny_cap(
+    engine: &dyn Engine,
+    workload: &Workload,
+    inputs: Vec<SignalData>,
+    tiny: usize,
+) {
+    let err = engine
+        .run(
+            workload,
+            inputs.clone(),
+            &EngineOptions::default().with_memory_cap(tiny),
+        )
+        .unwrap_err();
+    match err {
+        EngineError::OutOfMemory { needed, cap } => {
+            assert_eq!(cap, tiny, "{}", engine.name());
+            assert!(needed > cap, "{}: needed {needed}", engine.name());
+        }
+        other => panic!("{}: expected OutOfMemory, got {other:?}", engine.name()),
+    }
+    assert!(err.to_string().contains("out of memory"), "{err}");
+    let out = engine
+        .run(
+            workload,
+            inputs,
+            &EngineOptions::default().with_memory_cap(1 << 30),
+        )
+        .unwrap_or_else(|e| panic!("{} under a generous cap: {e}", engine.name()));
+    assert!(out.output_events > 0, "{}", engine.name());
+}
+
 #[test]
 fn sharded_engine_reports_worker_oom() {
     let shape = StreamShape::new(0, 2);
-    let err = ShardedEngine::with_workers(2)
-        .run(
-            &Workload::Fig3 { window: 1000 },
-            vec![ramp(shape, 10_000), ramp(StreamShape::new(0, 8), 2_500)],
-            &EngineOptions::default().with_memory_cap(16),
-        )
-        .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("out of memory"), "{msg}");
+    assert_oom_only_under_tiny_cap(
+        &ShardedEngine::with_workers(2),
+        &Workload::Fig3 { window: 1000 },
+        vec![ramp(shape, 10_000), ramp(StreamShape::new(0, 8), 2_500)],
+        16,
+    );
 }
 
 #[test]
@@ -405,13 +383,42 @@ fn trill_oom_is_contained_and_reported() {
     let mut right = ramp(s, 200_000);
     left.punch_gap(100_000, 200_000);
     right.punch_gap(0, 100_000);
+    // Divergent gaps: the join buffers the left half while it waits for
+    // the right, which starts where the left ends. The join emits
+    // nothing, so under the generous cap only success is checked.
     let err = TrillEngine
         .run(
             &Workload::Join,
-            vec![left, right],
+            vec![left.clone(), right.clone()],
             &EngineOptions::default().with_memory_cap(128 * 1024),
         )
         .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("out of memory"), "{msg}");
+    assert!(
+        matches!(err, EngineError::OutOfMemory { cap, .. } if cap == 128 * 1024),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("out of memory"), "{err}");
+    TrillEngine
+        .run(
+            &Workload::Join,
+            vec![left, right],
+            &EngineOptions::default().with_memory_cap(1 << 30),
+        )
+        .expect("a generous cap lets the same join complete");
+}
+
+#[test]
+fn numlib_fig3_reports_oom_under_its_memory_cap() {
+    let ecg = DatasetBuilder::new(SignalKind::Ecg, 13)
+        .minutes(2)
+        .build(500.0);
+    let abp = DatasetBuilder::new(SignalKind::Abp, 14)
+        .minutes(2)
+        .build(125.0);
+    assert_oom_only_under_tiny_cap(
+        &NumLibEngine,
+        &Workload::Fig3 { window: 1000 },
+        vec![ecg, abp],
+        1024,
+    );
 }
