@@ -304,10 +304,15 @@ impl Operation {
         ]
     }
 
-    /// Display name — delegated to the shared workload definition, like
-    /// [`Primitive::name`] (the period does not affect the name).
+    /// Display name.
     pub fn name(&self) -> &'static str {
-        self.workload(1).name()
+        match self {
+            Operation::Normalize => "Normalize",
+            Operation::PassFilter => "PassFilter",
+            Operation::FillConst => "FillConst",
+            Operation::FillMean => "FillMean",
+            Operation::Resample => "Resample",
+        }
     }
 
     /// The shared [`Workload`] this operation benchmarks over a stream

@@ -47,11 +47,15 @@ impl PatientWorkload {
 
     /// Total present events across all patients.
     pub fn total_events(&self) -> u64 {
-        self.patients
-            .iter()
-            .map(|(e, a)| (e.present_events() + a.present_events()) as u64)
-            .sum()
+        self.patients.iter().map(patient_events).sum()
     }
+}
+
+/// The present events of one patient: what every arm counts as processed
+/// when that patient's job completes, whether or not targeted processing
+/// skipped some of its rounds.
+fn patient_events((ecg, abp): &(SignalData, SignalData)) -> u64 {
+    (ecg.present_events() + abp.present_events()) as u64
 }
 
 /// One measured scaling point.
@@ -111,13 +115,14 @@ pub fn run_baseline(
                 let (oom, processed, opts, fig3) = (&oom, &processed, &opts, &fig3);
                 let patients = &workload.patients;
                 scope.spawn(move || {
-                    for (ecg, abp) in patients.iter().skip(w).step_by(threads) {
+                    for patient in patients.iter().skip(w).step_by(threads) {
                         if oom.load(Ordering::Relaxed) {
                             return;
                         }
+                        let (ecg, abp) = patient;
                         match engine.run(fig3, vec![ecg.clone(), abp.clone()], opts) {
-                            Ok(out) => {
-                                processed.fetch_add(out.input_events, Ordering::Relaxed);
+                            Ok(_) => {
+                                processed.fetch_add(patient_events(patient), Ordering::Relaxed);
                             }
                             Err(EngineError::OutOfMemory { .. }) => {
                                 oom.store(true, Ordering::Relaxed);
@@ -170,7 +175,9 @@ pub fn run_lifestream(
         let mut oom = false;
         for report in rt.drain(workload.patients.len()) {
             match report.outcome {
-                JobOutcome::Ok => events += report.input_events,
+                JobOutcome::Ok => {
+                    events += patient_events(&workload.patients[report.patient as usize]);
+                }
                 JobOutcome::OutOfMemory { .. } => oom = true,
                 JobOutcome::Failed(m) => panic!("patient {}: {m}", report.patient),
             }
@@ -184,6 +191,8 @@ pub fn run_lifestream(
 mod tests {
     use super::*;
     use lifestream::engine::{NumLibEngine, TrillEngine};
+    use lifestream_core::presence::PresenceMap;
+    use lifestream_signal::dataset::{DatasetBuilder, SignalKind};
 
     fn tiny_workload() -> PatientWorkload {
         PatientWorkload::synthesize(4, 2, 42)
@@ -219,9 +228,25 @@ mod tests {
         assert!(p.events > 0);
     }
 
+    /// A patient whose ECG starts two 60 000-tick rounds late while its
+    /// ABP is present throughout: targeted processing skips at least the
+    /// first round, and its ABP events still count as processed input.
+    fn patient_with_skipped_rounds() -> (SignalData, SignalData) {
+        let ecg = DatasetBuilder::new(SignalKind::Ecg, 7)
+            .minutes(3)
+            .build(500.0);
+        let abp = DatasetBuilder::new(SignalKind::Abp, 8)
+            .minutes(3)
+            .build(125.0);
+        let mut late = PresenceMap::new();
+        late.add(120_000, 180_000);
+        (ecg.with_new_presence(late), abp)
+    }
+
     #[test]
     fn every_arm_processes_every_input_event_at_one_thread() {
-        let w = tiny_workload();
+        let mut w = tiny_workload();
+        w.patients.push(patient_with_skipped_rounds());
         let total = w.total_events();
         assert!(total > 0);
         let arms = [
