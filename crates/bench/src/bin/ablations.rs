@@ -93,15 +93,15 @@ fn main() {
 
     println!("{}", t.render());
     println!(
-        "costs: dynamic memory +{:.0}%",
+        "costs: dynamic memory {:+.0}%",
         (no_mem / base - 1.0) * 100.0
     );
     println!(
-        "       eager execution +{:.0}%",
+        "       eager execution {:+.0}%",
         (no_target / base - 1.0) * 100.0
     );
     println!(
-        "       no locality     +{:.0}%",
+        "       no locality     {:+.0}%",
         (no_local / base - 1.0) * 100.0
     );
 }

@@ -72,11 +72,12 @@ fn main() {
         .enumerate()
         .map(|(i, &s)| {
             DatasetBuilder::new(SignalKind::Ecg, 10 + i as u64)
-                .minutes(minutes / 4)
+                .minutes((minutes / 4).max(1))
                 .build(1000.0 / s.period() as f64)
         })
         .collect();
     let cap_events: f64 = data.iter().map(|d| d.present_events() as f64).sum();
+    assert!(cap_events > 0.0, "the CAP rows would time an empty dataset");
 
     let (_, tr) = time(|| {
         let mut p = trill_baseline::pipelines::cap_pipeline(&shapes, 1000);

@@ -3,8 +3,8 @@
 //!
 //! The paper runs up to 16 EC2 m5a.8xlarge machines; this model stands in
 //! for them. The live multi-machine routing (placement, handoff, failover) is real
-//! and lives in `cluster_harness::machines`; only the throughput number
-//! is modelled here (substitution documented in DESIGN.md).
+//! and lives in `cluster_harness::net::ClusterIngest`; only the throughput
+//! number is modelled here (substitution documented in DESIGN.md).
 
 /// The scale-out *model* (Fig. 10d).
 ///

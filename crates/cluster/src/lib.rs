@@ -37,8 +37,10 @@
 //!   fault-injection battery that pins both properties). All three
 //!   front ends implement [`sharded::Ingest`], so deployment shape is
 //!   a constructor choice.
-//! * [`machines`] owns placement: the live [`machines::PlacementTable`]
-//!   routing patients across endpoints.
+//! * [`machines`] owns placement: the [`MachineState`] a machine reports
+//!   and the hash that homes a patient no routing entry places.
+//!   [`net::ClusterIngest`] keeps the one live table: per machine a down
+//!   flag, per admitted patient its machine and its failover mirror.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,7 +54,7 @@ pub mod net;
 pub mod sharded;
 
 pub use history::{CohortReport, HistoryError, HistoryQuery, HistoryQueryApi, PipelineSpec};
-pub use machines::{MachineState, PlacementTable};
+pub use machines::MachineState;
 pub use net::{
     ClusterHealth, ClusterIngest, MachineHealth, RemoteConfig, RemoteHealth, RemoteIngest,
     ShardServer,

@@ -17,7 +17,7 @@ use lifestream_store::{HistoryReader, SharedStore, StoreConfig, SCAN_PASS_PATIEN
 use crate::history::{
     history_over_wire, CohortReport, HistoryError, HistoryQuery, HistoryQueryApi,
 };
-use crate::machines::{MachineState, PlacementTable};
+use crate::machines::{self, MachineState};
 use crate::sharded::{Ingest, IngestStats, PatientHandoff, PatientId, SessionMeta};
 
 use super::client::{RemoteConfig, RemoteHealth, RemoteIngest};
@@ -25,7 +25,8 @@ use super::client::{RemoteConfig, RemoteHealth, RemoteIngest};
 /// One machine's routing state plus its transport recovery counters.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineHealth {
-    /// Routing state in the placement table.
+    /// `Down` once failed over in the routing table; otherwise
+    /// `Degraded` while the endpoint is alive after a reconnect, else `Up`.
     pub state: MachineState,
     /// The endpoint's reconnect/replay counters.
     pub remote: RemoteHealth,
@@ -154,32 +155,83 @@ fn rebuild(
         .collect()
 }
 
+/// One admitted patient's row in the routing table: the machine owning
+/// its session and the session's client-side mirror.
+struct Route {
+    machine: usize,
+    mirror: Mutex<PatientState>,
+}
+
+/// The router's one table: a down flag per machine and a [`Route`] per
+/// admitted patient. A patient with no entry is placed by
+/// [`machines::home`]; either way the placement walks past down machines
+/// ([`machines::walk_live`]). A machine that is down stays down. A
+/// failover takes out the entries on a machine as it downs it, and puts
+/// back only those a live survivor re-admitted.
+struct Routes {
+    down: Vec<bool>,
+    patients: HashMap<PatientId, Route>,
+}
+
+impl Routes {
+    fn new(machines: usize) -> Self {
+        Self {
+            down: vec![false; machines],
+            patients: HashMap::new(),
+        }
+    }
+
+    /// The machine a patient's calls go to, and its entry if admitted.
+    fn route(&self, patient: PatientId) -> (usize, Option<&Route>) {
+        let entry = self.patients.get(&patient);
+        let preferred =
+            entry.map_or_else(|| machines::home(patient, self.down.len()), |r| r.machine);
+        (machines::walk_live(preferred, &self.down), entry)
+    }
+
+    fn place(&self, patient: PatientId) -> usize {
+        self.route(patient).0
+    }
+
+    /// Marks machine `m` down and takes out the entries of the patients it
+    /// owned; [`failover_locked`](ClusterIngest::failover_locked) puts back,
+    /// re-pointed, those a survivor re-admits.
+    fn take_down(&mut self, m: usize) -> Vec<(PatientId, Route)> {
+        self.down[m] = true;
+        self.patients.extract_if(|_, r| r.machine == m).collect()
+    }
+}
+
 /// Hash-partitions patients across a fleet of
 /// [`ShardServer`](super::ShardServer)s and routes every ingest call to
 /// the owning machine — the cross-machine face of the same [`Ingest`]
 /// protocol.
 ///
-/// Placement starts as the [`PlacementTable`]'s balanced hash and stays
-/// a *live* table: [`rebalance`](Self::rebalance) moves one patient's
-/// session between machines mid-stream with the cooperative handoff
-/// protocol (flush + drain on the source, margin-suffix state transfer,
-/// re-pin in the table), losing zero samples and zero already-collected
+/// Placement starts as a balanced hash ([`machines`]) and stays a
+/// *live* table with one entry per admitted patient:
+/// [`rebalance`](Self::rebalance) moves one patient's session between
+/// machines mid-stream with the cooperative handoff protocol (flush +
+/// drain on the source, margin-suffix state transfer, re-point the
+/// patient's entry), losing zero samples and zero already-collected
 /// output.
 ///
 /// # Failover
 ///
-/// Every admitted patient additionally keeps a *client-side* mirror of
-/// its session's buffers: the margin suffix of each source (the same
-/// bounded window the server retains, in the same type) plus the round
-/// frontier of the last poll. When an
-/// endpoint exhausts its reconnect budget and goes dead, the machine is
-/// declared [`MachineState::Down`] in the table and each patient it
-/// owned is re-admitted on a survivor by importing that mirror — the
-/// warm-up replay suppresses output below the frontier, exactly like a
-/// [`rebalance`](Self::rebalance) import. A hard-killed machine
-/// therefore never loses a patient; what *is* lost is bounded: output
-/// rounds below the failover frontier that were only collected on the
-/// dead machine, and its sessions' deferred per-sample errors.
+/// Each patient's entry also holds a *client-side* mirror of its
+/// session's buffers: the margin suffix of each source (the same bounded
+/// window the server retains, in the same type) plus the round frontier
+/// of the last poll. When an endpoint exhausts its reconnect budget and
+/// goes dead, the machine is declared [`MachineState::Down`] and each
+/// patient it owned is re-admitted on a survivor by importing that
+/// mirror — the warm-up replay suppresses output below the frontier,
+/// exactly like a [`rebalance`](Self::rebalance) import — and its entry
+/// re-pointed there. A hard-killed machine therefore never loses a
+/// patient while another machine lives; what *is* lost is bounded:
+/// output rounds below the failover frontier that were only collected on
+/// the dead machine, and its sessions' deferred per-sample errors. A
+/// patient no live machine takes back (a survivor refused the import, or
+/// none is left) is counted lost and leaves the table: it is not
+/// admitted anywhere any more.
 ///
 /// With a shared tiered store attached
 /// ([`connect_with_store`](Self::connect_with_store)), failover prefers
@@ -203,11 +255,9 @@ pub struct ClusterIngest {
     /// endpoints ingest in parallel; a handoff or failover takes the
     /// write lock, so a concurrent push cannot race a patient to its old
     /// machine mid-move — without one slow endpoint's backpressure
-    /// serializing the whole fleet behind a mutex.
-    table: RwLock<PlacementTable>,
-    /// Client-side replay state per admitted patient. Lock order:
-    /// `table` before `patients` before a patient's mutex.
-    patients: RwLock<HashMap<PatientId, Mutex<PatientState>>>,
+    /// serializing the whole fleet behind a mutex. Admit and finish take
+    /// it only to insert or remove the patient's entry.
+    routes: RwLock<Routes>,
     /// Cluster-level push counter: a dead endpoint stops counting the
     /// pushes it discards, this one does not.
     samples_pushed: AtomicU64,
@@ -260,12 +310,11 @@ impl ClusterIngest {
             .iter()
             .map(|a| RemoteIngest::connect(a, cfg))
             .collect::<io::Result<Vec<_>>>()?;
-        let table = RwLock::new(PlacementTable::new(endpoints.len()));
+        let routes = RwLock::new(Routes::new(endpoints.len()));
         Ok(Self {
             endpoints,
             store,
-            table,
-            patients: RwLock::new(HashMap::new()),
+            routes,
             samples_pushed: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             patients_failed_over: AtomicU64::new(0),
@@ -280,19 +329,20 @@ impl ClusterIngest {
 
     /// The machine currently owning a patient's stream.
     pub fn machine_of(&self, patient: PatientId) -> usize {
-        self.table.read().expect("table lock").place(patient)
+        self.routes.read().expect("routes lock").place(patient)
     }
 
     /// Per-machine states plus the cluster's failover counters.
     pub fn health(&self) -> ClusterHealth {
         let machines: Vec<MachineHealth> = {
-            let table = self.table.read().expect("table lock");
+            let routes = self.routes.read().expect("routes lock");
             self.endpoints
                 .iter()
-                .enumerate()
-                .map(|(m, e)| MachineHealth {
-                    state: table.state(m),
-                    remote: e.health(),
+                .zip(&routes.down)
+                .map(|(e, &down)| {
+                    let remote = e.health();
+                    let state = MachineState::of(down, !e.is_dead(), remote.reconnects);
+                    MachineHealth { state, remote }
                 })
                 .collect()
         };
@@ -309,9 +359,10 @@ impl ClusterIngest {
     /// Moves a patient's live session to another machine without losing
     /// a sample: staged data is flushed and acked on the source, the
     /// session's margin-suffix state (plus collected output and deferred
-    /// errors) crosses to the destination, and the routing table re-pins
-    /// the patient. Pushes issued after this returns route to the new
-    /// machine; the resumed session emits byte-identically.
+    /// errors) crosses to the destination, and the patient's entry in the
+    /// routing table is re-pointed there. Pushes issued after this returns
+    /// route to the new machine; the resumed session emits
+    /// byte-identically.
     ///
     /// A machine death mid-handoff is recovered, not surfaced: if the
     /// *source* dies during the export, the whole machine fails over
@@ -320,11 +371,14 @@ impl ClusterIngest {
     /// already-exported state — still in hand — lands on whichever
     /// machine then owns the patient, with zero loss.
     ///
+    /// A patient the table has no entry for (never admitted, finished or
+    /// lost) has no session to move, so that call does nothing.
+    ///
     /// # Errors
-    /// Returns a message for an out-of-range or down machine, an unknown
-    /// or poisoned patient, or an import refusal with every involved
-    /// machine still alive — only then is the patient stranded
-    /// un-admitted (the export already removed it), and the error says
+    /// Returns a message for an out-of-range or down machine, a poisoned
+    /// patient, or an import refusal with every involved machine still
+    /// alive — only then is the patient stranded un-admitted (the export
+    /// already removed it, and it leaves the table), and the error says
     /// so explicitly.
     pub fn rebalance(&self, patient: PatientId, to: usize) -> Result<(), String> {
         if to >= self.endpoints.len() {
@@ -333,12 +387,12 @@ impl ClusterIngest {
                 self.endpoints.len()
             ));
         }
-        let mut table = self.table.write().expect("table lock");
-        if table.state(to) == MachineState::Down {
+        let mut routes = self.routes.write().expect("routes lock");
+        if routes.down[to] {
             return Err(format!("machine {to} is down"));
         }
-        let from = table.place(patient);
-        if from == to {
+        let (from, entry) = routes.route(patient);
+        if entry.is_none() || from == to {
             return Ok(());
         }
         let state = match self.endpoints[from].export_patient(patient) {
@@ -349,34 +403,38 @@ impl ClusterIngest {
                     // landed server-side, the client mirror re-admits the
                     // patient (and everything else the machine owned) on
                     // a survivor.
-                    self.failover_locked(&mut table, from);
+                    self.failover_locked(&mut routes, from);
                     return Ok(());
                 }
                 return Err(e);
             }
         };
-        let stranded =
-            |e: String| format!("patient {patient} stranded mid-handoff (import failed): {e}");
-        let Err(refused) = self.endpoints[to].import_patient(patient, state.clone()) else {
-            table.assign(patient, to);
-            return Ok(());
-        };
-        if self.endpoints[to].is_dead() {
+        let mut landed = self.endpoints[to]
+            .import_patient(patient, state.clone())
+            .map(|()| to);
+        if landed.is_err() && self.endpoints[to].is_dead() {
             // Destination died mid-import: down it (re-homing any
             // patients it owned), then land the exported state — with its
             // collected output intact — on whichever machine now owns
             // the patient.
-            self.failover_locked(&mut table, to);
-            let target = table.place(patient);
-            if table.state(target) != MachineState::Down {
-                self.endpoints[target]
+            self.failover_locked(&mut routes, to);
+            let target = routes.place(patient);
+            if !routes.down[target] {
+                landed = self.endpoints[target]
                     .import_patient(patient, state)
-                    .map_err(stranded)?;
-                table.assign(patient, target);
-                return Ok(());
+                    .map(|()| target);
             }
         }
-        Err(stranded(refused))
+        let machine = landed.map_err(|e| {
+            // The export removed the session and no machine took it back:
+            // the patient is admitted nowhere, so it leaves the table.
+            routes.patients.remove(&patient);
+            format!("patient {patient} stranded mid-handoff (import failed): {e}")
+        })?;
+        if let Some(route) = routes.patients.get_mut(&patient) {
+            route.machine = machine;
+        }
+        Ok(())
     }
 
     /// Synchronization point across every live endpoint: flushes staged
@@ -398,9 +456,9 @@ impl ClusterIngest {
         let mut dead = Vec::new();
         let mut first_err = Ok(());
         {
-            let table = self.table.read().expect("table lock");
+            let routes = self.routes.read().expect("routes lock");
             for (m, e) in self.endpoints.iter().enumerate() {
-                if table.state(m) == MachineState::Down {
+                if routes.down[m] {
                     continue;
                 }
                 let outcome = call(e);
@@ -414,7 +472,6 @@ impl ClusterIngest {
         for m in dead {
             self.failover(m);
         }
-        self.note_degraded();
         first_err
     }
 
@@ -446,15 +503,15 @@ impl ClusterIngest {
         let state = PatientState::new(&meta).inspect_err(|_| {
             let _ = self.on_owner(patient, |e| e.finish(patient), |e| e);
         })?;
-        self.patients
-            .write()
-            .expect("patients lock")
-            .insert(patient, Mutex::new(state));
+        let mut routes = self.routes.write().expect("routes lock");
+        let machine = routes.place(patient);
+        let mirror = Mutex::new(state);
+        routes.patients.insert(patient, Route { machine, mirror });
         Ok(())
     }
 
     /// Stages one sample on the owning machine's client and mirrors it
-    /// into the patient's session buffers. The table's read lock is held
+    /// into the patient's entry. The routing table's read lock is held
     /// across the push so a concurrent [`rebalance`](Self::rebalance)
     /// cannot redirect the patient mid-sample, while pushes to different
     /// machines proceed in parallel (a blocked endpoint backpressures
@@ -464,10 +521,14 @@ impl ClusterIngest {
     pub fn push(&self, patient: PatientId, source: usize, t: Tick, v: f32) {
         self.samples_pushed.fetch_add(1, Ordering::Relaxed);
         let dead = {
-            let table = self.table.read().expect("table lock");
-            let m = table.place(patient);
-            if let Some(ps) = self.patients.read().expect("patients lock").get(&patient) {
-                ps.lock().expect("patient state").push(source, t, v);
+            let routes = self.routes.read().expect("routes lock");
+            let (m, entry) = routes.route(patient);
+            if let Some(route) = entry {
+                route
+                    .mirror
+                    .lock()
+                    .expect("patient state")
+                    .push(source, t, v);
             }
             self.endpoints[m].push(patient, source, t, v);
             self.endpoints[m].is_dead().then_some(m)
@@ -482,9 +543,9 @@ impl ClusterIngest {
     /// client-side mirror of the servers' compaction.
     pub fn poll(&self) {
         {
-            let patients = self.patients.read().expect("patients lock");
-            for ps in patients.values() {
-                ps.lock().expect("patient state").advance();
+            let routes = self.routes.read().expect("routes lock");
+            for route in routes.patients.values() {
+                route.mirror.lock().expect("patient state").advance();
             }
         }
         // A poll is fire-and-forget: there is no error to return.
@@ -498,7 +559,7 @@ impl ClusterIngest {
     /// dead, fails over and finishes on the survivor (output below the
     /// failover frontier was only on the dead machine and is gone).
     ///
-    /// Whatever the answer, the patient's mirror is dropped: a server
+    /// Whatever the answer, the patient's entry is dropped: a server
     /// ends the session on `Err` too (deferred errors are its last
     /// output), so a later failover must not bring the patient back.
     ///
@@ -506,16 +567,17 @@ impl ClusterIngest {
     /// Returns the owning server's deferred errors.
     pub fn finish(&self, patient: PatientId) -> Result<OutputCollector, String> {
         let out = self.on_owner(patient, |e| e.finish(patient), |e| e);
-        self.patients
+        self.routes
             .write()
-            .expect("patients lock")
+            .expect("routes lock")
+            .patients
             .remove(&patient);
         out
     }
 
     /// The router's one retry rule: runs `call` on the machine owning
-    /// `patient` (under the table's read lock, so a concurrent handoff
-    /// cannot move the patient mid-call); if that fails because the
+    /// `patient` (under the routing table's read lock, so a concurrent
+    /// handoff cannot move the patient mid-call); if that fails because the
     /// machine is dead — including dying *mid-call* — fails it over and
     /// runs `call` on the survivor the patient re-homed to. With no
     /// survivor, the error is `no_survivor` of the dead machine's.
@@ -526,8 +588,8 @@ impl ClusterIngest {
         no_survivor: impl FnOnce(String) -> String,
     ) -> Result<T, String> {
         let (machine, err) = {
-            let table = self.table.read().expect("table lock");
-            let m = table.place(patient);
+            let routes = self.routes.read().expect("routes lock");
+            let m = routes.place(patient);
             match call(&self.endpoints[m]) {
                 Ok(done) => return Ok(done),
                 Err(e) => (m, e),
@@ -537,7 +599,7 @@ impl ClusterIngest {
             return Err(err);
         }
         self.failover(machine);
-        let survivor = self.table.read().expect("table lock").place(patient);
+        let survivor = self.machine_of(patient);
         if survivor == machine {
             return Err(no_survivor(err));
         }
@@ -548,101 +610,62 @@ impl ClusterIngest {
     pub fn shutdown(self) {}
 
     fn failover(&self, machine: usize) {
-        let mut table = self.table.write().expect("table lock");
-        self.failover_locked(&mut table, machine);
+        let mut routes = self.routes.write().expect("routes lock");
+        self.failover_locked(&mut routes, machine);
     }
 
     /// Declares a dead machine [`MachineState::Down`] and re-admits
     /// every patient it owned onto survivors from the client-side
     /// mirrors, healed from the shared store ([`rebuild`]) pass by pass.
-    /// If a survivor dies during the re-admission it cascades: that
-    /// machine is downed too and its patients (plus the ones still in
-    /// flight) re-home onto whatever remains. With no live machine left,
-    /// remaining patients are counted lost and every subsequent call
-    /// surfaces the transport error.
-    fn failover_locked(&self, table: &mut PlacementTable, machine: usize) {
-        let mut pending: Vec<PatientId> = Vec::new();
+    /// The machine's entries are taken out of the table and put back
+    /// re-pointed once a survivor holds their session; with the write
+    /// lock held, no call can see one missing. If a survivor dies during
+    /// the re-admission it cascades: that machine is downed too and its
+    /// patients (plus the ones still in flight) re-home onto whatever
+    /// remains. A patient a live survivor refuses, or left with no live
+    /// machine, is counted lost and leaves the table.
+    fn failover_locked(&self, routes: &mut Routes, machine: usize) {
+        let mut pending: Vec<(PatientId, Route)> = Vec::new();
         let mut to_down = vec![machine];
         while let Some(m) = to_down.pop() {
-            if table.state(m) == MachineState::Down || !self.endpoints[m].is_dead() {
+            if routes.down[m] || !self.endpoints[m].is_dead() {
                 continue;
             }
-            // Owned set under the *old* placement, before the state flip
-            // reroutes place().
-            {
-                let patients = self.patients.read().expect("patients lock");
-                let owned: Vec<PatientId> = patients
-                    .keys()
-                    .copied()
-                    .filter(|&p| table.place(p) == m && !pending.contains(&p))
-                    .collect();
-                pending.extend(owned);
-            }
-            table.set_state(m, MachineState::Down);
+            pending.extend(routes.take_down(m));
             self.failovers.fetch_add(1, Ordering::Relaxed);
-            if table.live_machines() == 0 {
+            if routes.down.iter().all(|&d| d) {
                 let lost = std::mem::take(&mut pending).len();
                 self.patients_lost.fetch_add(lost as u64, Ordering::Relaxed);
                 continue;
             }
 
-            let mut still_pending = Vec::new();
-            for pass in pending.chunks(SCAN_PASS_PATIENTS) {
-                for (p, handoff) in self.handoffs(pass) {
-                    let target = table.place(p);
+            // Whoever a dying survivor refuses goes back into `pending`.
+            let mut rest = std::mem::take(&mut pending).into_iter().peekable();
+            while rest.peek().is_some() {
+                let mut pass: Vec<_> = rest.by_ref().take(SCAN_PASS_PATIENTS).collect();
+                // The write lock is held: each mirror is read unlocked.
+                let mirrors: Vec<_> = pass
+                    .iter_mut()
+                    .map(|(p, route)| (*p, &*route.mirror.get_mut().expect("patient state")))
+                    .collect();
+                let handoffs = rebuild(self.store.as_ref(), &mirrors);
+                for ((p, mut route), (_, handoff)) in pass.into_iter().zip(handoffs) {
+                    let target = machines::walk_live(route.machine, &routes.down);
                     match self.endpoints[target].import_patient(p, handoff) {
                         Ok(()) => {
-                            table.assign(p, target);
+                            route.machine = target;
+                            routes.patients.insert(p, route);
                             self.patients_failed_over.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(_) if self.endpoints[target].is_dead() => {
                             to_down.push(target);
-                            still_pending.push(p);
+                            pending.push((p, route));
                         }
                         Err(_) => {
                             self.patients_lost.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
-            }
-            pending = still_pending;
-        }
-    }
-
-    /// The [`rebuild`] handoffs of the patients of `pass` that are still
-    /// mirrored (a concurrent `finish` may have dropped one).
-    fn handoffs(&self, pass: &[PatientId]) -> Vec<(PatientId, PatientHandoff)> {
-        let patients = self.patients.read().expect("patients lock");
-        let held: Vec<_> = pass
-            .iter()
-            .filter_map(|p| Some((*p, patients.get(p)?.lock().expect("patient state"))))
-            .collect();
-        let mirrors: Vec<_> = held.iter().map(|(p, state)| (*p, &**state)).collect();
-        rebuild(self.store.as_ref(), &mirrors)
-    }
-
-    /// Marks endpoints that have survived at least one reconnect as
-    /// [`MachineState::Degraded`] — still routable, but visibly shaky in
-    /// [`health`](Self::health).
-    fn note_degraded(&self) {
-        let shaky: Vec<usize> = {
-            let table = self.table.read().expect("table lock");
-            self.endpoints
-                .iter()
-                .enumerate()
-                .filter(|(m, e)| {
-                    table.state(*m) == MachineState::Up && !e.is_dead() && e.health().reconnects > 0
-                })
-                .map(|(m, _)| m)
-                .collect()
-        };
-        if shaky.is_empty() {
-            return;
-        }
-        let mut table = self.table.write().expect("table lock");
-        for m in shaky {
-            if table.state(m) == MachineState::Up {
-                table.set_state(m, MachineState::Degraded);
             }
         }
     }
@@ -691,11 +714,11 @@ impl Ingest for ClusterIngest {
 
 impl std::fmt::Debug for ClusterIngest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let table = self.table.read().expect("table lock");
+        let routes = self.routes.read().expect("routes lock");
         f.debug_struct("ClusterIngest")
             .field("machines", &self.endpoints.len())
-            .field("live", &table.live_machines())
-            .field("overridden", &table.overridden())
+            .field("down", &routes.down)
+            .field("admitted", &routes.patients.len())
             .finish()
     }
 }
@@ -841,6 +864,45 @@ mod tests {
         let (_, handoff) = rebuild(Some(&store), &[(PATIENT, &state)]).remove(0);
         assert_eq!(handoff.snapshot, state.handoff(None).snapshot);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn route(machine: usize) -> Route {
+        let mirror = Mutex::new(PatientState::new(&meta()).unwrap());
+        Route { machine, mirror }
+    }
+
+    #[test]
+    fn a_patients_entry_wins_over_its_hash_home() {
+        let mut routes = Routes::new(3);
+        let home = machines::home(PATIENT, 3);
+        assert_eq!(routes.place(PATIENT), home, "no entry: the hash places");
+        let away = (home + 1) % 3;
+        routes.patients.insert(PATIENT, route(away));
+        assert_eq!(routes.place(PATIENT), away);
+    }
+
+    #[test]
+    fn a_failover_repoints_the_entry_to_a_survivor() {
+        let mut routes = Routes::new(3);
+        routes.patients.insert(PATIENT, route(1));
+        routes.patients.insert(PATIENT + 1, route(2));
+        let mut taken = routes.take_down(1);
+        assert!(routes.down[1]);
+        assert_eq!(taken.len(), 1, "only machine 1's patient leaves");
+        // As the failover does once the survivor holds the session.
+        let (p, mut route) = taken.remove(0);
+        route.machine = machines::walk_live(route.machine, &routes.down);
+        routes.patients.insert(p, route);
+        assert_eq!(
+            (p, routes.patients[&p].machine, routes.place(p)),
+            (PATIENT, 2, 2)
+        );
+        // A second death takes both entries; the walk wraps to machine 0.
+        let taken = routes.take_down(2);
+        assert!(routes.patients.is_empty() && taken.len() == 2);
+        assert!(taken
+            .iter()
+            .all(|(_, r)| machines::walk_live(r.machine, &routes.down) == 0));
     }
 
     #[test]

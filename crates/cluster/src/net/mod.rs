@@ -23,14 +23,15 @@
 //!   suffix; the server's per-session `last_applied_seq` deduplicates
 //!   the overlap, so every frame applies exactly once and a resumed
 //!   stream is byte-identical to an uninterrupted one.
-//! * [`ClusterIngest`] — hash-partitions patients over N endpoints via
-//!   the live [`PlacementTable`](crate::machines::PlacementTable) and
-//!   moves a patient between machines mid-stream with a cooperative
-//!   handoff (drain, margin-suffix state transfer, re-pin) that loses
-//!   zero samples. Each admitted patient also keeps a client-side
-//!   margin tail, so when an endpoint exhausts its reconnect budget the
-//!   machine is declared down and its patients are re-admitted on
-//!   survivors — failover rides the same suffix-import warm-up as a
+//! * [`ClusterIngest`] — hash-partitions patients over N endpoints
+//!   ([`machines::home`](crate::machines)) and keeps one live routing
+//!   table: a down flag per machine, and per admitted patient its machine
+//!   and a client-side margin tail of its session. It moves a patient
+//!   between machines mid-stream with a cooperative handoff (drain,
+//!   margin-suffix state transfer, re-point the entry) that loses zero
+//!   samples. When an endpoint exhausts its reconnect budget the machine
+//!   is declared down and its patients are re-admitted on survivors from
+//!   their tails — failover rides the same suffix-import warm-up as a
 //!   planned handoff.
 //! * [`chaos`] — a deterministic in-process fault-injecting TCP proxy
 //!   (sever / delay / black-hole at seed-chosen frame boundaries) that
@@ -106,7 +107,8 @@
 //! | Reconnect budget exhausted | [`RemoteIngest::is_dead`] | cluster failover: machine marked `Down`, patients re-admitted from client mirrors on survivors | un-acked window input is *replayed, not lost*; output rounds below the failover frontier collected only on the dead machine, plus its deferred per-sample errors |
 //! | Machine death mid-`rebalance` export | dead source endpoint | whole-machine failover (tails) | same as failover |
 //! | Machine death mid-`rebalance` import | dead destination endpoint | destination downed; exported state re-imported on the patient's new owner | nothing: the export (with collected output) was still in hand |
-//! | Every machine dead | `live_machines() == 0` | none | patients counted `patients_lost`; calls surface transport errors |
+//! | Every machine dead | every machine's down flag set | none | patients counted `patients_lost` and dropped from the table; calls surface transport errors |
+//! | Survivor refuses a re-admission | import error from a live machine | none | the patient is counted `patients_lost` and dropped from the table: no later failover brings it back |
 //!
 //! The deterministic guarantee the test battery pins down: under any
 //! seed-chosen schedule of sever/delay/black-hole faults *without* a

@@ -288,7 +288,7 @@ pub(crate) const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 ///
 /// Patient ids are often sequential; a real mix keeps the shard
 /// assignment (`splitmix64(patient) % shards`) balanced anyway. The
-/// cross-machine placement table ([`crate::machines::PlacementTable`])
+/// cross-machine placement hash ([`crate::machines`])
 /// applies it *twice* so the machine level is decorrelated from the
 /// shard level (same-hash levels with correlated moduli would funnel
 /// each machine's patients onto a subset of its shards).

@@ -790,3 +790,53 @@ fn a_patient_finished_with_an_error_stays_finished_across_a_failover() {
     cluster.shutdown();
     server_b.shutdown();
 }
+
+/// Lost means lost. Machine 0 dies and its survivor, machine 1, refuses
+/// every re-admission (its factory cannot build the pipeline), so each of
+/// machine 0's patients is counted lost. When machine 1 dies in turn, the
+/// router must not bring those patients back on machine 2: they are
+/// admitted nowhere, and finishing one is an error.
+#[test]
+fn a_patient_lost_in_a_failover_stays_lost_when_the_survivor_dies() {
+    let refusing: PipelineFactory = Arc::new(|| Err(lifestream_core::error::Error::NoSink));
+    let mut servers = [factory(Pipe::Select), refusing, factory(Pipe::Select)].map(|f| {
+        Some(ShardServer::bind(f, IngestConfig::new(2, ROUND), "127.0.0.1:0").expect("bind"))
+    });
+    let addrs: Vec<_> = servers.iter().flatten().map(|s| s.local_addr()).collect();
+    let cfg = RemoteConfig::default().retries(2);
+    let cfg = cfg.backoff(Duration::from_millis(1), Duration::from_millis(5));
+    let cluster = ClusterIngest::connect(&addrs, cfg).expect("connect");
+    let on_0: Vec<u64> = (0u64..)
+        .filter(|&p| cluster.machine_of(p) == 0)
+        .take(3)
+        .collect();
+    on_0.iter().for_each(|&p| cluster.admit(p).expect("admit"));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    // Feeds machine 0's patients, polling, until `failovers` machines are down.
+    let feed_until = |failovers: u64| {
+        for k in 0.. {
+            if cluster.health().failovers == failovers {
+                return;
+            }
+            assert!(Instant::now() < deadline, "no failover {failovers}");
+            on_0.iter()
+                .for_each(|&p| cluster.push(p, 0, k * PERIOD, wave(k, p)));
+            cluster.poll();
+            let _ = cluster.barrier();
+        }
+    };
+    servers[0].take().expect("alive").kill();
+    feed_until(1);
+    let lost = on_0.len() as u64;
+    assert_eq!(cluster.health().patients_lost, lost, "machine 1 refuses");
+    servers[1].take().expect("alive").kill();
+    feed_until(2);
+    let health = cluster.health();
+    assert_eq!(health.machines[1].state, MachineState::Down);
+    assert_eq!(health.machines[2].state, MachineState::Up);
+    assert_eq!(health.patients_lost, lost);
+    assert_eq!(health.patients_failed_over, 0, "a lost patient came back");
+    // Admitted nowhere: finishing any of them is an error.
+    assert!(on_0.iter().all(|&p| cluster.finish(p).is_err()));
+    cluster.shutdown(); // dropping `servers` shuts machine 2 down
+}

@@ -8,7 +8,8 @@
 //!    connection at seed-chosen frame boundaries. The client's
 //!    reconnect-with-resume protocol replays its un-acked window and the
 //!    server dedups it, so the output is byte-identical to the
-//!    fault-free run even though the TCP sessions died mid-stream.
+//!    fault-free run even though the TCP sessions died mid-stream, and
+//!    each machine that had to reconnect reports `Degraded`.
 //! 2. **Hard kill** — one of two machines is killed outright mid-feed.
 //!    The router fails its patients over to the survivor from bounded
 //!    client-side replay tails; every patient stays live, output at or
@@ -146,6 +147,15 @@ fn main() {
         "a sever must force at least one resume"
     );
     assert_eq!(chaos_health.patients_lost, 0);
+    // A machine that has had to reconnect reads `Degraded` (still
+    // routable, but one to watch); every other machine reads `Up`.
+    for m in &chaos_health.machines {
+        let reconnected = m.remote.reconnects > 0;
+        match m.state {
+            MachineState::Degraded => assert!(reconnected, "{m:?}"),
+            _ => assert!(m.state == MachineState::Up && !reconnected, "{m:?}"),
+        }
+    }
     println!(
         "chaos: {} faults injected, {} reconnects, {} frames replayed — \
          output byte-identical to the fault-free run",
