@@ -15,17 +15,18 @@
 //! Rounds that cannot are skipped wholesale — on gap-riddled physiological
 //! data this prunes the bulk of the compute-heavy transformations.
 //!
-//! **Operator fusion** ([`fuse`]): at executor construction,
-//! maximal chains of unit-scale single-consumer operators (select / where /
-//! transform / FIR / sliding aggregates on the input grid) are collapsed
-//! into one [`FusedKernel`](crate::fuse::FusedKernel) placed at the chain's
+//! **Operator fusion** ([`fuse`](crate::fuse)): before any operator is
+//! built, maximal chains of unit-scale single-consumer operators (select /
+//! where / transform / FIR / sliding aggregates on the input grid) are
+//! planned from the graph; their members are built as stages and run as
+//! one [`FusedKernel`](crate::fuse::FusedKernel) placed at the chain's
 //! tail. Interior nodes lose their FWindows (the memory plan skips them, so
 //! [`planned_bytes`](Executor::planned_bytes) shrinks) and are skipped by
 //! the round loop; intermediates live in two flat scratch columns that stay
 //! cache-resident across the whole chain. Fusion is a pure execution-plan
 //! rewrite — the graph, lineage maps, targeted skipping, and
 //! [`history_margins`](Executor::history_margins) are untouched, and fused
-//! output is bit-identical to staged output (see the [`fuse`]
+//! output is bit-identical to staged output (see the [`fuse`](crate::fuse)
 //! module docs for the eligibility rules and what breaks a group).
 //! [`ExecOptions::without_fusion`] disables the pass for A/B comparison.
 //!
@@ -50,11 +51,11 @@
 //! allocate and fill a `Vec<Tick>` (8 bytes per event) on every call.
 
 use crate::error::{Error, Result};
-use crate::fuse::{self, FusionGroup, FusionPlan, Role};
+use crate::fuse::{FusionGroup, FusionPlan, Role};
 use crate::fwindow::FWindow;
 use crate::graph::{Graph, JoinKindTag, NodeId, OpKind};
 use crate::memory::MemoryPlan;
-use crate::ops::Kernel;
+use crate::ops::{Kernel, Op};
 use crate::source::SignalData;
 use crate::stats::RunStats;
 use crate::time::Tick;
@@ -74,8 +75,11 @@ pub struct ExecOptions {
     /// minute (60 000 ticks). `None` uses the minimal traced dimension.
     pub round_ticks: Option<Tick>,
     /// Fuse chains of unit-scale operators into single-pass kernels (see
-    /// [`fuse`]). Output is bit-identical either way; staged
-    /// execution is kept for A/B comparison and benchmarks. Default true.
+    /// [`fuse`](crate::fuse)). When false (staged execution) each node
+    /// keeps its own window: `Transform` and `Fir` run as one stage each,
+    /// every other operator as its own kernel. Output is bit-identical
+    /// either way; staged execution is kept for A/B comparison and
+    /// benchmarks. Default true.
     pub fuse: bool,
 }
 
@@ -109,8 +113,8 @@ impl ExecOptions {
         self
     }
 
-    /// Disables operator fusion (every node keeps its own window and
-    /// kernel — the staged execution model).
+    /// Disables operator fusion (every node keeps its own window — the
+    /// staged execution model).
     pub fn without_fusion(mut self) -> Self {
         self.fuse = false;
         self
@@ -390,18 +394,23 @@ pub struct Executor {
 }
 
 impl Executor {
+    /// Builds the executor over `ops`, each node's built operator, with
+    /// the fusion `groups` they were built for.
     pub(crate) fn new(
         graph: Graph,
-        mut kernels: Vec<Option<Box<dyn Kernel>>>,
+        ops: Vec<Option<Op>>,
+        groups: Vec<FusionGroup>,
         sources: Vec<SignalData>,
         opts: ExecOptions,
         round_dim: Tick,
     ) -> Result<Self> {
-        let fusion = if opts.fuse {
-            fuse::install(&graph, &mut kernels)
-        } else {
-            FusionPlan::unfused(&graph)
-        };
+        if round_dim <= 0 {
+            return Err(Error::InvalidParameter {
+                message: "round dimension must be positive".into(),
+            });
+        }
+        let fusion = FusionPlan::new(&graph, groups);
+        let kernels = fusion.kernels(&graph, ops);
         // Fused interiors need no FWindow — the whole point of fusion's
         // footprint reduction — so the memory plan skips them.
         let skip: Vec<bool> = fusion
@@ -411,22 +420,7 @@ impl Executor {
             .collect();
         let plan = MemoryPlan::allocate_skipping(&graph, &skip);
         let plan_bytes = plan.total_bytes();
-        let start = sources
-            .iter()
-            .filter_map(|s| s.presence().start())
-            .min()
-            .unwrap_or(0);
-        let end = sources
-            .iter()
-            .filter_map(|s| s.presence().end())
-            .max()
-            .unwrap_or(0);
-        let start = start.div_euclid(round_dim) * round_dim;
-        if round_dim <= 0 {
-            return Err(Error::InvalidParameter {
-                message: "round dimension must be positive".into(),
-            });
-        }
+        let (start, end) = span_of(&sources, round_dim);
         Ok(Self {
             graph,
             kernels,
@@ -595,17 +589,7 @@ impl Executor {
                 });
             }
         }
-        let start = sources
-            .iter()
-            .filter_map(|s| s.presence().start())
-            .min()
-            .unwrap_or(0);
-        self.start = start.div_euclid(self.round_dim) * self.round_dim;
-        self.end = sources
-            .iter()
-            .filter_map(|s| s.presence().end())
-            .max()
-            .unwrap_or(0);
+        (self.start, self.end) = span_of(&sources, self.round_dim);
         self.sources = sources;
         Ok(())
     }
@@ -923,6 +907,19 @@ impl std::fmt::Debug for Executor {
             .field("span", &(self.start, self.end))
             .finish()
     }
+}
+
+/// The span a run over `sources` covers: the earliest present tick
+/// rounded down to the round grid, and the latest end (both 0 when
+/// nothing is present).
+fn span_of(sources: &[SignalData], round_dim: Tick) -> (Tick, Tick) {
+    let start = (sources.iter().filter_map(|s| s.presence().start()))
+        .min()
+        .unwrap_or(0);
+    let end = (sources.iter().filter_map(|s| s.presence().end()))
+        .max()
+        .unwrap_or(0);
+    (start.div_euclid(round_dim) * round_dim, end)
 }
 
 /// Fills a source window from the dataset; returns the number of events

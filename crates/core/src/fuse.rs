@@ -30,15 +30,25 @@
 //!
 //! # Execution model
 //!
-//! At plan time ([`install`]) each group's member kernels are converted
-//! into [`FusedStage`]s and replaced by a single [`FusedKernel`] placed at
-//! the group's *tail* node. Interior nodes get **no FWindow at all** — the
-//! memory plan skips them, which is where the reduced
-//! [`planned_bytes`](crate::exec::Executor::planned_bytes) footprint comes
-//! from — and the executor skips them in the round loop. The fused kernel
-//! reads the group head's input window and writes the tail's window; the
-//! intermediate values live in two flat scratch columns that ping-pong
-//! between stages, staying cache-resident for the whole chain.
+//! Fusion is planned from the graph alone, before any operator exists:
+//! [`CompiledQuery::executor_with`](crate::query::CompiledQuery::executor_with)
+//! runs [`find_groups`] when [`ExecOptions::fuse`](crate::exec::ExecOptions::fuse)
+//! is set and tells each node's factory whether the node is a group
+//! member. A member is built as a [`FusedStage`]; nothing is converted
+//! afterwards. The executor then places one [`FusedKernel`] over each
+//! group's stages at the group's *tail* node. Interior nodes get **no
+//! FWindow at all** — the memory plan skips them, which is where the
+//! reduced [`planned_bytes`](crate::exec::Executor::planned_bytes)
+//! footprint comes from — and the executor skips them in the round loop.
+//! The fused kernel reads the group head's input window and writes the
+//! tail's window; the intermediate values live in two flat scratch columns
+//! that ping-pong between stages, staying cache-resident for the whole
+//! chain.
+//!
+//! `Transform` and `Fir` are written only as stages. One that is in no
+//! group — every one of them when fusion is off — runs as a one-stage
+//! `FusedKernel` over its own node's windows, so the staged plan keeps
+//! one window per node and runs the same code as the fused plan.
 //!
 //! Stage inner loops iterate contiguous presence runs as flat slices
 //! (`(lo, hi)` ranges from [`BitVec::iter_runs`](
@@ -58,34 +68,35 @@
 //! group exactly as they composed across the staged chain (lookbacks and
 //! lookaheads add), and stage-internal history (FIR taps, sliding carries)
 //! is carried in stage state across rounds, never re-read from buffers,
-//! exactly like the staged kernels it replaces. The executor's skip path
+//! exactly as in the staged plan. The executor's skip path
 //! forwards `on_skip` to every stage, so gap-driven state resets are
 //! byte-identical to staged execution.
 //!
 //! # Bit-identity
 //!
 //! Fused execution must be *bit-identical* to staged execution (the
-//! differential battery diffs the two). Stages therefore replicate the
-//! staged kernels' exact arithmetic: the same closure invocation order
-//! over present slots, and for the two stateful operators not a replica
-//! but the same code — one FIR accumulation helper
-//! ([`ops::fir`](crate::ops::fir)) and one flat sliding-window fold
-//! ([`ops::aggregate`](crate::ops::aggregate)) serve both the staged
-//! kernel and the fused stage. That fold keeps the carried slots directly
-//! before the round's in one scratch, so every trailing window is a
-//! contiguous slice, and folds fully present windows lag-major over blocks
-//! of neighbouring output slots; each slot's `f64` accumulator still takes
-//! its values oldest first, the order [`AggKind::fold`] defines, so the
-//! re-ordering across slots changes no output bit. Fast paths are only
-//! taken where they provably execute the same floating-point operation
-//! sequence.
+//! differential battery diffs the two, and holds both to naive references
+//! for FIR, Transform and sliding aggregates). `Transform` and `Fir` have
+//! one implementation, so both plans run the same code. Hand-kept
+//! replicas exist only where an operator has a staged kernel as well:
+//! `Select` and `Where` stages replicate their kernels' exact arithmetic
+//! (the same closure invocation order over present slots), and the
+//! sliding-aggregate stage and kernel share one flat fold
+//! ([`ops::aggregate`](crate::ops::aggregate)). That fold keeps the
+//! carried slots directly before the round's in one scratch, so every
+//! trailing window is a contiguous slice, and folds fully present windows
+//! lag-major over blocks of neighbouring output slots; each slot's `f64`
+//! accumulator still takes its values oldest first, the order
+//! [`AggKind::fold`] defines, so the re-ordering across slots changes no
+//! output bit. Fast paths are only taken where they provably execute the
+//! same floating-point operation sequence.
 //!
 //! [`round_active`]: crate::exec::Executor
 //! [`AggKind::fold`]: crate::ops::aggregate::AggKind::fold
 
 use crate::fwindow::FWindow;
 use crate::graph::{Graph, NodeId, OpKind};
-use crate::ops::Kernel;
+use crate::ops::{Kernel, Op};
 use crate::time::Tick;
 
 /// One stage's view of the round during fused execution.
@@ -111,8 +122,8 @@ pub struct StageIo<'a> {
     pub out_present: &'a mut [bool],
 }
 
-/// One operator of a fused chain, converted from its staged kernel by
-/// [`Kernel::take_stage`].
+/// One operator of a fused chain: what a fusion group member, or any
+/// `Transform` or `Fir`, is built as.
 pub trait FusedStage: Send {
     /// Processes one round: reads `io.vals`/`io.present`, fills
     /// `io.out_vals`/`io.out_present`. Must not allocate.
@@ -192,8 +203,9 @@ fn eligible(graph: &Graph, id: NodeId) -> bool {
 }
 
 /// Finds all fusion groups in `graph` (see module docs for the rules).
-/// Pure analysis — no kernel state is touched, so this is also the
-/// introspection surface tests use to assert what fused.
+/// Pure analysis of the graph, run before any operator is built; the
+/// groups are also the introspection surface tests use to assert what
+/// fused.
 pub fn find_groups(graph: &Graph) -> Vec<FusionGroup> {
     let consumers = graph.consumers();
     let mut grouped = vec![false; graph.nodes.len()];
@@ -253,66 +265,66 @@ pub struct FusionPlan {
 }
 
 impl FusionPlan {
-    /// A plan with no fusion (every node [`Role::Normal`]).
-    pub fn unfused(graph: &Graph) -> Self {
-        Self {
-            groups: Vec::new(),
-            roles: vec![Role::Normal; graph.nodes.len()],
+    /// The plan of `groups` over `graph`: a group's tail runs its
+    /// [`FusedKernel`], its other members are interiors, and every other
+    /// node is [`Role::Normal`].
+    pub(crate) fn new(graph: &Graph, groups: Vec<FusionGroup>) -> Self {
+        let mut roles = vec![Role::Normal; graph.nodes.len()];
+        for group in &groups {
+            for &m in &group.members {
+                roles[m] = Role::FusedInterior;
+            }
+            roles[group.tail()] = Role::FusedTail {
+                input: group.input(graph),
+            };
         }
+        Self { groups, roles }
     }
-}
 
-/// Plans fusion for `graph` and rewrites `kernels` in place: each group's
-/// member kernels are converted to stages and replaced by one
-/// [`FusedKernel`] stored at the tail slot (interior slots become `None`).
-///
-/// A group is only converted when *every* member kernel reports
-/// [`Kernel::supports_fusion`]; a probe failure (e.g. a multi-field select
-/// that slipped past the graph check) leaves the whole chain staged rather
-/// than half-converted.
-pub fn install(graph: &Graph, kernels: &mut [Option<Box<dyn Kernel>>]) -> FusionPlan {
-    let mut plan = FusionPlan::unfused(graph);
-    let groups = find_groups(graph);
-    for group in groups {
-        let convertible = group
-            .members
-            .iter()
-            .all(|&m| kernels[m].as_ref().is_some_and(|k| k.supports_fusion()));
-        if !convertible {
-            continue;
-        }
-        let stages: Vec<Box<dyn FusedStage>> = group
-            .members
-            .iter()
-            .map(|&m| {
-                let mut k = kernels[m].take().expect("probed kernel present");
-                k.take_stage()
-                    .expect("supports_fusion implies take_stage succeeds")
-            })
-            .collect();
-        let tail = group.tail();
-        let capacity = graph.nodes[tail].capacity();
-        kernels[tail] = Some(Box::new(FusedKernel::new(stages, capacity)));
-        for &m in &group.members {
-            plan.roles[m] = Role::FusedInterior;
-        }
-        plan.roles[tail] = Role::FusedTail {
-            input: group.input(graph),
+    /// The executor's kernels from the built operators: each group's
+    /// stages, head first, become one [`FusedKernel`] at the group's tail
+    /// (its interior slots stay `None`), and a stage in no group — a
+    /// `Transform` or `Fir` — becomes a one-stage `FusedKernel` over its
+    /// own node's windows.
+    pub(crate) fn kernels(
+        &self,
+        graph: &Graph,
+        mut ops: Vec<Option<Op>>,
+    ) -> Vec<Option<Box<dyn Kernel>>> {
+        let mut kernels: Vec<Option<Box<dyn Kernel>>> = (0..ops.len()).map(|_| None).collect();
+        let fused = |stages, node: NodeId| -> Box<dyn Kernel> {
+            Box::new(FusedKernel::new(stages, graph.nodes[node].capacity()))
         };
-        plan.groups.push(group);
+        for group in &self.groups {
+            let stages = (group.members.iter())
+                .map(|&m| match ops[m].take() {
+                    Some(Op::Stage(stage)) => stage,
+                    _ => unreachable!("a fusion group member is built as a stage"),
+                })
+                .collect();
+            kernels[group.tail()] = Some(fused(stages, group.tail()));
+        }
+        for (id, op) in ops.into_iter().enumerate() {
+            if let Some(op) = op {
+                kernels[id] = Some(match op {
+                    Op::Kernel(kernel) => kernel,
+                    Op::Stage(stage) => fused(vec![stage], id),
+                });
+            }
+        }
+        kernels
     }
-    plan
 }
 
-/// A whole fused chain as one [`Kernel`]: reads the group head's input
-/// window, runs every stage over flat scratch columns, writes the tail
-/// window. All scratch is sized at construction — `process` never
-/// allocates, preserving the static-memory guarantee.
+/// A fused chain as one [`Kernel`] — a group's stages, or a lone
+/// `Transform` or `Fir` stage: reads the head's input window, runs every
+/// stage over flat scratch columns, writes the tail window. All scratch
+/// is sized at construction — `process` never allocates, preserving the
+/// static-memory guarantee.
 pub struct FusedKernel {
     stages: Vec<Box<dyn FusedStage>>,
-    /// Input presence unpacked to flags (stage boundary representation).
-    in_flags: Vec<bool>,
-    /// Ping-pong scratch: stages read `a`, write `b`, then the pair swaps.
+    /// Ping-pong scratch: stages read `a` (the first stage the input
+    /// window's values), write `b`, then the pair swaps.
     a_vals: Vec<f32>,
     a_flags: Vec<bool>,
     b_vals: Vec<f32>,
@@ -325,11 +337,14 @@ pub struct FusedKernel {
 impl FusedKernel {
     /// Builds a fused kernel over `stages` with scratch for `capacity`
     /// slots per round.
+    ///
+    /// # Panics
+    /// Panics when `stages` is empty.
     pub fn new(stages: Vec<Box<dyn FusedStage>>, capacity: usize) -> Self {
+        assert!(!stages.is_empty(), "a fused kernel runs at least one stage");
         let pass_through = stages.iter().all(|s| !s.resets_durations());
         Self {
             stages,
-            in_flags: vec![false; capacity],
             a_vals: vec![0.0; capacity],
             a_flags: vec![false; capacity],
             b_vals: vec![0.0; capacity],
@@ -350,18 +365,16 @@ impl Kernel for FusedKernel {
         let base = input.slot_time(0);
         let period = input.shape().period();
 
-        // Unpack input presence into flags and values into scratch `a` —
-        // run-wise, so dense inputs are two bulk copies.
-        input.presence().unpack_into(&mut self.in_flags);
-        self.a_vals[..len].copy_from_slice(&input.field(0)[..len]);
-        self.a_flags[..len].copy_from_slice(&self.in_flags[..len]);
-
-        for stage in &mut self.stages {
+        // Unpack input presence into the flags of scratch `a`, run-wise;
+        // the first stage reads the input's values in place.
+        input.presence().unpack_into(&mut self.a_flags);
+        for (i, stage) in self.stages.iter_mut().enumerate() {
+            let vals = if i == 0 { input.field(0) } else { &self.a_vals };
             self.b_flags[..len].fill(false);
             stage.apply(StageIo {
                 base,
                 period,
-                vals: &self.a_vals[..len],
+                vals: &vals[..len],
                 present: &self.a_flags[..len],
                 out_vals: &mut self.b_vals[..len],
                 out_present: &mut self.b_flags[..len],

@@ -14,9 +14,8 @@
 //! ever stored: `SlidingFold` keeps the last `w / p_in − 1` slots of the
 //! rounds before (value and presence) in a flat scratch laid directly
 //! before the current round's slots, and every window is one contiguous
-//! slice of it. The staged [`SlidingAggKernel`] and the fused stage it
-//! converts into run that one fold, as [`ops::fir`](crate::ops::fir)'s two
-//! forms share one convolution.
+//! slice of it. The staged [`SlidingAggKernel`] and the fused stage a
+//! fusion group member builds instead run that one fold.
 //!
 //! Windows whose slots are all present — found from the scratch's presence
 //! runs — are folded *lag-major*: for a block of neighbouring output slots
@@ -328,27 +327,23 @@ impl Kernel for SlidingAggKernel {
     fn reset(&mut self) {
         self.fold.clear();
     }
-
-    fn supports_fusion(&self) -> bool {
-        // Fusion eligibility (stride == input period, same grid) is
-        // decided graph-side; any sliding kernel can run as a stage.
-        true
-    }
-
-    fn take_stage(&mut self) -> Option<Box<dyn FusedStage>> {
-        let husk = SlidingFold::new(self.fold.kind, 1, 1, 0);
-        Some(Box::new(FusedSlidingStage {
-            fold: std::mem::replace(&mut self.fold, husk),
-        }))
-    }
 }
 
-/// Fused-stage form of [`SlidingAggKernel`], valid only on same-grid
-/// chains (output stride == input period), which the fusion pass
-/// guarantees: the same [`SlidingFold`], loaded from the chain's flat
-/// columns and folding straight into them.
-struct FusedSlidingStage {
+/// Fused-stage form of [`SlidingAggKernel`], built for a fusion group
+/// member and valid only on same-grid chains (output stride == input
+/// period), which the fusion pass guarantees: the same [`SlidingFold`],
+/// loaded from the chain's flat columns and folding straight into them.
+pub(crate) struct FusedSlidingStage {
     fold: SlidingFold,
+}
+
+impl FusedSlidingStage {
+    /// Creates the stage; the arguments are [`SlidingAggKernel::new`]'s.
+    pub(crate) fn new(kind: AggKind, window: Tick, in_period: Tick, capacity: usize) -> Self {
+        Self {
+            fold: SlidingFold::new(kind, window, in_period, capacity),
+        }
+    }
 }
 
 impl FusedStage for FusedSlidingStage {

@@ -7,32 +7,20 @@
 //! (on dense data this is exactly the textbook convolution with warm-up
 //! partials, matching the old closure-based `pass_filter`). Output is
 //! present exactly where input is present. Up to `taps − 1` trailing
-//! samples of a run carry across round boundaries in kernel state
-//! (`FirState`), so a run spanning rounds filters identically to the
+//! samples of a run carry across round boundaries in the stage's state,
+//! so a run spanning rounds filters identically to the
 //! same run inside one round; a skipped round clears the carry, which is
 //! consistent because a skipped round is an all-absent round.
 //!
-//! Both the staged [`FirKernel`] and the fused stage it converts into run
-//! the *same* accumulation code (`FirState::apply_run`): a per-sample
-//! history-aware head for the first `taps − 1` positions of a run, then a
-//! branch-free dense interior — a fixed-trip tap loop over independent
-//! output positions, the autovectorization-friendly shape the fusion pass
-//! is built around. Identical code ⟹ bit-identical output, which the
-//! differential battery's fused-vs-staged arm checks.
+//! The operator is one [`FusedStage`], `FirStage`, in the fused and the
+//! staged plan alike (outside a fusion group it runs as a one-stage
+//! [`FusedKernel`](crate::fuse::FusedKernel)). Each run goes through
+//! `FirStage::apply_run`: a per-sample history-aware head for the first
+//! `taps − 1` positions of a run, then a branch-free dense interior — a
+//! fixed-trip tap loop over independent output positions, the
+//! autovectorization-friendly shape the fusion pass is built around.
 
 use crate::fuse::{for_each_run, FusedStage, StageIo};
-use crate::fwindow::FWindow;
-use crate::ops::Kernel;
-
-/// FIR filter state shared by the staged kernel and the fused stage: the
-/// taps plus the carried tail (up to `taps − 1` most recent samples of a
-/// present run still in progress).
-#[derive(Debug, Clone)]
-pub(crate) struct FirState {
-    taps: Vec<f32>,
-    /// Carried run tail, oldest first; `len <= taps.len() - 1`.
-    hist: Vec<f32>,
-}
 
 /// One output sample with history reach-back: `y = Σₖ taps[k] · x[j−k]`,
 /// where `x` is `run` for in-run offsets and `hist` (most recent last)
@@ -57,9 +45,25 @@ fn dot_with_history(taps: &[f32], run: &[f32], j: usize, hist: &[f32]) -> f32 {
     acc
 }
 
-impl FirState {
+/// `PassFilter`: walks the round's presence runs, filtering each through
+/// [`apply_run`](Self::apply_run) straight into the output column.
+/// Output durations are rewritten to the grid period.
+pub(crate) struct FirStage {
+    taps: Vec<f32>,
+    /// Carried run tail, oldest first; `len <= taps.len() - 1`.
+    hist: Vec<f32>,
+}
+
+impl FirStage {
+    /// Creates a FIR stage.
+    ///
+    /// # Panics
+    /// Panics on empty taps
+    /// ([`Stream::pass_filter`](crate::stream::Stream::pass_filter)
+    /// validates first).
     pub(crate) fn new(taps: Vec<f32>) -> Self {
-        let m = taps.len().saturating_sub(1);
+        assert!(!taps.is_empty(), "FIR requires at least one tap");
+        let m = taps.len() - 1;
         Self {
             taps,
             hist: Vec::with_capacity(m),
@@ -67,7 +71,7 @@ impl FirState {
     }
 
     /// Drops the carried tail (gap in the data / skipped round / reset).
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.hist.clear();
     }
 
@@ -75,7 +79,7 @@ impl FirState {
     /// History carries in from the previous run fragment and is updated
     /// to this run's tail on exit. Never allocates (`hist` stays within
     /// its construction capacity).
-    pub(crate) fn apply_run(&mut self, run: &[f32], out: &mut [f32]) {
+    fn apply_run(&mut self, run: &[f32], out: &mut [f32]) {
         debug_assert_eq!(run.len(), out.len());
         let taps = &self.taps;
         let m = taps.len() - 1;
@@ -110,94 +114,7 @@ impl FirState {
     }
 }
 
-/// Staged FIR kernel: walks the input window's presence runs, filtering
-/// each through `FirState::apply_run`. Output durations are rewritten
-/// to the grid period (like `Transform`, whose closure-based
-/// `pass_filter` this operator replaces).
-pub struct FirKernel {
-    state: FirState,
-    /// Per-run output staging, sized to one round.
-    out_buf: Vec<f32>,
-}
-
-impl FirKernel {
-    /// Creates a FIR kernel. `capacity` bounds one round's slots.
-    ///
-    /// # Panics
-    /// Panics on empty taps
-    /// ([`Stream::pass_filter`](crate::stream::Stream::pass_filter)
-    /// validates first).
-    pub fn new(taps: Vec<f32>, capacity: usize) -> Self {
-        assert!(!taps.is_empty(), "FIR requires at least one tap");
-        Self {
-            state: FirState::new(taps),
-            out_buf: vec![0.0; capacity],
-        }
-    }
-}
-
-impl Kernel for FirKernel {
-    fn process(&mut self, inputs: &[&FWindow], out: &mut FWindow) {
-        let input = inputs[0];
-        debug_assert_eq!(input.len(), out.len());
-        let period = input.shape().period();
-        let len = input.len();
-        let col = input.field(0);
-        let mut last_hi = 0usize;
-        for (lo, hi) in input.presence().iter_runs() {
-            if lo > last_hi {
-                // A gap precedes this run (also covers an absent round
-                // start, since last_hi begins at 0).
-                self.state.clear();
-            }
-            let buf = &mut self.out_buf[..hi - lo];
-            self.state.apply_run(&col[lo..hi], buf);
-            for (j, &y) in buf.iter().enumerate() {
-                out.write(lo + j, &[y], period);
-            }
-            last_hi = hi;
-        }
-        if last_hi < len {
-            // Trailing gap (or fully absent round): the carry dies here.
-            self.state.clear();
-        }
-    }
-
-    fn on_skip(&mut self) {
-        self.state.clear();
-    }
-
-    fn reset(&mut self) {
-        self.state.clear();
-    }
-
-    fn supports_fusion(&self) -> bool {
-        true
-    }
-
-    fn take_stage(&mut self) -> Option<Box<dyn FusedStage>> {
-        Some(Box::new(FusedFirStage {
-            state: std::mem::replace(&mut self.state, FirState::new(vec![0.0])),
-        }))
-    }
-}
-
-impl std::fmt::Debug for FirKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FirKernel")
-            .field("taps", &self.state.taps.len())
-            .finish()
-    }
-}
-
-/// Fused-stage form of [`FirKernel`]: the same run walk and the same
-/// [`FirState::apply_run`], writing straight into the chain's flat output
-/// column (no per-slot window writes at all).
-struct FusedFirStage {
-    state: FirState,
-}
-
-impl FusedStage for FusedFirStage {
+impl FusedStage for FirStage {
     fn apply(&mut self, io: StageIo<'_>) {
         let StageIo {
             vals,
@@ -210,23 +127,26 @@ impl FusedStage for FusedFirStage {
         let mut last_hi = 0usize;
         for_each_run(present, |lo, hi| {
             if lo > last_hi {
-                self.state.clear();
+                // A gap precedes this run (also covers an absent round
+                // start, since last_hi begins at 0).
+                self.clear();
             }
-            self.state.apply_run(&vals[lo..hi], &mut out_vals[lo..hi]);
+            self.apply_run(&vals[lo..hi], &mut out_vals[lo..hi]);
             out_present[lo..hi].fill(true);
             last_hi = hi;
         });
         if last_hi < len {
-            self.state.clear();
+            // Trailing gap (or fully absent round): the carry dies here.
+            self.clear();
         }
     }
 
     fn on_skip(&mut self) {
-        self.state.clear();
+        self.clear();
     }
 
     fn reset(&mut self) {
-        self.state.clear();
+        self.clear();
     }
 
     fn resets_durations(&self) -> bool {
@@ -237,8 +157,16 @@ impl FusedStage for FusedFirStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuse::FusedKernel;
     use crate::ops::testutil::{empty, events, filled};
+    use crate::ops::Kernel;
     use crate::time::StreamShape;
+
+    /// The filter as the plan runs it outside a fusion group: a one-stage
+    /// fused kernel with scratch for `capacity` slots.
+    fn fir(taps: Vec<f32>, capacity: usize) -> FusedKernel {
+        FusedKernel::new(vec![Box::new(FirStage::new(taps))], capacity)
+    }
 
     #[test]
     fn dense_fir_matches_direct_convolution() {
@@ -247,7 +175,7 @@ mod tests {
         let x: Vec<f32> = (0..10).map(|i| (i * i) as f32 * 0.25).collect();
         let input = filled(s, 10, 0, &x);
         let mut out = empty(s, 10, 0, 1);
-        let mut k = FirKernel::new(taps.clone(), 10);
+        let mut k = fir(taps.clone(), 10);
         k.process(&[&input], &mut out);
         for (j, &(t, y)) in events(&out).iter().enumerate() {
             assert_eq!(t, j as i64);
@@ -268,7 +196,7 @@ mod tests {
         let mut input = filled(s, 6, 0, &[8.0, 8.0, 8.0, 0.0, 2.0, 2.0]);
         input.clear_slot(3);
         let mut out = empty(s, 6, 0, 1);
-        let mut k = FirKernel::new(taps, 6);
+        let mut k = fir(taps, 6);
         k.process(&[&input], &mut out);
         let ev = events(&out);
         assert_eq!(ev.len(), 5);
@@ -281,7 +209,7 @@ mod tests {
     fn history_carries_across_rounds_when_run_continues() {
         let s = StreamShape::new(0, 1);
         let taps = vec![0.25f32, 0.25, 0.25, 0.25];
-        let mut k = FirKernel::new(taps, 4);
+        let mut k = fir(taps, 4);
         let in1 = filled(s, 4, 0, &[4.0, 4.0, 4.0, 4.0]);
         let mut out1 = empty(s, 4, 0, 1);
         k.process(&[&in1], &mut out1);
@@ -296,7 +224,7 @@ mod tests {
     #[test]
     fn skip_clears_carry() {
         let s = StreamShape::new(0, 1);
-        let mut k = FirKernel::new(vec![0.5, 0.5], 2);
+        let mut k = fir(vec![0.5, 0.5], 2);
         let in1 = filled(s, 2, 0, &[10.0, 10.0]);
         let mut out1 = empty(s, 2, 0, 1);
         k.process(&[&in1], &mut out1);
@@ -312,7 +240,7 @@ mod tests {
         let s = StreamShape::new(0, 2);
         let input = filled(s, 8, 0, &[1.0, 2.0, 3.0, 4.0]);
         let mut out = empty(s, 8, 0, 1);
-        let mut k = FirKernel::new(vec![3.0], 4);
+        let mut k = fir(vec![3.0], 4);
         k.process(&[&input], &mut out);
         assert_eq!(events(&out), vec![(0, 3.0), (2, 6.0), (4, 9.0), (6, 12.0)]);
     }

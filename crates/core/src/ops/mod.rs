@@ -1,14 +1,29 @@
-//! Operator kernels.
+//! Operator kernels and fused stages.
 //!
 //! Every temporal operator compiles to a [`Kernel`]: a unit that reads one
 //! or two input [`FWindow`]s and fills one output FWindow, all covering the
 //! same absolute time interval (the executor slides every window in
 //! lock-step rounds after locality tracing has equalized the dimensions).
 //!
-//! Stateful kernels (`Shift`, `Chop`, `ClipJoin`, sliding `Aggregate`, the
-//! boundary-crossing case of `Join` shown in Fig. 8) carry *constant-size*
-//! state across rounds — the bounded-memory-footprint property guarantees
-//! the state never grows with the data.
+//! Fusible operators are written as a [`FusedStage`] instead, which works
+//! on flat value and presence columns and runs inside a
+//! [`FusedKernel`](crate::fuse::FusedKernel). The fusion plan is made
+//! from the graph before any operator is built, so each node's factory
+//! builds it once, in the form it runs in:
+//!
+//! * `Transform` and `Fir` exist only as stages. Outside a fusion group
+//!   (every one of them when fusion is off) a stage runs as a one-stage
+//!   `FusedKernel` over its own node's windows.
+//! * `Select`, `Where` and the sliding `Aggregate` have both forms: a
+//!   stage inside a group, a kernel outside one. Their kernels also take
+//!   the multi-field and strided cases that cannot be stages.
+//! * Every other operator is a kernel only.
+//!
+//! Stateful kernels and stages (`Shift`, `Chop`, `ClipJoin`, sliding
+//! `Aggregate`, `Fir`, the boundary-crossing case of `Join` shown in
+//! Fig. 8) carry *constant-size* state across rounds — the
+//! bounded-memory-footprint property guarantees the state never grows
+//! with the data.
 
 use crate::fuse::FusedStage;
 use crate::fwindow::FWindow;
@@ -43,23 +58,15 @@ pub trait Kernel: Send {
 
     /// Clears all state, returning the kernel to its initial condition.
     fn reset(&mut self) {}
+}
 
-    /// True when [`take_stage`](Kernel::take_stage) will succeed: the
-    /// kernel can run as one stage of a fused chain (unit-scale, single
-    /// field in and out). The fusion pass probes every member of a
-    /// candidate group before converting any of them.
-    fn supports_fusion(&self) -> bool {
-        false
-    }
-
-    /// Moves the kernel's internals into a [`FusedStage`] for single-pass
-    /// fused execution, leaving this kernel an unusable husk (the planner
-    /// discards it). Returns `None` for kernels that do not fuse; must
-    /// return `Some` whenever [`supports_fusion`](Kernel::supports_fusion)
-    /// is true.
-    fn take_stage(&mut self) -> Option<Box<dyn FusedStage>> {
-        None
-    }
+/// What a node's factory builds: a kernel over the node's own windows,
+/// or a stage of a [`FusedKernel`](crate::fuse::FusedKernel).
+pub(crate) enum Op {
+    /// Runs as itself.
+    Kernel(Box<dyn Kernel>),
+    /// Runs inside a fused kernel: its group's, or a one-stage one.
+    Stage(Box<dyn FusedStage>),
 }
 
 #[cfg(test)]

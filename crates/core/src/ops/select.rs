@@ -48,33 +48,28 @@ impl Kernel for SelectKernel {
             out.write(i, &self.out_buf[..self.out_arity], input.duration(i));
         }
     }
-
-    fn supports_fusion(&self) -> bool {
-        // The fused scratch is single-field; arity-changing selects stay
-        // staged.
-        self.in_arity == 1 && self.out_arity == 1
-    }
-
-    fn take_stage(&mut self) -> Option<Box<dyn FusedStage>> {
-        if !self.supports_fusion() {
-            return None;
-        }
-        Some(Box::new(FusedSelectStage {
-            f: std::mem::replace(&mut self.f, Box::new(|_, _| {})),
-            in_buf: self.in_buf,
-            out_buf: self.out_buf,
-        }))
-    }
 }
 
-/// Fused-stage form of a single-field [`SelectKernel`]: same closure, same
-/// per-present-slot invocation order, but over flat scratch runs. The
-/// `out_buf` persists across calls exactly like the staged kernel's, so
-/// closures that leave outputs unwritten observe identical values.
-struct FusedSelectStage {
+/// Fused-stage form of a single-field [`SelectKernel`], built for a
+/// fusion group member: same closure, same per-present-slot invocation
+/// order, but over flat scratch runs. The `out_buf` persists across calls
+/// exactly like the staged kernel's, so closures that leave outputs
+/// unwritten observe identical values.
+pub(crate) struct FusedSelectStage {
     f: SelectFn,
     in_buf: [f32; MAX_ARITY],
     out_buf: [f32; MAX_ARITY],
+}
+
+impl FusedSelectStage {
+    /// Creates the stage of a single-field select.
+    pub(crate) fn new(f: SelectFn) -> Self {
+        Self {
+            f,
+            in_buf: [0.0; MAX_ARITY],
+            out_buf: [0.0; MAX_ARITY],
+        }
+    }
 }
 
 impl FusedStage for FusedSelectStage {
@@ -143,28 +138,24 @@ impl Kernel for WhereKernel {
             }
         }
     }
-
-    fn supports_fusion(&self) -> bool {
-        self.arity == 1
-    }
-
-    fn take_stage(&mut self) -> Option<Box<dyn FusedStage>> {
-        if !self.supports_fusion() {
-            return None;
-        }
-        Some(Box::new(FusedWhereStage {
-            pred: std::mem::replace(&mut self.pred, Box::new(|_| false)),
-            buf: self.buf,
-        }))
-    }
 }
 
-/// Fused-stage form of a single-field [`WhereKernel`]: the same predicate
-/// called in the same order, with surviving values copied through the same
-/// staging buffer.
-struct FusedWhereStage {
+/// Fused-stage form of a single-field [`WhereKernel`], built for a
+/// fusion group member: the same predicate called in the same order, with
+/// surviving values copied through the same staging buffer.
+pub(crate) struct FusedWhereStage {
     pred: WhereFn,
     buf: [f32; MAX_ARITY],
+}
+
+impl FusedWhereStage {
+    /// Creates the stage of a single-field where.
+    pub(crate) fn new(pred: WhereFn) -> Self {
+        Self {
+            pred,
+            buf: [0.0; MAX_ARITY],
+        }
+    }
 }
 
 impl FusedStage for FusedWhereStage {

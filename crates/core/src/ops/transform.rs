@@ -2,9 +2,7 @@
 //! escape hatch that lets third-party numeric code (FIR filters,
 //! interpolation, imputation) run inside the streaming pipeline (§6.1).
 
-use crate::fuse::{for_each_run, FusedStage, StageIo};
-use crate::fwindow::FWindow;
-use crate::ops::Kernel;
+use crate::fuse::{FusedStage, StageIo};
 use crate::time::Tick;
 
 /// Borrowed view of one transform sub-window: input values with presence,
@@ -17,9 +15,9 @@ pub struct TransformCtx<'a> {
     pub base: Tick,
     /// Event period.
     pub period: Tick,
-    /// True on the first sub-window after the kernel was constructed,
-    /// [`reset`](crate::ops::Kernel::reset) (executor recycled onto a new
-    /// dataset), or a skipped round (targeted processing jumped a gap).
+    /// True on the first sub-window after the operator was built, reset
+    /// (executor recycled onto a new dataset), or a skipped round
+    /// (targeted processing jumped a gap).
     /// Stateful closures must drop carried history when this is set — the
     /// time axis is not continuous with whatever they saw last.
     pub fresh: bool,
@@ -36,98 +34,29 @@ pub struct TransformCtx<'a> {
 /// The user transformation. Called once per `w`-sized sub-window.
 pub type TransformFn = Box<dyn FnMut(TransformCtx<'_>) + Send>;
 
-/// `Transform(w)` kernel: slices the round into `w`-tick sub-windows and
-/// applies the user function to each. Input and output must share the same
-/// grid and be single-field (arity 1).
-pub struct TransformKernel {
+/// `Transform(w)`: slices the round into `w`-tick sub-windows and applies
+/// the user function to each. Input and output share one grid and are
+/// single-field (arity 1). It exists only as a stage: outside a fusion
+/// group it runs as a one-stage
+/// [`FusedKernel`](crate::fuse::FusedKernel).
+pub(crate) struct TransformStage {
     window: Tick,
     f: TransformFn,
-    in_flags: Vec<bool>,
-    out_vals: Vec<f32>,
-    out_flags: Vec<bool>,
     fresh: bool,
 }
 
-impl TransformKernel {
-    /// Creates a transform kernel over `window`-tick sub-windows for a
-    /// stream of period `period`. `capacity` bounds one round's slots.
-    pub fn new(window: Tick, period: Tick, capacity: usize, f: TransformFn) -> Self {
-        let sub = (window / period) as usize;
+impl TransformStage {
+    /// Creates a transform over `window`-tick sub-windows.
+    pub(crate) fn new(window: Tick, f: TransformFn) -> Self {
         Self {
             window,
             f,
-            in_flags: vec![false; sub.max(capacity)],
-            out_vals: vec![0.0; sub.max(capacity)],
-            out_flags: vec![false; sub.max(capacity)],
             fresh: true,
         }
     }
 }
 
-impl Kernel for TransformKernel {
-    fn process(&mut self, inputs: &[&FWindow], out: &mut FWindow) {
-        let input = inputs[0];
-        let period = input.shape().period();
-        let sub = (self.window / period) as usize;
-        debug_assert!(sub > 0);
-        input.presence().unpack_into(&mut self.in_flags);
-        let mut start = 0usize;
-        while start < input.len() {
-            let end = (start + sub).min(input.len());
-            let n = end - start;
-            // Closures that set presence without writing must see 0.0.
-            self.out_vals[..n].fill(0.0);
-            self.out_flags[..n].fill(false);
-            (self.f)(TransformCtx {
-                base: input.slot_time(start),
-                period,
-                fresh: self.fresh,
-                input: &input.field(0)[start..end],
-                present: &self.in_flags[start..end],
-                output: &mut self.out_vals[..n],
-                out_present: &mut self.out_flags[..n],
-            });
-            self.fresh = false;
-            for_each_run(&self.out_flags[..n], |lo, hi| {
-                out.fill_from_slice(start + lo, &self.out_vals[lo..hi], period)
-            });
-            start = end;
-        }
-    }
-
-    fn on_skip(&mut self) {
-        // A skipped round breaks time continuity for the closure.
-        self.fresh = true;
-    }
-
-    fn reset(&mut self) {
-        self.fresh = true;
-    }
-
-    fn supports_fusion(&self) -> bool {
-        true
-    }
-
-    fn take_stage(&mut self) -> Option<Box<dyn FusedStage>> {
-        Some(Box::new(FusedTransformStage {
-            window: self.window,
-            f: std::mem::replace(&mut self.f, Box::new(|_| {})),
-            fresh: self.fresh,
-        }))
-    }
-}
-
-/// Fused-stage form of [`TransformKernel`]: the identical sub-window loop
-/// (same `TransformCtx` slices, same zeroed output scratch, same `fresh`
-/// transitions), but reading/writing the fused chain's flat columns
-/// instead of copying into kernel-private scratch.
-struct FusedTransformStage {
-    window: Tick,
-    f: TransformFn,
-    fresh: bool,
-}
-
-impl FusedStage for FusedTransformStage {
+impl FusedStage for TransformStage {
     fn apply(&mut self, io: StageIo<'_>) {
         let StageIo {
             base,
@@ -143,8 +72,7 @@ impl FusedStage for FusedTransformStage {
         let mut start = 0usize;
         while start < len {
             let end = (start + sub).min(len);
-            // Staged kernels zero their output scratch per sub-window;
-            // closures that set presence without writing must see 0.0.
+            // Closures that set presence without writing must see 0.0.
             out_vals[start..end].fill(0.0);
             (self.f)(TransformCtx {
                 base: base + start as Tick * period,
@@ -161,6 +89,7 @@ impl FusedStage for FusedTransformStage {
     }
 
     fn on_skip(&mut self) {
+        // A skipped round breaks time continuity for the closure.
         self.fresh = true;
     }
 
@@ -173,28 +102,27 @@ impl FusedStage for FusedTransformStage {
     }
 }
 
-impl std::fmt::Debug for TransformKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransformKernel")
-            .field("window", &self.window)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuse::FusedKernel;
     use crate::ops::testutil::{empty, events, filled};
+    use crate::ops::Kernel;
     use crate::time::StreamShape;
+
+    /// The transform as the plan runs it outside a fusion group: a
+    /// one-stage fused kernel with scratch for `capacity` slots.
+    fn transform(window: Tick, capacity: usize, f: TransformFn) -> FusedKernel {
+        FusedKernel::new(vec![Box::new(TransformStage::new(window, f))], capacity)
+    }
 
     #[test]
     fn identity_transform_passes_through() {
         let s = StreamShape::new(0, 2);
         let input = filled(s, 8, 0, &[1.0, 2.0, 3.0, 4.0]);
         let mut out = empty(s, 8, 0, 1);
-        let mut k = TransformKernel::new(
+        let mut k = transform(
             4,
-            2,
             4,
             Box::new(|ctx: TransformCtx<'_>| {
                 for i in 0..ctx.input.len() {
@@ -212,9 +140,8 @@ mod tests {
         let s = StreamShape::new(0, 1);
         let input = filled(s, 4, 0, &[1.0, 2.0, 3.0, 4.0]);
         let mut out = empty(s, 4, 0, 1);
-        let mut k = TransformKernel::new(
+        let mut k = transform(
             2,
-            1,
             4,
             Box::new(|ctx: TransformCtx<'_>| {
                 let n = ctx.input.len();
@@ -237,9 +164,8 @@ mod tests {
         input.clear_slot(1);
         input.clear_slot(2);
         let mut out = empty(s, 4, 0, 1);
-        let mut k = TransformKernel::new(
+        let mut k = transform(
             4,
-            1,
             4,
             Box::new(|ctx: TransformCtx<'_>| {
                 // Fill absent slots by linear interpolation between the
@@ -271,9 +197,8 @@ mod tests {
         let s = StreamShape::new(0, 1);
         let input = filled(s, 3, 0, &[1.0, 2.0, 3.0]);
         let mut out = empty(s, 3, 0, 1);
-        let mut k = TransformKernel::new(
+        let mut k = transform(
             2,
-            1,
             3,
             Box::new(|ctx: TransformCtx<'_>| {
                 for i in 0..ctx.input.len() {

@@ -6,8 +6,9 @@
 //! topologically ordered because a node can only read streams that
 //! already exist. Compiling runs locality tracing and returns the
 //! [`CompiledQuery`] from which executors, live sessions and history
-//! replays are created. The kernels are instantiated only once the
-//! executor has fixed every window's capacity.
+//! replays are created. The operators are built only once the executor
+//! has fixed every window's capacity and planned fusion, so each node is
+//! built as the kernel or the fused stage it will run as.
 //!
 //! ```
 //! use lifestream_core::prelude::*;
@@ -24,22 +25,25 @@
 
 use crate::error::{Error, Result};
 use crate::exec::{ExecOptions, Executor};
+use crate::fuse;
 use crate::graph::{Graph, Node, NodeId, OpKind};
 use crate::lineage::LineageMap;
-use crate::ops::Kernel;
+use crate::ops::Op;
 use crate::source::SignalData;
 use crate::time::{StreamShape, Tick};
 use crate::trace::{self, TraceReport};
 
-/// Builds a node's kernel from its traced node (capacities are final).
-pub(crate) type KernelFactory = Box<dyn FnOnce(&Node) -> Box<dyn Kernel> + Send>;
+/// Builds a node's operator from its traced node (capacities are final).
+/// The flag is true when the node is a fusion group member, which must be
+/// built as an [`Op::Stage`].
+pub(crate) type OpFactory = Box<dyn FnOnce(&Node, bool) -> Op + Send>;
 
-/// A query plan under construction: the graph plus one kernel factory per
-/// node (`None` for sources and sinks).
+/// A query plan under construction: the graph plus one operator factory
+/// per node (`None` for sources and sinks).
 #[derive(Default)]
 pub(crate) struct Plan {
     pub(crate) graph: Graph,
-    factories: Vec<Option<KernelFactory>>,
+    factories: Vec<Option<OpFactory>>,
     pub(crate) n_sources: usize,
 }
 
@@ -54,7 +58,7 @@ impl Plan {
         shape: StreamShape,
         arity: usize,
         lineage: Vec<LineageMap>,
-        factory: Option<KernelFactory>,
+        factory: Option<OpFactory>,
     ) -> NodeId {
         let id = self.graph.nodes.len();
         self.graph.nodes.push(Node {
@@ -99,7 +103,7 @@ impl std::fmt::Debug for Plan {
 #[must_use = "a CompiledQuery does nothing until an executor is created from it"]
 pub struct CompiledQuery {
     graph: Graph,
-    factories: Vec<Option<KernelFactory>>,
+    factories: Vec<Option<OpFactory>>,
     report: TraceReport,
     n_sources: usize,
 }
@@ -189,12 +193,22 @@ impl CompiledQuery {
                 self.report.global_dim
             }
         };
-        // Instantiate kernels now that capacities are final.
-        let mut kernels: Vec<Option<Box<dyn Kernel>>> = Vec::with_capacity(self.graph.nodes.len());
-        for (i, fac) in self.factories.into_iter().enumerate() {
-            kernels.push(fac.map(|f| f(&self.graph.nodes[i])));
+        // Plan fusion from the graph alone, then build every operator now
+        // that capacities are final: a group member as a stage, every
+        // other node in the one form its factory gives.
+        let groups = if opts.fuse {
+            fuse::find_groups(&self.graph)
+        } else {
+            Vec::new()
+        };
+        let mut member = vec![false; self.graph.nodes.len()];
+        for &m in groups.iter().flat_map(|g| &g.members) {
+            member[m] = true;
         }
-        Executor::new(self.graph, kernels, sources, opts, round_dim)
+        let ops = (self.factories.into_iter().enumerate())
+            .map(|(i, fac)| fac.map(|f| f(&self.graph.nodes[i], member[i])))
+            .collect();
+        Executor::new(self.graph, ops, groups, sources, opts, round_dim)
     }
 }
 

@@ -50,14 +50,15 @@ use crate::error::{Error, Result};
 use crate::fwindow::MAX_ARITY;
 use crate::graph::{JoinKindTag, Node, NodeId, OpKind};
 use crate::lineage::LineageMap;
-use crate::ops::aggregate::{AggKind, SlidingAggKernel, TumblingAggKernel};
-use crate::ops::fir::FirKernel;
+use crate::ops::aggregate::{AggKind, FusedSlidingStage, SlidingAggKernel, TumblingAggKernel};
+use crate::ops::fir::FirStage;
 use crate::ops::join::{ClipJoinKernel, JoinKernel, JoinKind, JoinMapFn};
 use crate::ops::reshape::{AlterDurationKernel, AlterPeriodKernel, ChopKernel, ShiftKernel};
-use crate::ops::select::{SelectKernel, WhereKernel};
-use crate::ops::transform::{TransformCtx, TransformKernel};
+use crate::ops::select::{FusedSelectStage, FusedWhereStage, SelectKernel, WhereKernel};
+use crate::ops::transform::{TransformCtx, TransformStage};
 use crate::ops::where_shape::{ShapeMode, WhereShapeKernel};
-use crate::query::{CompiledQuery, KernelFactory, Plan};
+use crate::ops::Op;
+use crate::query::{CompiledQuery, OpFactory, Plan};
 use crate::time::{gcd, StreamShape, Tick};
 
 /// A query under construction, owning the logical plan that its
@@ -160,7 +161,7 @@ impl<'q> Stream<'q> {
         shape: StreamShape,
         arity: usize,
         lineage: Vec<LineageMap>,
-        factory: Option<KernelFactory>,
+        factory: Option<OpFactory>,
     ) -> Stream<'q> {
         let node = self
             .query
@@ -181,7 +182,7 @@ impl<'q> Stream<'q> {
         shape: StreamShape,
         arity: usize,
         lineage: LineageMap,
-        factory: KernelFactory,
+        factory: OpFactory,
     ) -> Stream<'q> {
         let inputs = vec![self.node];
         self.push(
@@ -216,7 +217,17 @@ impl<'q> Stream<'q> {
             shape,
             out_arity,
             LineageMap::identity(),
-            Box::new(move |_| Box::new(SelectKernel::new(in_arity, out_arity, Box::new(f)))),
+            Box::new(move |_, member| {
+                if member {
+                    Op::Stage(Box::new(FusedSelectStage::new(Box::new(f))))
+                } else {
+                    Op::Kernel(Box::new(SelectKernel::new(
+                        in_arity,
+                        out_arity,
+                        Box::new(f),
+                    )))
+                }
+            }),
         ))
     }
 
@@ -246,7 +257,13 @@ impl<'q> Stream<'q> {
             shape,
             arity,
             LineageMap::identity(),
-            Box::new(move |_| Box::new(WhereKernel::new(arity, Box::new(pred)))),
+            Box::new(move |_, member| {
+                if member {
+                    Op::Stage(Box::new(FusedWhereStage::new(Box::new(pred))))
+                } else {
+                    Op::Kernel(Box::new(WhereKernel::new(arity, Box::new(pred))))
+                }
+            }),
         ))
     }
 
@@ -276,11 +293,11 @@ impl<'q> Stream<'q> {
             shape,
             1,
             LineageMap::identity(),
-            Box::new(move |_| {
-                Box::new(WhereShapeKernel::new(
+            Box::new(move |_, _| {
+                Op::Kernel(Box::new(WhereShapeKernel::new(
                     StreamingMatcher::new(pattern, band, threshold, normalize),
                     mode,
-                ))
+                )))
             }),
         ))
     }
@@ -320,14 +337,18 @@ impl<'q> Stream<'q> {
             in_shape.aggregated(stride),
             1,
             lineage,
-            Box::new(move |node: &Node| {
+            Box::new(move |node: &Node, member| {
+                // Every window of a plan shares one dimension, so this is
+                // the input window's slot count.
+                let in_capacity = (node.dim / in_period) as usize;
                 if window == stride {
-                    Box::new(TumblingAggKernel::new(kind, window))
+                    Op::Kernel(Box::new(TumblingAggKernel::new(kind, window)))
+                } else if member {
+                    let stage = FusedSlidingStage::new(kind, window, in_period, in_capacity);
+                    Op::Stage(Box::new(stage))
                 } else {
-                    // Every window of a plan shares one dimension, so this
-                    // is the input window's slot count.
-                    let in_capacity = (node.dim / in_period) as usize;
-                    Box::new(SlidingAggKernel::new(kind, window, in_period, in_capacity))
+                    let kernel = SlidingAggKernel::new(kind, window, in_period, in_capacity);
+                    Op::Kernel(Box::new(kernel))
                 }
             }),
         ))
@@ -380,15 +401,15 @@ impl<'q> Stream<'q> {
             JoinKind::Left => JoinKindTag::Left,
             JoinKind::Outer => JoinKindTag::Outer,
         };
-        let factory: KernelFactory = Box::new(move |node: &Node| {
-            Box::new(JoinKernel::new(
+        let factory: OpFactory = Box::new(move |node: &Node, _| {
+            Op::Kernel(Box::new(JoinKernel::new(
                 kind,
                 la,
                 ra,
                 node.arity,
                 node.capacity(),
                 map,
-            ))
+            )))
         });
         Ok(self.push(
             format!("Join({kind:?})"),
@@ -423,7 +444,9 @@ impl<'q> Stream<'q> {
             ls,
             la + ra,
             vec![LineageMap::identity(), LineageMap::identity()],
-            Some(Box::new(move |_| Box::new(ClipJoinKernel::new(la, ra)))),
+            Some(Box::new(move |_, _| {
+                Op::Kernel(Box::new(ClipJoinKernel::new(la, ra)))
+            })),
         ))
     }
 
@@ -454,7 +477,7 @@ impl<'q> Stream<'q> {
             StreamShape::new(shape.offset(), g),
             arity,
             LineageMap::identity(),
-            Box::new(move |_| Box::new(ChopKernel::new(boundary, arity))),
+            Box::new(move |_, _| Op::Kernel(Box::new(ChopKernel::new(boundary, arity)))),
         ))
     }
 
@@ -477,7 +500,7 @@ impl<'q> Stream<'q> {
             shape.shifted(delta),
             arity,
             LineageMap::shift(delta),
-            Box::new(move |_| Box::new(ShiftKernel::new(delta, arity, in_period))),
+            Box::new(move |_, _| Op::Kernel(Box::new(ShiftKernel::new(delta, arity, in_period)))),
         ))
     }
 
@@ -499,7 +522,7 @@ impl<'q> Stream<'q> {
             shape.with_period(period),
             arity,
             LineageMap::identity(),
-            Box::new(move |_| Box::new(AlterPeriodKernel::new(arity))),
+            Box::new(move |_, _| Op::Kernel(Box::new(AlterPeriodKernel::new(arity)))),
         ))
     }
 
@@ -520,7 +543,7 @@ impl<'q> Stream<'q> {
             shape,
             arity,
             LineageMap::identity(),
-            Box::new(move |_| Box::new(AlterDurationKernel::new(duration, arity))),
+            Box::new(move |_, _| Op::Kernel(Box::new(AlterDurationKernel::new(duration, arity)))),
         ))
     }
 
@@ -549,14 +572,7 @@ impl<'q> Stream<'q> {
             shape,
             1,
             LineageMap::window(window),
-            Box::new(move |node: &Node| {
-                Box::new(TransformKernel::new(
-                    window,
-                    period,
-                    node.capacity(),
-                    Box::new(f),
-                ))
-            }),
+            Box::new(move |_, _| Op::Stage(Box::new(TransformStage::new(window, Box::new(f))))),
         ))
     }
 
@@ -586,7 +602,7 @@ impl<'q> Stream<'q> {
             shape,
             1,
             LineageMap::with_margins(lookback, 0),
-            Box::new(move |node: &Node| Box::new(FirKernel::new(taps, node.capacity()))),
+            Box::new(move |_, _| Op::Stage(Box::new(FirStage::new(taps)))),
         ))
     }
 

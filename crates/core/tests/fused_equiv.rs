@@ -7,9 +7,13 @@
 //! randomized fusible chains over gap-heavy data (including Fig.-3-style
 //! long-dropout patterns), plus regression tests that re-gridding
 //! operators (tumbling aggregates, `alter_period`) break fusion groups
-//! instead of being silently mis-fused. Sliding aggregates — one flat fold
-//! behind the staged kernel and the fused stage — are also held, both
-//! ways, to a naive `(t − w, t]` reference.
+//! instead of being silently mis-fused. `Transform` and `Fir` run the same
+//! stage in both plans, so the fused-vs-staged diff alone cannot catch a
+//! fault in them: random gap-heavy chains are also held, both ways, to
+//! naive references — a direct convolution within each present run for
+//! FIR, a plain sub-window walk for Transform, and the `(t − w, t]`
+//! trailing window for sliding aggregates, which the battery also checks
+//! kind by kind.
 
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::ops::aggregate::AggKind;
@@ -195,6 +199,174 @@ proptest! {
         // window is gone from the footprint.
         prop_assert!(fused_exec.planned_bytes() < staged_exec.planned_bytes());
         assert_identical(&fused, &staged, &format!("{stages:?}"));
+    }
+}
+
+/// A signal on the grid of slots `0..len`, `None` where absent.
+type Slots = Vec<Option<f32>>;
+
+/// `data` on its own grid, padded with absent slots to `len`.
+fn slots_of(data: &SignalData, len: usize) -> Slots {
+    let p = data.shape().period();
+    (0..len).map(|i| data.value_at(i as Tick * p)).collect()
+}
+
+/// FIR written out naively: at each present slot, `Σₖ taps[k] · x[t−k]`
+/// accumulated in `f32` for ascending `k` until `t − k` leaves the present
+/// run — a gap resets the carry.
+fn naive_fir(x: &[Option<f32>], taps: &[f32]) -> Slots {
+    (0..x.len())
+        .map(|t| {
+            x[t]?;
+            let mut acc = 0.0f32;
+            for (k, &tap) in taps.iter().enumerate() {
+                match t.checked_sub(k).and_then(|j| x[j]) {
+                    Some(v) => acc += tap * v,
+                    None => break,
+                }
+            }
+            Some(acc)
+        })
+        .collect()
+}
+
+/// Transform written out as a plain walk over the absolute sub-windows
+/// `[k·w, (k+1)·w)`: the closure sees each one's values (0.0 where
+/// absent), its presence, and a zeroed, all-absent output.
+fn naive_transform(x: &[Option<f32>], sub: usize, period: Tick) -> Slots {
+    let mut f = normalize_closure();
+    let mut out = Vec::with_capacity(x.len());
+    for (k, chunk) in x.chunks(sub).enumerate() {
+        let input: Vec<f32> = chunk.iter().map(|v| v.unwrap_or(0.0)).collect();
+        let present: Vec<bool> = chunk.iter().map(Option::is_some).collect();
+        let mut output = vec![0.0f32; chunk.len()];
+        let mut out_present = vec![false; chunk.len()];
+        f(TransformCtx {
+            base: (k * sub) as Tick * period,
+            period,
+            fresh: k == 0,
+            input: &input,
+            present: &present,
+            output: &mut output,
+            out_present: &mut out_present,
+        });
+        out.extend(
+            output
+                .iter()
+                .zip(&out_present)
+                .map(|(&v, &p)| p.then_some(v)),
+        );
+    }
+    out
+}
+
+impl Stage {
+    /// The stage applied to a whole signal at once, naively.
+    fn reference(&self, x: &[Option<f32>], period: Tick) -> Slots {
+        match self {
+            Stage::Select { mul, add } => x.iter().map(|v| v.map(|v| v * mul + add)).collect(),
+            Stage::WhereGt { threshold } => x.iter().map(|v| v.filter(|v| v > threshold)).collect(),
+            Stage::Normalize { window_slots } => naive_transform(x, *window_slots, period),
+            Stage::Fir { taps } => naive_fir(x, taps),
+            Stage::Sliding { kind, window_slots } => (0..x.len())
+                .map(|t| {
+                    let lo = (t + 1).saturating_sub(*window_slots);
+                    let items: Vec<f32> = x[lo..=t].iter().flatten().copied().collect();
+                    naive_aggregate(*kind, &items)
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Runs `stages` over `data` fused and staged and holds both, bit for bit,
+/// to the chain's naive reference over every round the executor ran.
+/// Returns the number of reference events.
+fn assert_matches_reference(stages: &[Stage], data: &SignalData) -> usize {
+    let p = data.shape().period();
+    let mut events = 0;
+    for fuse in [true, false] {
+        let mut opts = ExecOptions::default().with_round_ticks(ROUND);
+        if !fuse {
+            opts = opts.without_fusion();
+        }
+        let (exec, out) = run_chain(stages, data, opts);
+        let ctx = format!("{stages:?} fuse={fuse}");
+        // Rounds run while one starts before the data's end plus a round.
+        let r = exec.round_dim();
+        let end = data.presence().end().unwrap() + r;
+        let len = ((end + r - 1) / r * r / p) as usize;
+        let mut want = slots_of(data, len);
+        for st in stages {
+            want = st.reference(&want, p);
+        }
+        let want: Vec<(Tick, f32)> = (want.iter().enumerate())
+            .filter_map(|(i, v)| v.map(|v| (i as Tick * p, v)))
+            .collect();
+        assert_eq!(out.len(), want.len(), "{ctx}: event count");
+        let got = out.iter_times().zip(out.values(0));
+        for ((t, v), &(wt, wv)) in got.zip(&want) {
+            assert_eq!(
+                (t, v.to_bits()),
+                (wt, wv.to_bits()),
+                "{ctx}: {v} vs {wv} at t={wt}"
+            );
+        }
+        assert!(out.durations().iter().all(|&d| d == p), "{ctx}: durations");
+        events = want.len();
+    }
+    events
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random chains × gap-heavy data, fused and staged, equal naive
+    /// references bit for bit. One-stage chains run a lone Transform or
+    /// FIR stage as its own fused kernel in both plans.
+    #[test]
+    fn fir_and_transform_chains_match_naive_references(
+        stages in prop::collection::vec(stage_strategy(), 1..6),
+        period in prop::sample::select(vec![1i64, 2, 4]),
+        slots in 2_000usize..6_000,
+        seed in 0u64..u64::MAX / 2,
+        gaps in prop::collection::vec((0usize..6_000, 1usize..300), 0..4),
+    ) {
+        let data = gappy(StreamShape::new(0, period), slots, seed, &gaps);
+        assert_matches_reference(&stages, &data);
+    }
+}
+
+/// The same check on fixed chains, so a plain `cargo test` always holds
+/// a lone FIR, a lone Transform and both inside one group to references.
+#[test]
+fn fir_and_transform_match_naive_references() {
+    let fir = Stage::Fir {
+        taps: vec![0.25, -0.5, 0.125, 1.0],
+    };
+    let normalize = Stage::Normalize { window_slots: 25 };
+    let chains = [
+        vec![fir.clone()],
+        vec![normalize.clone()],
+        vec![
+            Stage::Select {
+                mul: 1.75,
+                add: -3.0,
+            },
+            fir,
+            Stage::WhereGt { threshold: -40.0 },
+            normalize,
+        ],
+    ];
+    let data = gappy(
+        StreamShape::new(0, 2),
+        12_000,
+        42,
+        &[(500, 37), (7_000, 3), (9_999, 210)],
+    );
+    for stages in &chains {
+        let events = assert_matches_reference(stages, &data);
+        assert!(events > 0, "{stages:?}: an empty reference proves nothing");
     }
 }
 
