@@ -54,8 +54,13 @@
 //! (`(lo, hi)` ranges from [`BitVec::iter_runs`](
 //! crate::bitvec::BitVec::iter_runs)) with no per-slot presence branch
 //! inside a run, so the compiler can unroll and autovectorize the dense
-//! interiors — the FIR stage in particular keeps a fixed-trip-count tap
-//! loop over independent output positions.
+//! interiors. They are register-blocked: the FIR stage filters eight
+//! output positions at a time with the taps as the outer loop, so the
+//! block's partial sums stay in vector registers instead of forming one
+//! dependent chain per output, and the sliding fold does the same across
+//! eight windows per lag. `Select` and `Where` stages are generic over
+//! their closures, so the per-slot call inlines instead of going through
+//! a `dyn` call.
 //!
 //! # Lineage and margins
 //!
@@ -77,19 +82,22 @@
 //! Fused execution must be *bit-identical* to staged execution (the
 //! differential battery diffs the two, and holds both to naive references
 //! for FIR, Transform and sliding aggregates). `Transform` and `Fir` have
-//! one implementation, so both plans run the same code. Hand-kept
-//! replicas exist only where an operator has a staged kernel as well:
-//! `Select` and `Where` stages replicate their kernels' exact arithmetic
-//! (the same closure invocation order over present slots), and the
-//! sliding-aggregate stage and kernel share one flat fold
-//! ([`ops::aggregate`](crate::ops::aggregate)). That fold keeps the
-//! carried slots directly before the round's in one scratch, so every
-//! trailing window is a contiguous slice, and folds fully present windows
-//! lag-major over blocks of neighbouring output slots; each slot's `f64`
-//! accumulator still takes its values oldest first, the order
-//! [`AggKind::fold`] defines, so the re-ordering across slots changes no
-//! output bit. Fast paths are only taken where they provably execute the
-//! same floating-point operation sequence.
+//! one implementation, so both plans run the same code; the FIR's blocked
+//! interior still accumulates each output from `0.0` in ascending tap
+//! order, the per-slot sequence, which its unit tests check against the
+//! per-slot form it replaced. Hand-kept replicas exist only where an
+//! operator has a staged kernel as well: `Select` and `Where` stages call
+//! the same closure (inlined here, boxed in the kernel) in the same order
+//! over present slots, and the sliding-aggregate stage and kernel share
+//! one flat fold ([`ops::aggregate`](crate::ops::aggregate)). That fold
+//! keeps the carried slots directly before the round's in one scratch, so
+//! every trailing window is a contiguous slice, and folds fully present
+//! windows lag-major over blocks of neighbouring output slots; each
+//! slot's `f64` accumulator still takes its values oldest first, the
+//! order [`AggKind::fold`] defines, and widening a slot to `f64` once a
+//! round rather than once per lag is exact, so neither changes an output
+//! bit. Fast paths are only taken where they provably execute the same
+//! floating-point operation sequence.
 //!
 //! [`round_active`]: crate::exec::Executor
 //! [`AggKind::fold`]: crate::ops::aggregate::AggKind::fold

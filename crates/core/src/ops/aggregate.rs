@@ -18,14 +18,18 @@
 //! fusion group member builds instead run that one fold.
 //!
 //! Windows whose slots are all present — found from the scratch's presence
-//! runs — are folded *lag-major*: for a block of neighbouring output slots
-//! the fold walks the lags oldest to newest and, per lag, adds that lag's
-//! value to every slot's accumulator. Each slot still receives its values
-//! oldest first into its own `f64` accumulator — the order
+//! runs — are folded *lag-major*: for a block of eight neighbouring output
+//! slots the fold walks the lags oldest to newest and, per lag, adds that
+//! lag's value to every slot's accumulator. Each slot still receives its
+//! values oldest first into its own `f64` accumulator — the order
 //! [`AggKind::fold`] uses — so every output bit is what the slot-by-slot
 //! fold gives; only the dependent chain of `w / p_in` adds per slot becomes
 //! independent adds across the block, with the accumulators in registers.
-//! Windows with absent slots take `AggKind::fold` over the present ones.
+//! The kinds that sum (`Sum`, `Mean`, `Count`, `Std`) read a copy of the
+//! scratch widened to `f64` once a round, so a lag's values load as `f64`
+//! vectors with no conversion per lag; `f32 → f64` is exact, so this too
+//! changes no bit. `Max` and `Min` fold the `f32` scratch. Windows with
+//! absent slots take `AggKind::fold` over the present ones.
 
 use crate::fuse::{for_each_run, FusedStage, StageIo};
 use crate::fwindow::FWindow;
@@ -130,60 +134,79 @@ impl Kernel for TumblingAggKernel {
 }
 
 /// Output slots folded together by the lag-major path: eight `f64`
-/// accumulators (two sets for `Std`) fit the sixteen vector registers of
-/// the baseline x86-64 target.
+/// accumulators fit the sixteen vector registers of the baseline x86-64
+/// target.
 const BLOCK: usize = 8;
 
-/// Lag-major fold of [`BLOCK`] windows, window `b` being
-/// `span[b * step..][..width]`: per lag, oldest first, `add`s that lag's
-/// value into each window's accumulator.
-#[inline(always)]
-fn lag_major<A: Copy>(
-    span: &[f32],
-    step: usize,
-    width: usize,
-    init: A,
-    add: impl Fn(A, f32) -> A,
-) -> [A; BLOCK] {
-    let span = &span[..(BLOCK - 1) * step + width];
-    let mut acc = [init; BLOCK];
-    for lag in 0..width {
-        for (b, a) in acc.iter_mut().enumerate() {
-            *a = add(*a, span[b * step + lag]);
-        }
-    }
-    acc
-}
-
-/// [`BLOCK`] fully present windows of `width` slots each, `step` apart.
-struct Block<'a> {
-    span: &'a [f32],
+/// [`BLOCK`] fully present windows of `width` slots each, `step` apart,
+/// over a column of `T`: window `b` is `span[b * step..][..width]`.
+struct Block<'a, T> {
+    span: &'a [T],
     step: usize,
     width: usize,
 }
 
-impl Block<'_> {
-    /// [`lag_major`], with the step a constant where output and input
-    /// share a grid (every fused chain): neighbouring windows then load as
-    /// vectors (51 → 55 M events/s on `retro_chain_dense`).
-    fn fold<A: Copy>(&self, init: A, add: impl Fn(A, f32) -> A) -> [A; BLOCK] {
-        if self.step == 1 {
-            lag_major(self.span, 1, self.width, init, add)
+impl<T: Copy> Block<'_, T> {
+    /// The lag-major fold: per lag, oldest first, `add`s that lag's value
+    /// into each window's accumulator.
+    #[inline(always)]
+    fn fold<A: Copy>(&self, init: A, add: impl Fn(A, T) -> A) -> [A; BLOCK] {
+        let (step, width) = (self.step, self.width);
+        let mut acc = [init; BLOCK];
+        if step == 1 {
+            // Output and input share a grid (every fused chain): one lag
+            // of neighbouring windows is one contiguous load.
+            for lag in 0..width {
+                let x: &[T; BLOCK] = self.span[lag..lag + BLOCK].try_into().unwrap();
+                for (a, &x) in acc.iter_mut().zip(x) {
+                    *a = add(*a, x);
+                }
+            }
         } else {
-            lag_major(self.span, self.step, self.width, init, add)
+            let span = &self.span[..(BLOCK - 1) * step + width];
+            for lag in 0..width {
+                for (b, a) in acc.iter_mut().enumerate() {
+                    *a = add(*a, span[b * step + lag]);
+                }
+            }
         }
+        acc
     }
+}
 
-    /// The windows' aggregates, bit for bit what [`AggKind::fold`] gives
-    /// each (see the module docs).
-    fn aggregate(&self, kind: AggKind) -> [f32; BLOCK] {
-        let n = self.width as u32;
-        match kind {
-            AggKind::Max => self.fold(f32::NEG_INFINITY, f32::max),
-            AggKind::Min => self.fold(f32::INFINITY, f32::min),
-            AggKind::Std => self.fold((0.0, 0.0), add_squares).map(|s| std_of(s, n)),
-            _ => self.fold(0.0, add).map(|sum| kind.of_sum(sum, n)),
+/// The aggregates of [`BLOCK`] fully present windows starting at scratch
+/// slot `at`, bit for bit what [`AggKind::fold`] gives each (see the
+/// module docs): `Max` and `Min` over the `f32` values, the sums over
+/// their `f64` widening. `Std`'s two sums are separate folds, so each
+/// runs over a flat array of accumulators.
+fn aggregate_block(
+    kind: AggKind,
+    vals: &[f32],
+    wide: &[f64],
+    at: usize,
+    step: usize,
+    width: usize,
+) -> [f32; BLOCK] {
+    let n = width as u32;
+    let narrow = || Block {
+        span: &vals[at..],
+        step,
+        width,
+    };
+    let wide = || Block {
+        span: &wide[at..],
+        step,
+        width,
+    };
+    match kind {
+        AggKind::Max => narrow().fold(f32::NEG_INFINITY, f32::max),
+        AggKind::Min => narrow().fold(f32::INFINITY, f32::min),
+        AggKind::Std => {
+            let sums = wide().fold(0.0, |sum, v| sum + v);
+            let sumsqs = wide().fold(0.0, |sumsq, v| sumsq + v * v);
+            std::array::from_fn(|b| std_of((sums[b], sumsqs[b]), n))
         }
+        _ => (wide().fold(0.0, |sum, v| sum + v)).map(|sum| kind.of_sum(sum, n)),
     }
 }
 
@@ -200,16 +223,22 @@ struct SlidingFold {
     /// Presence of `vals`, slot for slot; a carry slot no round has
     /// filled is absent.
     present: Vec<bool>,
+    /// `vals` widened to `f64` once a round, for the kinds that sum; the
+    /// extremes fold `vals` itself and leave it empty. Sized at
+    /// construction.
+    wide: Vec<f64>,
 }
 
 impl SlidingFold {
     fn new(kind: AggKind, window: Tick, in_period: Tick, capacity: usize) -> Self {
         let width = (window / in_period).max(1) as usize;
+        let sums = !matches!(kind, AggKind::Max | AggKind::Min);
         Self {
             kind,
             width,
             vals: vec![0.0; width - 1 + capacity],
             present: vec![false; width - 1 + capacity],
+            wide: vec![0.0; if sums { width - 1 + capacity } else { 0 }],
         }
     }
 
@@ -240,6 +269,16 @@ impl SlidingFold {
         let (kind, width) = (self.kind, self.width);
         let c = width - 1;
         let (vals, present) = (&self.vals[..c + len], &self.present[..c + len]);
+        // One exact conversion a slot, instead of one a slot and lag.
+        let wide: &[f64] = if self.wide.is_empty() {
+            &[]
+        } else {
+            let wide = &mut self.wide[..c + len];
+            for (w, &v) in wide.iter_mut().zip(vals) {
+                *w = v as f64;
+            }
+            wide
+        };
         // In scratch indices output `o`'s window starts at `first + o *
         // step`; `outputs_before(j)` counts the windows starting below `j`.
         let n_out = out_vals.len();
@@ -265,8 +304,8 @@ impl SlidingFold {
             out_present[dense_lo..dense_hi].fill(true);
             let dense = out_vals[dense_lo..dense_hi].chunks_exact_mut(BLOCK);
             for (i, block) in dense.enumerate() {
-                let span = &vals[first + (dense_lo + i * BLOCK) * step..];
-                block.copy_from_slice(&Block { span, step, width }.aggregate(kind));
+                let at = first + (dense_lo + i * BLOCK) * step;
+                block.copy_from_slice(&aggregate_block(kind, vals, wide, at, step, width));
             }
             next = dense_hi;
         });
@@ -373,6 +412,86 @@ mod tests {
     use super::*;
     use crate::ops::testutil::{empty, events, filled};
     use crate::time::StreamShape;
+    use proptest::prelude::*;
+
+    const KINDS: [AggKind; 6] = [
+        AggKind::Sum,
+        AggKind::Mean,
+        AggKind::Max,
+        AggKind::Min,
+        AggKind::Count,
+        AggKind::Std,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every kind over windows of 1-64 slots and output strides of 1-5
+        /// slots, through rounds of odd sizes with gaps, carries and skips:
+        /// each output is `AggKind::fold` over its window's present slots,
+        /// bit for bit, and the scratch never grows.
+        #[test]
+        fn sliding_fold_equals_agg_kind_fold_on_present_slots(
+            kind in prop::sample::select(KINDS.to_vec()),
+            width in 1usize..=64,
+            step in 1usize..=5,
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut s = seed;
+            let mut next = |n: u64| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s % n
+            };
+            const CAPACITY: usize = 301;
+            let mut fold = SlidingFold::new(kind, width as Tick * 3, 3, CAPACITY);
+            let sizes = (fold.vals.len(), fold.wide.len(), fold.wide.capacity());
+            // The last `width - 1` slots, oldest first, as the reference
+            // carries them.
+            let mut carry: Vec<Option<f32>> = vec![None; width - 1];
+            for r in 0..5 {
+                if r > 0 && next(4) == 0 {
+                    fold.clear();
+                    carry.fill(None);
+                }
+                let len = CAPACITY - 2 * next(40) as usize;
+                let dense = next(2) == 0;
+                // Magnitudes from 1e-6 to 1e6: window sums that round in
+                // `f64`, and `Std`s that cancel.
+                let round: Vec<Option<f32>> = (0..len)
+                    .map(|_| {
+                        let scale = 10f32.powi(next(13) as i32 - 6);
+                        let v = (next(4001) as f32 * 0.0137 - 27.0) * scale;
+                        (dense || next(9) != 0).then_some(v)
+                    })
+                    .collect();
+                let (vals, present) = fold.round_mut(len);
+                for (i, v) in round.iter().enumerate() {
+                    vals[i] = v.unwrap_or(f32::NAN);
+                    present[i] = v.is_some();
+                }
+                let first = next(step as u64) as usize;
+                let n_out = (len - first).div_ceil(step);
+                let mut out_vals = vec![0.0f32; n_out];
+                let mut out_present = vec![false; n_out];
+                fold.run(len, first, step, &mut out_vals, &mut out_present);
+                let full: Vec<Option<f32>> = carry.iter().chain(&round).copied().collect();
+                for o in 0..n_out {
+                    let window = &full[first + o * step..][..width];
+                    let want = kind.fold(window.iter().flatten().copied());
+                    let got = out_present[o].then_some(out_vals[o]);
+                    prop_assert_eq!(
+                        got.map(f32::to_bits),
+                        want.map(f32::to_bits),
+                        "{:?} width {} step {} round {} output {}", kind, width, step, r, o
+                    );
+                }
+                carry = full[full.len() - (width - 1)..].to_vec();
+            }
+            prop_assert_eq!((fold.vals.len(), fold.wide.len(), fold.wide.capacity()), sizes);
+        }
+    }
 
     #[test]
     fn agg_kind_folds() {
@@ -429,6 +548,7 @@ mod tests {
             k.process(&[&filled(s, 4, sync, vals)], &mut out);
             // Three carried slots plus one round, as built: never grows.
             assert_eq!((k.fold.vals.len(), k.fold.vals.capacity()), (7, 7));
+            assert_eq!((k.fold.wide.len(), k.fold.wide.capacity()), (7, 7));
             events(&out)
         };
         // t=3 sees (-1, 3] = 1,2,3,4; the first slots see what exists.

@@ -52,27 +52,23 @@ impl Kernel for SelectKernel {
 
 /// Fused-stage form of a single-field [`SelectKernel`], built for a
 /// fusion group member: same closure, same per-present-slot invocation
-/// order, but over flat scratch runs. The `out_buf` persists across calls
-/// exactly like the staged kernel's, so closures that leave outputs
-/// unwritten observe identical values.
-pub(crate) struct FusedSelectStage {
-    f: SelectFn,
-    in_buf: [f32; MAX_ARITY],
-    out_buf: [f32; MAX_ARITY],
+/// order, but over flat scratch runs. Generic over the closure, so the
+/// per-slot call inlines. The output buffer persists across calls exactly
+/// like the staged kernel's, so closures that leave outputs unwritten
+/// observe identical values.
+pub(crate) struct FusedSelectStage<F> {
+    f: F,
+    out_buf: [f32; 1],
 }
 
-impl FusedSelectStage {
+impl<F> FusedSelectStage<F> {
     /// Creates the stage of a single-field select.
-    pub(crate) fn new(f: SelectFn) -> Self {
-        Self {
-            f,
-            in_buf: [0.0; MAX_ARITY],
-            out_buf: [0.0; MAX_ARITY],
-        }
+    pub(crate) fn new(f: F) -> Self {
+        Self { f, out_buf: [0.0] }
     }
 }
 
-impl FusedStage for FusedSelectStage {
+impl<F: FnMut(&[f32], &mut [f32]) + Send> FusedStage for FusedSelectStage<F> {
     fn apply(&mut self, io: StageIo<'_>) {
         let StageIo {
             vals,
@@ -81,14 +77,16 @@ impl FusedStage for FusedSelectStage {
             out_present,
             ..
         } = io;
+        // A local copy for the loop keeps the buffer in a register.
+        let mut out_buf = self.out_buf;
         for_each_run(present, |lo, hi| {
-            for i in lo..hi {
-                self.in_buf[0] = vals[i];
-                (self.f)(&self.in_buf[..1], &mut self.out_buf[..1]);
-                out_vals[i] = self.out_buf[0];
+            for (&v, o) in vals[lo..hi].iter().zip(&mut out_vals[lo..hi]) {
+                (self.f)(&[v], &mut out_buf);
+                *o = out_buf[0];
             }
             out_present[lo..hi].fill(true);
         });
+        self.out_buf = out_buf;
     }
 }
 
@@ -141,24 +139,21 @@ impl Kernel for WhereKernel {
 }
 
 /// Fused-stage form of a single-field [`WhereKernel`], built for a
-/// fusion group member: the same predicate called in the same order, with
-/// surviving values copied through the same staging buffer.
-pub(crate) struct FusedWhereStage {
-    pred: WhereFn,
-    buf: [f32; MAX_ARITY],
+/// fusion group member: the same predicate called in the same order,
+/// surviving values copied through. Generic over the predicate, so the
+/// per-slot call inlines.
+pub(crate) struct FusedWhereStage<F> {
+    pred: F,
 }
 
-impl FusedWhereStage {
+impl<F> FusedWhereStage<F> {
     /// Creates the stage of a single-field where.
-    pub(crate) fn new(pred: WhereFn) -> Self {
-        Self {
-            pred,
-            buf: [0.0; MAX_ARITY],
-        }
+    pub(crate) fn new(pred: F) -> Self {
+        Self { pred }
     }
 }
 
-impl FusedStage for FusedWhereStage {
+impl<F: FnMut(&[f32]) -> bool + Send> FusedStage for FusedWhereStage<F> {
     fn apply(&mut self, io: StageIo<'_>) {
         let StageIo {
             vals,
@@ -169,9 +164,8 @@ impl FusedStage for FusedWhereStage {
         } = io;
         for_each_run(present, |lo, hi| {
             for i in lo..hi {
-                self.buf[0] = vals[i];
-                if (self.pred)(&self.buf[..1]) {
-                    out_vals[i] = self.buf[0];
+                if (self.pred)(&[vals[i]]) {
+                    out_vals[i] = vals[i];
                     out_present[i] = true;
                 }
             }

@@ -219,7 +219,7 @@ impl<'q> Stream<'q> {
             LineageMap::identity(),
             Box::new(move |_, member| {
                 if member {
-                    Op::Stage(Box::new(FusedSelectStage::new(Box::new(f))))
+                    Op::Stage(Box::new(FusedSelectStage::new(f)))
                 } else {
                     Op::Kernel(Box::new(SelectKernel::new(
                         in_arity,
@@ -259,7 +259,7 @@ impl<'q> Stream<'q> {
             LineageMap::identity(),
             Box::new(move |_, member| {
                 if member {
-                    Op::Stage(Box::new(FusedWhereStage::new(Box::new(pred))))
+                    Op::Stage(Box::new(FusedWhereStage::new(pred)))
                 } else {
                     Op::Kernel(Box::new(WhereKernel::new(arity, Box::new(pred))))
                 }

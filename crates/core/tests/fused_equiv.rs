@@ -279,14 +279,15 @@ impl Stage {
     }
 }
 
-/// Runs `stages` over `data` fused and staged and holds both, bit for bit,
-/// to the chain's naive reference over every round the executor ran.
+/// Runs `stages` over `data` in rounds of `round` ticks, fused and staged,
+/// and holds both, bit for bit, to the chain's naive reference over every
+/// round the executor ran.
 /// Returns the number of reference events.
-fn assert_matches_reference(stages: &[Stage], data: &SignalData) -> usize {
+fn assert_matches_reference(stages: &[Stage], data: &SignalData, round: Tick) -> usize {
     let p = data.shape().period();
     let mut events = 0;
     for fuse in [true, false] {
-        let mut opts = ExecOptions::default().with_round_ticks(ROUND);
+        let mut opts = ExecOptions::default().with_round_ticks(round);
         if !fuse {
             opts = opts.without_fusion();
         }
@@ -333,7 +334,7 @@ proptest! {
         gaps in prop::collection::vec((0usize..6_000, 1usize..300), 0..4),
     ) {
         let data = gappy(StreamShape::new(0, period), slots, seed, &gaps);
-        assert_matches_reference(&stages, &data);
+        assert_matches_reference(&stages, &data, ROUND);
     }
 }
 
@@ -365,8 +366,72 @@ fn fir_and_transform_match_naive_references() {
         &[(500, 37), (7_000, 3), (9_999, 210)],
     );
     for stages in &chains {
-        let events = assert_matches_reference(stages, &data);
+        let events = assert_matches_reference(stages, &data, ROUND);
         assert!(events > 0, "{stages:?}: an empty reference proves nothing");
+    }
+}
+
+/// A dense period-1 signal cut into present runs of `runs[i]` slots, each
+/// followed by a gap of 1-3 slots.
+fn runs_of(runs: &[usize], seed: u64) -> SignalData {
+    let mut at = 0usize;
+    let mut gaps = Vec::new();
+    for (i, &run) in runs.iter().enumerate() {
+        at += run;
+        let gap = 1 + (seed as usize + i) % 3;
+        gaps.push((at, gap));
+        at += gap;
+    }
+    let shape = StreamShape::new(0, 1);
+    let vals: Vec<f32> = (0..at as u64)
+        .map(|i| {
+            let x = i.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(seed);
+            ((x >> 40) % 997) as f32 / 3.0 - 80.0
+        })
+        .collect();
+    let mut data = SignalData::dense(shape, vals);
+    for (start, len) in gaps {
+        data.punch_gap(start as Tick, (start + len) as Tick);
+    }
+    data
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The FIR's blocked interior, fused behind a select and staged, alone
+    /// and in a group, equals the per-slot direct form bit for bit: 1-40
+    /// taps over runs shorter than the head, of exactly a block (8), a
+    /// block and one more, and around other multiples of 8, in odd round
+    /// sizes whose edges cut runs so their tails carry into the next round.
+    #[test]
+    fn blocked_fir_matches_the_per_slot_reference(
+        taps in prop::collection::vec(-1.0f32..1.0, 1..=40),
+        round in prop::sample::select(vec![7i64, 8, 9, 57, 64, 65, 255]),
+        picks in prop::collection::vec((0usize..8, 0usize..6), 4..40),
+        seed in 0u64..u64::MAX / 2,
+    ) {
+        let m = taps.len() - 1;
+        // Runs: inside the head, one block, a block + 1, a block - 1,
+        // the head plus whole blocks, or plus whole blocks and one.
+        let runs: Vec<usize> = (picks.iter())
+            .map(|&(shape, k)| match shape {
+                0 => 1 + k % m.max(1),
+                1 => 8,
+                2 => 9,
+                3 => 7,
+                4 => m + 8 * k,
+                5 => m + 8 * k + 1,
+                6 => 8 * (k + 1) + 1,
+                _ => 8 * (k + 1) - 1,
+            })
+            .collect();
+        let data = runs_of(&runs, seed);
+        let fir = Stage::Fir { taps };
+        let select = Stage::Select { mul: 1.5, add: -2.0 };
+        for stages in [vec![fir.clone()], vec![select, fir]] {
+            assert_matches_reference(&stages, &data, round);
+        }
     }
 }
 
@@ -442,6 +507,90 @@ fn naive_aggregate(kind: AggKind, items: &[f32]) -> Option<f32> {
     })
 }
 
+/// Runs `pre_select` then a sliding `kind` aggregate of `window_slots`
+/// input slots every `stride_slots`, fused or staged, in rounds of
+/// `round` ticks, over each of `datasets` in turn (recycling the executor
+/// between them): every output equals `reference` over the trailing
+/// window's present values, bit for bit, and the first dataset's long gap
+/// skips rounds.
+#[allow(clippy::too_many_arguments)]
+fn assert_sliding_matches(
+    kind: AggKind,
+    window_slots: Tick,
+    stride_slots: Tick,
+    fuse: bool,
+    round: Tick,
+    datasets: &[&SignalData],
+    reference: fn(AggKind, &[f32]) -> Option<f32>,
+) {
+    let shape = datasets[0].shape();
+    let p = shape.period();
+    let (w, stride) = (window_slots * p, stride_slots * p);
+    let ctx = format!("{kind:?} w={w} stride={stride} fuse={fuse}");
+    let q = Query::new();
+    q.source("s", shape)
+        .map(pre_select)
+        .unwrap()
+        .aggregate(kind, w, stride)
+        .unwrap()
+        .sink();
+    let mut opts = ExecOptions::default().with_round_ticks(round);
+    if !fuse {
+        opts = opts.without_fusion();
+    }
+    let mut exec = q
+        .compile()
+        .unwrap()
+        .executor_with(vec![datasets[0].clone()], opts)
+        .unwrap();
+    // Only a same-grid sliding aggregate is a fusion member.
+    let fused = fuse && stride_slots == 1;
+    assert_eq!(exec.fusion_groups().len(), usize::from(fused), "{ctx}");
+    for (pass, &data) in datasets.iter().enumerate() {
+        if pass > 0 {
+            exec.recycle(vec![data.clone()]).unwrap();
+        }
+        let mut out = OutputCollector::new(1);
+        let stats = exec.run_with(|win| out.absorb(win)).unwrap();
+        assert_eq!(stats.steady_state_allocs, 0, "{ctx}");
+        if pass == 0 {
+            assert!(
+                stats.windows_skipped > 0,
+                "{ctx}: the long gap skips rounds"
+            );
+        }
+        // Rounds run until one starts a round past the data.
+        let (data_end, r) = (data.presence().end().unwrap(), exec.round_dim());
+        let rounds = (data_end + r - 1) / r + 1;
+        let want: Vec<(Tick, f32)> = (0..rounds * r)
+            .step_by(stride as usize)
+            .filter_map(|t| {
+                let items = trailing_window(data, t, w);
+                reference(kind, &items).map(|v| (t, v))
+            })
+            .collect();
+        assert_eq!(out.len(), want.len(), "{ctx} pass {pass}: event count");
+        let got = out.iter_times().zip(out.values(0));
+        for ((t, v), (wt, wv)) in got.zip(&want) {
+            assert_eq!(
+                (t, v.to_bits()),
+                (*wt, wv.to_bits()),
+                "{ctx} pass {pass}: {v} vs {wv} at t={wt}"
+            );
+        }
+        assert!(out.durations().iter().all(|&d| d == stride), "{ctx}");
+    }
+}
+
+const KINDS: [AggKind; 6] = [
+    AggKind::Sum,
+    AggKind::Mean,
+    AggKind::Max,
+    AggKind::Min,
+    AggKind::Count,
+    AggKind::Std,
+];
+
 /// All six kinds × stride = period and 4·period × windows shorter than,
 /// as long as and longer than the round, staged and fused, over gaps that
 /// start and end inside the carried slots, a gap long enough that rounds
@@ -463,75 +612,54 @@ fn sliding_aggregates_match_a_naive_trailing_window_reference() {
         &[(90, 12), (120, 6), (127, 1), (128, 1), (161, 2)],
     );
     let second = gappy(shape, 1_100, 11, &[(30, 3), (63, 2)]);
-    let kinds = [
-        AggKind::Sum,
-        AggKind::Mean,
-        AggKind::Max,
-        AggKind::Min,
-        AggKind::Count,
-        AggKind::Std,
-    ];
-    for kind in kinds {
+    for kind in KINDS {
         for stride_slots in [1, 4] {
             for window_slots in [8, 32, 80] {
                 for fuse in [true, false] {
-                    let (w, stride) = (window_slots * P, stride_slots * P);
-                    let ctx = format!("{kind:?} w={w} stride={stride} fuse={fuse}");
-                    let q = Query::new();
-                    q.source("s", shape)
-                        .map(pre_select)
-                        .unwrap()
-                        .aggregate(kind, w, stride)
-                        .unwrap()
-                        .sink();
-                    let mut opts = ExecOptions::default().with_round_ticks(SLIDING_ROUND);
-                    if !fuse {
-                        opts = opts.without_fusion();
-                    }
-                    let mut exec = q
-                        .compile()
-                        .unwrap()
-                        .executor_with(vec![first.clone()], opts)
-                        .unwrap();
-                    // Only a same-grid sliding aggregate is a fusion member.
-                    let fused = fuse && stride_slots == 1;
-                    assert_eq!(exec.fusion_groups().len(), usize::from(fused), "{ctx}");
-                    for (pass, data) in [&first, &second].into_iter().enumerate() {
-                        if pass == 1 {
-                            exec.recycle(vec![data.clone()]).unwrap();
-                        }
-                        let mut out = OutputCollector::new(1);
-                        let stats = exec.run_with(|win| out.absorb(win)).unwrap();
-                        assert_eq!(stats.steady_state_allocs, 0, "{ctx}");
-                        if pass == 0 {
-                            assert!(
-                                stats.windows_skipped > 0,
-                                "{ctx}: the long gap skips rounds"
-                            );
-                        }
-                        // Rounds run until one starts a round past the data.
-                        let data_end = data.presence().end().unwrap();
-                        let rounds = (data_end + SLIDING_ROUND - 1) / SLIDING_ROUND + 1;
-                        let want: Vec<(Tick, f32)> = (0..rounds * SLIDING_ROUND)
-                            .step_by(stride as usize)
-                            .filter_map(|t| {
-                                let items = trailing_window(data, t, w);
-                                naive_aggregate(kind, &items).map(|v| (t, v))
-                            })
-                            .collect();
-                        assert_eq!(out.len(), want.len(), "{ctx} pass {pass}: event count");
-                        let got = out.iter_times().zip(out.values(0));
-                        for ((t, v), (wt, wv)) in got.zip(&want) {
-                            assert_eq!(
-                                (t, v.to_bits()),
-                                (*wt, wv.to_bits()),
-                                "{ctx} pass {pass}: {v} vs {wv} at t={wt}"
-                            );
-                        }
-                        assert!(out.durations().iter().all(|&d| d == stride), "{ctx}");
-                    }
+                    assert_sliding_matches(
+                        kind,
+                        window_slots,
+                        stride_slots,
+                        fuse,
+                        SLIDING_ROUND,
+                        &[&first, &second],
+                        naive_aggregate,
+                    );
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lag-major fold over `f64`-widened slots, fused (stride 1) and
+    /// staged, equals `AggKind::fold` over each trailing window's present
+    /// values for every kind, strides of 1-5 slots and windows of up to
+    /// 64 slots (wider than the stride: a window as wide as its stride is
+    /// a tumbling one), in rounds of odd sizes over runs cut by short gaps.
+    #[test]
+    fn sliding_fold_matches_agg_kind_fold(
+        kind in prop::sample::select(KINDS.to_vec()),
+        stride_slots in 1i64..=5,
+        extra in 1i64..=59,
+        round in prop::sample::select(vec![38i64, 64, 98, 202]),
+        gaps in prop::collection::vec((0usize..1_500, 1usize..4), 0..12),
+        seed in 0u64..u64::MAX / 2,
+    ) {
+        let data = gappy(StreamShape::new(0, 2), 1_500, seed, &gaps);
+        let window_slots = stride_slots + extra;
+        for fuse in [true, false] {
+            assert_sliding_matches(
+                kind,
+                window_slots,
+                stride_slots,
+                fuse,
+                round,
+                &[&data],
+                |kind, items| kind.fold(items.iter().copied()),
+            );
         }
     }
 }
