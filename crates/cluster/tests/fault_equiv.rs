@@ -674,8 +674,11 @@ fn far_future_tick_is_refused_and_the_shard_survives() {
 /// suffix's base slot, or past its values used to be installed as it
 /// came, leaving presence over slots that were never materialised; one
 /// whose watermark lies beyond its values sent the shard's next poll
-/// running rounds up to it. Each is now answered with an error reply,
-/// admits nothing, and leaves the server serving.
+/// running rounds up to it. So did one whose frontier lies above its
+/// watermark (the import replayed every round up to the frontier) or
+/// whose base lies far above its frontier (the first poll ran every
+/// round up to it). Each is now answered with an error reply, admits
+/// nothing, and leaves the server serving.
 #[test]
 fn hostile_import_frames_are_refused_and_admit_nothing() {
     const P: u64 = 5;
@@ -687,19 +690,37 @@ fn hostile_import_frames_are_refused_and_admit_nothing() {
     .expect("bind");
     let remote =
         RemoteIngest::connect(server.local_addr(), RemoteConfig::default()).expect("connect");
-    // Five values from slot 10 on: ticks [20, 30) of the period-2 grid.
+    // Five values from slot 10 on: ticks [20, 30) of the period-2 grid,
+    // at frontier 0; or at slot `FAR`, more slots above the frontier than
+    // a push may open.
+    const FAR: u64 = (1 << 26) + 1;
+    let far = FAR as Tick * PERIOD;
     let hostile = [
-        ("off the", (21, 25), 30),
-        ("below the span base", (10, 24), 30),
-        ("beyond the span", (20, 40), 30),
-        ("watermark", (20, 30), (Tick::MAX / ROUND - 1) * ROUND),
+        ("off the", 10, (21, 25), 30, 0),
+        ("below the span base", 10, (10, 24), 30, 0),
+        ("beyond the span", 10, (20, 40), 30, 0),
+        (
+            "watermark",
+            10,
+            (20, 30),
+            (Tick::MAX / ROUND - 1) * ROUND,
+            0,
+        ),
+        ("above the watermark 30", 10, (20, 30), 30, 4 * ROUND),
+        (
+            "above the snapshot frontier",
+            FAR,
+            (far, far + 10),
+            far + 10,
+            0,
+        ),
     ];
-    for (why, range, watermark) in hostile {
+    for (why, base_slot, range, watermark, next_round) in hostile {
         let state = PatientHandoff {
             snapshot: SessionSnapshot {
-                next_round: 0,
+                next_round,
                 sources: vec![SourceSuffix {
-                    base_slot: 10,
+                    base_slot,
                     watermark,
                     values: vec![1.0; 5],
                     ranges: vec![range],

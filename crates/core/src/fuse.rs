@@ -22,11 +22,12 @@
 //! # What breaks a group
 //!
 //! Anything that changes the time grid or reads more than one stream:
-//! tumbling aggregates (`window == stride` re-grids output to the stride),
-//! `AlterPeriod` / resample, `Chop`, `Shift`, joins, `WhereShape` (carries
-//! cross-round DTW state against the raw window layout), multi-field
-//! selects, and fan-out as above. The chain simply ends at the offending
-//! node; fusion never reorders operators.
+//! tumbling and strided aggregates (a stride above the input period
+//! re-grids output to the stride), `AlterPeriod` / resample, `Chop`,
+//! `Shift`, joins, `WhereShape` (carries cross-round DTW state against
+//! the raw window layout), multi-field selects, and fan-out as above.
+//! The chain simply ends at the offending node; fusion never reorders
+//! operators.
 //!
 //! # Execution model
 //!
@@ -45,10 +46,16 @@
 //! that ping-pong between stages, staying cache-resident for the whole
 //! chain.
 //!
-//! `Transform` and `Fir` are written only as stages. One that is in no
-//! group — every one of them when fusion is off — runs as a one-stage
-//! `FusedKernel` over its own node's windows, so the staged plan keeps
-//! one window per node and runs the same code as the fused plan.
+//! `Transform`, `Fir` and `Aggregate` are written only as stages. One that
+//! is in no group — every one of them when fusion is off — runs as a
+//! one-stage `FusedKernel` over its own node's windows, so the staged plan
+//! keeps one window per node and runs the same code as the fused plan.
+//! Such a lone stage may re-grid: a tumbling or strided `Aggregate` reads
+//! a round of its input grid and writes a round of its output grid, which
+//! it works out from the input's. The kernel sizes its scratch for the
+//! larger of the two, gives the stage output slices of the output
+//! window's length, and writes durations at the output period. A
+//! re-gridding aggregate still ends a chain; it never joins one.
 //!
 //! Stage inner loops iterate contiguous presence runs as flat slices
 //! (`(lo, hi)` ranges from [`BitVec::iter_runs`](
@@ -57,10 +64,10 @@
 //! interiors. They are register-blocked: the FIR stage filters eight
 //! output positions at a time with the taps as the outer loop, so the
 //! block's partial sums stay in vector registers instead of forming one
-//! dependent chain per output, and the sliding fold does the same across
-//! eight windows per lag. `Select` and `Where` stages are generic over
-//! their closures, so the per-slot call inlines instead of going through
-//! a `dyn` call.
+//! dependent chain per output, and the aggregate's fold does the same
+//! across eight windows per lag. `Select` and `Where` stages are generic
+//! over their closures, so the per-slot call inlines instead of going
+//! through a `dyn` call.
 //!
 //! # Lineage and margins
 //!
@@ -81,23 +88,24 @@
 //!
 //! Fused execution must be *bit-identical* to staged execution (the
 //! differential battery diffs the two, and holds both to naive references
-//! for FIR, Transform and sliding aggregates). `Transform` and `Fir` have
-//! one implementation, so both plans run the same code; the FIR's blocked
-//! interior still accumulates each output from `0.0` in ascending tap
-//! order, the per-slot sequence, which its unit tests check against the
-//! per-slot form it replaced. Hand-kept replicas exist only where an
-//! operator has a staged kernel as well: `Select` and `Where` stages call
-//! the same closure (inlined here, boxed in the kernel) in the same order
-//! over present slots, and the sliding-aggregate stage and kernel share
-//! one flat fold ([`ops::aggregate`](crate::ops::aggregate)). That fold
-//! keeps the carried slots directly before the round's in one scratch, so
-//! every trailing window is a contiguous slice, and folds fully present
-//! windows lag-major over blocks of neighbouring output slots; each
-//! slot's `f64` accumulator still takes its values oldest first, the
-//! order [`AggKind::fold`] defines, and widening a slot to `f64` once a
-//! round rather than once per lag is exact, so neither changes an output
-//! bit. Fast paths are only taken where they provably execute the same
-//! floating-point operation sequence.
+//! for FIR, Transform and sliding aggregates). `Transform`, `Fir` and
+//! `Aggregate` have one implementation, so both plans run the same code;
+//! the FIR's blocked interior still accumulates each output from `0.0` in
+//! ascending tap order, the per-slot sequence, which its unit tests check
+//! against the per-slot form it replaced. The aggregate's one flat fold
+//! ([`ops::aggregate`](crate::ops::aggregate)) keeps the carried slots
+//! directly before the round's in one scratch, so every window is a
+//! contiguous slice, and folds fully present windows lag-major over
+//! blocks of neighbouring output slots; each slot's `f64` accumulator
+//! still takes its values oldest first, the order [`AggKind::fold`]
+//! defines, and widening a slot to `f64` once a round rather than once
+//! per lag is exact, so neither changes an output bit. Its unit tests
+//! hold it to the per-slot tumbling loop it replaced and to a naive
+//! window walk. Hand-kept replicas exist only where an operator has a
+//! staged kernel as well: `Select` and `Where` stages call the same
+//! closure (inlined here, boxed in the kernel) in the same order over
+//! present slots. Fast paths are only taken where they provably execute
+//! the same floating-point operation sequence.
 //!
 //! [`round_active`]: crate::exec::Executor
 //! [`AggKind::fold`]: crate::ops::aggregate::AggKind::fold
@@ -109,16 +117,21 @@ use crate::time::Tick;
 
 /// One stage's view of the round during fused execution.
 ///
-/// Slot `i` of every slice corresponds to sync time `base + i * period`;
-/// all slices share one length (the round's slot count on the group's
-/// grid). `out_present` arrives pre-cleared; `out_vals` holds stale bytes
-/// at slots the stage does not write (the same contract staged kernels
-/// have against their output windows — absent slots are garbage).
+/// Slot `i` of the input slices corresponds to sync time `base + i *
+/// period`, and both have the round's slot count on the input grid. The
+/// output slices share that grid and length too, except in a lone stage
+/// that re-grids (a tumbling or strided `Aggregate`): there they have the
+/// output window's length on the output grid, which the stage works out
+/// itself. `out_present` arrives pre-cleared; `out_vals` holds stale
+/// bytes at slots the stage does not write (the same contract staged
+/// kernels have against their output windows — absent slots are
+/// garbage).
 #[derive(Debug)]
 pub struct StageIo<'a> {
     /// Sync time of slot 0.
     pub base: Tick,
-    /// Grid period shared by input and output.
+    /// Grid period of the input (and of the output, unless the stage
+    /// re-grids).
     pub period: Tick,
     /// Input values (including stale bytes at absent slots).
     pub vals: &'a [f32],
@@ -131,7 +144,7 @@ pub struct StageIo<'a> {
 }
 
 /// One operator of a fused chain: what a fusion group member, or any
-/// `Transform` or `Fir`, is built as.
+/// `Transform`, `Fir` or `Aggregate`, is built as.
 pub trait FusedStage: Send {
     /// Processes one round: reads `io.vals`/`io.present`, fills
     /// `io.out_vals`/`io.out_present`. Must not allocate.
@@ -292,16 +305,20 @@ impl FusionPlan {
     /// The executor's kernels from the built operators: each group's
     /// stages, head first, become one [`FusedKernel`] at the group's tail
     /// (its interior slots stay `None`), and a stage in no group — a
-    /// `Transform` or `Fir` — becomes a one-stage `FusedKernel` over its
-    /// own node's windows.
+    /// `Transform`, `Fir` or `Aggregate` — becomes a one-stage
+    /// `FusedKernel` over its own node's windows.
     pub(crate) fn kernels(
         &self,
         graph: &Graph,
         mut ops: Vec<Option<Op>>,
     ) -> Vec<Option<Box<dyn Kernel>>> {
         let mut kernels: Vec<Option<Box<dyn Kernel>>> = (0..ops.len()).map(|_| None).collect();
+        // Scratch for a round of the node's grid and of its input's: the
+        // two differ only for a lone stage that re-grids.
         let fused = |stages, node: NodeId| -> Box<dyn Kernel> {
-            Box::new(FusedKernel::new(stages, graph.nodes[node].capacity()))
+            let n = &graph.nodes[node];
+            let capacity = n.capacity().max(graph.nodes[n.inputs[0]].capacity());
+            Box::new(FusedKernel::new(stages, capacity))
         };
         for group in &self.groups {
             let stages = (group.members.iter())
@@ -325,10 +342,10 @@ impl FusionPlan {
 }
 
 /// A fused chain as one [`Kernel`] — a group's stages, or a lone
-/// `Transform` or `Fir` stage: reads the head's input window, runs every
-/// stage over flat scratch columns, writes the tail window. All scratch
-/// is sized at construction — `process` never allocates, preserving the
-/// static-memory guarantee.
+/// `Transform`, `Fir` or `Aggregate` stage: reads the head's input
+/// window, runs every stage over flat scratch columns, writes the tail
+/// window. All scratch is sized at construction — `process` never
+/// allocates, preserving the static-memory guarantee.
 pub struct FusedKernel {
     stages: Vec<Box<dyn FusedStage>>,
     /// Ping-pong scratch: stages read `a` (the first stage the input
@@ -344,7 +361,7 @@ pub struct FusedKernel {
 
 impl FusedKernel {
     /// Builds a fused kernel over `stages` with scratch for `capacity`
-    /// slots per round.
+    /// slots per round, on the input grid and on the output grid.
     ///
     /// # Panics
     /// Panics when `stages` is empty.
@@ -365,8 +382,9 @@ impl FusedKernel {
 impl Kernel for FusedKernel {
     fn process(&mut self, inputs: &[&FWindow], out: &mut FWindow) {
         let input = inputs[0];
-        let len = input.len();
-        debug_assert_eq!(len, out.len(), "fused group grids must align");
+        let (len, out_len) = (input.len(), out.len());
+        // A fusion group keeps one grid.
+        debug_assert!(len == out_len || self.stages.len() == 1);
         if len == 0 {
             return;
         }
@@ -374,25 +392,29 @@ impl Kernel for FusedKernel {
         let period = input.shape().period();
 
         // Unpack input presence into the flags of scratch `a`, run-wise;
-        // the first stage reads the input's values in place.
+        // the first stage reads the input's values in place. Every stage
+        // writes its input's grid but the last, which writes the output
+        // window's: only a lone stage re-grids.
         input.presence().unpack_into(&mut self.a_flags);
+        let last = self.stages.len() - 1;
         for (i, stage) in self.stages.iter_mut().enumerate() {
             let vals = if i == 0 { input.field(0) } else { &self.a_vals };
-            self.b_flags[..len].fill(false);
+            let n = if i == last { out_len } else { len };
+            self.b_flags[..n].fill(false);
             stage.apply(StageIo {
                 base,
                 period,
                 vals: &vals[..len],
                 present: &self.a_flags[..len],
-                out_vals: &mut self.b_vals[..len],
-                out_present: &mut self.b_flags[..len],
+                out_vals: &mut self.b_vals[..n],
+                out_present: &mut self.b_flags[..n],
             });
             std::mem::swap(&mut self.a_vals, &mut self.b_vals);
             std::mem::swap(&mut self.a_flags, &mut self.b_flags);
         }
 
         // Bulk-write surviving runs into the tail window.
-        for_each_run(&self.a_flags[..len], |lo, hi| {
+        for_each_run(&self.a_flags[..out_len], |lo, hi| {
             if self.pass_through_durations {
                 out.fill_from_slice_with_durations(
                     lo,
@@ -400,7 +422,7 @@ impl Kernel for FusedKernel {
                     &input.durations()[lo..hi],
                 );
             } else {
-                out.fill_from_slice(lo, &self.a_vals[lo..hi], period);
+                out.fill_from_slice(lo, &self.a_vals[lo..hi], out.shape().period());
             }
         });
     }

@@ -555,8 +555,10 @@ impl SessionBuffer {
     ///
     /// # Errors
     /// Returns an error when the snapshot's source count does not match,
-    /// when its frontier is not round-aligned, or when a suffix is
-    /// malformed ([`LiveSource::from_suffix`]).
+    /// when its frontier is not round-aligned or lies above a source's
+    /// watermark floored to the round, when a suffix is malformed
+    /// ([`LiveSource::from_suffix`]), or when a source's base sits more
+    /// than [`MAX_RETAINED_SLOTS`] slots above the frontier.
     pub fn from_snapshot(
         shapes: &[StreamShape],
         margins: Vec<Tick>,
@@ -564,27 +566,42 @@ impl SessionBuffer {
         snapshot: &SessionSnapshot,
     ) -> Result<Self> {
         let mut buf = Self::new(shapes, margins, round)?;
-        if snapshot.sources.len() != shapes.len() {
-            return Err(Error::InvalidParameter {
-                message: format!(
-                    "snapshot has {} sources, query has {}",
-                    snapshot.sources.len(),
-                    shapes.len()
-                ),
-            });
+        let refuse = |message: String| Err(Error::InvalidParameter { message });
+        let (n, frontier) = (snapshot.sources.len(), snapshot.next_round);
+        if n != shapes.len() {
+            return refuse(format!(
+                "snapshot has {n} sources, query has {}",
+                shapes.len()
+            ));
         }
-        if snapshot.next_round < 0 || snapshot.next_round % round != 0 {
-            return Err(Error::InvalidParameter {
-                message: format!(
-                    "snapshot frontier {} is not aligned to the {round}-tick round grid",
-                    snapshot.next_round
-                ),
-            });
+        if frontier < 0 || frontier % round != 0 {
+            return refuse(format!(
+                "snapshot frontier {frontier} is not aligned to the {round}-tick round grid"
+            ));
         }
-        for (src, suffix) in buf.sources.iter_mut().zip(&snapshot.sources) {
+        for (i, (src, suffix)) in buf.sources.iter_mut().zip(&snapshot.sources).enumerate() {
             *src = LiveSource::from_suffix(src.shape, suffix)?;
+            // An exporter's frontier never passes a source's watermark
+            // floored to the round, and its bases trail the frontier; a
+            // snapshot that breaks either would have the import replay, or
+            // the first poll run, every empty round up to it.
+            if frontier > (src.watermark.div_euclid(round) * round).max(0) {
+                return refuse(format!(
+                    "snapshot frontier {frontier} is above the watermark {} of source {i} \
+                     on the {round}-tick round grid",
+                    src.watermark
+                ));
+            }
+            let ahead = src.base_time().saturating_sub(frontier) / src.shape.period();
+            if ahead > MAX_RETAINED_SLOTS as Tick {
+                return refuse(format!(
+                    "base slot {} of source {i} sits more than {MAX_RETAINED_SLOTS} slots \
+                     above the snapshot frontier {frontier}",
+                    suffix.base_slot
+                ));
+            }
         }
-        buf.next_round = snapshot.next_round;
+        buf.next_round = frontier;
         Ok(buf)
     }
 
@@ -1236,13 +1253,28 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("sources"), "err: {err}");
+        let refused = |bad| {
+            let err = LiveSession::import_suffix(plus_one(), 100, bad).unwrap_err();
+            err.to_string()
+        };
         // Misaligned frontier.
-        let mut bad = snap;
+        let mut bad = snap.clone();
         bad.next_round = 37;
-        let err = LiveSession::import_suffix(plus_one(), 100, bad)
-            .unwrap_err()
-            .to_string();
+        let err = refused(bad);
         assert!(err.contains("aligned"), "err: {err}");
+        // A frontier above the watermark (0). One 2^40 rounds up had the
+        // import replay every round below it.
+        let mut bad = snap.clone();
+        bad.next_round = 1000;
+        let err = refused(bad);
+        assert!(err.contains("above the watermark 0"), "err: {err}");
+        // A base further above the frontier than a push may open: the
+        // first poll would run every empty round up to it.
+        let mut bad = snap;
+        bad.sources[0].base_slot = MAX_RETAINED_SLOTS as u64 + 1;
+        bad.sources[0].watermark = (MAX_RETAINED_SLOTS as Tick + 1) * 2;
+        let err = refused(bad);
+        assert!(err.contains("above the snapshot frontier"), "err: {err}");
     }
 
     #[test]

@@ -1,21 +1,31 @@
 //! Windowed aggregation: `Aggregate(w, p)` applies an aggregate function to
-//! `w`-sized windows with stride `p`.
+//! `w`-sized windows with stride `p`, one output event every `p` ticks on
+//! the input's offset.
 //!
-//! *Tumbling* windows (`w == p`) are stateless: locality tracing guarantees
-//! the FWindow dimension is a multiple of `w`, so every aggregation window
-//! lies inside one round. Output events sit at each window's start and
-//! aggregate input events in `[t, t + w)` — exactly the
-//! `TumblingWindow(100).Mean()` of Listing 1.
+//! *Tumbling* windows (`w == p`) emit at each window's start `t` the
+//! aggregate of the input events in `[t, t + w)` — exactly the
+//! `TumblingWindow(100).Mean()` of Listing 1. They carry nothing across
+//! rounds: locality tracing makes the FWindow dimension a multiple of `w`,
+//! so on an input whose offset is a multiple of `w` every window lies
+//! inside one round. On any other offset the window a round ends inside is
+//! cut at the round's end.
 //!
-//! *Sliding* windows (`w > p`, `SlidingWindow` in the query language) are
-//! stateful and emit, at every output grid point `t`, the aggregate of
-//! input events in `(t - w, t]` — trailing-window semantics. On the input
-//! grid that window is the `w / p_in` slots ending at `t`, so no time is
-//! ever stored: `SlidingFold` keeps the last `w / p_in − 1` slots of the
-//! rounds before (value and presence) in a flat scratch laid directly
-//! before the current round's slots, and every window is one contiguous
-//! slice of it. The staged [`SlidingAggKernel`] and the fused stage a
-//! fusion group member builds instead run that one fold.
+//! *Sliding* windows (`w > p`, `SlidingWindow` in the query language) emit,
+//! at every output grid point `t`, the aggregate of the input events in
+//! `(t - w, t]` — trailing-window semantics, carried across rounds.
+//!
+//! Both are one `AggregateStage` over one `SlidingFold`, fused or alone.
+//! On the input grid a window is `w / p_in` consecutive slots, so no time
+//! is ever stored: the fold keeps the slots a window reaches back into —
+//! the last `w / p_in − 1` of the rounds before for a trailing window, none
+//! for a tumbling one — in a flat scratch laid directly before the current
+//! round's slots, and every window is one contiguous slice of it. Output
+//! slot `o` is the window starting at scratch slot `first + o · step`, where
+//! `step = p / p_in` and `first` places output slot 0 on the input grid (it
+//! is non-zero when a round starts between two output points). A sliding
+//! stage whose stride is its input period keeps its input's grid and may
+//! join a fusion group; every other aggregate re-grids its round and runs
+//! as a one-stage `FusedKernel`.
 //!
 //! Windows whose slots are all present — found from the scratch's presence
 //! runs — are folded *lag-major*: for a block of eight neighbouring output
@@ -32,9 +42,7 @@
 //! absent slots take `AggKind::fold` over the present ones.
 
 use crate::fuse::{for_each_run, FusedStage, StageIo};
-use crate::fwindow::FWindow;
-use crate::ops::Kernel;
-use crate::time::Tick;
+use crate::time::{StreamShape, Tick};
 use std::ops::Range;
 
 /// Built-in aggregate functions.
@@ -92,43 +100,6 @@ impl AggKind {
             AggKind::Sum => sum as f32,
             AggKind::Count => n as f32,
             _ => (sum / n as f64) as f32,
-        }
-    }
-}
-
-/// Tumbling-window aggregate kernel (`w == p`): stateless.
-#[derive(Debug)]
-pub struct TumblingAggKernel {
-    kind: AggKind,
-    window: Tick,
-}
-
-impl TumblingAggKernel {
-    /// Creates a tumbling aggregate over `window`-tick windows.
-    pub fn new(kind: AggKind, window: Tick) -> Self {
-        Self { kind, window }
-    }
-}
-
-impl Kernel for TumblingAggKernel {
-    fn process(&mut self, inputs: &[&FWindow], out: &mut FWindow) {
-        let input = inputs[0];
-        for o in 0..out.len() {
-            let t = out.slot_time(o);
-            // Aggregate input events in [t, t + window).
-            let lo = match input.slot_of(input.shape().align_up(t)) {
-                Some(i) => i,
-                None => continue,
-            };
-            let period = input.shape().period();
-            let count = ((self.window + period - 1) / period) as usize;
-            let hi = (lo + count).min(input.len());
-            let vals = (lo..hi)
-                .filter(|&i| input.is_present(i) && input.slot_time(i) < t + self.window)
-                .map(|i| input.field(0)[i]);
-            if let Some(v) = self.kind.fold(vals) {
-                out.write(o, &[v], self.window.min(out.dim()));
-            }
         }
     }
 }
@@ -210,15 +181,18 @@ fn aggregate_block(
     }
 }
 
-/// The sliding-window fold and the state it carries across rounds, shared
-/// by [`SlidingAggKernel`] and its fused stage (see the module docs).
+/// The window fold and the state it carries across rounds (see the
+/// module docs).
 #[derive(Debug)]
 struct SlidingFold {
     kind: AggKind,
     /// Window width in input slots (`window / in_period`).
     width: usize,
-    /// `[carry | round]`: the last `width − 1` input slots of the rounds
-    /// before, then the current round's slots. Sized at construction.
+    /// Input slots carried from the rounds before: `width − 1` for a
+    /// trailing window, none for a tumbling one.
+    carry: usize,
+    /// `[carry | round]`: the carried slots, then the current round's
+    /// slots. Sized at construction.
     vals: Vec<f32>,
     /// Presence of `vals`, slot for slot; a carry slot no round has
     /// filled is absent.
@@ -230,63 +204,59 @@ struct SlidingFold {
 }
 
 impl SlidingFold {
-    fn new(kind: AggKind, window: Tick, in_period: Tick, capacity: usize) -> Self {
-        let width = (window / in_period).max(1) as usize;
+    fn new(kind: AggKind, width: usize, carry: usize, capacity: usize) -> Self {
         let sums = !matches!(kind, AggKind::Max | AggKind::Min);
         Self {
             kind,
             width,
-            vals: vec![0.0; width - 1 + capacity],
-            present: vec![false; width - 1 + capacity],
-            wide: vec![0.0; if sums { width - 1 + capacity } else { 0 }],
+            carry,
+            vals: vec![0.0; carry + capacity],
+            present: vec![false; carry + capacity],
+            wide: vec![0.0; if sums { carry + capacity } else { 0 }],
         }
     }
 
     /// Forgets the carried slots (skipped round, reset).
     fn clear(&mut self) {
-        self.present[..self.width - 1].fill(false);
+        self.present[..self.carry].fill(false);
     }
 
-    /// The scratch slots of a round of `len` input slots, for the caller
-    /// to fill before [`run`](Self::run).
-    fn round_mut(&mut self, len: usize) -> (&mut [f32], &mut [bool]) {
-        let c = self.width - 1;
-        (&mut self.vals[c..c + len], &mut self.present[c..c + len])
-    }
-
-    /// Folds the round loaded through [`round_mut`](Self::round_mut):
-    /// output slot `o` is the window ending at input slot `first + o *
-    /// step`. `out_present` arrives cleared. Afterwards the round's last
-    /// `width − 1` slots become the carry.
+    /// Folds a round of input slots, loaded after the carry: output slot
+    /// `o` is the window of `width` scratch slots starting at `first + o *
+    /// step`, cut at the round's end. `out_present` arrives cleared.
+    /// Afterwards the round's last `carry` slots become the carry.
     fn run(
         &mut self,
-        len: usize,
+        (round_vals, round_present): (&[f32], &[bool]),
         first: usize,
         step: usize,
         out_vals: &mut [f32],
         out_present: &mut [bool],
     ) {
-        let (kind, width) = (self.kind, self.width);
-        let c = width - 1;
-        let (vals, present) = (&self.vals[..c + len], &self.present[..c + len]);
+        let (kind, width, len) = (self.kind, self.width, round_vals.len());
+        let end = self.carry + len;
+        self.vals[self.carry..end].copy_from_slice(round_vals);
+        self.present[self.carry..end].copy_from_slice(round_present);
+        let (vals, present) = (&self.vals[..end], &self.present[..end]);
         // One exact conversion a slot, instead of one a slot and lag.
         let wide: &[f64] = if self.wide.is_empty() {
             &[]
         } else {
-            let wide = &mut self.wide[..c + len];
+            let wide = &mut self.wide[..end];
             for (w, &v) in wide.iter_mut().zip(vals) {
                 *w = v as f64;
             }
             wide
         };
-        // In scratch indices output `o`'s window starts at `first + o *
-        // step`; `outputs_before(j)` counts the windows starting below `j`.
+        // `outputs_before(j)` counts the windows starting below scratch
+        // slot `j`.
         let n_out = out_vals.len();
         let outputs_before = |j: usize| j.saturating_sub(first).div_ceil(step).min(n_out);
         let per_slot = |outputs: Range<usize>, out_vals: &mut [f32], out_present: &mut [bool]| {
             for o in outputs {
                 let j = first + o * step;
-                let window = (j..j + width).filter(|&i| present[i]).map(|i| vals[i]);
+                let cut = (j + width).min(end);
+                let window = (j..cut).filter(|&i| present[i]).map(|i| vals[i]);
                 if let Some(v) = kind.fold(window) {
                     out_vals[o] = v;
                     out_present[o] = true;
@@ -295,10 +265,12 @@ impl SlidingFold {
         };
         let mut next = 0usize;
         for_each_run(present, |lo, hi| {
-            // The run holds the windows starting in `lo..hi - c`; whole
-            // blocks of them fold lag-major, what is left slot by slot.
+            // The run holds the windows starting in `lo..=hi - width`;
+            // whole blocks of them fold lag-major, what is left slot by
+            // slot.
             let dense_lo = outputs_before(lo).max(next);
-            let blocks = outputs_before(hi.saturating_sub(c)).saturating_sub(dense_lo) / BLOCK;
+            let dense_end = outputs_before((hi + 1).saturating_sub(width));
+            let blocks = dense_end.saturating_sub(dense_lo) / BLOCK;
             let dense_hi = dense_lo + blocks * BLOCK;
             per_slot(next..dense_lo, out_vals, out_present);
             out_present[dense_lo..dense_hi].fill(true);
@@ -310,88 +282,56 @@ impl SlidingFold {
             next = dense_hi;
         });
         per_slot(next..n_out, out_vals, out_present);
-        self.vals.copy_within(len..len + c, 0);
-        self.present.copy_within(len..len + c, 0);
+        self.vals.copy_within(len..end, 0);
+        self.present.copy_within(len..end, 0);
     }
 }
 
-/// Sliding-window aggregate kernel (`w > p`, trailing `(t - w, t]`
-/// windows): loads each round into its `SlidingFold` and bulk-writes the
-/// folded runs.
-#[derive(Debug)]
-pub struct SlidingAggKernel {
+/// `Aggregate` as every plan runs it, in a fusion group or alone as a
+/// one-stage [`FusedKernel`](crate::fuse::FusedKernel): loads each round
+/// into its [`SlidingFold`] and folds it onto the output grid, which it
+/// works out from the round's input grid.
+pub(crate) struct AggregateStage {
     fold: SlidingFold,
-    /// One round's output, folded flat before it is written by runs.
-    out_vals: Vec<f32>,
-    out_present: Vec<bool>,
+    /// The output grid: the input's offset, one point a stride.
+    out_shape: StreamShape,
+    /// Input slots between two output slots (`stride / in_period`).
+    step: usize,
 }
 
-impl SlidingAggKernel {
-    /// Creates a sliding aggregate with trailing window `window` over an
-    /// input stream of period `in_period` and at most `capacity` input
-    /// slots per round.
-    pub fn new(kind: AggKind, window: Tick, in_period: Tick, capacity: usize) -> Self {
+impl AggregateStage {
+    /// A `kind` aggregate of `window`-tick windows every `stride` ticks
+    /// over an input of shape `in_shape`, at most `capacity` input slots
+    /// a round: tumbling (`window == stride`, windows `[t, t + window)`)
+    /// or sliding (`window > stride`, trailing windows `(t − window, t]`).
+    pub(crate) fn new(
+        kind: AggKind,
+        window: Tick,
+        stride: Tick,
+        in_shape: StreamShape,
+        capacity: usize,
+    ) -> Self {
+        let in_period = in_shape.period();
+        let width = (window / in_period) as usize;
+        // A trailing window reaches `width − 1` slots into the rounds
+        // before; a tumbling one starts at its own output slot.
+        let carry = if window == stride { 0 } else { width - 1 };
         Self {
-            fold: SlidingFold::new(kind, window, in_period, capacity),
-            out_vals: vec![0.0; capacity],
-            out_present: vec![false; capacity],
+            fold: SlidingFold::new(kind, width, carry, capacity),
+            out_shape: in_shape.aggregated(stride),
+            step: (stride / in_period) as usize,
         }
     }
 }
 
-impl Kernel for SlidingAggKernel {
-    fn process(&mut self, inputs: &[&FWindow], out: &mut FWindow) {
-        let input = inputs[0];
-        let (vals, present) = self.fold.round_mut(input.len());
-        vals.copy_from_slice(input.field(0));
-        input.presence().unpack_into(present);
-        // The output grid is every `step`-th input slot from `first` on.
-        let (in_period, out_period) = (input.shape().period(), out.shape().period());
-        let first = ((out.slot_time(0) - input.slot_time(0)) / in_period) as usize;
-        let step = (out_period / in_period) as usize;
-        let out_vals = &mut self.out_vals[..out.len()];
-        let out_present = &mut self.out_present[..out.len()];
-        out_present.fill(false);
-        self.fold
-            .run(input.len(), first, step, out_vals, out_present);
-        for_each_run(out_present, |lo, hi| {
-            out.fill_from_slice(lo, &out_vals[lo..hi], out_period);
-        });
-    }
-
-    fn on_skip(&mut self) {
-        self.fold.clear();
-    }
-
-    fn reset(&mut self) {
-        self.fold.clear();
-    }
-}
-
-/// Fused-stage form of [`SlidingAggKernel`], built for a fusion group
-/// member and valid only on same-grid chains (output stride == input
-/// period), which the fusion pass guarantees: the same [`SlidingFold`],
-/// loaded from the chain's flat columns and folding straight into them.
-pub(crate) struct FusedSlidingStage {
-    fold: SlidingFold,
-}
-
-impl FusedSlidingStage {
-    /// Creates the stage; the arguments are [`SlidingAggKernel::new`]'s.
-    pub(crate) fn new(kind: AggKind, window: Tick, in_period: Tick, capacity: usize) -> Self {
-        Self {
-            fold: SlidingFold::new(kind, window, in_period, capacity),
-        }
-    }
-}
-
-impl FusedStage for FusedSlidingStage {
+impl FusedStage for AggregateStage {
     fn apply(&mut self, io: StageIo<'_>) {
-        let len = io.vals.len();
-        let (vals, present) = self.fold.round_mut(len);
-        vals.copy_from_slice(io.vals);
-        present.copy_from_slice(io.present);
-        self.fold.run(len, 0, 1, io.out_vals, io.out_present);
+        // The output grid lies on the input grid, so output slot 0 is the
+        // first output point at or after input slot 0.
+        let first = ((self.out_shape.align_up(io.base) - io.base) / io.period) as usize;
+        let round = (io.vals, io.present);
+        self.fold
+            .run(round, first, self.step, io.out_vals, io.out_present);
     }
 
     fn on_skip(&mut self) {
@@ -410,8 +350,11 @@ impl FusedStage for FusedSlidingStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuse::FusedKernel;
+    use crate::fwindow::FWindow;
     use crate::ops::testutil::{empty, events, filled};
-    use crate::time::StreamShape;
+    use crate::ops::Kernel;
+    use crate::time::lcm;
     use proptest::prelude::*;
 
     const KINDS: [AggKind; 6] = [
@@ -423,18 +366,63 @@ mod tests {
         AggKind::Std,
     ];
 
+    /// The aggregate as every plan runs it outside a fusion group: a
+    /// one-stage fused kernel with scratch for `cap` input slots.
+    fn aggregate(kind: AggKind, w: Tick, stride: Tick, s: StreamShape, cap: usize) -> FusedKernel {
+        let stage = AggregateStage::new(kind, w, stride, s, cap);
+        FusedKernel::new(vec![Box::new(stage)], cap)
+    }
+
+    /// The per-slot tumbling aggregate the stage replaced, kept unchanged
+    /// as a reference: output slot `o` at time `t` folds the input's
+    /// present events in `[t, t + window)` that lie in the round.
+    fn reference(kind: AggKind, window: Tick, input: &FWindow, out: &mut FWindow) {
+        for o in 0..out.len() {
+            let t = out.slot_time(o);
+            // Aggregate input events in [t, t + window).
+            let lo = match input.slot_of(input.shape().align_up(t)) {
+                Some(i) => i,
+                None => continue,
+            };
+            let period = input.shape().period();
+            let count = ((window + period - 1) / period) as usize;
+            let hi = (lo + count).min(input.len());
+            let vals = (lo..hi)
+                .filter(|&i| input.is_present(i) && input.slot_time(i) < t + window)
+                .map(|i| input.field(0)[i]);
+            if let Some(v) = kind.fold(vals) {
+                out.write(o, &[v], window.min(out.dim()));
+            }
+        }
+    }
+
+    /// `(time, value bits, duration)` of every present event of `w`.
+    fn bits(w: &FWindow) -> Vec<(Tick, u32, Tick)> {
+        (w.iter_present())
+            .map(|(i, t, _)| (t, w.field(0)[i].to_bits(), w.durations()[i]))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every kind over windows of 1-64 slots and output strides of 1-5
-        /// slots, through rounds of odd sizes with gaps, carries and skips:
-        /// each output is `AggKind::fold` over its window's present slots,
-        /// bit for bit, and the scratch never grows.
+        /// The stage, as a one-stage fused kernel over round windows, for
+        /// every kind, windows of 1-64 input slots, tumbling or sliding
+        /// with strides of 1-5 slots, input offsets off the round grid (so
+        /// output slot 0 need not be input slot 0), dense or gappy input
+        /// from 1e-6 to 1e6 (window sums that round in `f64`, `Std`s that
+        /// cancel) and skipped rounds: a tumbling output equals
+        /// [`reference`], and whenever its windows lie inside rounds, like
+        /// every sliding output, `AggKind::fold` over the window's present
+        /// slots since the last skip — bit for bit, durations included.
         #[test]
         fn sliding_fold_equals_agg_kind_fold_on_present_slots(
             kind in prop::sample::select(KINDS.to_vec()),
-            width in 1usize..=64,
-            step in 1usize..=5,
+            width in 1i64..=64,
+            step in 1i64..=5,
+            tumbling in any::<bool>(),
+            period in 1i64..=3,
+            offset in 0i64..40,
             seed in 1u64..u64::MAX,
         ) {
             let mut s = seed;
@@ -444,52 +432,55 @@ mod tests {
                 s ^= s << 17;
                 s % n
             };
-            const CAPACITY: usize = 301;
-            let mut fold = SlidingFold::new(kind, width as Tick * 3, 3, CAPACITY);
-            let sizes = (fold.vals.len(), fold.wide.len(), fold.wide.capacity());
-            // The last `width - 1` slots, oldest first, as the reference
-            // carries them.
-            let mut carry: Vec<Option<f32>> = vec![None; width - 1];
-            for r in 0..5 {
-                if r > 0 && next(4) == 0 {
-                    fold.clear();
-                    carry.fill(None);
+            let (w, stride) = if tumbling { (width, width) } else { (width.max(step + 1), step) };
+            let (window, stride) = (w * period, stride * period);
+            let in_shape = StreamShape::new(offset * period, period);
+            let out_shape = in_shape.aggregated(stride);
+            let dim = lcm(window, stride) * (1 + next(3) as Tick);
+            let sparse = next(2) == 0;
+            let signal: Vec<Option<f32>> = (0..5 * dim / period)
+                .map(|_| {
+                    let v = (next(4001) as f32 * 0.0137 - 27.0) * 10f32.powi(next(13) as i32 - 6);
+                    (!sparse || next(4) != 0).then_some(v)
+                })
+                .collect();
+            let at = |t: Tick| signal[(t / period) as usize].filter(|_| t >= in_shape.offset());
+            let mut k = aggregate(kind, window, stride, in_shape, (dim / period) as usize);
+            let mut horizon = 0;
+            for sync in (0..5).map(|r| r * dim) {
+                if sync > 0 && next(5) == 0 {
+                    k.on_skip();
+                    horizon = sync + dim;
+                    continue;
                 }
-                let len = CAPACITY - 2 * next(40) as usize;
-                let dense = next(2) == 0;
-                // Magnitudes from 1e-6 to 1e6: window sums that round in
-                // `f64`, and `Std`s that cancel.
-                let round: Vec<Option<f32>> = (0..len)
-                    .map(|_| {
-                        let scale = 10f32.powi(next(13) as i32 - 6);
-                        let v = (next(4001) as f32 * 0.0137 - 27.0) * scale;
-                        (dense || next(9) != 0).then_some(v)
-                    })
-                    .collect();
-                let (vals, present) = fold.round_mut(len);
-                for (i, v) in round.iter().enumerate() {
-                    vals[i] = v.unwrap_or(f32::NAN);
-                    present[i] = v.is_some();
+                let mut input = empty(in_shape, dim, sync, 1);
+                for i in 0..input.len() {
+                    if let Some(v) = at(input.slot_time(i)) {
+                        input.write(i, &[v], period);
+                    }
                 }
-                let first = next(step as u64) as usize;
-                let n_out = (len - first).div_ceil(step);
-                let mut out_vals = vec![0.0f32; n_out];
-                let mut out_present = vec![false; n_out];
-                fold.run(len, first, step, &mut out_vals, &mut out_present);
-                let full: Vec<Option<f32>> = carry.iter().chain(&round).copied().collect();
-                for o in 0..n_out {
-                    let window = &full[first + o * step..][..width];
-                    let want = kind.fold(window.iter().flatten().copied());
-                    let got = out_present[o].then_some(out_vals[o]);
-                    prop_assert_eq!(
-                        got.map(f32::to_bits),
-                        want.map(f32::to_bits),
-                        "{:?} width {} step {} round {} output {}", kind, width, step, r, o
-                    );
+                let mut out = empty(out_shape, dim, sync, 1);
+                let mut want = empty(out_shape, dim, sync, 1);
+                k.process(&[&input], &mut out);
+                let ctx = format!("{kind:?} w={window} stride={stride} {in_shape} sync {sync}");
+                if tumbling {
+                    reference(kind, window, &input, &mut want);
+                    prop_assert_eq!(bits(&out), bits(&want), "{} reference", ctx);
                 }
-                carry = full[full.len() - (width - 1)..].to_vec();
+                if !tumbling || in_shape.offset() % window == 0 {
+                    // `[t, t + w)` (tumbling) or `(t - w, t]` (sliding).
+                    let walk: Vec<(Tick, u32, Tick)> = (0..out.len())
+                        .filter_map(|o| {
+                            let t = out.slot_time(o);
+                            let from = if tumbling { t } else { t + period - window };
+                            let times = (0..w).map(|i| from + i * period);
+                            let items = times.filter(|&u| u >= horizon).filter_map(at);
+                            kind.fold(items).map(|v| (t, v.to_bits(), stride))
+                        })
+                        .collect();
+                    prop_assert_eq!(bits(&out), walk, "{} walk", ctx);
+                }
             }
-            prop_assert_eq!((fold.vals.len(), fold.wide.len(), fold.wide.capacity()), sizes);
         }
     }
 
@@ -519,9 +510,10 @@ mod tests {
             &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
         );
         let mut out = empty(s_out, 20, 0, 1);
-        let mut k = TumblingAggKernel::new(AggKind::Mean, 10);
+        let mut k = aggregate(AggKind::Mean, 10, 10, s_in, 10);
         k.process(&[&input], &mut out);
         assert_eq!(events(&out), vec![(0, 3.0), (10, 8.0)]);
+        assert_eq!(out.durations()[..2], [10, 10]);
     }
 
     #[test]
@@ -534,7 +526,7 @@ mod tests {
         }
         input.clear_slot(5);
         let mut out = empty(s_out, 20, 0, 1);
-        let mut k = TumblingAggKernel::new(AggKind::Sum, 10);
+        let mut k = aggregate(AggKind::Sum, 10, 10, s_in, 10);
         k.process(&[&input], &mut out);
         assert_eq!(events(&out), vec![(10, 4.0)]); // 4 present events remain
     }
@@ -542,13 +534,10 @@ mod tests {
     #[test]
     fn sliding_carry_trails_across_rounds_and_dies_on_a_skip() {
         let s = StreamShape::new(0, 1);
-        let mut k = SlidingAggKernel::new(AggKind::Mean, 4, 1, 4);
-        let round = |k: &mut SlidingAggKernel, sync: Tick, vals: &[f32]| {
+        let mut k = aggregate(AggKind::Mean, 4, 1, s, 4);
+        let round = |k: &mut FusedKernel, sync: Tick, vals: &[f32]| {
             let mut out = empty(s, 4, sync, 1);
             k.process(&[&filled(s, 4, sync, vals)], &mut out);
-            // Three carried slots plus one round, as built: never grows.
-            assert_eq!((k.fold.vals.len(), k.fold.vals.capacity()), (7, 7));
-            assert_eq!((k.fold.wide.len(), k.fold.wide.capacity()), (7, 7));
             events(&out)
         };
         // t=3 sees (-1, 3] = 1,2,3,4; the first slots see what exists.

@@ -11,12 +11,13 @@
 //! from the graph before any operator is built, so each node's factory
 //! builds it once, in the form it runs in:
 //!
-//! * `Transform` and `Fir` exist only as stages. Outside a fusion group
-//!   (every one of them when fusion is off) a stage runs as a one-stage
-//!   `FusedKernel` over its own node's windows.
-//! * `Select`, `Where` and the sliding `Aggregate` have both forms: a
-//!   stage inside a group, a kernel outside one. Their kernels also take
-//!   the multi-field and strided cases that cannot be stages.
+//! * `Transform`, `Fir` and `Aggregate` exist only as stages. Outside a
+//!   fusion group (every one of them when fusion is off) a stage runs as
+//!   a one-stage `FusedKernel` over its own node's windows; a lone
+//!   tumbling or strided `Aggregate` re-grids its round there.
+//! * `Select` and `Where` have both forms: a stage inside a group, a
+//!   kernel outside one. Their kernels also take the multi-field case
+//!   that cannot be a stage.
 //! * Every other operator is a kernel only.
 //!
 //! Stateful kernels and stages (`Shift`, `Chop`, `ClipJoin`, sliding

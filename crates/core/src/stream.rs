@@ -50,7 +50,7 @@ use crate::error::{Error, Result};
 use crate::fwindow::MAX_ARITY;
 use crate::graph::{JoinKindTag, Node, NodeId, OpKind};
 use crate::lineage::LineageMap;
-use crate::ops::aggregate::{AggKind, FusedSlidingStage, SlidingAggKernel, TumblingAggKernel};
+use crate::ops::aggregate::{AggKind, AggregateStage};
 use crate::ops::fir::FirStage;
 use crate::ops::join::{ClipJoinKernel, JoinKernel, JoinKind, JoinMapFn};
 use crate::ops::reshape::{AlterDurationKernel, AlterPeriodKernel, ChopKernel, ShiftKernel};
@@ -337,19 +337,12 @@ impl<'q> Stream<'q> {
             in_shape.aggregated(stride),
             1,
             lineage,
-            Box::new(move |node: &Node, member| {
+            Box::new(move |node: &Node, _| {
                 // Every window of a plan shares one dimension, so this is
                 // the input window's slot count.
-                let in_capacity = (node.dim / in_period) as usize;
-                if window == stride {
-                    Op::Kernel(Box::new(TumblingAggKernel::new(kind, window)))
-                } else if member {
-                    let stage = FusedSlidingStage::new(kind, window, in_period, in_capacity);
-                    Op::Stage(Box::new(stage))
-                } else {
-                    let kernel = SlidingAggKernel::new(kind, window, in_period, in_capacity);
-                    Op::Kernel(Box::new(kernel))
-                }
+                let capacity = (node.dim / in_period) as usize;
+                let stage = AggregateStage::new(kind, window, stride, in_shape, capacity);
+                Op::Stage(Box::new(stage))
             }),
         ))
     }

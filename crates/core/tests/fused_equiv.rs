@@ -13,7 +13,9 @@
 //! naive references — a direct convolution within each present run for
 //! FIR, a plain sub-window walk for Transform, and the `(t − w, t]`
 //! trailing window for sliding aggregates, which the battery also checks
-//! kind by kind.
+//! kind by kind. Last, the round itself must not change an answer: a
+//! tumbling, strided or unit-stride aggregate behind the same vocabulary
+//! gives the same events in rounds of two different sizes.
 
 use lifestream_core::exec::{ExecOptions, Executor, OutputCollector};
 use lifestream_core::ops::aggregate::AggKind;
@@ -660,6 +662,93 @@ proptest! {
                 &[&data],
                 |kind, items| kind.fold(items.iter().copied()),
             );
+        }
+    }
+}
+
+/// An aggregate's kind and its window and stride in input slots:
+/// tumbling (window == stride), strided sliding, or unit-stride sliding.
+fn aggregate_strategy() -> impl Strategy<Value = (AggKind, Tick, Tick)> {
+    let kinds = || prop::sample::select(KINDS.to_vec());
+    prop_oneof![
+        (kinds(), 1i64..=64).prop_map(|(kind, w)| (kind, w, w)),
+        (kinds(), 2i64..=5, 1i64..=40).prop_map(|(kind, s, extra)| (kind, s + extra, s)),
+        (kinds(), 2i64..=64).prop_map(|(kind, w)| (kind, w, 1)),
+    ]
+}
+
+/// Runs `prefix` then `aggregate` (window and stride in input slots)
+/// over `data` in rounds of `multiple` traced dimensions; returns the
+/// round and the output.
+fn run_in_rounds(
+    prefix: &[Stage],
+    (kind, window_slots, stride_slots): (AggKind, Tick, Tick),
+    data: &SignalData,
+    multiple: Tick,
+    targeted: bool,
+) -> (Tick, OutputCollector) {
+    let q = Query::new();
+    let mut s = q.source("s", data.shape());
+    for st in prefix {
+        s = st.apply(s);
+    }
+    let p = data.shape().period();
+    let aggregate = s.aggregate(kind, window_slots * p, stride_slots * p);
+    aggregate.unwrap().sink();
+    let compiled = q.compile().unwrap();
+    let round = compiled.global_dim() * multiple;
+    let mut opts = ExecOptions::default().with_round_ticks(round);
+    if !targeted {
+        opts = opts.without_targeting();
+    }
+    let mut exec = compiled.executor_with(vec![data.clone()], opts).unwrap();
+    (round, exec.run_collect().unwrap())
+}
+
+/// The events of `out` before `end`.
+fn before(out: &OutputCollector, end: Tick) -> OutputCollector {
+    let mut kept = OutputCollector::new(1);
+    let events = out.iter_times().zip(out.durations()).zip(out.values(0));
+    for ((t, d), &v) in events.take_while(|((t, _), _)| *t < end) {
+        kept.push(t, d, &[v]);
+    }
+    kept
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The round does not change an answer: a tumbling, strided or
+    /// unit-stride aggregate of every kind behind up to two stages of the
+    /// battery's vocabulary, over gap-heavy data, gives the same events —
+    /// `checksum` and durations — in rounds of two different multiples of
+    /// the traced dimension, with targeted skipping on and off. A run
+    /// ends one round past the data, so a sliding window wider than a
+    /// round is compared up to the shorter run's end.
+    #[test]
+    fn two_round_multiples_give_the_same_answer(
+        prefix in prop::collection::vec(stage_strategy(), 0..3),
+        aggregate in aggregate_strategy(),
+        period in prop::sample::select(vec![1i64, 2, 4]),
+        multiple in prop::sample::select(vec![1i64, 2, 3, 5, 8]),
+        more in 1i64..=7,
+        slots in 2_000usize..6_000,
+        seed in 0u64..u64::MAX / 2,
+        gaps in prop::collection::vec((0usize..6_000, 1usize..300), 0..4),
+    ) {
+        let data = gappy(StreamShape::new(0, period), slots, seed, &gaps);
+        let ctx = format!("{prefix:?} {aggregate:?} period {period}");
+        let run = |m| [true, false].map(|t| run_in_rounds(&prefix, aggregate, &data, m, t));
+        let runs: Vec<(Tick, OutputCollector)> =
+            [multiple, multiple + more].into_iter().flat_map(run).collect();
+        let shortest = runs.iter().map(|(round, _)| *round).min().unwrap();
+        let end = data.presence().end().unwrap() + shortest;
+        let want = before(&runs[0].1, end);
+        for (round, out) in &runs[1..] {
+            let got = before(out, end);
+            prop_assert_eq!(got.len(), want.len(), "{} round {}: event count", ctx, round);
+            prop_assert_eq!(got.durations(), want.durations(), "{} round {}", ctx, round);
+            prop_assert_eq!(got.checksum(), want.checksum(), "{} round {}", ctx, round);
         }
     }
 }
