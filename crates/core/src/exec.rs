@@ -494,9 +494,10 @@ impl Executor {
     /// Propagates execution errors.
     pub fn run_with<F: FnMut(&FWindow)>(&mut self, mut on_output: F) -> Result<RunStats> {
         // Drain margin: lineage lookahead (aggregates) means a round can
-        // need source data slightly past `end`; shift spill means pending
-        // events can flush after the last data round.
-        let hard_end = self.end + self.round_dim;
+        // need source data slightly past `end`, and trailing windows emit
+        // past it; shift spill means pending events can flush after the
+        // last data round.
+        let hard_end = self.end + self.drain_ticks();
         let mut stats = self.run_span(self.start, hard_end, &mut on_output)?;
         // Spill drain: keep running while stateful kernels hold pending
         // events (bounded by a safety margin).
@@ -508,6 +509,19 @@ impl Executor {
             a += self.round_dim;
         }
         Ok(stats)
+    }
+
+    /// How far past the data's end a run still executes rounds: one
+    /// round, or the plan's reach back from a sink
+    /// ([`history_margins`](Self::history_margins)) when that is longer —
+    /// a sliding window wider than a round still sees the data in the
+    /// rounds after it — so the events a run emits do not depend on the
+    /// round's length. An unbounded margin (non-unit-scale lineage) keeps
+    /// the one round.
+    pub(crate) fn drain_ticks(&self) -> Tick {
+        let margins = self.history_margins().into_iter();
+        let reach = margins.filter(|&m| m < UNBOUNDED_MARGIN).max();
+        reach.unwrap_or(0).max(self.round_dim)
     }
 
     /// Runs the rounds covering `[from, to)` (both aligned to the round
@@ -751,8 +765,7 @@ impl Executor {
     ///
     /// [`LineageMap::scaled`]: crate::lineage::LineageMap::scaled
     pub fn history_margins(&self) -> Vec<Tick> {
-        /// Sentinel "keep everything" low for non-unit-scale lineage.
-        const UNBOUNDED: Tick = -(1 << 40);
+        const UNBOUNDED: Tick = -UNBOUNDED_MARGIN;
         let mut node_lows: Vec<Option<Tick>> = vec![None; self.graph.nodes.len()];
         // Mirror round_active's roots: every sink, plus every Shift input
         // (rounds stay alive to absorb shifted events into the spill).
@@ -908,6 +921,10 @@ impl std::fmt::Debug for Executor {
             .finish()
     }
 }
+
+/// The history margin of a source behind non-unit-scale lineage: keep
+/// everything.
+const UNBOUNDED_MARGIN: Tick = 1 << 40;
 
 /// The span a run over `sources` covers: the earliest present tick
 /// rounded down to the round grid, and the latest end (both 0 when

@@ -51,10 +51,11 @@
 //! one-stage `FusedKernel` over its own node's windows, so the staged plan
 //! keeps one window per node and runs the same code as the fused plan.
 //! Such a lone stage may re-grid: a tumbling or strided `Aggregate` reads
-//! a round of its input grid and writes a round of its output grid, which
-//! it works out from the input's. The kernel sizes its scratch for the
-//! larger of the two, gives the stage output slices of the output
-//! window's length, and writes durations at the output period. A
+//! a round of its input grid and writes a round of its output grid. The
+//! kernel sizes its scratch for the larger of the two, gives the stage
+//! output slices of the output window's length and that window's first
+//! sync time, and writes durations at the output period; the stage places
+//! its windows on the input grid from the two first sync times. A
 //! re-gridding aggregate still ends a chain; it never joins one.
 //!
 //! Stage inner loops iterate contiguous presence runs as flat slices
@@ -120,16 +121,18 @@ use crate::time::Tick;
 /// Slot `i` of the input slices corresponds to sync time `base + i *
 /// period`, and both have the round's slot count on the input grid. The
 /// output slices share that grid and length too, except in a lone stage
-/// that re-grids (a tumbling or strided `Aggregate`): there they have the
-/// output window's length on the output grid, which the stage works out
-/// itself. `out_present` arrives pre-cleared; `out_vals` holds stale
-/// bytes at slots the stage does not write (the same contract staged
-/// kernels have against their output windows — absent slots are
-/// garbage).
+/// that re-grids (a tumbling or strided `Aggregate`): there slot 0 sits
+/// at `out_base` and they have the output window's length on the output
+/// grid, whose period the stage knows. `out_present` arrives
+/// pre-cleared; `out_vals` holds stale bytes at slots the stage does not
+/// write (the same contract staged kernels have against their output
+/// windows — absent slots are garbage).
 #[derive(Debug)]
 pub struct StageIo<'a> {
-    /// Sync time of slot 0.
+    /// Sync time of input slot 0.
     pub base: Tick,
+    /// Sync time of output slot 0: `base`, unless the stage re-grids.
+    pub out_base: Tick,
     /// Grid period of the input (and of the output, unless the stage
     /// re-grids).
     pub period: Tick,
@@ -161,6 +164,12 @@ pub trait FusedStage: Send {
     /// (select, where). Decides how the fused kernel writes the tail
     /// window's durations.
     fn resets_durations(&self) -> bool {
+        false
+    }
+
+    /// True when the stage's output grid is not its input's (a tumbling
+    /// or strided `Aggregate`); only a lone stage may re-grid.
+    fn regrids(&self) -> bool {
         false
     }
 }
@@ -383,8 +392,8 @@ impl Kernel for FusedKernel {
     fn process(&mut self, inputs: &[&FWindow], out: &mut FWindow) {
         let input = inputs[0];
         let (len, out_len) = (input.len(), out.len());
-        // A fusion group keeps one grid.
-        debug_assert!(len == out_len || self.stages.len() == 1);
+        // A fusion group keeps one grid; only a lone stage may re-grid.
+        debug_assert!(len == out_len || (self.stages.len() == 1 && self.stages[0].regrids()));
         if len == 0 {
             return;
         }
@@ -399,10 +408,15 @@ impl Kernel for FusedKernel {
         let last = self.stages.len() - 1;
         for (i, stage) in self.stages.iter_mut().enumerate() {
             let vals = if i == 0 { input.field(0) } else { &self.a_vals };
-            let n = if i == last { out_len } else { len };
+            let (n, out_base) = if i == last {
+                (out_len, out.slot_time(0))
+            } else {
+                (len, base)
+            };
             self.b_flags[..n].fill(false);
             stage.apply(StageIo {
                 base,
+                out_base,
                 period,
                 vals: &vals[..len],
                 present: &self.a_flags[..len],

@@ -876,15 +876,16 @@ impl LiveSession {
     }
 
     /// Flushes all remaining data (end of stream), including the same
-    /// one-round drain margin the retrospective executor applies (trailing
-    /// windows, shift spill).
+    /// drain margin the retrospective executor applies (trailing windows,
+    /// shift spill).
     ///
     /// # Errors
     /// Propagates execution errors.
     pub fn finish<F: FnMut(&FWindow)>(&mut self, mut on_output: F) -> Result<RunStats> {
         let round = self.buf.round;
         let end = self.buf.sources.iter().map(|s| s.watermark).max();
-        let aligned = (end.unwrap_or(0) + round - 1).div_euclid(round) * round + round;
+        let drained = end.unwrap_or(0) + self.exec.drain_ticks();
+        let aligned = (drained + round - 1).div_euclid(round) * round;
         let mut stats = self.run_span(aligned, &mut on_output)?;
         let mut extra = 0;
         while self.exec.has_pending() && extra < 64 {

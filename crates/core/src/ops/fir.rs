@@ -274,6 +274,7 @@ mod tests {
         let mut out_present = vec![false; vals.len()];
         stage.apply(StageIo {
             base: 0,
+            out_base: 0,
             period: 1,
             vals,
             present,

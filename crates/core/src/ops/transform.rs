@@ -34,8 +34,10 @@ pub struct TransformCtx<'a> {
 /// The user transformation. Called once per `w`-sized sub-window.
 pub type TransformFn = Box<dyn FnMut(TransformCtx<'_>) + Send>;
 
-/// `Transform(w)`: slices the round into `w`-tick sub-windows and applies
-/// the user function to each. Input and output share one grid and are
+/// `Transform(w)`: slices the round into `w`-tick sub-windows, the spans
+/// `[k · w, (k + 1) · w)` (so none straddles a round, whose length is a
+/// multiple of `w`), and applies the user function to each one's slots.
+/// Input and output share one grid and are
 /// single-field (arity 1). It exists only as a stage: outside a fusion
 /// group it runs as a one-stage
 /// [`FusedKernel`](crate::fuse::FusedKernel).
@@ -65,13 +67,15 @@ impl FusedStage for TransformStage {
             present,
             out_vals,
             out_present,
+            ..
         } = io;
-        let sub = (self.window / period) as usize;
-        debug_assert!(sub > 0);
         let len = vals.len();
         let mut start = 0usize;
         while start < len {
-            let end = (start + sub).min(len);
+            // This sub-window ends at the next multiple of `w`.
+            let t = base + start as Tick * period;
+            let ticks = self.window - t.rem_euclid(self.window);
+            let end = (start + ((ticks + period - 1) / period) as usize).min(len);
             // Closures that set presence without writing must see 0.0.
             out_vals[start..end].fill(0.0);
             (self.f)(TransformCtx {

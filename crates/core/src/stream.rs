@@ -303,9 +303,10 @@ impl<'q> Stream<'q> {
     }
 
     /// `Aggregate(w, p)`: applies `kind` to `window`-tick windows with
-    /// stride `stride`. Tumbling (`window == stride`) aggregates
-    /// `[t, t+window)`; sliding (`window > stride`) aggregates the trailing
-    /// window `(t-window, t]`.
+    /// stride `stride`. Tumbling (`window == stride`) aggregates the spans
+    /// `[k·window, (k+1)·window)`, each at its first input grid point `t`;
+    /// sliding (`window > stride`) aggregates the trailing window
+    /// `(t-window, t]`.
     ///
     /// # Errors
     /// Returns an error for invalid parameters (window/stride not positive
@@ -334,14 +335,14 @@ impl<'q> Stream<'q> {
         Ok(self.unary(
             format!("Aggregate({kind:?},{window},{stride})"),
             OpKind::Aggregate { window, stride },
-            in_shape.aggregated(stride),
+            in_shape.aggregated(window, stride),
             1,
             lineage,
             Box::new(move |node: &Node, _| {
                 // Every window of a plan shares one dimension, so this is
                 // the input window's slot count.
                 let capacity = (node.dim / in_period) as usize;
-                let stage = AggregateStage::new(kind, window, stride, in_shape, capacity);
+                let stage = AggregateStage::new(kind, window, stride, in_period, capacity);
                 Op::Stage(Box::new(stage))
             }),
         ))
@@ -541,7 +542,8 @@ impl<'q> Stream<'q> {
     }
 
     /// `Transform(w)`: applies a user window-to-window function to
-    /// `window`-tick sub-windows (single-field streams).
+    /// `window`-tick sub-windows, the spans `[k·window, (k+1)·window)`
+    /// (single-field streams).
     ///
     /// # Errors
     /// Returns an error for a multi-field input or a window that is not a

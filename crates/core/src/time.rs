@@ -165,10 +165,20 @@ impl StreamShape {
         Self::new(self.offset.min(other.offset), p)
     }
 
-    /// Shape of the output of a windowed aggregate with stride `stride`:
-    /// one output event per stride, aligned to the input grid's offset.
-    pub fn aggregated(&self, stride: Tick) -> Self {
-        Self::new(self.offset, stride)
+    /// Shape of the output of a windowed aggregate of `window`-tick
+    /// windows every `stride` ticks (both multiples of the period): one
+    /// output event per stride, on this grid. Sliding windows (`window >
+    /// stride`) keep this grid's offset. Tumbling windows (`window ==
+    /// stride`) are the spans `[k · window, (k + 1) · window)`, each
+    /// emitted at its first point on this grid, so a window never
+    /// straddles a round, whose length is a multiple of `window`.
+    pub fn aggregated(&self, window: Tick, stride: Tick) -> Self {
+        let lead = if window == stride {
+            self.offset.rem_euclid(window) / self.period * self.period
+        } else {
+            0
+        };
+        Self::new(self.offset - lead, stride)
     }
 }
 
@@ -233,7 +243,13 @@ mod tests {
         let s = StreamShape::new(0, 2);
         assert_eq!(s.shifted(3), StreamShape::new(3, 2));
         assert_eq!(s.with_period(1), StreamShape::new(0, 1));
-        assert_eq!(s.aggregated(100), StreamShape::new(0, 100));
+        assert_eq!(s.aggregated(100, 100), StreamShape::new(0, 100));
+        // Tumbling windows sit on multiples of the window; sliding ones
+        // keep the offset.
+        let off = StreamShape::new(13, 2);
+        assert_eq!(off.aggregated(10, 10), StreamShape::new(11, 10));
+        assert_eq!(off.aggregated(10, 4), StreamShape::new(13, 4));
+        assert_eq!(off.aggregated(2, 2), StreamShape::new(13, 2));
     }
 
     #[test]
