@@ -18,6 +18,7 @@
 //! paper-sized workloads; [`knobs`] reads it with the other two
 //! variables and refuses a value that does not parse.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

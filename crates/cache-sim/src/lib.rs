@@ -18,6 +18,7 @@
 //! set ≈ plan size, independent of input scale). A faithful cache model
 //! reproduces it without PMU access.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -42,6 +42,7 @@
 //!   [`net::ClusterIngest`] keeps the one live table: per machine a down
 //!   flag, per admitted patient its machine and its failover mirror.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 // The crates reachable from a socket or the disk never `unwrap`: a

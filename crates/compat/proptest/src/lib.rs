@@ -13,6 +13,7 @@
 //! * generation is driven by a deterministic RNG seeded from the test's
 //!   module path, so failures reproduce across runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;

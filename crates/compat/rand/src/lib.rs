@@ -7,6 +7,7 @@
 //! seeded through SplitMix64 — deterministic per seed, which is all the
 //! dataset builders rely on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

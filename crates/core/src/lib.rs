@@ -58,6 +58,7 @@
 //! parameters and appends one graph node, and [`Query::compile`] traces
 //! the graph into the [`CompiledQuery`](query::CompiledQuery) that
 //! executors, live sessions and history replays all run.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -22,6 +22,7 @@
 //! numbers are not the point (the paper's Table 1 machines differ);
 //! the order — Storm < Spark < Flink ≪ Trill ≪ LifeStream/SciPy — is.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Boxing each event is the point: it reproduces the per-event heap
 // allocation (JVM object churn) these engines pay.

@@ -21,6 +21,7 @@
 //! materialization between stages — fast in microbenchmarks, beaten
 //! end-to-end, as in the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -20,6 +20,7 @@
 //! CSV ingest/egress mirrors the paper's end-to-end setup, which reads
 //! retrospective data from CSV files.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -137,6 +137,10 @@
 // The crates reachable from a socket or the disk never `unwrap`: a
 // failure there is an error value, not a panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// The store's one `unsafe` block, the call into the checksum kernel after
+// CPU feature detection (`segment`), says why it is sound; every other
+// library crate of the workspace forbids `unsafe` outright.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod query;
 pub mod reader;
@@ -387,6 +391,44 @@ fn parse_segment_range(path: &std::path::Path) -> Option<(Tick, Tick)> {
     Some((lo, hi))
 }
 
+/// The most grid slots one spilled record holds. A record's payload is 48
+/// fixed bytes, 4 bytes a value and 16 a presence range, and a piece of
+/// `n` slots has at most `n` non-empty ranges, so `n` slots take at most
+/// `48 + 20 n` bytes: within [`segment::MAX_RECORD`] at this bound.
+const MAX_RECORD_SLOTS: usize = (segment::MAX_RECORD - 48) / 20;
+
+/// `span` as `patient`'s records: one record when it fits in
+/// [`MAX_RECORD_SLOTS`], else one a piece of that many slots, each with
+/// the presence ranges clipped to its slots. A piece with no present
+/// sample is dropped.
+fn span_records(patient: u64, span: RetiredSpan) -> Vec<SegmentRecord> {
+    let record = |base_slot, values, ranges| SegmentRecord {
+        patient,
+        source: span.source as u32,
+        shape: span.shape,
+        base_slot,
+        values,
+        ranges,
+    };
+    if span.values.len() <= MAX_RECORD_SLOTS {
+        return vec![record(span.base_slot, span.values, span.ranges)];
+    }
+    let (offset, period) = (span.shape.offset(), span.shape.period());
+    let mut records = Vec::new();
+    for (k, values) in span.values.chunks(MAX_RECORD_SLOTS).enumerate() {
+        let base_slot = span.base_slot + (k * MAX_RECORD_SLOTS) as u64;
+        let lo = offset + base_slot as Tick * period;
+        let hi = lo + values.len() as Tick * period;
+        let ranges: Vec<_> = (span.ranges.iter())
+            .filter_map(|&(s, e)| (s.max(lo) < e.min(hi)).then_some((s.max(lo), e.min(hi))))
+            .collect();
+        if !ranges.is_empty() {
+            records.push(record(base_slot, values.to_vec(), ranges));
+        }
+    }
+    records
+}
+
 fn writer_nonce() -> u64 {
     let nanos = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -420,21 +462,19 @@ impl SegmentStore {
     /// failures are recorded ([`Self::last_error`], `io_errors`) rather
     /// than propagated — retire sinks have no error channel — and the
     /// spans stay buffered for the next attempt.
+    ///
+    /// A span of more than `MAX_RECORD_SLOTS` (about 3.36 M) slots is
+    /// stored as several records, cut at slot boundaries, so that no
+    /// record outgrows what the reader accepts ([`segment::MAX_RECORD`]).
     pub fn spill(&mut self, patient: u64, span: RetiredSpan) {
-        let record = SegmentRecord {
-            patient,
-            source: span.source as u32,
-            shape: span.shape,
-            base_slot: span.base_slot,
-            values: span.values,
-            ranges: span.ranges,
-        };
         self.stats.spilled_spans += 1;
-        let samples = record.present_samples();
-        self.stats.spilled_samples += samples as u64;
-        self.max_end = self.max_end.max(record.end_tick());
-        self.pending.push(record);
-        self.pending_samples += samples;
+        for record in span_records(patient, span) {
+            let samples = record.present_samples();
+            self.stats.spilled_samples += samples as u64;
+            self.max_end = self.max_end.max(record.end_tick());
+            self.pending.push(record);
+            self.pending_samples += samples;
+        }
         if self.pending_samples >= self.cfg.flush_batch.max(1) || self.cfg.flush_batch == 0 {
             if let Err(e) = self.flush() {
                 self.stats.io_errors += 1;
@@ -875,6 +915,47 @@ mod tests {
         assert_eq!(parse_segment_range(&merged), Some((0, 50)));
         // Nothing left to merge.
         assert_eq!(store.compact().unwrap(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A span whose one record would pass the reader's cap (here the
+    /// values alone fill `MAX_RECORD`) is stored in pieces: it stitches
+    /// back to the span, and the patient that shares its file stays
+    /// readable, before and after a compaction reads that file.
+    #[test]
+    fn a_span_longer_than_one_record_reads_back_whole() {
+        let dir = tmp_dir("long");
+        let store = open(StoreConfig::new(&dir).flush_batch(usize::MAX));
+        let n = segment::MAX_RECORD / 4;
+        let cut = MAX_RECORD_SLOTS as Tick;
+        // Presence crosses the first cut, leaves the third piece empty and
+        // runs to the span's end.
+        let ranges = vec![(0, 1000), (cut - 5, cut + 5), (3 * cut + 7, n as Tick)];
+        let present: Tick = ranges.iter().map(|&(s, e)| e - s).sum();
+        let values = (0..n).map(|slot| slot as f32).collect();
+        spill(&store, 1, span(0, values, ranges.clone()));
+        spill(&store, 2, span(0, vec![9.0; 4], vec![(0, 4)]));
+        store.flush().unwrap();
+        assert_eq!(paths(&store).len(), 1, "both patients share one file");
+        assert_eq!(store.stats().spilled_samples, present as u64 + 4);
+        let check = |store: &SharedStore| {
+            let shape = [StreamShape::new(0, 1)];
+            let records = all(store, 1);
+            assert_eq!(records.len(), 5, "six pieces, one with no presence");
+            let got = HistoryReader::from_records(records)
+                .stitch(1, &shape, None)
+                .unwrap()
+                .remove(0);
+            assert_eq!(got.presence().ranges(), ranges.as_slice());
+            assert_eq!(got.present_events(), present as usize);
+            assert!(got.present_samples().all(|(_, t, v)| v == t as f32));
+            assert_eq!(all(store, 2)[0].values, vec![9.0; 4]);
+        };
+        check(&store);
+        spill(&store, 2, span(4, vec![8.0; 4], vec![(4, 8)]));
+        store.flush().unwrap();
+        assert_eq!(store.compact().unwrap(), 2);
+        check(&store);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -50,10 +50,24 @@
 //! [`parse_segment`] / [`read_segment`] are that decoder with a visitor
 //! that keeps everything.
 //!
-//! The checksum is CRC-32/IEEE computed sixteen bytes a step from
-//! compile-time tables (slicing-by-16): the bit-at-a-time form is a chain
-//! of eight dependent shift/xor steps per byte and held both segment
-//! encode and decode under 200 MB/s.
+//! # The checksum
+//!
+//! Every record written is checksummed and every record of every file a
+//! scan opens is checked, wanted or not, so the CRC runs over every byte
+//! the store moves. [`crc32`] computes CRC-32/IEEE in one of two ways,
+//! with one answer:
+//!
+//! * **Carry-less multiply** on x86-64 CPUs with PCLMULQDQ and SSE4.1,
+//!   for buffers of 64 bytes or more: four 128-bit lanes fold 64 bytes a
+//!   step, then fold into one lane, which a Barrett reduction takes to 32
+//!   bits (Intel's "Fast CRC Computation for Generic Polynomials Using
+//!   PCLMULQDQ"). On a 2-vCPU Xeon (KVM) it checks a cached 2 KB record
+//!   at about 23 GB/s. The one `unsafe` block in the store is the call
+//!   into it, made after the CPU was checked for both features.
+//! * **Slicing-by-16 tables** everywhere else — other targets, older CPUs,
+//!   short buffers and the last 0–15 bytes of a long one: sixteen
+//!   independent table reads advance the state sixteen bytes, about
+//!   3.5 GB/s on the same record and box.
 
 use std::fs;
 use std::io::{self, Read, Write};
@@ -159,11 +173,23 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 /// CRC-32/IEEE (reflected, poly `0xEDB88320`) — the same checksum zlib and
 /// Ethernet use; hand-rolled because the build environment is offline.
+/// Runs the carry-less-multiply kernel where the CPU has it and the
+/// buffer is long enough, the tables otherwise (module docs).
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_clmul(data).unwrap_or_else(|| crc32_table(data))
+}
+
+/// [`crc32`] from the slicing-by-16 tables alone: the portable path.
+fn crc32_table(data: &[u8]) -> u32 {
+    !crc_update(!0, data)
+}
+
+/// Advances the raw (un-inverted) CRC state over `data`, sixteen bytes a
+/// step, then the remainder a byte at a time.
+fn crc_update(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(16);
-    for block in &mut blocks {
+    let (blocks, rest) = data.as_chunks::<16>();
+    for block in blocks {
         // The running state folds into the first four bytes; byte `i` of
         // the block then has `15 - i` bytes after it.
         let mut next = 0;
@@ -173,10 +199,118 @@ pub fn crc32(data: &[u8]) -> u32 {
         }
         crc = next;
     }
-    for &b in blocks.remainder() {
+    for &b in rest {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// [`crc32`] by carry-less multiply, or `None` when this CPU lacks
+/// PCLMULQDQ or SSE4.1, the target is not x86-64, or `data` is shorter
+/// than one 64-byte fold step.
+#[cfg(target_arch = "x86_64")]
+fn crc32_clmul(data: &[u8]) -> Option<u32> {
+    let detected = std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    if data.len() < 64 || !detected {
+        return None;
+    }
+    // SAFETY: `clmul::crc32` is compiled for exactly the two features
+    // `is_x86_feature_detected!` just found on the running CPU, which is
+    // all that calling a `#[target_feature]` fn requires; its body is safe
+    // code.
+    Some(unsafe { clmul::crc32(data) })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn crc32_clmul(_: &[u8]) -> Option<u32> {
+    None
+}
+
+/// The folding kernel: Intel's "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction" for the reflected polynomial
+/// `0xEDB88320`. Each fold constant is `x^n mod P(x)` for the `n` named
+/// beside it, bit-reflected and shifted left one place; `P′` and `μ` are
+/// the Barrett pair.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// `x^(4·128+32)` and `x^(4·128−32)`: a lane folds 512 bits ahead.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// `x^(128+32)` and `x^(128−32)`: a lane folds 128 bits ahead.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// `x^64`: the 64 → 32 bit step before the Barrett reduction.
+    const K5: i64 = 0x1_63cd_6124;
+    /// `P′`, the polynomial with its `x^32` term, and `μ = ⌊x^64 / P⌋`.
+    const P_PRIME: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// One 16-byte block as a vector, least significant byte first — what
+    /// an unaligned load gives, from safe code.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    /// Folds `a` ahead by the distance `k` encodes and adds `b`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, k);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// CRC-32/IEEE of `data`; any length, but under 64 bytes it is the
+    /// table's work.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(data: &[u8]) -> u32 {
+        let (steps, rest) = data.as_chunks::<64>();
+        let Some((first, steps)) = steps.split_first() else {
+            return super::crc32_table(data);
+        };
+        let lanes = |step: &[u8; 64]| {
+            let (blocks, _) = step.as_chunks::<16>();
+            [0, 1, 2, 3].map(|i| load(&blocks[i]))
+        };
+        let mut x = lanes(first);
+        // The initial state !0 enters as the first four bytes' xor.
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(-1));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for step in steps {
+            let y = lanes(step);
+            x = [0, 1, 2, 3].map(|i| fold(x[i], y[i], k1k2));
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold(fold(fold(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        let (blocks, tail) = rest.as_chunks::<16>();
+        for block in blocks {
+            acc = fold(acc, load(block), k3k4);
+        }
+        // 128 → 64 bits, then 64 → 32 with K5.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+            _mm_srli_si128::<8>(acc),
+        );
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P′; the
+        // reflected remainder is the high half of R ⊕ T2.
+        let pu = _mm_set_epi64x(MU, P_PRIME);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let state = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        !super::crc_update(state, tail)
+    }
 }
 
 /// Encodes one record as its length-prefixed on-disk form.
@@ -410,31 +544,58 @@ mod tests {
         !crc
     }
 
-    /// Every length around the 16-byte block (no blocks, one, several,
-    /// every remainder) at every start offset within a word.
+    /// The path this host takes, the tables and the kernel (where this
+    /// CPU has it) against the definition: every length to 512 — below,
+    /// at and past the kernel's 64-byte threshold, every count of 16-byte
+    /// blocks after the last fold step and every 0–15-byte tail — at every
+    /// start offset within 16 bytes.
     #[test]
     fn table_crc_equals_bitwise_at_every_short_length_and_alignment() {
-        let bytes: Vec<u8> = (0..80u32).map(|i| (i * 151 + 43) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=64 {
+        let bytes: Vec<u8> = (0..528u32)
+            .map(|i| ((i * 151 + 43) ^ (i >> 3)) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=512 {
                 let data = &bytes[start..start + len];
-                assert_eq!(crc32(data), crc32_bitwise(data), "start {start} len {len}");
+                let want = crc32_bitwise(data);
+                assert_eq!(crc32(data), want, "crc32: start {start} len {len}");
+                assert_eq!(crc32_table(data), want, "table: start {start} len {len}");
+                if let Some(got) = crc32_clmul(data) {
+                    assert_eq!(got, want, "kernel: start {start} len {len}");
+                }
             }
         }
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
+    /// The fast path is taken wherever it applies, so an edit that drops
+    /// it fails here rather than only slowing every read and write.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32_takes_the_clmul_kernel_when_the_cpu_has_it() {
+        let bytes = [0xa5u8; 64];
+        assert_eq!(crc32_clmul(&bytes[..63]), None, "under one fold step");
+        let detected = std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1");
+        assert_eq!(crc32_clmul(&bytes).is_some(), detected);
+    }
+
     proptest! {
         #[test]
         fn table_crc_equals_bitwise_on_random_buffers(
-            words in prop::collection::vec(0u64..=u64::MAX, 0..2048),
+            words in prop::collection::vec(0u64..=u64::MAX, 0..8192),
             start in 0usize..8,
             cut in 0usize..8,
         ) {
             let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
             let end = bytes.len().saturating_sub(cut).max(start.min(bytes.len()));
             let data = &bytes[start.min(bytes.len())..end];
-            prop_assert_eq!(crc32(data), crc32_bitwise(data));
+            let want = crc32_bitwise(data);
+            prop_assert_eq!(crc32(data), want);
+            prop_assert_eq!(crc32_table(data), want);
+            if let Some(got) = crc32_clmul(data) {
+                prop_assert_eq!(got, want);
+            }
         }
     }
 

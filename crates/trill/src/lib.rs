@@ -29,6 +29,7 @@
 //! [`pipelines`] provides the Table 3 operations and the Fig. 3 / Table 4
 //! applications expressed against this engine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -39,6 +39,8 @@
 //! See `examples/` for runnable walkthroughs and `crates/bench/src/bin/`
 //! for one binary per paper table/figure.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 
 pub use distrib_baseline as distrib;
